@@ -20,142 +20,6 @@ from . import BenchResult, compare_ops, git_sha, machine_fingerprint, write_repo
 from .trajectory import append_entry, check_gate
 
 
-def _backend_suite(
-    rng: np.random.Generator, quick: bool, repeats: int
-) -> list[BenchResult]:
-    """The float32 fast lane vs the float64 reference lane, per hot op.
-
-    ``speedup`` reads as ``float64_p50 / float32_p50`` — how much the
-    dispatched lane (autotuned candidates, fused float32 recipes,
-    zoom-DFT, optional JIT epilogues) buys over the bit-exact default.
-    The float64 side *is* the planned kernel of the previous perf
-    round, so these numbers are the additional trajectory on top of it.
-    """
-    from ..core.config import EarSonarConfig
-    from ..core.pipeline import EarSonarPipeline
-    from ..features.laplacian import laplacian_scores
-    from ..kernels import backends
-    from ..kernels.mfcc import mfcc_batched
-    from ..kernels.chirp import chirp_train_planned, matched_filter_batched
-    from ..kernels.spectral import welch_periodograms
-    from ..signal.chirp import ChirpDesign
-    from ..signal.correlation import correlation_matrix
-    from ..signal.mfcc import MfccConfig
-    from ..simulation.participant import sample_participant
-    from ..simulation.session import SessionConfig, record_session
-
-    results: list[BenchResult] = []
-    design = ChirpDesign()
-    fs = design.sample_rate
-    backends.ensure_ready()
-
-    def lanes(
-        op: str, shape: str, run, arr64: np.ndarray
-    ) -> BenchResult:
-        arr32 = arr64.astype(np.float32)
-        return compare_ops(
-            op, shape, lambda: run(arr32), lambda: run(arr64), repeats=repeats
-        )
-
-    n = 16_384 if quick else 96_000
-    x = rng.standard_normal(n)
-    results.append(
-        lanes(
-            "f32.welch_power",
-            f"n={n},segment=256,overlap=0.5",
-            lambda a: welch_periodograms(a, fs, segment_length=256, overlap=0.5),
-            x,
-        )
-    )
-
-    captures, k = (8, 4_096) if quick else (16, 16_384)
-    sig = rng.standard_normal((captures, k))
-    results.append(
-        lanes(
-            "f32.matched_filter_rows",
-            f"batch={captures},n={k}",
-            lambda a: matched_filter_batched(a, design),
-            sig,
-        )
-    )
-
-    mfcc_cfg = MfccConfig(
-        sample_rate=384_000.0,
-        frame_length=256,
-        frame_hop=128,
-        nfft=1024,
-        num_filters=20,
-        num_coefficients=17,
-        low_hz=15_000.0,
-        high_hz=21_000.0,
-    )
-    segs, m = (8, 2_048) if quick else (16, 8_192)
-    segments = rng.standard_normal((segs, m))
-    results.append(
-        lanes(
-            "f32.mfcc",
-            f"batch={segs},n={m},nfft=1024",
-            lambda a: mfcc_batched(a, mfcc_cfg),
-            segments,
-        )
-    )
-
-    chirps = 200 if quick else 1_000
-    results.append(
-        compare_ops(
-            "f32.chirp_train",
-            f"chirps={chirps}",
-            lambda: chirp_train_planned(design, chirps, dtype=np.float32),
-            lambda: chirp_train_planned(design, chirps),
-            repeats=repeats,
-        )
-    )
-
-    sessions, bins = (64, 128) if quick else (1_024, 2_048)
-    curves = rng.standard_normal((sessions, bins))
-    results.append(
-        lanes(
-            "f32.correlation_matrix",
-            f"sessions={sessions},bins={bins}",
-            correlation_matrix,
-            curves,
-        )
-    )
-
-    samples, feats = (240, 105) if quick else (960, 105)
-    table = rng.standard_normal((samples, feats))
-    results.append(
-        lanes(
-            "f32.laplacian_scores",
-            f"samples={samples},features={feats}",
-            laplacian_scores,
-            table,
-        )
-    )
-
-    # The hottest op of the whole screening path: absorption curves for
-    # every extracted eardrum echo of one real capture, float32 pipeline
-    # (zoom-DFT lane) vs the bit-exact float64 default.
-    participant = sample_participant(rng, "BENCH32")
-    session_cfg = SessionConfig(duration_s=0.2 if quick else 1.0)
-    recording = record_session(participant, 0.0, session_cfg, rng)
-    pipe64 = EarSonarPipeline(EarSonarConfig())
-    pipe32 = EarSonarPipeline(EarSonarConfig(precision="float32"))
-    filtered = pipe64.preprocess(recording.waveform)
-    echoes = pipe64.extract_echoes(filtered)
-    if echoes:
-        results.append(
-            compare_ops(
-                "f32.absorption_curves",
-                f"echoes={len(echoes)},nfft=8192",
-                lambda: pipe32.absorption_curves(echoes),
-                lambda: pipe64.absorption_curves(echoes),
-                repeats=repeats,
-            )
-        )
-    return results
-
-
 def _runtime_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
     """Dispatch-overhead pair: shared-memory handoff vs pickled dispatch.
 
@@ -230,7 +94,6 @@ def _runtime_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
 def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[BenchResult]:
     """Micro-benchmarks: each batched kernel vs its serial oracle."""
     from ..features.laplacian import laplacian_scores, laplacian_scores_reference
-    from ..kernels.spectral import batched_amplitude_spectrum
     from ..signal.chirp import (
         ChirpDesign,
         chirp_train,
@@ -240,7 +103,7 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
     )
     from ..signal.correlation import correlation_matrix, correlation_matrix_reference
     from ..signal.mfcc import MfccConfig, mfcc, mfcc_reference
-    from ..signal.spectral import amplitude_spectrum, welch_psd, welch_psd_reference
+    from ..signal.spectral import welch_psd, welch_psd_reference
 
     results: list[BenchResult] = []
     fs = ChirpDesign().sample_rate
@@ -253,18 +116,6 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
             f"n={n},segment=256,overlap=0.5",
             lambda: welch_psd(x, fs, segment_length=256, overlap=0.5),
             lambda: welch_psd_reference(x, fs, segment_length=256, overlap=0.5),
-            repeats=repeats,
-        )
-    )
-
-    rows, cols = (50, 1024) if quick else (200, 4096)
-    stack = rng.standard_normal((rows, cols))
-    results.append(
-        compare_ops(
-            "amplitude_spectrum_batch",
-            f"batch={rows},n={cols}",
-            lambda: batched_amplitude_spectrum(stack, fs),
-            lambda: [amplitude_spectrum(row, fs) for row in stack],
             repeats=repeats,
         )
     )
@@ -589,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
 
     kernel_results = _kernel_suite(rng, args.quick, repeats)
-    backend_results = _backend_suite(rng, args.quick, repeats)
     pipeline_results = _pipeline_suite(args.seed, args.quick, repeats)
     runtime_results = _runtime_suite(args.seed, args.quick, repeats)
     obs_results = _obs_suite(args.seed, args.quick, repeats, args.trace_dir)
@@ -610,12 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     kernels_path = write_report(
         args.output_dir / "BENCH_kernels.json", kernel_results, label="kernels", **stamp
     )
-    backends_path = write_report(
-        args.output_dir / "BENCH_backends.json",
-        backend_results,
-        label="backends",
-        **stamp,
-    )
     pipeline_path = write_report(
         args.output_dir / "BENCH_pipeline.json",
         pipeline_results,
@@ -630,7 +474,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     _print_table("kernel micro-benchmarks (batched vs serial oracle)", kernel_results)
-    _print_table("backend lanes (float32 fast lane vs float64 reference)", backend_results)
     _print_table("pipeline stages (batched vs serial oracle)", pipeline_results)
     if runtime_results:
         _print_table("runtime dispatch (zero-copy shm vs pickled handoff)", runtime_results)
@@ -638,20 +481,16 @@ def main(argv: list[str] | None = None) -> int:
     overhead = overhead_pct(obs_results[0])
     if overhead is not None:
         print(f"\ntracing overhead: {overhead:+.2f}% on batch p50")
-    print(
-        f"wrote {kernels_path}, {backends_path}, {pipeline_path}, "
-        f"{runtime_path} and {obs_path}"
-    )
+    print(f"wrote {kernels_path}, {pipeline_path}, {runtime_path} and {obs_path}")
 
     failed = False
     if args.trajectory is not None:
-        # The obs op is namespaced like the f32./runtime. suites so the
+        # The obs op is namespaced like the runtime. suite so the
         # ratchet tracks tracing overhead per entry: its speedup is
         # untraced/traced p50, so a drop past tolerance (more overhead)
         # plus a p50 rise fails the gate like any kernel regression.
         trajectory_results = (
             kernel_results
-            + backend_results
             + runtime_results
             + [dataclasses.replace(r, op=f"obs.{r.op}") for r in obs_results]
         )

@@ -269,22 +269,10 @@ class EarSonarConfig:
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     #: Minimum echoes that must be extracted for a recording to count.
     min_echoes: int = 3
-    #: Numeric lane of the spectral/feature half of the pipeline:
-    #: ``"float64"`` (default) is bit-identical to the serial
-    #: references; ``"float32"`` runs the backend-dispatched fast lane,
-    #: equivalent within the tolerance budget documented in DESIGN.md.
-    #: Pre-DSP stages (band-pass, event detection, segmentation) and
-    #: the quality gate always run in float64, so gate decisions and
-    #: echo boundaries are precision-independent by construction.
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.min_echoes < 1:
             raise ConfigurationError(f"min_echoes must be >= 1, got {self.min_echoes}")
-        if self.precision not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"precision must be 'float64' or 'float32', got {self.precision!r}"
-            )
         if self.segmenter.sample_rate != self.chirp.sample_rate:
             raise ConfigurationError(
                 "segmenter sample_rate must match the chirp design sample_rate"

@@ -23,6 +23,8 @@ import numpy as np
 
 from ..errors import InvalidWaveformError, NoEchoFoundError, SignalProcessingError
 from ..features.vector import FeatureVectorBuilder
+from ..kernels.plan import band_zoom_plan
+from ..kernels.spectral import band_zoom_amplitude
 from ..obs import names as obs_names
 from ..obs.health import current_health
 from ..obs.tracer import current_tracer
@@ -56,13 +58,6 @@ class EarSonarPipeline:
         self._grid = cfg.features.frequency_grid()
         self._nfft = 8192
         self._tx_reference = self._reference_spectrum()
-        # Numeric lane of the spectral/feature half (config.precision).
-        # Pre-DSP stages and the quality gate always run float64; the
-        # float32 lane starts at the absorption/MFCC boundary below.
-        self._dtype = np.dtype(
-            np.float32 if cfg.precision == "float32" else np.float64
-        )
-        self._tx_reference32 = self._tx_reference.astype(np.float32)
         # Rake geometry: early reflections live strictly *before* the
         # segmenter's eardrum-delay prior, so only delays up to the
         # prior's lower edge (input-rate samples) may be subtracted —
@@ -92,15 +87,20 @@ class EarSonarPipeline:
 
         Deconvolving the received echo spectrum by this template
         removes the chirp's own envelope; floored away from zero so
-        the division stays stable at the band edges.
+        the division stays stable at the band edges.  Building it
+        raises :class:`~repro.errors.ConfigurationError` when the probe
+        band holds fewer than two FFT bins at the upsampled rate.
         """
         cfg = self.config
         pulse = upsample(linear_chirp(cfg.chirp), cfg.segmenter.upsample_factor)
-        spec = amplitude_spectrum(pulse, cfg.segmenter.upsampled_rate, nfft=self._nfft)
-        band = spec.band(self._grid[0], self._grid[-1] + 1.0)
-        values = np.interp(self._grid, band.frequencies, band.values)
+        values = self._band_amplitudes(pulse[None, :], cfg.segmenter.upsampled_rate)[0]
         floor = max(values.max() * 1e-3, 1e-12)
         return np.maximum(values, floor)
+
+    def _band_amplitudes(self, stack: np.ndarray, rate: float) -> np.ndarray:
+        """Band-zoom amplitude spectra of equal-length rows on the grid."""
+        plan = band_zoom_plan(stack.shape[-1], self._nfft, rate, self._grid)
+        return band_zoom_amplitude(stack, plan)
 
     def preprocess(self, waveform: np.ndarray) -> np.ndarray:
         """Band-pass the raw microphone signal (noise removal stage).
@@ -192,7 +192,7 @@ class EarSonarPipeline:
         ``calibration.instability_db``).
         """
         cal = self.config.calibration
-        edges = np.asarray(curves, dtype=np.float64)[:, self._cal_edges]
+        edges = curves[:, self._cal_edges]
         edges_db = 20.0 * np.log10(np.maximum(edges, 1e-12))
         theta = self._cal_solver @ edges_db.T
         offset = float(
@@ -206,7 +206,7 @@ class EarSonarPipeline:
         tilt = float(np.clip(np.median(theta[1]), -cal.max_offset_db, cal.max_offset_db))
         stable = bool(np.std(theta[0]) <= cal.instability_db)
         baseline = 10.0 ** ((gain + tilt * self._cal_x) / 20.0)
-        corrected = curves / baseline.astype(curves.dtype)
+        corrected = curves / baseline
         return corrected, offset, stable
 
     def absorption_curve(self, echo: EardrumEcho) -> np.ndarray:
@@ -219,65 +219,23 @@ class EarSonarPipeline:
     def absorption_curves(self, echoes: list[EardrumEcho]) -> np.ndarray:
         """Absorption curves of many echoes as a ``(num_echoes, bins)`` stack.
 
-        Echoes of equal length share one batched multi-row FFT instead
-        of one transform per echo; the per-row band interpolation and
-        TX deconvolution are unchanged, so each row equals
-        :meth:`absorption_curve` of the same echo.  Mixed lengths are
-        grouped by length and batched per group.
+        Echoes of equal length share one band-zoom DFT: a single
+        matrix product evaluates their spectra at just the probe-band
+        bins and a precomputed gather interpolates them onto the grid,
+        instead of one full ``nfft``-point FFT per echo.  Each row matches
+        :meth:`absorption_curve` of the same echo to ~1e-15 (an
+        equivalent but different DFT, so not bit-for-bit).  Mixed
+        lengths are grouped by length and batched per group.
         """
         if not echoes:
             raise NoEchoFoundError("cannot average zero echoes")
-        if self._dtype == np.float32:
-            return self._absorption_curves32(echoes)
-        from ..kernels.spectral import batched_amplitude_spectrum
-
         curves = np.empty((len(echoes), self._grid.size))
         lengths = np.array([e.segment.size for e in echoes])
         rates = np.array([e.sample_rate for e in echoes])
-        for key in {(int(n), float(r)) for n, r in zip(lengths, rates)}:
-            idx = np.flatnonzero((lengths == key[0]) & (rates == key[1]))
+        for n, rate in {(int(n), float(r)) for n, r in zip(lengths, rates)}:
+            idx = np.flatnonzero((lengths == n) & (rates == rate))
             stack = np.stack([echoes[i].segment for i in idx])
-            freqs, values = batched_amplitude_spectrum(stack, key[1], nfft=self._nfft)
-            mask = (freqs >= self._grid[0]) & (freqs <= self._grid[-1] + 1.0)
-            band_freqs = freqs[mask]
-            for row, i in enumerate(idx):
-                interped = np.interp(self._grid, band_freqs, values[row][mask])
-                curves[i] = interped / self._tx_reference
-        return curves
-
-    def _absorption_curves32(self, echoes: list[EardrumEcho]) -> np.ndarray:
-        """float32-lane absorption curves via the band-zoom DFT kernel.
-
-        Instead of a full ``nfft``-point FFT per echo group followed by
-        interpolation onto the band grid, the dispatched
-        ``band_zoom_amplitude`` op evaluates the spectrum only at the
-        ~1% of bins inside the probe band (one complex64 matmul) and
-        interpolates with the plan's precomputed weights — the same
-        clamped linear interpolation ``np.interp`` performs.
-        """
-        from ..kernels import backends
-        from ..kernels.plan import band_zoom_plan
-        from ..kernels.spectral import batched_amplitude_spectrum
-
-        curves = np.empty((len(echoes), self._grid.size), dtype=np.float32)
-        lengths = np.array([e.segment.size for e in echoes])
-        rates = np.array([e.sample_rate for e in echoes])
-        for key in {(int(n), float(r)) for n, r in zip(lengths, rates)}:
-            idx = np.flatnonzero((lengths == key[0]) & (rates == key[1]))
-            stack = np.stack([echoes[i].segment for i in idx]).astype(np.float32)
-            zoom = band_zoom_plan(key[0], self._nfft, key[1], self._grid)
-            if zoom is None:  # degenerate band: fewer than 2 bins inside
-                freqs, values = batched_amplitude_spectrum(
-                    stack, key[1], nfft=self._nfft
-                )
-                mask = (freqs >= self._grid[0]) & (freqs <= self._grid[-1] + 1.0)
-                band_freqs = freqs[mask]
-                for row, i in enumerate(idx):
-                    interped = np.interp(self._grid, band_freqs, values[row][mask])
-                    curves[i] = interped / self._tx_reference32
-                continue
-            band = backends.run_op("band_zoom_amplitude", stack, zoom, self._nfft)
-            curves[idx] = band / self._tx_reference32
+            curves[idx] = self._band_amplitudes(stack, rate) / self._tx_reference
         return curves
 
     def mean_absorption_curve(self, echoes: list[EardrumEcho]) -> np.ndarray:
@@ -398,7 +356,7 @@ class EarSonarPipeline:
         mean_segment = segments.mean(axis=0)
         rate = echoes[0].sample_rate
         with tracer.span(obs_names.SPAN_STAGE_FEATURES):
-            features = self._builder.build(curve, mean_segment, rate, dtype=self._dtype)
+            features = self._builder.build(curve, mean_segment, rate)
         t2 = time.perf_counter()
         if nonfinite_fraction > 0.0:
             reasons.append("non_finite")
@@ -412,9 +370,7 @@ class EarSonarPipeline:
             confidence *= self.config.calibration.unstable_confidence
         processed = ProcessedRecording(
             features=features,
-            # The result contract is float64 regardless of lane; for the
-            # default lane this asarray is the identity.
-            curve=np.asarray(curve, dtype=np.float64),
+            curve=curve,
             mean_segment=mean_segment,
             segment_rate=rate,
             num_events=len(events),

@@ -60,9 +60,7 @@ def laplacian_scores(
     across all columns, replacing the serial per-column loop of
     :func:`laplacian_scores_reference` (matched to <= 1e-10).
     """
-    from ..kernels.dtypes import as_float_array
-
-    data = as_float_array(data)
+    data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ConfigurationError(f"data must be 2-D, got shape {data.shape}")
     n, _ = data.shape

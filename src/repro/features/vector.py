@@ -96,14 +96,7 @@ class FeatureVectorBuilder:
 
     config: FeatureVectorConfig = field(default_factory=FeatureVectorConfig)
 
-    def build(
-        self,
-        curve: np.ndarray,
-        mean_segment: np.ndarray,
-        segment_rate: float,
-        *,
-        dtype: np.dtype | type = np.float64,
-    ) -> np.ndarray:
+    def build(self, curve: np.ndarray, mean_segment: np.ndarray, segment_rate: float) -> np.ndarray:
         """Assemble the feature vector for one recording.
 
         Parameters
@@ -116,13 +109,8 @@ class FeatureVectorBuilder:
         segment_rate:
             Sample rate of ``mean_segment`` (the segmenter's upsampled
             rate).
-        dtype:
-            Numeric lane of the intermediate DSP (``float32`` routes
-            the MFCC through the dispatched fast lane).  The returned
-            vector is always float64 — downstream detector training
-            and caching see one stable dtype regardless of lane.
         """
-        curve = np.asarray(curve, dtype=dtype)
+        curve = np.asarray(curve, dtype=float)
         if curve.size != self.config.num_curve_bins:
             raise ConfigurationError(
                 f"curve has {curve.size} bins, expected {self.config.num_curve_bins}"
@@ -141,7 +129,7 @@ class FeatureVectorBuilder:
                 high_hz=mfcc_cfg.high_hz,
             )
         with current_tracer().span(obs_names.SPAN_STAGE_MFCC) as span:
-            coefficients = mfcc(np.asarray(mean_segment, dtype=dtype), mfcc_cfg)
+            coefficients = mfcc(np.asarray(mean_segment, dtype=float), mfcc_cfg)
             span.set("frames", int(coefficients.shape[0]))
         mfcc_mean = coefficients.mean(axis=0)
         mfcc_std = coefficients.std(axis=0)
@@ -150,4 +138,4 @@ class FeatureVectorBuilder:
             raise ConfigurationError(
                 f"assembled {vector.size} features, expected {self.config.vector_length}"
             )
-        return vector.astype(np.float64, copy=False)
+        return vector

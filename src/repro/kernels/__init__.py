@@ -17,18 +17,28 @@ the golden suite in ``tests/kernels`` holds every kernel to a
 common case).  ``python -m repro.bench`` times both sides and records
 the speedups in ``BENCH_kernels.json`` / ``BENCH_pipeline.json``.
 
+There is one numeric lane: every kernel computes in float64 /
+complex128.  The one kernel that is not bit-identical to its oracle is
+the band-zoom DFT behind ``EarSonarPipeline.absorption_curves``
+(:func:`band_zoom_amplitude`): it evaluates only the probe-band bins,
+matches the per-echo full-FFT ``absorption_curve`` to ~1e-15 (the
+golden bound is 1e-10), and ``tests/core/test_band_zoom_verdicts.py``
+checks that detector verdicts do not change.
+
 The plan cache is module-level state, so the runtime's process-pool
 workers build each plan once per worker process and reuse it across
 their whole batch.
 """
 
-from .chirp import chirp_train_planned, matched_filter_batched, matched_filter_planned
+from .chirp import chirp_train_planned, matched_filter_planned
 from .framing import frames_dropping_tail, frames_zero_padded
 from .mfcc import mfcc_batched, mfcc_planned
 from .plan import (
+    BandZoomPlan,
     MfccPlan,
     PlanCacheInfo,
     WelchPlan,
+    band_zoom_plan,
     chirp_pulse,
     chirp_spectrum,
     clear_plan_cache,
@@ -42,19 +52,20 @@ from .plan import (
     welch_plan,
 )
 from .session import apply_device_planned, synthesize_train
-from .spectral import batched_amplitude_spectrum, batched_power_rows, welch_periodograms
+from .spectral import band_zoom_amplitude, batched_power_rows, welch_periodograms
 
 __all__ = [
     "chirp_train_planned",
-    "matched_filter_batched",
     "matched_filter_planned",
     "frames_dropping_tail",
     "frames_zero_padded",
     "mfcc_batched",
     "mfcc_planned",
+    "BandZoomPlan",
     "MfccPlan",
     "PlanCacheInfo",
     "WelchPlan",
+    "band_zoom_plan",
     "chirp_pulse",
     "chirp_spectrum",
     "clear_plan_cache",
@@ -68,7 +79,7 @@ __all__ = [
     "welch_plan",
     "apply_device_planned",
     "synthesize_train",
-    "batched_amplitude_spectrum",
+    "band_zoom_amplitude",
     "batched_power_rows",
     "welch_periodograms",
 ]

@@ -14,24 +14,17 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..signal.chirp import ChirpDesign
-from . import backends
-from .dtypes import as_float_array
 from .plan import chirp_pulse, matched_filter_spectrum, rake_plan
 
 __all__ = [
     "chirp_train_planned",
     "matched_filter_planned",
-    "matched_filter_batched",
     "rake_cancel_planned",
 ]
 
 
 def chirp_train_planned(
-    design: ChirpDesign,
-    num_chirps: int,
-    *,
-    total_samples: int | None = None,
-    dtype: np.dtype | type = np.float64,
+    design: ChirpDesign, num_chirps: int, *, total_samples: int | None = None
 ) -> np.ndarray:
     """Vectorized chirp-train synthesis (one placement, no Python loop).
 
@@ -39,12 +32,11 @@ def chirp_train_planned(
     (``interval >= duration`` is validated at construction), pulses
     never overlap and the train is a strided placement of the cached
     pulse into a ``(num_chirps, hop)`` buffer — exactly the samples the
-    serial per-chirp loop wrote.  ``dtype=np.float32`` places the
-    float32 pulse variant instead (tolerance lane).
+    serial per-chirp loop wrote.
     """
     if num_chirps <= 0:
         raise ConfigurationError(f"num_chirps must be positive, got {num_chirps}")
-    pulse = chirp_pulse(design, dtype=dtype)
+    pulse = chirp_pulse(design)
     hop = design.samples_per_interval
     needed = (num_chirps - 1) * hop + design.samples_per_chirp
     default_len = num_chirps * hop
@@ -53,12 +45,12 @@ def chirp_train_planned(
         raise ConfigurationError(
             f"total_samples={length} cannot contain {num_chirps} chirps (need >= {needed})"
         )
-    grid = np.zeros((num_chirps, hop), dtype=pulse.dtype)
+    grid = np.zeros((num_chirps, hop))
     grid[:, : pulse.size] = pulse
     flat = grid.ravel()
     if length <= flat.size:
         return flat[:length].copy()
-    train = np.zeros(length, dtype=pulse.dtype)
+    train = np.zeros(length)
     train[: flat.size] = flat
     return train
 
@@ -71,11 +63,9 @@ def matched_filter_planned(signal: np.ndarray, design: ChirpDesign) -> np.ndarra
     roll/slice alignment) but the template synthesis and its FFT are
     plan-cache hits after the first call per ``(design, nfft)``.
     """
-    signal = as_float_array(signal)
+    signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise ValueError("cross_correlate requires non-empty inputs")
-    if signal.dtype == np.float32:
-        return backends.run_op("matched_filter_rows", signal[None, :], design)[0]
     pulse = chirp_pulse(design)
     n = signal.size + pulse.size - 1
     nfft = 1 << (n - 1).bit_length()
@@ -111,23 +101,3 @@ def rake_cancel_planned(
         threshold=threshold,
         gram_inv=plan.gram_inv,
     )
-
-
-def matched_filter_batched(signals: np.ndarray, design: ChirpDesign) -> np.ndarray:
-    """Matched-filter magnitudes of a ``(batch, samples)`` stack.
-
-    One 2-D FFT round trip against the cached template spectrum;
-    row ``k`` equals ``matched_filter(signals[k], design)``.
-    """
-    signals = np.atleast_2d(as_float_array(signals))
-    if signals.shape[-1] == 0:
-        raise ValueError("cross_correlate requires non-empty inputs")
-    if signals.dtype == np.float32:
-        return backends.run_op("matched_filter_rows", signals, design)
-    pulse = chirp_pulse(design)
-    n = signals.shape[-1] + pulse.size - 1
-    nfft = 1 << (n - 1).bit_length()
-    spec = np.fft.rfft(signals, nfft, axis=-1) * matched_filter_spectrum(design, nfft)
-    corr = np.roll(np.fft.irfft(spec, nfft, axis=-1), pulse.size - 1, axis=-1)[:, :n]
-    start = pulse.size - 1
-    return np.abs(corr[:, start : start + signals.shape[-1]])

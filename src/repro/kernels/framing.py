@@ -21,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dtypes import as_float_array
-
 __all__ = ["frames_dropping_tail", "frames_zero_padded"]
 
 
@@ -54,16 +52,16 @@ def frames_zero_padded(signal: np.ndarray, frame_length: int, hop: int) -> np.nd
     hop)`` frames cover every sample.  Returns a fresh writable array
     (frames are consumed by windowing, which needs a copy anyway).
     """
-    signal = as_float_array(signal)
+    signal = np.asarray(signal, dtype=float)
     if frame_length < 1:
         raise ValueError(f"frame_length must be >= 1, got {frame_length}")
     if hop < 1:
         raise ValueError(f"hop must be >= 1, got {hop}")
     if signal.size <= frame_length:
-        padded = np.zeros(frame_length, dtype=signal.dtype)
+        padded = np.zeros(frame_length)
         padded[: signal.size] = signal
         return padded[None, :]
     num_frames = 1 + int(np.ceil((signal.size - frame_length) / hop))
-    padded = np.zeros((num_frames - 1) * hop + frame_length, dtype=signal.dtype)
+    padded = np.zeros((num_frames - 1) * hop + frame_length)
     padded[: signal.size] = signal
     return np.ascontiguousarray(sliding_window_view(padded, frame_length)[::hop])

@@ -17,9 +17,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..signal.mfcc import MfccConfig
-from .dtypes import as_float_array
 from .framing import frames_zero_padded
-from .plan import MfccPlan, mfcc_plan, mfcc_plan32
+from .plan import MfccPlan, mfcc_plan
 from .spectral import batched_power_rows
 
 __all__ = ["mfcc_planned", "mfcc_batched"]
@@ -31,15 +30,8 @@ _LOG_FLOOR = 1e-12
 def _cepstra(power: np.ndarray, plan: MfccPlan) -> np.ndarray:
     """Filterbank -> log -> DCT for a ``(..., n_bins)`` power stack."""
     energies = power @ plan.filterbank.T
-    log_energies = np.log(np.maximum(energies, power.dtype.type(_LOG_FLOOR)))
+    log_energies = np.log(np.maximum(energies, _LOG_FLOOR))
     return (log_energies @ plan.dct_basis.T) * plan.dct_scale
-
-
-def _plan_for(signal: np.ndarray, config: MfccConfig) -> MfccPlan:
-    """The lane-matched plan: float32 matrices for float32 signals."""
-    if signal.dtype == np.float32:
-        return mfcc_plan32(config)
-    return mfcc_plan(config)
 
 
 def mfcc_planned(signal: np.ndarray, config: MfccConfig) -> np.ndarray:
@@ -50,10 +42,10 @@ def mfcc_planned(signal: np.ndarray, config: MfccConfig) -> np.ndarray:
     built by the same constructors and the frame FFT batches the same
     per-frame transforms.
     """
-    signal = as_float_array(signal)
+    signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise ConfigurationError("mfcc requires a non-empty signal")
-    plan = _plan_for(signal, config)
+    plan = mfcc_plan(config)
     frames = frames_zero_padded(signal, config.frame_length, config.frame_hop)
     power = batched_power_rows(frames * plan.window, config.nfft)
     return _cepstra(power, plan)
@@ -66,29 +58,25 @@ def mfcc_batched(segments: np.ndarray, config: MfccConfig) -> np.ndarray:
     must be at least one frame long so the framing is uniform; shorter
     batches should fall back to :func:`mfcc_planned` per segment.
     """
-    segments = as_float_array(segments)
+    segments = np.asarray(segments, dtype=float)
     if segments.ndim != 2:
         raise ValueError(f"segments must be 2-D, got shape {segments.shape}")
     batch, n = segments.shape
     if n == 0:
         raise ValueError("mfcc_batched requires non-empty segments")
-    plan = _plan_for(segments, config)
+    plan = mfcc_plan(config)
     length, hop = config.frame_length, config.frame_hop
     if n <= length:
-        padded = np.zeros((batch, length), dtype=segments.dtype)
+        padded = np.zeros((batch, length))
         padded[:, :n] = segments
         frames = padded[:, None, :]
     else:
         num_frames = 1 + int(np.ceil((n - length) / hop))
-        padded = np.zeros((batch, (num_frames - 1) * hop + length), dtype=segments.dtype)
+        padded = np.zeros((batch, (num_frames - 1) * hop + length))
         padded[:, :n] = segments
         from numpy.lib.stride_tricks import sliding_window_view
 
         frames = sliding_window_view(padded, length, axis=-1)[:, ::hop, :]
     windowed = frames * plan.window
-    if windowed.dtype == np.float32:
-        spectra = np.fft.rfft(windowed, config.nfft, axis=-1)
-        power = spectra.real**2 + spectra.imag**2
-    else:
-        power = np.abs(np.fft.rfft(windowed, config.nfft, axis=-1)) ** 2
+    power = np.abs(np.fft.rfft(windowed, config.nfft, axis=-1)) ** 2
     return _cepstra(power, plan)

@@ -31,7 +31,6 @@ import numpy as np
 from ..acoustics.propagation import MultipathChannel
 from ..signal.chirp import ChirpDesign
 from ..simulation.earphone import EarphoneModel
-from .dtypes import as_float_array, complex_dtype
 from .plan import chirp_pulse, chirp_spectrum, device_transfer, rfft_freqs
 
 __all__ = ["synthesize_train", "apply_device_planned"]
@@ -47,8 +46,6 @@ def synthesize_train(
     num_chirps: int,
     path_jitter_s: float,
     rng: np.random.Generator,
-    *,
-    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Render ``num_chirps`` chirps through ``channel`` in one batch.
 
@@ -57,19 +54,12 @@ def synthesize_train(
     jitter per chirp and a stratified pseudo-random carrier phase.
     ``rng`` is consumed in the serial draw order so seeded studies are
     reproducible across the two implementations.
-
-    ``dtype=np.float32`` renders through a complex64 transfer matrix
-    and FFT (tolerance lane; the RNG stream, delays, and phases are
-    still drawn and formed in float64, so the two lanes simulate the
-    *same* session).
     """
-    dtype = np.dtype(dtype)
-    cdtype = complex_dtype(dtype)
     fs = design.sample_rate
     pulse = chirp_pulse(design)
     hop = design.samples_per_interval
     total = num_chirps * hop
-    out = np.zeros(total + hop, dtype=dtype)
+    out = np.zeros(total + hop)
     paths = channel.paths
     if not paths:
         return out[:total]
@@ -84,7 +74,7 @@ def synthesize_train(
     if path_jitter_s > 0 and echo_idx.size:
         jitter = rng.normal(0.0, path_jitter_s, size=(num_chirps, echo_idx.size))
     else:
-        jitter = np.zeros((num_chirps, echo_idx.size), dtype=np.float64)
+        jitter = np.zeros((num_chirps, echo_idx.size))
 
     # Per-chirp path delays (K, P) and carrier phases (K, P).
     base_delays = np.array([p.delay_s for p in paths])
@@ -111,10 +101,9 @@ def synthesize_train(
         n = pulse.size + int(pad)
         nfft = 1 << (max(n, 2) - 1).bit_length()
         transfer = _transfer_matrix(
-            channel, delays[rows], phases[rows], nfft, fs, cdtype
+            channel, delays[rows], phases[rows], nfft, fs
         )
-        spectrum = chirp_spectrum(design, nfft, dtype=cdtype)
-        echoed = np.fft.irfft(spectrum * transfer, nfft, axis=-1)[:, :n]
+        echoed = np.fft.irfft(chirp_spectrum(design, nfft) * transfer, nfft, axis=-1)[:, :n]
         _overlap_add(out, echoed, rows * hop)
     return out[:total]
 
@@ -125,29 +114,22 @@ def _transfer_matrix(
     phases: np.ndarray,
     nfft: int,
     sample_rate: float,
-    cdtype: np.dtype = np.dtype(np.complex128),
 ) -> np.ndarray:
     """Stacked channel transfer functions ``(num_chirps, nfft//2 + 1)``.
 
-    In the complex128 lane this accumulates paths in list order with
-    the same elementwise expression as
-    ``MultipathChannel.transfer_function`` so each row is bit-identical
-    to the serial per-chirp rebuild; responses are evaluated once per
-    path instead of once per (chirp, path).  The complex64 lane forms
-    each path's phase argument in float64 (delay/phase precision) and
-    narrows just before the transcendental, where the work is.
+    Accumulates paths in list order with the same elementwise
+    expression as ``MultipathChannel.transfer_function`` so each row is
+    bit-identical to the serial per-chirp rebuild; responses are
+    evaluated once per path instead of once per (chirp, path).
     """
     freqs = rfft_freqs(nfft, sample_rate)
     coeff = -2j * np.pi * freqs
-    narrow = np.dtype(cdtype) == np.complex64
-    h = np.zeros((delays.shape[0], freqs.size), dtype=cdtype)
+    h = np.zeros((delays.shape[0], freqs.size), dtype=complex)
     for j, path in enumerate(channel.paths):
-        arg = coeff[None, :] * delays[:, j, None] + 1j * phases[:, j, None]
-        phase = np.exp(arg.astype(np.complex64)) if narrow else np.exp(arg)
+        phase = np.exp(coeff[None, :] * delays[:, j, None] + 1j * phases[:, j, None])
         shaped = path.gain * phase
         if path.response is not None:
-            response = np.asarray(path.response(freqs), dtype=complex)[None, :]
-            shaped = shaped * (response.astype(np.complex64) if narrow else response)
+            shaped = shaped * np.asarray(path.response(freqs), dtype=complex)[None, :]
         h += shaped
     return h
 
@@ -183,9 +165,9 @@ def apply_device_planned(
     device's transfer function on the ``nfft`` grid is a plan-cache hit
     after the first session per ``(earphone, length, rate)``.
     """
-    waveform = as_float_array(waveform)
+    waveform = np.asarray(waveform, dtype=float)
     nfft = 1 << (max(waveform.size, 2) - 1).bit_length()
     transfer = device_transfer(earphone, nfft, float(sample_rate))
     spectrum = np.fft.rfft(waveform, nfft)
     coloured = np.fft.irfft(spectrum * transfer, nfft)
-    return coloured[: waveform.size].astype(waveform.dtype, copy=False)
+    return coloured[: waveform.size]

@@ -1,31 +1,30 @@
-"""Batch-first spectral kernels: Welch PSD and stacked amplitude spectra.
+"""Batch-first spectral kernels: Welch PSD and band-zoom amplitude spectra.
 
 The serial :mod:`repro.signal.spectral` implementations loop over
 segments (Welch) or are called once per echo (amplitude spectra).  The
-kernels here frame with a strided view and run **one** batched
-``rfft`` over a ``(num_frames | num_signals, samples)`` stack, with all
-shape-dependent state (window, density scale, frequency grid) coming
-from the :mod:`repro.kernels.plan` cache.
+Welch kernel frames with a strided view and runs **one** batched
+``rfft`` over a ``(num_frames, samples)`` stack; the band-zoom kernel
+evaluates a ``(num_signals, samples)`` stack's spectrum only at the FFT
+bins inside the probe band, with one matrix product.  All
+shape-dependent state (window, density scale, frequency grid, zoom
+matrix) comes from the :mod:`repro.kernels.plan` cache.
 
-Numerical contract, per lane (see :mod:`repro.kernels.dtypes`):
-float64 input runs the pinned inline expressions and matches the
-serial reference implementations bit-for-bit — the golden suite in
-``tests/kernels`` enforces a ``<= 1e-10`` max-abs-diff bound across
-randomized shapes.  float32 input dispatches through
-:mod:`repro.kernels.backends` and matches within the documented
-tolerance budget instead.
+Numerical contract: the golden suite in ``tests/kernels`` holds every
+kernel here to a ``<= 1e-10`` max-abs-diff bound against the serial
+reference across randomized shapes.  Welch and the frame power spectra
+run the reference's own expressions and match it bit-for-bit; the
+band-zoom DFT is an equivalent but different transform, so it matches
+the full-FFT oracle to rounding (~1e-15) rather than bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import backends
-from .dtypes import as_float_array
 from .framing import frames_dropping_tail
-from .plan import welch_plan
+from .plan import BandZoomPlan, welch_plan
 
-__all__ = ["welch_periodograms", "batched_amplitude_spectrum", "batched_power_rows"]
+__all__ = ["welch_periodograms", "band_zoom_amplitude", "batched_power_rows"]
 
 
 def welch_periodograms(
@@ -41,10 +40,9 @@ def welch_periodograms(
     shape ``(num_segments, segment_length // 2 + 1)``; the caller
     averages over axis 0 (this split keeps the kernel reusable for
     spectrogram-style consumers).  Validation mirrors
-    :func:`repro.signal.spectral.welch_psd`.  float32 input stays
-    float32 (``frequencies`` are always float64).
+    :func:`repro.signal.spectral.welch_psd`.
     """
-    signal = as_float_array(signal)
+    signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise ValueError("welch_psd requires a non-empty signal")
     if not 0.0 <= overlap < 1.0:
@@ -54,13 +52,8 @@ def welch_periodograms(
         raise ValueError(f"segment_length must be positive, got {segment_length}")
     if signal.size < segment_length:
         segment_length = signal.size
-    hop = max(1, int(round(segment_length * (1.0 - overlap))))
-    if signal.dtype == np.float32:
-        plan = welch_plan(segment_length, float(sample_rate), dtype=np.float32)
-        frames = frames_dropping_tail(signal, segment_length, hop)
-        periodograms = backends.run_op("welch_power", frames, plan.window, plan.scale)
-        return plan.frequencies, periodograms
     plan = welch_plan(segment_length, float(sample_rate))
+    hop = max(1, int(round(segment_length * (1.0 - overlap))))
     frames = frames_dropping_tail(signal, segment_length, hop) * plan.window
     periodograms = (np.abs(np.fft.rfft(frames, axis=-1)) ** 2) * plan.scale
     if periodograms.shape[1] > 1:
@@ -70,36 +63,28 @@ def welch_periodograms(
     return plan.frequencies, periodograms
 
 
-def batched_amplitude_spectrum(
-    signals: np.ndarray, sample_rate: float, *, nfft: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided amplitude spectra of a ``(batch, samples)`` stack.
+def band_zoom_amplitude(signals: np.ndarray, plan: BandZoomPlan) -> np.ndarray:
+    """Band amplitude spectra of a ``(batch, samples)`` stack on a grid.
 
-    Equivalent to calling
-    :func:`repro.signal.spectral.amplitude_spectrum` on every row, but
-    with a single 2-D ``rfft``.  Returns ``(frequencies, values)`` with
-    ``values`` of shape ``(batch, n_bins)``; float32 input yields
-    float32 values.
+    Row ``k`` is :func:`repro.signal.spectral.amplitude_spectrum` of
+    ``signals[k]`` restricted to the plan's band and linearly
+    interpolated onto its grid (``np.interp``), but computed as one
+    ``(batch, samples) x (samples, 2 * band_bins)`` real matrix product
+    plus a gather instead of a full ``nfft``-point FFT per row.
+    Returns ``(batch, grid_points)``.
     """
-    signals = np.atleast_2d(as_float_array(signals))
-    if signals.shape[-1] == 0:
-        raise ValueError("amplitude_spectrum requires non-empty signals")
-    n = signals.shape[-1] if nfft is None else int(nfft)
-    from .plan import rfft_freqs
-
-    if signals.dtype == np.float32:
-        return rfft_freqs(n, float(sample_rate)), backends.run_op(
-            "amplitude_rows", signals, n
-        )
-    values = np.abs(np.fft.rfft(signals, n, axis=-1)) / signals.shape[-1]
-    return rfft_freqs(n, float(sample_rate)), values
+    rows, width = plan.matrix.shape
+    # einsum rather than matmul: it never calls BLAS, whose worker
+    # threads would oversubscribe the cores that the executor's pool
+    # processes already occupy (measured slower than the full FFT).
+    parts = np.einsum("ij,jk->ik", signals[:, :rows], plan.matrix)
+    band = np.hypot(parts[:, : width // 2], parts[:, width // 2 :]) * plan.scale
+    return band[:, plan.lo] * (1.0 - plan.weight) + band[:, plan.hi] * plan.weight
 
 
 def batched_power_rows(frames: np.ndarray, nfft: int) -> np.ndarray:
     """Power spectra ``|rfft(frames, nfft)|**2`` of a 2-D frame stack."""
-    frames = as_float_array(frames)
+    frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
         raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
-    if frames.dtype == np.float32:
-        return backends.run_op("power_rows", frames, int(nfft))
     return np.abs(np.fft.rfft(frames, int(nfft), axis=-1)) ** 2

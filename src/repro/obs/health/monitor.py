@@ -82,7 +82,7 @@ DEFAULT_SERIES = (
     SeriesSpec(obs_names.HEALTH_SCREENINGS, ("verdict", "reason"), "counter"),
     SeriesSpec(obs_names.HEALTH_REQUESTS, ("tenant", "outcome"), "counter"),
     SeriesSpec(obs_names.HEALTH_RAKE_TAPS, ("device_model",), "counter"),
-    SeriesSpec(obs_names.HEALTH_RECORDING_MS, ("lane",), "distribution"),
+    SeriesSpec(obs_names.HEALTH_RECORDING_MS, (), "distribution"),
     SeriesSpec(obs_names.HEALTH_REQUEST_MS, ("tenant",), "distribution"),
     SeriesSpec(obs_names.HEALTH_CALIB_OFFSET_DB, ("device_model",), "distribution"),
 )

@@ -53,9 +53,6 @@ __all__ = [
     "EVENT_SERIAL_FALLBACK",
     "EVENT_EXPERIMENT_STARTED",
     "EVENT_EXPERIMENT_FINISHED",
-    "EVENT_KERNEL_BACKEND_SELECTED",
-    "EVENT_KERNEL_BACKEND_FALLBACK",
-    "EVENT_KERNEL_AUTOTUNE_DECIDED",
     "EVENT_SHM_FALLBACK",
     "EVENT_NAMES",
     "METRIC_RECORDINGS_SUBMITTED",
@@ -86,7 +83,6 @@ __all__ = [
     "HIST_STAGE_FEATURES_MS",
     "HIST_BATCH_MS",
     "HIST_SHM_HANDOFF_MS",
-    "HIST_JIT_COMPILE_MS",
     "HIST_CALIB_OFFSET_DB",
     "CANONICAL_COUNTERS",
     "CANONICAL_HISTOGRAMS",
@@ -225,17 +221,6 @@ EVENT_SERIAL_FALLBACK = "executor.serial_fallback"
 EVENT_EXPERIMENT_STARTED = "experiment.started"
 #: An experiments-CLI run finished (fields: experiment, seconds).
 EVENT_EXPERIMENT_FINISHED = "experiment.finished"
-#: A kernel backend was chosen for this process (fields: backend,
-#: requested, jit_available).  Announced once per process.
-EVENT_KERNEL_BACKEND_SELECTED = "kernels.backend_selected"
-#: The requested JIT backend is unavailable and the NumPy reference
-#: backend was substituted (fields: requested, reason).  Emitted at
-#: WARNING level, once per process.
-EVENT_KERNEL_BACKEND_FALLBACK = "kernels.backend_fallback"
-#: The autotuner timed the candidates of one (op, shape, dtype) and
-#: pinned a winner (fields: op, shape, dtype, choice, plus one
-#: ``ms_<candidate>`` timing per candidate).
-EVENT_KERNEL_AUTOTUNE_DECIDED = "kernels.autotune_decided"
 #: A shared-memory handoff degraded to the pickled path (fields:
 #: reason).  Emitted at WARNING level.
 EVENT_SHM_FALLBACK = "shm.fallback"
@@ -275,9 +260,6 @@ EVENT_NAMES = frozenset(
         EVENT_SERIAL_FALLBACK,
         EVENT_EXPERIMENT_STARTED,
         EVENT_EXPERIMENT_FINISHED,
-        EVENT_KERNEL_BACKEND_SELECTED,
-        EVENT_KERNEL_BACKEND_FALLBACK,
-        EVENT_KERNEL_AUTOTUNE_DECIDED,
         EVENT_SHM_FALLBACK,
         EVENT_SERVE_STARTED,
         EVENT_SERVE_STOPPED,
@@ -358,9 +340,6 @@ HIST_BATCH_MS = "batch_ms"
 #: Parent-side cost of sharing one chunk's waveforms (copy into the
 #: shared-memory arena + descriptor construction).
 HIST_SHM_HANDOFF_MS = "shm.handoff_ms"
-#: One-time kernel-backend warm-up cost per executor (numba compile
-#: time; 0.0 when the NumPy backend is active).
-HIST_JIT_COMPILE_MS = "kernels.jit_compile_ms"
 #: Per-recording calibration offset estimate in dB (0.0 when the
 #: estimation stage is disabled).
 HIST_CALIB_OFFSET_DB = "calib.offset_db"
@@ -399,7 +378,6 @@ CANONICAL_HISTOGRAMS = frozenset(
         HIST_STAGE_FEATURES_MS,
         HIST_BATCH_MS,
         HIST_SHM_HANDOFF_MS,
-        HIST_JIT_COMPILE_MS,
         HIST_CALIB_OFFSET_DB,
     }
 )
@@ -518,7 +496,7 @@ HEALTH_REQUESTS = "health.requests"
 #: hook — worker-local monitors ship the counts home for merging.
 HEALTH_RAKE_TAPS = "health.rake_taps"
 
-#: Per-recording DSP wall time distribution (labels: lane).
+#: Per-recording DSP wall time distribution (unlabelled).
 HEALTH_RECORDING_MS = "health.recording_ms"
 #: Submit-to-response latency distribution per tenant (labels: tenant).
 HEALTH_REQUEST_MS = "health.request_ms"
@@ -571,7 +549,6 @@ HEALTH_LABEL_KEYS = frozenset(
         "device_model",
         "verdict",
         "reason",
-        "lane",
         "outcome",
     }
 )

@@ -5,9 +5,11 @@ Importing this package registers every rule with the engine registry
 rule lives in its own module, named after its id, and documents the
 scientific invariant it protects in its module docstring.
 
-QA001–QA007, QA011, and QA012 are per-file (``check_module``) rules;
+QA001–QA007 and QA012 are per-file (``check_module``) rules;
 QA008–QA010 are whole-program (``check_program``) rules built on the
-call-graph and summary machinery in :mod:`repro.qa.graph`.
+call-graph and summary machinery in :mod:`repro.qa.graph`.  QA011
+(dtype discipline) was retired with the single-precision kernel lane;
+its id is not reused.
 """
 
 from . import (  # noqa: F401  (imports register the rules)
@@ -21,7 +23,6 @@ from . import (  # noqa: F401  (imports register the rules)
     qa008_async_blocking,
     qa009_lock_discipline,
     qa010_telemetry_registry,
-    qa011_dtype,
     qa012_cardinality,
 )
 from .qa001_determinism import DeterminismRule
@@ -34,7 +35,6 @@ from .qa007_telemetry import TelemetryDisciplineRule
 from .qa008_async_blocking import AsyncBlockingRule
 from .qa009_lock_discipline import LockDisciplineRule
 from .qa010_telemetry_registry import TelemetryRegistryRule
-from .qa011_dtype import DtypeDisciplineRule
 from .qa012_cardinality import LabelCardinalityRule
 
 __all__ = [
@@ -48,6 +48,5 @@ __all__ = [
     "AsyncBlockingRule",
     "LockDisciplineRule",
     "TelemetryRegistryRule",
-    "DtypeDisciplineRule",
     "LabelCardinalityRule",
 ]

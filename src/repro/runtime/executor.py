@@ -46,7 +46,6 @@ from ..errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
-from ..kernels import backends
 from ..obs import names as obs_names
 from ..obs.events import EventLevel, current_event_log
 from ..obs.health import HealthContext, activate_health_from_context, current_health
@@ -346,9 +345,6 @@ class BatchExecutor:
             # Corruption evictions surface in this executor's report.
             cache.metrics = self.metrics
         self._fingerprint = self.pipeline.config.fingerprint()
-        # Pay any JIT compilation up front, in the parent, where it is
-        # observable — never inside a latency-sensitive worker loop.
-        self.metrics.observe(obs_names.HIST_JIT_COMPILE_MS, backends.ensure_ready())
 
     # -- public API ----------------------------------------------------
 
@@ -486,7 +482,6 @@ class BatchExecutor:
                     health.observe(
                         obs_names.HEALTH_RECORDING_MS,
                         latencies.bandpass_ms + latencies.feature_extract_ms,
-                        labels={"lane": self.pipeline.config.precision},
                     )
             if outcome.quality_reasons:
                 self.metrics.increment(obs_names.METRIC_QUALITY_DEGRADED)

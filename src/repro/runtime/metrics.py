@@ -176,10 +176,9 @@ class RuntimeMetrics:
       instead of being pickled into pool tasks
     - histograms ``recording_ms``, ``stage.bandpass_ms``,
       ``stage.features_ms``, ``batch_ms``, ``shm.handoff_ms`` (arena
-      packing latency per chunk), ``kernels.jit_compile_ms`` (up-front
-      backend warm-up; 0 on the pure-NumPy backend),
-      ``calib.offset_db`` (per-recording calibration offset estimate;
-      0.0 whenever the calibration stage is disabled)
+      packing latency per chunk), ``calib.offset_db`` (per-recording
+      calibration offset estimate; 0.0 whenever the calibration stage
+      is disabled)
 
     Degraded-path counters (``SHM_DEGRADED_COUNTERS``) appear only when
     shared memory misbehaves: ``shm.fallbacks`` — chunks that reverted

@@ -87,14 +87,12 @@ def correlation_matrix(curves: np.ndarray) -> np.ndarray:
     triangle is mirrored so the matrix is exactly symmetric, matching
     :func:`correlation_matrix_reference` to <= 1e-10.
     """
-    from ..kernels.dtypes import as_float_array
-
-    curves = as_float_array(curves)
+    curves = np.asarray(curves, dtype=float)
     if curves.ndim != 2:
         raise ValueError(f"curves must be 2-D, got shape {curves.shape}")
     n = curves.shape[0]
     if n < 2:
-        return np.eye(n, dtype=curves.dtype)
+        return np.eye(n)
     if curves.shape[1] < 2:
         raise ValueError("pearson requires at least two samples")
     centered = curves - curves.mean(axis=1, keepdims=True)
@@ -105,7 +103,7 @@ def correlation_matrix(curves: np.ndarray) -> np.ndarray:
         corr = np.where(denom > 0.0, gram / np.where(denom > 0.0, denom, 1.0), 0.0)
     corr = np.clip(corr, -1.0, 1.0)
     upper = np.triu_indices(n, k=1)
-    out = np.eye(n, dtype=curves.dtype)
+    out = np.eye(n)
     out[upper] = corr[upper]
     out.T[upper] = corr[upper]
     return out

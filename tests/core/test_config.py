@@ -98,14 +98,9 @@ def _perturbations(value):
     if isinstance(value, float):
         return [value * 1.001 if value else 1e-3, value + 1e-3, value * 0.999]
     if isinstance(value, str):
-        # segmenter.method and precision are enumerated strings; swap to
-        # the other valid value, else append a character.
-        swaps = {
-            "parity": "peak",
-            "peak": "parity",
-            "float64": "float32",
-            "float32": "float64",
-        }
+        # segmenter.method is an enumerated string; swap to the other
+        # valid value, else append a character.
+        swaps = {"parity": "peak", "peak": "parity"}
         return [swaps.get(value, value + "x")]
     raise AssertionError(f"no perturbation rule for {type(value).__name__}")
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.config import EarSonarConfig
 from repro.core.pipeline import EarSonarPipeline
-from repro.errors import NoEchoFoundError
+from repro.errors import ConfigurationError, NoEchoFoundError
+from repro.features.vector import FeatureVectorConfig
 from repro.simulation.session import Recording, SessionConfig
 
 
@@ -37,6 +39,20 @@ class TestStages:
     def test_mean_curve_requires_echoes(self, pipeline):
         with pytest.raises(NoEchoFoundError):
             pipeline.mean_absorption_curve([])
+
+
+class TestProbeBand:
+    # At the default 384 kHz upsampled rate an 8192-point FFT has a bin
+    # every 46.875 Hz: 16 000-16 010 Hz holds none, 16 000-16 040 Hz one.
+    @pytest.mark.parametrize("high_hz", [16_010.0, 16_040.0])
+    def test_band_with_fewer_than_two_bins_is_a_configuration_error(self, high_hz):
+        features = FeatureVectorConfig(band_low_hz=16_000.0, band_high_hz=high_hz)
+        with pytest.raises(ConfigurationError, match="FFT bin"):
+            EarSonarPipeline(EarSonarConfig(features=features))
+
+    def test_narrow_band_with_two_bins_builds(self):
+        features = FeatureVectorConfig(band_low_hz=16_000.0, band_high_hz=16_080.0)
+        EarSonarPipeline(EarSonarConfig(features=features))
 
 
 class TestProcess:

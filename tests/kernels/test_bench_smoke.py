@@ -59,3 +59,8 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
             assert record["p50_ms"] > 0.0
             assert record["repeats"] == 1
             assert record["serial_p50_ms"] is not None  # every op has an oracle
+    # The single-precision lane and its report are gone for good.
+    assert not (tmp_path / "BENCH_backends.json").exists()
+    for path in tmp_path.glob("BENCH_*.json"):
+        for run in json.loads(path.read_text())["runs"]:
+            assert not any(r["op"].startswith("f32.") for r in run["results"])

@@ -1,5 +1,7 @@
 """Golden equivalence: correlation, Laplacian, chirp, pipeline kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,14 @@ def test_absorption_curves_match_per_echo(pipeline, recording):
     mean_curve = pipeline.mean_absorption_curve(echoes)
     assert mean_curve.shape == batched[0].shape
     assert mean_curve.max() == pytest.approx(1.0)
+    # Mixed lengths: each length group gets its own band-zoom plan, and
+    # every row still lands at its echo's position in the stack.
+    n = echoes[0].segment.size
+    mixed = [
+        dataclasses.replace(e, segment=e.segment[: n - 37 * (i % 3)])
+        for i, e in enumerate(echoes)
+    ]
+    assert len({e.segment.size for e in mixed}) == min(3, len(mixed))
+    batched = pipeline.absorption_curves(mixed)
+    serial = np.stack([pipeline.absorption_curve(e) for e in mixed])
+    assert np.max(np.abs(batched - serial)) <= TOL

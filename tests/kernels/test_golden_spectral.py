@@ -1,7 +1,8 @@
 """Golden equivalence: batched spectral/MFCC kernels vs serial oracles.
 
 Every batched kernel must match its ``*_reference`` serial
-implementation to <= 1e-10 max absolute difference over randomized
+implementation (or, for the band-zoom DFT, the per-row full-FFT
+amplitude spectrum) to <= 1e-10 max absolute difference over randomized
 shapes and configurations (threaded ``np.random.Generator`` seeds keep
 the sweep reproducible).
 """
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.kernels.mfcc import mfcc_batched, mfcc_planned
-from repro.kernels.spectral import batched_amplitude_spectrum
+from repro.kernels.plan import band_zoom_plan
+from repro.kernels.spectral import band_zoom_amplitude
 from repro.signal.mfcc import MfccConfig, mfcc, mfcc_reference
 from repro.signal.spectral import amplitude_spectrum, welch_psd, welch_psd_reference
 
@@ -43,16 +45,40 @@ def test_welch_rejects_what_reference_rejects():
         welch_psd(np.zeros(100), 48_000.0, overlap=1.0)
 
 
+def _band_reference(row, rate, nfft, grid):
+    """The per-echo oracle: full FFT, band slice, then ``np.interp``."""
+    band = amplitude_spectrum(row, rate, nfft=nfft).band(grid[0], grid[-1] + 1.0)
+    return np.interp(grid, band.frequencies, band.values)
+
+
 @pytest.mark.parametrize("seed,rows,cols", [(5, 1, 64), (6, 7, 1000), (7, 40, 4096)])
 @pytest.mark.parametrize("nfft", [None, 8192])
 def test_batched_amplitude_matches_per_row(seed, rows, cols, nfft):
+    """Band-zoom rows equal the per-row full-FFT band spectrum on the grid.
+
+    The 16-20 kHz grid starts below the first band bin and ends above
+    the last one, so the clamped edges of the interpolation are covered
+    too.
+    """
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((rows, cols))
-    freqs, values = batched_amplitude_spectrum(stack, 48_000.0, nfft=nfft)
+    n = cols if nfft is None else nfft
+    grid = np.linspace(16_000.0, 20_000.0, 37)
+    values = band_zoom_amplitude(stack, band_zoom_plan(cols, n, 48_000.0, grid))
+    assert values.shape == (rows, grid.size)
     for i in range(rows):
-        spec = amplitude_spectrum(stack[i], 48_000.0, nfft=nfft)
-        np.testing.assert_array_equal(freqs, spec.frequencies)
-        assert np.max(np.abs(values[i] - spec.values)) <= TOL
+        expected = _band_reference(stack[i], 48_000.0, n, grid)
+        assert np.max(np.abs(values[i] - expected)) <= TOL
+
+
+def test_band_zoom_crops_inputs_longer_than_nfft():
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((3, 700))
+    grid = np.linspace(16_000.0, 20_000.0, 16)
+    values = band_zoom_amplitude(stack, band_zoom_plan(700, 512, 48_000.0, grid))
+    for i in range(3):
+        expected = _band_reference(stack[i], 48_000.0, 512, grid)
+        assert np.max(np.abs(values[i] - expected)) <= TOL
 
 
 _CONFIGS = [

@@ -114,7 +114,7 @@ class TestSeriesResolution:
     def test_unconfigured_series_is_a_no_op(self):
         monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
         monitor.increment(obs_names.HEALTH_RAKE_TAPS, 3, labels={"device_model": "x"})
-        monitor.observe(obs_names.HEALTH_RECORDING_MS, 5.0, labels={"lane": "f32"})
+        monitor.observe(obs_names.HEALTH_RECORDING_MS, 5.0)
         assert monitor.snapshot(0.0)["series"] == {}
 
     def test_wrong_kind_is_a_configuration_error(self):

@@ -47,7 +47,6 @@ def test_all_rules_registered():
         "QA008",
         "QA009",
         "QA010",
-        "QA011",
         "QA012",
     ]
 

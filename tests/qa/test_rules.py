@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.qa.rules import (
     DeterminismRule,
-    DtypeDisciplineRule,
     ExceptionBoundaryRule,
     FingerprintCompletenessRule,
     PoolSafetyRule,
@@ -744,97 +743,18 @@ class TestTelemetryDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# QA011 — dtype discipline in repro.kernels
-# ---------------------------------------------------------------------------
-
-
-class TestDtypeDiscipline:
-    def test_flags_coercions_casts_and_default_allocations(self, findings_of):
-        findings = findings_of(
-            DtypeDisciplineRule,
-            {
-                "repro/kernels/bad.py": """
-                    import numpy as np
-
-                    def kernel(signal):
-                        a = np.asarray(signal, dtype=float)
-                        b = np.array(signal, dtype=np.float64)
-                        c = np.ascontiguousarray(signal, dtype=float)
-                        d = signal.astype(float)
-                        e = signal.astype(np.float64)
-                        buf = np.zeros(4)
-                        acc = np.ones((2, 2))
-                        raw = np.empty(8)
-                        pad = np.full(3, 1.5)
-                        return a, b, c, d, e, buf, acc, raw, pad
-                    """
-            },
-        )
-        assert pairs(findings) == [
-            ("QA011", 4),  # asarray coercion
-            ("QA011", 5),  # array coercion
-            ("QA011", 6),  # ascontiguousarray coercion
-            ("QA011", 7),  # .astype(float)
-            ("QA011", 8),  # .astype(np.float64)
-            ("QA011", 9),  # zeros without dtype
-            ("QA011", 10),  # ones without dtype
-            ("QA011", 11),  # empty without dtype
-            ("QA011", 12),  # full without dtype
-        ]
-
-    def test_lane_preserving_idioms_stay_silent(self, findings_of):
-        findings = findings_of(
-            DtypeDisciplineRule,
-            {
-                "repro/kernels/good.py": """
-                    import numpy as np
-
-                    from repro.kernels.dtypes import as_float_array
-
-                    def kernel(signal, dtype=np.float64):
-                        signal = as_float_array(signal)
-                        buf = np.zeros(signal.shape, dtype=signal.dtype)
-                        threaded = np.zeros(4, dtype=dtype)
-                        narrow = signal.astype(np.float32)
-                        explicit = np.asarray(signal, dtype=np.float32)
-                        like = np.zeros_like(signal)
-                        return buf, threaded, narrow, explicit, like
-                    """
-            },
-        )
-        assert findings == []
-
-    def test_out_of_scope_packages_are_ignored(self, findings_of):
-        # The two-lane contract is a kernels-layer invariant; oracles
-        # and learning code elsewhere coerce to float64 on purpose.
-        findings = findings_of(
-            DtypeDisciplineRule,
-            {
-                "repro/signal/reference.py": """
-                    import numpy as np
-
-                    def oracle(signal):
-                        signal = np.asarray(signal, dtype=float)
-                        return np.zeros(signal.size)
-                    """
-            },
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# Coverage of the repro.kernels.backends subpackage by existing rules
+# Coverage of the repro.kernels package by existing rules
 # ---------------------------------------------------------------------------
 
 
 class TestKernelBackendsCoverage:
-    """kernels/backends/ modules lint under the same science rules."""
+    """repro/kernels/ modules lint under the same science rules."""
 
     def test_determinism_rule_covers_backends(self, findings_of):
         findings = findings_of(
             DeterminismRule,
             {
-                "repro/kernels/backends/bad_clock.py": """
+                "repro/kernels/bad_clock.py": """
                     import time
 
                     def pick_candidate():
@@ -848,7 +768,7 @@ class TestKernelBackendsCoverage:
         findings = findings_of(
             PoolSafetyRule,
             {
-                "repro/kernels/backends/bad_dispatch.py": """
+                "repro/kernels/bad_dispatch.py": """
                     from concurrent.futures import ProcessPoolExecutor
 
                     def warm_all(ops):
@@ -863,7 +783,7 @@ class TestKernelBackendsCoverage:
         findings = findings_of(
             UnitDisciplineRule,
             {
-                "repro/kernels/backends/bad_rate.py": """
+                "repro/kernels/bad_rate.py": """
                     def default_plan_shape():
                         rate = 384_000
                         return rate
@@ -871,17 +791,3 @@ class TestKernelBackendsCoverage:
             },
         )
         assert pairs(findings) == [("QA004", 2)]
-
-    def test_dtype_rule_covers_backends(self, findings_of):
-        findings = findings_of(
-            DtypeDisciplineRule,
-            {
-                "repro/kernels/backends/bad_alloc.py": """
-                    import numpy as np
-
-                    def scratch(n):
-                        return np.zeros(n)
-                    """
-            },
-        )
-        assert pairs(findings) == [("QA011", 4)]
