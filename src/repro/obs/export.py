@@ -14,6 +14,10 @@ diffs); two derived views serve external tools:
   histogram summaries in the plain-text scrape format, so a periodic
   batch job can push its metrics to a gateway without new deps.
 
+This is the one Prometheus text writer: :func:`prom_name`,
+:func:`prom_labels` and :func:`summary_samples` also render
+:meth:`~repro.obs.health.HealthMonitor.prometheus`.
+
 All exporters are pure functions of already-collected data; they never
 touch the tracer's hot path.
 """
@@ -21,9 +25,10 @@ touch the tracer's hot path.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from . import names
 from .events import EventLog, NullEventLog
@@ -34,7 +39,10 @@ __all__ = [
     "RECORD_SCHEMA_VERSION",
     "RunRecord",
     "chrome_trace",
+    "prom_labels",
+    "prom_name",
     "prometheus_text",
+    "summary_samples",
     "write_run_record",
     "load_run_record",
 ]
@@ -139,9 +147,48 @@ def chrome_trace(spans: Iterable[Span], *, process_name: str = "earsonar") -> di
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _prom_name(name: str) -> str:
-    sanitized = "".join(c if c.isalnum() else "_" for c in name)
-    return f"earsonar_{sanitized}"
+_PROM_NAME_INVALID = re.compile(r"[^A-Za-z0-9_]")
+
+
+def prom_name(name: str) -> str:
+    """``earsonar_`` + ``name``, every character outside ``[A-Za-z0-9_]`` as ``_``."""
+    return "earsonar_" + _PROM_NAME_INVALID.sub("_", name)
+
+
+def prom_labels(labels: Mapping[str, str]) -> str:
+    """``{key="value",...}`` sorted by key; empty string for no labels.
+
+    Values escape backslash, double quote and newline as ``\\\\``,
+    ``\\"`` and ``\\n``, as the text format requires.
+    """
+    if not labels:
+        return ""
+    body = ",".join(
+        f'{key}="{_escape_label_value(str(labels[key]))}"' for key in sorted(labels)
+    )
+    return "{" + body + "}"
+
+
+def _escape_label_value(value: str) -> str:
+    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
+
+
+def summary_samples(
+    metric: str,
+    labels: Mapping[str, str],
+    quantiles: Mapping[float, float],
+    count: int,
+    total: float,
+) -> list[str]:
+    """Sample lines of one summary row: each quantile, ``_count``, ``_sum``."""
+    rendered = prom_labels(labels)
+    lines = [
+        f"{metric}{prom_labels({**labels, 'quantile': f'{q:g}'})} {value:.6f}"
+        for q, value in quantiles.items()
+    ]
+    lines.append(f"{metric}_count{rendered} {count}")
+    lines.append(f"{metric}_sum{rendered} {total:.6f}")
+    return lines
 
 
 def prometheus_text(metrics: Any) -> str:
@@ -150,26 +197,33 @@ def prometheus_text(metrics: Any) -> str:
     ``metrics`` is a :class:`~repro.runtime.metrics.RuntimeMetrics`
     registry or an already-built ``report()`` dict.  Histograms are
     exported as ``summary`` families (pre-computed quantiles plus
-    ``_sum`` / ``_count``), counters as ``counter`` families, and the
-    cache hit rate as a ``gauge``.
+    ``_count`` / ``_sum``), counters as ``counter`` families, and the
+    cache hit rate as a ``gauge``.  Per-tenant counters
+    (:func:`~repro.obs.names.tenant_counter`) fold into one family per
+    base with a ``tenant`` label, so no tenant id reaches a metric name.
     """
     report = metrics.report() if hasattr(metrics, "report") else dict(metrics)
     lines: list[str] = []
+    family = None
     for name in sorted(report.get("counters", {})):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {int(report['counters'][name])}")
+        # Sorting keeps each tenant family's samples contiguous.
+        base, tenant = names.split_tenant_counter(name) or (name, None)
+        if prom_name(base) != family:
+            family = prom_name(base)
+            lines.append(f"# TYPE {family} counter")
+        labels = {} if tenant is None else {"tenant": tenant}
+        lines.append(f"{family}{prom_labels(labels)} {int(report['counters'][name])}")
     for name in sorted(report.get("histograms", {})):
-        prom = _prom_name(name)
+        prom = prom_name(name)
         digest = report["histograms"][name]
+        count = int(digest["count"])
+        quantiles = {0.5: digest["p50"], 0.95: digest["p95"], 0.99: digest["p99"]}
         lines.append(f"# TYPE {prom} summary")
-        for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-            lines.append(f'{prom}{{quantile="{quantile}"}} {float(digest[key]):.6g}')
-        total = float(digest["mean"]) * int(digest["count"])
-        lines.append(f"{prom}_sum {total:.6g}")
-        lines.append(f"{prom}_count {int(digest['count'])}")
+        lines.extend(
+            summary_samples(prom, {}, quantiles, count, float(digest["mean"]) * count)
+        )
     if "cache_hit_rate" in report:
-        prom = _prom_name("cache_hit_rate")
+        prom = prom_name("cache_hit_rate")
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {float(report['cache_hit_rate']):.6g}")
     return "\n".join(lines) + "\n"

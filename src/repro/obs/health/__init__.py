@@ -28,7 +28,7 @@ from .monitor import (
     use_health,
 )
 from .rollup import OVERFLOW_VALUE, RollupSeries
-from .sketch import QuantileSketch, SketchConfig
+from .sketch import QuantileSketch
 from .slo import DEFAULT_BURN_RULES, BurnRule, SloConfig, SloTracker
 from .window import SlidingWindow, WindowConfig, WindowSnapshot
 
@@ -46,7 +46,6 @@ __all__ = [
     "QuantileSketch",
     "RollupSeries",
     "SeriesSpec",
-    "SketchConfig",
     "SlidingWindow",
     "SloConfig",
     "SloTracker",

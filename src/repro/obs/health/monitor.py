@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Mapping, Union
 
 from ...errors import ConfigurationError
 from .. import names as obs_names
+from ..export import prom_labels, prom_name, summary_samples
 from ..tracer import current_tracer
 from .rollup import RollupSeries
 from .slo import SloConfig, SloTracker
@@ -156,7 +157,6 @@ class HealthMonitor:
                 spec.name,
                 spec.labels,
                 self.config.window,
-                track_values=spec.kind == "distribution",
                 max_values_per_key=self.config.max_values_per_key,
             )
         self._kinds = {spec.name: spec.kind for spec in self.config.series}
@@ -349,29 +349,28 @@ class HealthMonitor:
         }
 
     def prometheus(self, now: float | None = None) -> str:
-        """Prometheus text-format rendering with rollup label dimensions."""
+        """Prometheus text-format rendering with rollup label dimensions.
+
+        Names, labels and summary lines come from the shared writer in
+        :mod:`repro.obs.export`.
+        """
         at = self.now() if now is None else now
         lines: list[str] = []
         for name in sorted(self._series):
-            kind = self._kinds[name]
-            metric = _sanitize(name) + ("_total" if kind == "counter" else "")
-            lines.append(f"# TYPE {metric} {'counter' if kind == 'counter' else 'summary'}")
-            for labels, snap in self._series[name].rows(
-                at,
-                quantiles=self.config.quantiles if kind == "distribution" else (),
-            ):
-                rendered = _labels(labels)
-                if kind == "counter":
-                    lines.append(f"{metric}{rendered} {snap.count}")
-                    continue
-                for qname, qvalue in snap.quantiles.items():
-                    quantile = float(qname[1:]) / 100.0
-                    lines.append(
-                        f"{metric}{_labels({**labels, 'quantile': f'{quantile:g}'})}"
-                        f" {qvalue:.6f}"
-                    )
-                lines.append(f"{metric}_count{rendered} {snap.count}")
-                lines.append(f"{metric}_sum{rendered} {snap.total:.6f}")
+            series = self._series[name]
+            if self._kinds[name] == "counter":
+                metric = prom_name(name) + "_total"
+                lines.append(f"# TYPE {metric} counter")
+                for labels, snap in series.rows(at):
+                    lines.append(f"{metric}{prom_labels(labels)} {snap.count}")
+                continue
+            metric = prom_name(name)
+            lines.append(f"# TYPE {metric} summary")
+            for labels, snap in series.rows(at, quantiles=self.config.quantiles):
+                quantiles = dict(zip(self.config.quantiles, snap.quantiles.values()))
+                lines.extend(
+                    summary_samples(metric, labels, quantiles, snap.count, snap.total)
+                )
         lines.append("# TYPE earsonar_slo_burn_rate gauge")
         lines.append("# TYPE earsonar_slo_alert_firing gauge")
         for entry in self.evaluate(at):
@@ -382,35 +381,18 @@ class HealthMonitor:
                     "rule": rule["rule"],
                 }
                 lines.append(
-                    f"earsonar_slo_burn_rate{_labels({**labels, 'window': 'long'})}"
+                    f"earsonar_slo_burn_rate{prom_labels({**labels, 'window': 'long'})}"
                     f" {rule['burn_long']:.6f}"
                 )
                 lines.append(
-                    f"earsonar_slo_burn_rate{_labels({**labels, 'window': 'short'})}"
+                    f"earsonar_slo_burn_rate{prom_labels({**labels, 'window': 'short'})}"
                     f" {rule['burn_short']:.6f}"
                 )
                 lines.append(
-                    f"earsonar_slo_alert_firing{_labels(labels)}"
+                    f"earsonar_slo_alert_firing{prom_labels(labels)}"
                     f" {1 if rule['firing'] else 0}"
                 )
         return "\n".join(lines) + "\n"
-
-
-def _sanitize(name: str) -> str:
-    return "earsonar_" + name.replace(".", "_")
-
-
-def _labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{key}="{_escape(str(labels[key]))}"' for key in sorted(labels)
-    )
-    return "{" + body + "}"
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r"\"")
 
 
 class NullHealthMonitor:

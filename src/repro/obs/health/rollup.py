@@ -40,7 +40,6 @@ class RollupSeries:
         "name",
         "label_keys",
         "window_config",
-        "track_values",
         "max_values_per_key",
         "_rows",
         "_seen_values",
@@ -52,7 +51,6 @@ class RollupSeries:
         label_keys: tuple[str, ...],
         window_config: WindowConfig,
         *,
-        track_values: bool = True,
         max_values_per_key: int = 16,
     ) -> None:
         undeclared = [key for key in label_keys if key not in HEALTH_LABEL_KEYS]
@@ -69,7 +67,6 @@ class RollupSeries:
         self.name = name
         self.label_keys = tuple(label_keys)
         self.window_config = window_config
-        self.track_values = track_values
         self.max_values_per_key = max_values_per_key
         self._rows: dict[tuple[str, ...], SlidingWindow] = {}
         self._seen_values: dict[str, set[str]] = {key: set() for key in label_keys}
@@ -111,9 +108,7 @@ class RollupSeries:
         key = self._row_key(labels)
         window = self._rows.get(key)
         if window is None:
-            window = self._rows[key] = SlidingWindow(
-                self.window_config, track_values=self.track_values
-            )
+            window = self._rows[key] = SlidingWindow(self.window_config)
         window.observe(value, now, weight)
 
     # -- reading --------------------------------------------------------
@@ -136,25 +131,10 @@ class RollupSeries:
 
     def total(self, now: float, *, horizon_s: float | None = None) -> WindowSnapshot:
         """Label-blind aggregate across every row."""
-        count = 0
-        total = 0.0
-        vmin: float | None = None
-        vmax: float | None = None
-        for _, snap in self.rows(now, horizon_s=horizon_s):
-            count += snap.count
-            total += snap.total
-            if snap.vmin is not None:
-                vmin = snap.vmin if vmin is None else min(vmin, snap.vmin)
-            if snap.vmax is not None:
-                vmax = snap.vmax if vmax is None else max(vmax, snap.vmax)
-        horizon = self.window_config.horizon_s if horizon_s is None else horizon_s
-        return WindowSnapshot(
-            count=count,
-            total=total,
-            vmin=vmin,
-            vmax=vmax,
-            rate_per_s=count / horizon if horizon > 0 else 0.0,
-        )
+        merged = SlidingWindow(self.window_config)
+        for window in self._rows.values():
+            merged.merge(window)
+        return merged.totals(now, horizon_s=horizon_s)
 
     # -- merge / serialization ------------------------------------------
 
@@ -171,9 +151,7 @@ class RollupSeries:
                     self._bound_value(index, value)
             mine = self._rows.get(key)
             if mine is None:
-                mine = self._rows[key] = SlidingWindow(
-                    self.window_config, track_values=self.track_values
-                )
+                mine = self._rows[key] = SlidingWindow(self.window_config)
             mine.merge(window)
 
     def export_state(self) -> dict[str, Any]:
@@ -200,7 +178,5 @@ class RollupSeries:
                     self._bound_value(index, value)
             window = self._rows.get(key)
             if window is None:
-                window = self._rows[key] = SlidingWindow(
-                    self.window_config, track_values=self.track_values
-                )
+                window = self._rows[key] = SlidingWindow(self.window_config)
             window.merge_state(row["window"])

@@ -1,14 +1,18 @@
-"""Mergeable exponential-bucket quantile sketch.
+"""Mergeable exponential-bucket quantile sketch: the one streaming distribution.
 
-The fleet-health aggregators need latency and drift *distributions*
-that many producers (pool workers, serve shards) can accumulate locally
-and a parent can combine without loss.  Exact reservoirs don't merge —
-two reservoirs concatenated are no longer a uniform sample — so the
-health tier uses the standard mergeable alternative: a histogram whose
-bucket boundaries grow geometrically, giving a bounded *relative* error
-on every quantile estimate.
+Every streaming latency or drift distribution in the repo is one of
+these: the runtime's :class:`~repro.runtime.metrics.Histogram` holds
+one, and every fleet-health window bucket is an epoch plus one.  Many
+producers (pool workers, serve shards) accumulate locally and a parent
+combines them without loss.  Exact reservoirs don't merge — two
+reservoirs concatenated are no longer a uniform sample — so the sketch
+is the standard mergeable alternative: a histogram whose bucket
+boundaries grow geometrically, giving a bounded *relative* error on
+every quantile estimate.
 
-Properties that the tests pin down:
+There is one bucket grid (:data:`GROWTH`, :data:`MIN_VALUE`,
+:data:`MAX_INDEX`), so any two sketches merge.  Properties that the
+tests pin down:
 
 - **Mergeable, exactly.**  Bucket counts are integers; ``merge`` is a
   bucket-wise add, so it is commutative and associative to the bit.
@@ -16,92 +20,62 @@ Properties that the tests pin down:
   merged sketch as a single-producer run.
 - **Bounded relative error.**  A value lands in the bucket whose
   geometric span covers it; quantiles are answered with the bucket's
-  geometric midpoint, so the estimate is within one ``growth`` factor
-  of the true rank value.
+  geometric midpoint, so for magnitudes at or above :data:`MIN_VALUE`
+  the estimate is within a factor ``sqrt(GROWTH)`` (about 7.3%) of the
+  order statistic at rank ``floor(q * (count - 1))``.
+- **Bounded memory.**  Indices clamp to ``[-MAX_INDEX, MAX_INDEX]``,
+  so a sketch never holds more than ``2 * MAX_INDEX + 1`` buckets.
 - **Signed.**  Calibration offsets are dB values around zero; negative
   magnitudes mirror into negative bucket indices, and values inside
-  ``(-min_value, +min_value)`` share the exact-zero bucket.
+  ``(-MIN_VALUE, +MIN_VALUE)`` share the exact-zero bucket.
 
 The exact ``count`` / ``total`` / ``min`` / ``max`` moments ride along
-so rates and means never pay the quantization error.
+so counts, rates and means never pay the quantization error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ...errors import ConfigurationError
+__all__ = ["GROWTH", "MIN_VALUE", "MAX_INDEX", "QuantileSketch"]
 
-__all__ = ["SketchConfig", "QuantileSketch"]
+#: Ratio between consecutive bucket boundaries.
+GROWTH = 1.15
+#: Magnitudes below this share the zero bucket; the first boundary.
+MIN_VALUE = 1e-3
+#: Index clamp: 256 buckets at growth 1.15 span about 15 decades per sign.
+MAX_INDEX = 256
 
-#: Bucket index for values whose magnitude is below ``min_value``.
+_LOG_GROWTH = math.log(GROWTH)
+
+#: Bucket index for values whose magnitude is below ``MIN_VALUE``.
 _ZERO_BUCKET = 0
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Shape of the exponential bucket grid.
-
-    Attributes
-    ----------
-    growth:
-        Ratio between consecutive bucket boundaries.  1.15 gives a
-        worst-case quantile error of ~7% of the value — plenty for
-        burn-rate math and dashboard percentiles.
-    min_value:
-        Magnitudes below this collapse into the shared zero bucket;
-        it is also the first bucket boundary.
-    max_index:
-        Bucket indices are clamped to ``[-max_index, max_index]`` so a
-        wild outlier cannot grow the sketch without bound.  256 buckets
-        at growth 1.15 span ``min_value`` to ``min_value * 1.15**256``
-        (about 15 decades) per sign.
-    """
-
-    growth: float = 1.15
-    min_value: float = 1e-3
-    max_index: int = 256
-
-    def __post_init__(self) -> None:
-        if self.growth <= 1.0:
-            raise ConfigurationError(f"growth must be > 1, got {self.growth}")
-        if self.min_value <= 0.0:
-            raise ConfigurationError(
-                f"min_value must be positive, got {self.min_value}"
-            )
-        if self.max_index < 1:
-            raise ConfigurationError(
-                f"max_index must be >= 1, got {self.max_index}"
-            )
 
 
 class QuantileSketch:
     """Signed exponential-bucket histogram with exact moments."""
 
-    __slots__ = ("config", "count", "total", "vmin", "vmax", "buckets", "_log_growth")
+    __slots__ = ("count", "total", "vmin", "vmax", "buckets")
 
-    def __init__(self, config: SketchConfig | None = None) -> None:
-        self.config = config or SketchConfig()
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.vmin = math.inf
         self.vmax = -math.inf
         #: Sparse bucket table: signed index -> integer count.
         self.buckets: dict[int, int] = {}
-        self._log_growth = math.log(self.config.growth)
 
     # -- recording ------------------------------------------------------
 
-    def _index(self, value: float) -> int:
+    @staticmethod
+    def _index(value: float) -> int:
         magnitude = abs(value)
-        cfg = self.config
-        if magnitude < cfg.min_value:
+        if magnitude < MIN_VALUE:
             return _ZERO_BUCKET
-        # Bucket k (k >= 1) covers [min_value * g**(k-1), min_value * g**k).
-        index = 1 + int(math.log(magnitude / cfg.min_value) / self._log_growth)
-        index = min(index, cfg.max_index)
+        # Bucket k (k >= 1) covers [MIN_VALUE * g**(k-1), MIN_VALUE * g**k).
+        index = 1 + int(math.log(magnitude / MIN_VALUE) / _LOG_GROWTH)
+        index = min(index, MAX_INDEX)
         return index if value >= 0.0 else -index
 
     def observe(self, value: float, weight: int = 1) -> None:
@@ -119,13 +93,12 @@ class QuantileSketch:
 
     # -- querying -------------------------------------------------------
 
-    def _bucket_value(self, index: int) -> float:
+    @staticmethod
+    def _bucket_value(index: int) -> float:
         """Representative value of one bucket: its geometric midpoint."""
         if index == _ZERO_BUCKET:
             return 0.0
-        cfg = self.config
-        magnitude = cfg.min_value * cfg.growth ** (abs(index) - 1)
-        midpoint = magnitude * math.sqrt(cfg.growth)
+        midpoint = MIN_VALUE * GROWTH ** (abs(index) - 1) * math.sqrt(GROWTH)
         return midpoint if index > 0 else -midpoint
 
     def quantile(self, q: float) -> float:
@@ -156,11 +129,6 @@ class QuantileSketch:
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold ``other`` into this sketch (bucket-wise integer add)."""
-        if other.config != self.config:
-            raise ConfigurationError(
-                "cannot merge sketches with different configs: "
-                f"{self.config} vs {other.config}"
-            )
         self.count += other.count
         self.total += other.total
         self.vmin = min(self.vmin, other.vmin)
@@ -179,11 +147,9 @@ class QuantileSketch:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], config: SketchConfig | None = None
-    ) -> "QuantileSketch":
+    def from_dict(cls, data: Mapping[str, Any]) -> "QuantileSketch":
         """Rebuild a sketch serialized by :meth:`to_dict`."""
-        sketch = cls(config)
+        sketch = cls()
         sketch.count = int(data["count"])
         sketch.total = float(data["total"])
         sketch.vmin = math.inf if data["vmin"] is None else float(data["vmin"])

@@ -128,8 +128,8 @@ class SloTracker:
                     f"retains only {horizon:g}s"
                 )
         self.config = config
-        self._total = SlidingWindow(window, track_values=False)
-        self._bad = SlidingWindow(window, track_values=False)
+        self._total = SlidingWindow(window)
+        self._bad = SlidingWindow(window)
         self._firing: dict[str, bool] = {rule.key: False for rule in config.rules}
         #: Every state change, in evaluation order: dicts with ``at_s``,
         #: ``slo``, ``severity``, ``rule``, ``state``, ``burn_long``,

@@ -1,19 +1,20 @@
 """Mergeable sliding-window aggregator: a ring of time buckets.
 
 A :class:`SlidingWindow` covers the trailing ``bucket_s * num_buckets``
-seconds with fixed-width buckets, each holding exact count/sum/min/max
-moments plus (for distributions) a mergeable
-:class:`~repro.obs.health.sketch.QuantileSketch`.  Buckets are aligned
-to the absolute epoch grid (``bucket index = floor(now / bucket_s)``),
-which is what makes two windows fed from *different processes*
-mergeable: the grid is a pure function of the injected clock, not of
-either window's construction time.
+seconds with fixed-width buckets, each an epoch plus one mergeable
+:class:`~repro.obs.health.sketch.QuantileSketch`, whose exact
+count/sum/min/max moments answer counter series and whose buckets
+answer quantiles for distribution series.  Buckets are aligned to the
+absolute epoch grid (``bucket index = floor(now / bucket_s)``), which
+is what makes two windows fed from *different processes* mergeable:
+the grid is a pure function of the injected clock, not of either
+window's construction time.
 
-Expiry is lazy and allocation-free: the ring slot for a new epoch is
-recycled in place, and reads simply skip buckets whose epoch has fallen
-out of the horizon.  Nothing here reads a wall clock — every operation
-takes ``now`` from the caller, so the whole tier runs deterministically
-under :class:`~repro.serve.clock.VirtualClock`.
+Expiry is lazy: the ring slot for a new epoch gets a fresh bucket, and
+reads simply skip buckets whose epoch has fallen out of the horizon.
+Nothing here reads a wall clock — every operation takes ``now`` from
+the caller, so the whole tier runs deterministically under
+:class:`~repro.serve.clock.VirtualClock`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ...errors import ConfigurationError
-from .sketch import QuantileSketch, SketchConfig
+from .sketch import QuantileSketch
 
 __all__ = ["WindowConfig", "WindowSnapshot", "SlidingWindow"]
 
@@ -38,7 +39,6 @@ class WindowConfig:
 
     bucket_s: float = 5.0
     num_buckets: int = 360
-    sketch: SketchConfig = field(default_factory=SketchConfig)
 
     def __post_init__(self) -> None:
         if self.bucket_s <= 0.0:
@@ -83,131 +83,73 @@ class WindowSnapshot:
         return payload
 
 
-class _Bucket:
-    """One epoch's accumulator; recycled in place when its slot turns over."""
-
-    __slots__ = ("epoch", "count", "total", "vmin", "vmax", "sketch")
-
-    def __init__(self, epoch: int, sketch: QuantileSketch | None) -> None:
-        self.epoch = epoch
-        self.count = 0
-        self.total = 0.0
-        self.vmin = math.inf
-        self.vmax = -math.inf
-        self.sketch = sketch
-
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "epoch": self.epoch,
-            "count": self.count,
-            "total": self.total,
-            "vmin": None if self.count == 0 else self.vmin,
-            "vmax": None if self.count == 0 else self.vmax,
-        }
-        if self.sketch is not None:
-            payload["sketch"] = self.sketch.to_dict()
-        return payload
-
-
 class SlidingWindow:
-    """Ring of epoch-aligned buckets; observe / merge / read.
+    """Ring of epoch-aligned ``(epoch, sketch)`` buckets; observe / merge / read.
 
-    Parameters
-    ----------
-    config:
-        Bucket grid shared by every window that will ever be merged
-        into this one (merging across grids is a
-        :class:`~repro.errors.ConfigurationError`).
-    track_values:
-        ``True`` keeps a quantile sketch per bucket (distribution
-        series); ``False`` keeps only the exact moments (counter
-        series), which makes ``observe`` an O(1) integer bump.
+    ``config`` is the bucket grid shared by every window that will
+    ever be merged into this one (merging across grids is a
+    :class:`~repro.errors.ConfigurationError`).
     """
 
-    __slots__ = ("config", "track_values", "_ring")
+    __slots__ = ("config", "_ring")
 
-    def __init__(self, config: WindowConfig | None = None, *, track_values: bool = True) -> None:
+    def __init__(self, config: WindowConfig | None = None) -> None:
         self.config = config or WindowConfig()
-        self.track_values = track_values
-        self._ring: list[_Bucket | None] = [None] * self.config.num_buckets
+        self._ring: list[tuple[int, QuantileSketch] | None] = [None] * self.config.num_buckets
 
     # -- writing --------------------------------------------------------
 
     def _epoch(self, now: float) -> int:
         return int(now // self.config.bucket_s)
 
-    def _bucket_for(self, epoch: int) -> _Bucket:
+    def _sketch_for(self, epoch: int) -> QuantileSketch:
+        """The sketch of ``epoch``, replacing its slot's resident if needed."""
         slot = epoch % self.config.num_buckets
         bucket = self._ring[slot]
-        if bucket is None or bucket.epoch != epoch:
-            bucket = _Bucket(
-                epoch,
-                QuantileSketch(self.config.sketch) if self.track_values else None,
-            )
-            self._ring[slot] = bucket
-        return bucket
+        if bucket is None or bucket[0] != epoch:
+            bucket = self._ring[slot] = (epoch, QuantileSketch())
+        return bucket[1]
 
     def observe(self, value: float, now: float, weight: int = 1) -> None:
         """Record ``value`` (``weight`` times) in the bucket of ``now``."""
-        if weight <= 0:
-            return
-        bucket = self._bucket_for(self._epoch(now))
-        bucket.count += weight
-        bucket.total += value * weight
-        if value < bucket.vmin:
-            bucket.vmin = value
-        if value > bucket.vmax:
-            bucket.vmax = value
-        if bucket.sketch is not None:
-            bucket.sketch.observe(value, weight)
+        if weight > 0:
+            self._sketch_for(self._epoch(now)).observe(value, weight)
 
     # -- merging --------------------------------------------------------
 
-    def merge(self, other: "SlidingWindow") -> None:
-        """Fold another window's live buckets into this ring.
+    def _merge_bucket(self, epoch: int, sketch: QuantileSketch) -> None:
+        """Fold one incoming bucket in, epoch-wise.
 
-        Buckets combine epoch-wise; an incoming bucket older than the
-        one its slot currently holds is expired data and is dropped,
-        and an incoming *newer* bucket replaces the stale resident.
+        An incoming bucket older than the one its slot currently holds
+        is expired data and is dropped; a *newer* one replaces the
+        stale resident.
         """
+        resident = self._ring[epoch % self.config.num_buckets]
+        if sketch.count and (resident is None or resident[0] <= epoch):
+            self._sketch_for(epoch).merge(sketch)
+
+    def merge(self, other: "SlidingWindow") -> None:
+        """Fold another window's live buckets into this ring."""
         if other.config != self.config:
             raise ConfigurationError(
                 "cannot merge windows with different configs: "
                 f"{self.config} vs {other.config}"
             )
-        for incoming in other._ring:
-            if incoming is None or incoming.count == 0:
-                continue
-            slot = incoming.epoch % self.config.num_buckets
-            resident = self._ring[slot]
-            if resident is None or resident.epoch < incoming.epoch:
-                fresh = _Bucket(
-                    incoming.epoch,
-                    QuantileSketch(self.config.sketch) if self.track_values else None,
-                )
-                self._ring[slot] = resident = fresh
-            elif resident.epoch > incoming.epoch:
-                continue
-            resident.count += incoming.count
-            resident.total += incoming.total
-            resident.vmin = min(resident.vmin, incoming.vmin)
-            resident.vmax = max(resident.vmax, incoming.vmax)
-            if resident.sketch is not None and incoming.sketch is not None:
-                resident.sketch.merge(incoming.sketch)
+        for bucket in other._ring:
+            if bucket is not None:
+                self._merge_bucket(*bucket)
 
     # -- reading --------------------------------------------------------
 
-    def _live_buckets(self, now: float, horizon_s: float | None) -> list[_Bucket]:
+    def _live_sketches(self, now: float, horizon_s: float | None) -> list[QuantileSketch]:
         horizon = self.config.horizon_s if horizon_s is None else horizon_s
         current = self._epoch(now)
         span = max(1, min(self.config.num_buckets, math.ceil(horizon / self.config.bucket_s)))
         oldest = current - span + 1
         return [
-            bucket
-            for bucket in self._ring
-            if bucket is not None
-            and bucket.count > 0
-            and oldest <= bucket.epoch <= current
+            sketch
+            for epoch, sketch in filter(None, self._ring)
+            if sketch.count > 0 and oldest <= epoch <= current
         ]
 
     def totals(
@@ -218,22 +160,21 @@ class SlidingWindow:
         quantiles: tuple[float, ...] = (),
     ) -> WindowSnapshot:
         """Aggregate the trailing ``horizon_s`` (full ring by default)."""
-        live = self._live_buckets(now, horizon_s)
-        count = sum(bucket.count for bucket in live)
-        total = sum(bucket.total for bucket in live)
+        live = self._live_sketches(now, horizon_s)
+        count = sum(sketch.count for sketch in live)
+        total = sum(sketch.total for sketch in live)
         horizon = self.config.horizon_s if horizon_s is None else horizon_s
         qvals: dict[str, float] = {}
-        if quantiles and self.track_values and count:
-            merged = QuantileSketch(self.config.sketch)
-            for bucket in live:
-                if bucket.sketch is not None:
-                    merged.merge(bucket.sketch)
+        if quantiles and count:
+            merged = QuantileSketch()
+            for sketch in live:
+                merged.merge(sketch)
             qvals = {f"p{q * 100:g}": merged.quantile(q) for q in quantiles}
         return WindowSnapshot(
             count=count,
             total=total,
-            vmin=min((b.vmin for b in live), default=None),
-            vmax=max((b.vmax for b in live), default=None),
+            vmin=min((s.vmin for s in live), default=None),
+            vmax=max((s.vmax for s in live), default=None),
             rate_per_s=count / horizon if horizon > 0 else 0.0,
             quantiles=qvals,
         )
@@ -244,23 +185,13 @@ class SlidingWindow:
         """JSON-safe live buckets, for shipping across a process boundary."""
         return {
             "buckets": [
-                bucket.to_dict()
-                for bucket in self._ring
-                if bucket is not None and bucket.count > 0
+                {"epoch": epoch, "sketch": sketch.to_dict()}
+                for epoch, sketch in filter(None, self._ring)
+                if sketch.count > 0
             ],
         }
 
     def merge_state(self, state: Mapping[str, Any]) -> None:
         """Fold an :meth:`export_state` payload into this ring."""
-        other = SlidingWindow(self.config, track_values=self.track_values)
         for data in state["buckets"]:
-            bucket = other._bucket_for(int(data["epoch"]))
-            bucket.count = int(data["count"])
-            bucket.total = float(data["total"])
-            bucket.vmin = math.inf if data["vmin"] is None else float(data["vmin"])
-            bucket.vmax = -math.inf if data["vmax"] is None else float(data["vmax"])
-            if bucket.sketch is not None and "sketch" in data:
-                bucket.sketch = QuantileSketch.from_dict(
-                    data["sketch"], self.config.sketch
-                )
-        self.merge(other)
+            self._merge_bucket(int(data["epoch"]), QuantileSketch.from_dict(data["sketch"]))

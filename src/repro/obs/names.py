@@ -116,6 +116,7 @@ __all__ = [
     "METRIC_TENANT_COMPLETED",
     "METRIC_TENANT_REJECTED",
     "tenant_counter",
+    "split_tenant_counter",
     "SPAN_HEALTH_SNAPSHOT",
     "EVENT_HEALTH_SNAPSHOT",
     "EVENT_SLO_ALERT_FIRED",
@@ -563,6 +564,18 @@ def tenant_counter(base: str, tenant: str) -> str:
     final segment (e.g. ``serve.tenant.completed.clinic-a``).
     """
     return f"{base}.{tenant}"
+
+
+def split_tenant_counter(name: str) -> tuple[str, str] | None:
+    """Inverse of :func:`tenant_counter`: ``(base, tenant)`` or ``None``.
+
+    Matches on the ``METRIC_TENANT_*`` prefixes rather than the last
+    dot, so a dotted tenant id (``clinic.a``) comes back whole.
+    """
+    for base in (METRIC_TENANT_SUBMITTED, METRIC_TENANT_COMPLETED, METRIC_TENANT_REJECTED):
+        if name.startswith(base + "."):
+            return base, name[len(base) + 1 :]
+    return None
 
 
 def registry() -> dict[str, tuple[str, ...]]:

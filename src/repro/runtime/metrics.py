@@ -11,14 +11,17 @@ registry comes from :func:`repro.obs.export.prometheus_text`.
 
 Thread safety: the registry lock guards the counter map and the
 histogram directory, and every :class:`Histogram` carries its *own*
-lock around its sample state — so both ``metrics.observe(name, v)``
-and the direct ``metrics.histogram(name).observe(v)`` path mutate
-under a lock (the latter used to bypass locking entirely).
+lock around its sketch — so both ``metrics.observe(name, v)`` and the
+direct ``metrics.histogram(name).observe(v)`` path mutate under a lock.
 
-Memory: histograms keep exact samples up to a configurable cap
-(default :data:`DEFAULT_MAX_SAMPLES`) and switch to uniform reservoir
-sampling beyond it, so percentiles stay exact for ordinary runs while
-a million-recording batch cannot grow the registry without bound.
+Memory and accuracy: a histogram is one
+:class:`~repro.obs.health.sketch.QuantileSketch`, the same mergeable
+distribution the fleet-health windows use, so its memory is bounded by
+the bucket grid (at most ``2 * MAX_INDEX + 1`` buckets) however long
+the run.  ``count``, ``total``, ``mean`` and ``max`` are exact; p50 /
+p95 / p99 are within a factor ``sqrt(GROWTH)`` (about 7.3%) of the
+order statistic at rank ``floor(q * (n - 1))`` for magnitudes of at
+least ``MIN_VALUE`` (1e-3).
 """
 
 from __future__ import annotations
@@ -28,125 +31,63 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-import numpy as np
+from ..obs.health.sketch import QuantileSketch
 
-__all__ = ["DEFAULT_MAX_SAMPLES", "Histogram", "RuntimeMetrics"]
-
-#: Sample cap above which a histogram degrades to reservoir sampling.
-#: 8192 doubles comfortably past any single study in the test suite
-#: while bounding a histogram at 64 KiB of floats.
-DEFAULT_MAX_SAMPLES = 8192
-
-#: 64-bit LCG constants (Knuth MMIX) for the reservoir's deterministic
-#: index stream — telemetry must not perturb (or depend on) any science
-#: RNG, so the histogram brings its own fixed-seed generator.
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
-_LCG_SEED = 0x9E3779B97F4A7C15
+__all__ = ["Histogram", "RuntimeMetrics"]
 
 
 class Histogram:
-    """Latency histogram with exact-then-reservoir percentile summaries.
+    """Latency histogram backed by one mergeable quantile sketch.
 
-    Up to ``max_samples`` observations are kept verbatim, so small-run
-    percentiles are exact.  Beyond the cap, new observations replace
-    stored ones via uniform reservoir sampling (Algorithm R with a
-    deterministic in-object LCG), keeping an unbiased fixed-size sample
-    of the full stream; ``count`` / ``total`` / ``max`` remain exact
-    regardless.  All mutation and reads take the histogram's own lock,
-    so direct ``histogram(name).observe(...)`` calls are as safe as
-    going through the registry.
+    ``count`` / ``total`` / ``max`` are exact; percentiles carry the
+    sketch's relative error (see the module docstring).  All mutation
+    and reads take the histogram's own lock, so direct
+    ``histogram(name).observe(...)`` calls are as safe as going
+    through the registry.
     """
 
-    __slots__ = ("_lock", "_samples", "_count", "_total", "_max", "_max_samples", "_lcg")
+    __slots__ = ("_lock", "_sketch")
 
-    def __init__(self, max_samples: int | None = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1 or None, got {max_samples}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._samples: list[float] = []
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
-        self._max_samples = max_samples
-        self._lcg = _LCG_SEED
+        self._sketch = QuantileSketch()
 
     def observe(self, value: float) -> None:
         """Record one observation (e.g. a latency in milliseconds)."""
         value = float(value)
         with self._lock:
-            self._count += 1
-            self._total += value
-            if value > self._max or self._count == 1:
-                self._max = value
-            cap = self._max_samples
-            if cap is None or len(self._samples) < cap:
-                self._samples.append(value)
-                return
-            # Algorithm R: keep each of the N seen values in the
-            # reservoir with probability cap / N.
-            self._lcg = (self._lcg * _LCG_MULT + _LCG_INC) & _LCG_MASK
-            slot = (self._lcg >> 16) % self._count
-            if slot < cap:
-                self._samples[slot] = value
+            self._sketch.observe(value)
 
     @property
     def count(self) -> int:
-        """Exact number of observations (not bounded by the reservoir)."""
+        """Exact number of observations."""
         with self._lock:
-            return self._count
+            return self._sketch.count
 
     @property
     def total(self) -> float:
         """Exact sum of all observations."""
         with self._lock:
-            return self._total
-
-    @property
-    def max_samples(self) -> int | None:
-        """The reservoir cap this histogram was built with."""
-        return self._max_samples
-
-    @property
-    def saturated(self) -> bool:
-        """True once the reservoir has started replacing samples."""
-        with self._lock:
-            return self._max_samples is not None and self._count > self._max_samples
+            return self._sketch.total
 
     def percentile(self, q: float) -> float:
-        """``q``-th percentile (0-100): exact below the cap, else sampled."""
+        """``q``-th percentile (0-100) estimate; 0.0 when empty."""
         with self._lock:
-            if not self._samples:
-                return 0.0
-            return float(np.percentile(np.asarray(self._samples), q))
+            return self._sketch.quantile(q / 100.0) if self._sketch.count else 0.0
 
     def summary(self) -> dict[str, float]:
-        """Count / mean / p50 / p95 / p99 / max digest.
-
-        ``count``, ``mean``, and ``max`` are always exact; the
-        percentiles come from the (possibly reservoir-sampled) stored
-        samples.
-        """
+        """Count / mean / p50 / p95 / p99 / max digest (all zeros when empty)."""
         with self._lock:
-            if self._count == 0:
-                return {
-                    "count": 0,
-                    "mean": 0.0,
-                    "p50": 0.0,
-                    "p95": 0.0,
-                    "p99": 0.0,
-                    "max": 0.0,
-                }
-            data = np.asarray(self._samples)
-            p50, p95, p99 = np.percentile(data, [50.0, 95.0, 99.0])
+            sketch = self._sketch
+            if sketch.count == 0:
+                return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
             return {
-                "count": int(self._count),
-                "mean": float(self._total / self._count),
-                "p50": float(p50),
-                "p95": float(p95),
-                "p99": float(p99),
-                "max": float(self._max),
+                "count": sketch.count,
+                "mean": sketch.mean,
+                "p50": sketch.quantile(0.50),
+                "p95": sketch.quantile(0.95),
+                "p99": sketch.quantile(0.99),
+                "max": sketch.vmax,
             }
 
 
@@ -192,11 +133,10 @@ class RuntimeMetrics:
     ``echo_dominant`` reason.
     """
 
-    def __init__(self, histogram_max_samples: int | None = DEFAULT_MAX_SAMPLES) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._histogram_max_samples = histogram_max_samples
 
     # -- counters ------------------------------------------------------
 
@@ -225,7 +165,7 @@ class RuntimeMetrics:
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = self._histograms[name] = Histogram(self._histogram_max_samples)
+                hist = self._histograms[name] = Histogram()
             return hist
 
     @contextmanager

@@ -10,8 +10,8 @@ exactly.
 
 from __future__ import annotations
 
+import asyncio
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,9 @@ from repro.obs import (
 )
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import RuntimeMetrics
+from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
+
+from .prometheus_format import validate_prometheus
 
 GOLDEN_CHROME = Path(__file__).parent / "golden_chrome_trace.json"
 
@@ -44,13 +47,46 @@ def _normalized_chrome(doc: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def golden_run(obs_pipeline, obs_recordings):
-    """Traced seeded 3-recording serial run (recording 1 is silent)."""
+    """(tracer, metrics) of a traced seeded 3-recording serial run.
+
+    Recording 1 is silent, so the registry holds failure counters too.
+    """
     tracer = Tracer()
+    metrics = RuntimeMetrics()
     with use_tracer(tracer):
-        result = BatchExecutor(obs_pipeline, metrics=RuntimeMetrics()).run(
-            obs_recordings[:3]
+        BatchExecutor(obs_pipeline, metrics=metrics).run(obs_recordings[:3])
+    return tracer, metrics
+
+
+#: Tenant ids that a name-folding writer would collide (the first two)
+#: or turn into a non-ASCII metric name (the third).
+AWKWARD_TENANTS = ("clinic-a", "clinic.a", "klinik-ü")
+
+
+@pytest.fixture(scope="module")
+def served_tenants(obs_pipeline, obs_recordings):
+    """Registry of a ScreeningService that served the awkward tenants."""
+    metrics = RuntimeMetrics()
+
+    async def scenario() -> None:
+        clock = VirtualClock()
+        service = ScreeningService(
+            BatchExecutor(obs_pipeline, metrics=metrics),
+            clock=clock,
+            batching=BatchPolicy(max_batch_size=len(AWKWARD_TENANTS), max_delay_s=0.01),
         )
-    return tracer, result
+        await service.start()
+        tasks = [
+            asyncio.ensure_future(
+                service.submit(ScreeningRequest(f"r-{i}", tenant, obs_recordings[0]))
+            )
+            for i, tenant in enumerate(AWKWARD_TENANTS)
+        ]
+        await clock.advance_until(lambda: all(t.done() for t in tasks), step=0.05)
+        await service.stop()
+
+    asyncio.run(scenario())
+    return metrics
 
 
 class TestChromeTrace:
@@ -84,33 +120,6 @@ class TestChromeTrace:
             assert thread_names[tid].startswith(f"recording {tid - 1} (")
 
 
-#: One metric sample:  name{optional labels} value
-_SAMPLE_RE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\"(,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\")*\})?"
-    r" -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$"
-)
-_TYPE_RE = re.compile(r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|summary)$")
-
-
-def _validate_prometheus(text: str) -> None:
-    """Minimal line-format validator for the text exposition format."""
-    assert text.endswith("\n"), "exposition must end with a newline"
-    declared: set[str] = set()
-    for line in text.splitlines():
-        type_match = _TYPE_RE.match(line)
-        if type_match:
-            family = type_match.group(1)
-            assert family not in declared, f"duplicate TYPE for {family}"
-            declared.add(family)
-            continue
-        assert _SAMPLE_RE.match(line), f"malformed sample line: {line!r}"
-        metric = re.split(r"[{\s]", line, maxsplit=1)[0]
-        base = re.sub(r"_(sum|count)$", "", metric)
-        assert metric in declared or base in declared, (
-            f"sample {metric!r} has no preceding TYPE declaration"
-        )
-
-
 class TestPrometheus:
     def _metrics(self) -> RuntimeMetrics:
         m = RuntimeMetrics()
@@ -122,7 +131,7 @@ class TestPrometheus:
         return m
 
     def test_exposition_passes_line_validator(self):
-        _validate_prometheus(prometheus_text(self._metrics()))
+        validate_prometheus(prometheus_text(self._metrics()))
 
     def test_counters_histograms_and_gauge_are_exported(self):
         text = prometheus_text(self._metrics())
@@ -135,13 +144,26 @@ class TestPrometheus:
 
     def test_accepts_a_prebuilt_report_dict(self):
         text = prometheus_text(self._metrics().report())
-        _validate_prometheus(text)
+        validate_prometheus(text)
         assert "earsonar_recordings_ok 4" in text
 
-    def test_end_to_end_metrics_validate(self, golden_run):
-        # The real executor's metric names must all survive sanitization.
-        m = RuntimeMetrics()
-        _validate_prometheus(prometheus_text(m))  # empty is valid too
+    def test_end_to_end_metrics_validate(self, golden_run, served_tenants):
+        # The real executor's and service's metric names must all
+        # survive sanitization.
+        _, metrics = golden_run
+        assert metrics.report()["histograms"]
+        validate_prometheus(prometheus_text(metrics))
+        validate_prometheus(prometheus_text(served_tenants))
+        validate_prometheus(prometheus_text(RuntimeMetrics()))  # empty is valid too
+
+    def test_tenant_counters_render_as_one_labelled_family(self, served_tenants):
+        text = prometheus_text(served_tenants)
+        assert text.count("# TYPE earsonar_serve_tenant_submitted counter\n") == 1
+        for tenant in AWKWARD_TENANTS:
+            assert f'earsonar_serve_tenant_submitted{{tenant="{tenant}"}} 1\n' in text
+            assert f'earsonar_serve_tenant_completed{{tenant="{tenant}"}} 1\n' in text
+        # The registry keys themselves are unchanged.
+        assert served_tenants.counter("serve.tenant.submitted.clinic.a") == 1
 
 
 class TestRunRecord:

@@ -35,6 +35,8 @@ from repro.obs.health import (
 )
 from repro.obs.health.window import WindowConfig
 
+from .prometheus_format import validate_prometheus
+
 WINDOW = WindowConfig(bucket_s=5.0, num_buckets=360)
 
 CONFIG = HealthConfig(
@@ -263,7 +265,15 @@ class TestRendering:
         assert 'quantile="0.95"' in text
         assert "earsonar_health_request_ms_count" in text
         assert "earsonar_slo_burn_rate" in text
-        assert text.endswith("\n")
+        validate_prometheus(text)
+
+    def test_prometheus_label_values_escape_backslash_quote_newline(self):
+        monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
+        tenant = 'a\\b"c\nd'
+        feed(monitor, [(100.0, tenant, 12.0), (101.0, "clinic", 3.0)])
+        text = monitor.prometheus(110.0)
+        validate_prometheus(text)
+        assert 'earsonar_health_request_ms_count{tenant="a\\\\b\\"c\\nd"} 1\n' in text
 
     def test_null_monitor_renders_nothing(self):
         assert NULL_HEALTH.snapshot() == {}

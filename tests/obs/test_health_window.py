@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.health.rollup import OVERFLOW_VALUE, RollupSeries
-from repro.obs.health.sketch import QuantileSketch, SketchConfig
+from repro.obs.health.sketch import GROWTH, QuantileSketch
 from repro.obs.health.window import SlidingWindow, WindowConfig
 
 
@@ -71,13 +71,12 @@ class TestSketchMergeAlgebra:
             assert merged.to_dict() == whole.to_dict()
 
     def test_quantile_relative_error_is_bounded_by_the_growth_factor(self):
-        config = SketchConfig()
         values = sorted(dyadic_stream(8, 1000))
-        sketch = fill(QuantileSketch(config), values)
+        sketch = fill(QuantileSketch(), values)
         for q in (0.1, 0.5, 0.9, 0.99):
             exact = values[round(q * (len(values) - 1))]
             estimate = sketch.quantile(q)
-            assert estimate == pytest.approx(exact, rel=config.growth - 1.0)
+            assert estimate == pytest.approx(exact, rel=GROWTH - 1.0)
 
     def test_quantiles_clamp_to_observed_extremes(self):
         sketch = fill(QuantileSketch(), [0.25, 1024.0])
@@ -120,7 +119,7 @@ class TestSlidingWindowMerge:
         )
 
     def test_buckets_expire_past_the_horizon(self):
-        window = SlidingWindow(self.CONFIG, track_values=False)
+        window = SlidingWindow(self.CONFIG)
         window.observe(1.0, 10.0)
         window.observe(1.0, 12.0)
         horizon = self.CONFIG.horizon_s  # 60 s
@@ -130,9 +129,9 @@ class TestSlidingWindowMerge:
         assert window.totals(10.0 + horizon + self.CONFIG.bucket_s).count == 0
 
     def test_stale_incoming_buckets_are_dropped_on_merge(self):
-        fresh = SlidingWindow(self.CONFIG, track_values=False)
+        fresh = SlidingWindow(self.CONFIG)
         fresh.observe(1.0, 1000.0)
-        stale = SlidingWindow(self.CONFIG, track_values=False)
+        stale = SlidingWindow(self.CONFIG)
         # Same ring slot as epoch 200 (1000/5), one full ring earlier.
         stale.observe(1.0, 1000.0 - self.CONFIG.horizon_s)
         fresh.merge(stale)
@@ -161,7 +160,6 @@ class TestRollupSeries:
             "health.requests",
             ("tenant",),
             self.CONFIG,
-            track_values=False,
             max_values_per_key=2,
         )
         for tenant in ("a", "b", "c", "d", "c"):

@@ -1,11 +1,13 @@
 """Unit tests for the runtime metrics registry."""
 
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from repro.runtime.metrics import DEFAULT_MAX_SAMPLES, Histogram, RuntimeMetrics
+from repro.obs.health.sketch import GROWTH, MAX_INDEX
+from repro.runtime.metrics import Histogram, RuntimeMetrics
 
 
 class TestHistogram:
@@ -14,40 +16,70 @@ class TestHistogram:
         assert s == {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
 
     def test_percentiles_are_exact(self):
+        # What stays exact: count, total, mean and max always, and every
+        # percentile of a degenerate stream (the estimate is clamped into
+        # the exact [min, max]); other percentiles sit within the sketch
+        # bound of the order statistic.
+        bound = math.sqrt(GROWTH) * (1.0 + 1e-12)
         hist = Histogram()
         for v in range(1, 101):
             hist.observe(float(v))
         assert hist.count == 100
-        assert hist.percentile(50) == pytest.approx(50.5)
-        assert hist.percentile(99) == pytest.approx(np.percentile(np.arange(1, 101), 99))
+        assert hist.total == 5050.0
+        assert 50.0 / bound <= hist.percentile(50) <= 50.0 * bound
+        assert 99.0 / bound <= hist.percentile(99) <= 99.0 * bound
         s = hist.summary()
         assert s["count"] == 100
-        assert s["mean"] == pytest.approx(50.5)
+        assert s["mean"] == 50.5
         assert s["max"] == 100.0
         assert s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
 
+        constant = Histogram()
+        for _ in range(10):
+            constant.observe(7.25)
+        for q in (0, 50, 95, 99, 100):
+            assert constant.percentile(q) == 7.25
+
+    def test_percentiles_are_within_the_sketch_bound(self):
+        # The stated tolerance: percentile(q) lies in [min, max] and
+        # within a factor sqrt(GROWTH) of the order statistic at rank
+        # floor(q/100 * (n - 1)); count, total, mean and max are exact.
+        bound = math.sqrt(GROWTH) * (1.0 + 1e-12)
+        for n in (3, 100, 10_000):
+            values = np.random.default_rng(n).lognormal(mean=2.0, sigma=1.5, size=n)
+            hist = Histogram()
+            running_total = 0.0
+            for v in values:
+                hist.observe(float(v))
+                running_total += float(v)
+            ordered = np.sort(values)
+            for q in (0, 50, 95, 99, 100):
+                estimate = hist.percentile(q)
+                exact = ordered[math.floor(q / 100 * (n - 1))]
+                assert ordered[0] <= estimate <= ordered[-1]
+                assert exact / bound <= estimate <= exact * bound, (n, q, estimate, exact)
+            s = hist.summary()
+            assert hist.count == s["count"] == n
+            assert hist.total == running_total
+            assert s["mean"] == running_total / n
+            assert s["max"] == ordered[-1]
+            assert s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
+
 
 class TestHistogramReservoir:
-    def test_sample_storage_is_bounded_by_cap(self):
-        hist = Histogram(max_samples=64)
-        for v in range(10_000):
-            hist.observe(float(v))
-        assert hist.count == 10_000
-        assert len(hist._samples) == 64
-        assert hist.saturated
+    """Long streams: bounded memory, exact count/total/max, safe concurrency."""
 
-    def test_exact_until_cap_then_sampled(self):
-        hist = Histogram(max_samples=100)
-        for v in range(1, 101):
+    def test_sample_storage_is_bounded_by_cap(self):
+        # Thirteen decades of magnitudes, the smallest under MIN_VALUE,
+        # fit the sketch's fixed bucket grid.
+        hist = Histogram()
+        for v in np.geomspace(1e-4, 1e9, 100_000):
             hist.observe(float(v))
-        assert not hist.saturated
-        # Below the cap, every sample is stored verbatim.
-        assert hist.percentile(50) == pytest.approx(50.5)
-        hist.observe(101.0)
-        assert hist.saturated
+        assert hist.count == 100_000
+        assert len(hist._sketch.buckets) <= 2 * MAX_INDEX + 1
 
     def test_count_total_max_stay_exact_beyond_cap(self):
-        hist = Histogram(max_samples=32)
+        hist = Histogram()
         values = [float(v) for v in range(1, 2001)]
         for v in values:
             hist.observe(v)
@@ -57,39 +89,21 @@ class TestHistogramReservoir:
         assert hist.summary()["mean"] == pytest.approx(sum(values) / 2000)
 
     def test_reservoir_percentiles_track_distribution(self):
-        # Uniform stream: the reservoir's median should land near the
-        # true median, not near either end.
-        hist = Histogram(max_samples=512)
+        # Uniform stream: the median lands near the true median, not
+        # near either end, and within the sketch bound of it.
+        hist = Histogram()
         for v in range(100_000):
             hist.observe(float(v % 1000))
         p50 = hist.percentile(50)
         assert 300.0 < p50 < 700.0
-
-    def test_reservoir_is_deterministic(self):
-        def fill() -> list[float]:
-            hist = Histogram(max_samples=16)
-            for v in range(5_000):
-                hist.observe(float(v))
-            return list(hist._samples)
-
-        assert fill() == fill()
-
-    def test_unbounded_histogram_keeps_everything(self):
-        hist = Histogram(max_samples=None)
-        for v in range(DEFAULT_MAX_SAMPLES + 100):
-            hist.observe(float(v))
-        assert len(hist._samples) == DEFAULT_MAX_SAMPLES + 100
-        assert not hist.saturated
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(max_samples=0)
+        bound = math.sqrt(GROWTH) * (1.0 + 1e-12)
+        assert 499.0 / bound <= p50 <= 499.0 * bound
 
     def test_direct_observe_is_locked(self):
         # The documented direct-access path: histogram(name).observe()
         # must mutate under the histogram's own lock.  Hammer it from
         # several threads and check no observation was lost.
-        m = RuntimeMetrics(histogram_max_samples=None)
+        m = RuntimeMetrics()
         hist = m.histogram("contended_ms")
         per_thread, threads = 2_000, 8
 
@@ -103,16 +117,8 @@ class TestHistogramReservoir:
         for t in pool:
             t.join()
         assert hist.count == per_thread * threads
-        assert len(hist._samples) == per_thread * threads
-
-    def test_registry_passes_cap_to_new_histograms(self):
-        m = RuntimeMetrics(histogram_max_samples=8)
-        for v in range(100):
-            m.observe("capped_ms", float(v))
-        hist = m.histogram("capped_ms")
-        assert hist.max_samples == 8
-        assert hist.count == 100
-        assert len(hist._samples) == 8
+        assert hist.total == threads * sum(range(per_thread))
+        assert hist.summary()["max"] == per_thread - 1
 
 
 class TestRuntimeMetrics:

@@ -204,7 +204,9 @@ class TestCanonicalEmission:
         }
         assert tenant_counters, "no per-tenant counters emitted"
         for name in tenant_counters:
-            base, _, tenant = name.rpartition(".")
+            split = names.split_tenant_counter(name)
+            assert split is not None, f"undocumented tenant counter: {name}"
+            base, tenant = split
             assert base in bases, f"undocumented tenant counter: {name}"
             assert tenant, f"tenant-less tenant counter: {name}"
 
