@@ -72,55 +72,6 @@ def test_runtime_warm_cache(benchmark, pipeline, recordings):
 
 
 @pytest.mark.experiment
-def test_runtime_handoff_zero_copy(benchmark, recordings):
-    """Parent-pack + worker-rebuild of one chunk through shared memory."""
-    from repro.runtime import shm
-
-    benchmark.group = "runtime-handoff"
-    if not shm.shared_memory_available():
-        pytest.skip("no shared memory on this host")
-    arena = shm.WaveformArena(RuntimeMetrics())
-
-    def handoff():
-        payload, segment = arena.share_chunk(recordings)
-        rebuilt = shm.materialize_chunk(payload)
-        count = len(rebuilt)
-        rebuilt = None
-        shm.release_attachments()
-        arena.release(segment)
-        return count
-
-    try:
-        assert benchmark(handoff) == len(recordings)
-    finally:
-        arena.close()
-
-
-@pytest.mark.experiment
-def test_runtime_handoff_pickled(benchmark, recordings):
-    """The same chunk pickled through a real multiprocessing pipe."""
-    import multiprocessing
-    import threading
-
-    benchmark.group = "runtime-handoff"
-    send_end, recv_end = multiprocessing.Pipe()
-
-    def handoff():
-        received = []
-        reader = threading.Thread(target=lambda: received.append(recv_end.recv()))
-        reader.start()
-        send_end.send(recordings)
-        reader.join()
-        return len(received[0])
-
-    try:
-        assert benchmark(handoff) == len(recordings)
-    finally:
-        send_end.close()
-        recv_end.close()
-
-
-@pytest.mark.experiment
 def test_runtime_shape_and_report(benchmark, report, pipeline, recordings):
     """Assert the runtime's economic claims and emit the JSON summary."""
     benchmark.group = "runtime-cache"

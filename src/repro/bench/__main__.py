@@ -20,77 +20,6 @@ from . import BenchResult, compare_ops, git_sha, machine_fingerprint, write_repo
 from .trajectory import append_entry, check_gate
 
 
-def _runtime_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
-    """Dispatch-overhead pair: shared-memory handoff vs pickled dispatch.
-
-    Times exactly the bytes-moving half of pool dispatch for one chunk
-    of real recordings, with the DSP excluded.  The shm side is the
-    arena round-trip the executor runs (pack into a recycled segment,
-    worker-side attach + zero-copy view rebuild, release); the baseline
-    is what pickled dispatch actually pays — the chunk pickled through a
-    real ``multiprocessing`` pipe and unpickled on the far end, which is
-    the transport ``ProcessPoolExecutor`` uses.  ``speedup`` reads as
-    ``pickled_p50 / shm_p50``; the acceptance bar (>= 30% lower
-    overhead) corresponds to speedup >= 1.43.
-    """
-    import multiprocessing
-    import threading
-
-    from ..runtime import shm
-    from ..runtime.metrics import RuntimeMetrics
-    from ..simulation.participant import sample_participant
-    from ..simulation.session import SessionConfig, record_session
-
-    setup_rng = np.random.default_rng(seed)
-    participant = sample_participant(setup_rng, "BENCH")
-    session_cfg = SessionConfig(duration_s=0.1 if quick else 1.0)
-    chunk = [
-        record_session(participant, 0.5 * day, session_cfg, setup_rng)
-        for day in range(4 if quick else 16)
-    ]
-    total_bytes = sum(int(r.waveform.nbytes) for r in chunk)
-    if not shm.shared_memory_available():
-        return []
-    metrics = RuntimeMetrics()
-    arena = shm.WaveformArena(metrics)
-    send_end, recv_end = multiprocessing.Pipe()
-
-    def shm_handoff() -> int:
-        payload, segment = arena.share_chunk(chunk)
-        rebuilt = shm.materialize_chunk(payload)
-        count = len(rebuilt)
-        rebuilt = None
-        shm.release_attachments()
-        arena.release(segment)
-        return count
-
-    def pickled_handoff() -> int:
-        # Reader thread drains the pipe concurrently, exactly like the
-        # pool's worker end; sending 6 MB into an undrained pipe would
-        # deadlock on the OS buffer instead of measuring transport cost.
-        received: list = []
-        reader = threading.Thread(target=lambda: received.append(recv_end.recv()))
-        reader.start()
-        send_end.send(chunk)
-        reader.join()
-        return len(received[0])
-
-    try:
-        return [
-            compare_ops(
-                "runtime.waveform_handoff",
-                f"recordings={len(chunk)},bytes={total_bytes}",
-                shm_handoff,
-                pickled_handoff,
-                repeats=repeats,
-            )
-        ]
-    finally:
-        arena.close()
-        send_end.close()
-        recv_end.close()
-
-
 def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[BenchResult]:
     """Micro-benchmarks: each batched kernel vs its serial oracle."""
     from ..features.laplacian import laplacian_scores, laplacian_scores_reference
@@ -441,7 +370,6 @@ def main(argv: list[str] | None = None) -> int:
 
     kernel_results = _kernel_suite(rng, args.quick, repeats)
     pipeline_results = _pipeline_suite(args.seed, args.quick, repeats)
-    runtime_results = _runtime_suite(args.seed, args.quick, repeats)
     obs_results = _obs_suite(args.seed, args.quick, repeats, args.trace_dir)
 
     from ..core.config import EarSonarConfig
@@ -466,34 +394,27 @@ def main(argv: list[str] | None = None) -> int:
         label="pipeline",
         **stamp,
     )
-    runtime_path = write_report(
-        args.output_dir / "BENCH_runtime.json", runtime_results, label="runtime", **stamp
-    )
     obs_path = write_report(
         args.output_dir / "BENCH_obs.json", obs_results, label="obs", **stamp
     )
 
     _print_table("kernel micro-benchmarks (batched vs serial oracle)", kernel_results)
     _print_table("pipeline stages (batched vs serial oracle)", pipeline_results)
-    if runtime_results:
-        _print_table("runtime dispatch (zero-copy shm vs pickled handoff)", runtime_results)
     _print_table("observability overhead (traced vs disabled)", obs_results)
     overhead = overhead_pct(obs_results[0])
     if overhead is not None:
         print(f"\ntracing overhead: {overhead:+.2f}% on batch p50")
-    print(f"wrote {kernels_path}, {pipeline_path}, {runtime_path} and {obs_path}")
+    print(f"wrote {kernels_path}, {pipeline_path} and {obs_path}")
 
     failed = False
     if args.trajectory is not None:
-        # The obs op is namespaced like the runtime. suite so the
-        # ratchet tracks tracing overhead per entry: its speedup is
-        # untraced/traced p50, so a drop past tolerance (more overhead)
-        # plus a p50 rise fails the gate like any kernel regression.
-        trajectory_results = (
-            kernel_results
-            + runtime_results
-            + [dataclasses.replace(r, op=f"obs.{r.op}") for r in obs_results]
-        )
+        # The obs op is namespaced so the ratchet tracks tracing
+        # overhead per entry: its speedup is untraced/traced p50, so a
+        # drop past tolerance (more overhead) plus a p50 rise fails the
+        # gate like any kernel regression.
+        trajectory_results = kernel_results + [
+            dataclasses.replace(r, op=f"obs.{r.op}") for r in obs_results
+        ]
         append_entry(
             args.trajectory,
             trajectory_results,

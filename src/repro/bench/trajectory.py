@@ -87,7 +87,7 @@ def append_entry(
 
     Returns the entry appended.  Ops are keyed by their record name;
     callers merging several suites into one entry must namespace the
-    op names (the CLI uses ``runtime.*`` / ``obs.*`` prefixes).
+    op names (the CLI uses an ``obs.*`` prefix).
     """
     entry = {
         "git_sha": sha if sha is not None else git_sha(),

@@ -53,7 +53,6 @@ __all__ = [
     "EVENT_SERIAL_FALLBACK",
     "EVENT_EXPERIMENT_STARTED",
     "EVENT_EXPERIMENT_FINISHED",
-    "EVENT_SHM_FALLBACK",
     "EVENT_NAMES",
     "METRIC_RECORDINGS_SUBMITTED",
     "METRIC_RECORDINGS_OK",
@@ -71,22 +70,15 @@ __all__ = [
     "METRIC_BREAKER_OPENED",
     "METRIC_QUALITY_DEGRADED",
     "METRIC_QUALITY_REJECTED",
-    "METRIC_SHM_SEGMENTS_CREATED",
-    "METRIC_SHM_SEGMENTS_RELEASED",
-    "METRIC_SHM_BYTES_SAVED",
-    "METRIC_SHM_FALLBACKS",
-    "METRIC_SHM_ORPHANS_CLEANED",
     "METRIC_REVERB_TAPS_REMOVED",
     "METRIC_QUALITY_ECHO_DOMINANT",
     "HIST_RECORDING_MS",
     "HIST_STAGE_BANDPASS_MS",
     "HIST_STAGE_FEATURES_MS",
     "HIST_BATCH_MS",
-    "HIST_SHM_HANDOFF_MS",
     "HIST_CALIB_OFFSET_DB",
     "CANONICAL_COUNTERS",
     "CANONICAL_HISTOGRAMS",
-    "SHM_DEGRADED_COUNTERS",
     "ECHO_CONDITIONAL_COUNTERS",
     "SPAN_SERVE_ADMISSION",
     "SPAN_SERVE_BATCH",
@@ -222,9 +214,6 @@ EVENT_SERIAL_FALLBACK = "executor.serial_fallback"
 EVENT_EXPERIMENT_STARTED = "experiment.started"
 #: An experiments-CLI run finished (fields: experiment, seconds).
 EVENT_EXPERIMENT_FINISHED = "experiment.finished"
-#: A shared-memory handoff degraded to the pickled path (fields:
-#: reason).  Emitted at WARNING level.
-EVENT_SHM_FALLBACK = "shm.fallback"
 #: The online screening service started (fields: workers, max_depth).
 EVENT_SERVE_STARTED = "serve.started"
 #: The service stopped (fields: completed, rejected, drained).
@@ -261,7 +250,6 @@ EVENT_NAMES = frozenset(
         EVENT_SERIAL_FALLBACK,
         EVENT_EXPERIMENT_STARTED,
         EVENT_EXPERIMENT_FINISHED,
-        EVENT_SHM_FALLBACK,
         EVENT_SERVE_STARTED,
         EVENT_SERVE_STOPPED,
         EVENT_SERVE_REJECTED,
@@ -307,19 +295,6 @@ METRIC_BREAKER_OPENED = "breaker.opened"
 METRIC_QUALITY_DEGRADED = "quality.degraded"
 #: Quality-gate REJECT verdicts.
 METRIC_QUALITY_REJECTED = "quality.rejected"
-#: Shared-memory segments created for zero-copy chunk handoff.
-METRIC_SHM_SEGMENTS_CREATED = "shm.segments_created"
-#: Shared-memory segments released (unlinked) after chunk completion.
-METRIC_SHM_SEGMENTS_RELEASED = "shm.segments_released"
-#: Waveform bytes handed to workers by reference instead of pickling.
-METRIC_SHM_BYTES_SAVED = "shm.bytes_saved"
-#: Chunk handoffs that degraded to the pickled path (shm unavailable
-#: or segment creation failed).  Conditional: only emitted in degraded
-#: environments, so it lives in :data:`SHM_DEGRADED_COUNTERS`.
-METRIC_SHM_FALLBACKS = "shm.fallbacks"
-#: Orphaned ``/dev/shm`` segments reclaimed by the cleanup sweep.
-#: Conditional: only emitted after a worker/parent crash left litter.
-METRIC_SHM_ORPHANS_CLEANED = "shm.orphans_cleaned"
 #: Early reflections subtracted by the rake stage.  Conditional: only
 #: emitted when ``EarSonarConfig.reverb`` is enabled and the rake
 #: removed at least one tap, so it lives in
@@ -338,9 +313,6 @@ HIST_STAGE_BANDPASS_MS = "stage.bandpass_ms"
 HIST_STAGE_FEATURES_MS = "stage.features_ms"
 #: Whole-batch wall time per :meth:`BatchExecutor.run` call.
 HIST_BATCH_MS = "batch_ms"
-#: Parent-side cost of sharing one chunk's waveforms (copy into the
-#: shared-memory arena + descriptor construction).
-HIST_SHM_HANDOFF_MS = "shm.handoff_ms"
 #: Per-recording calibration offset estimate in dB (0.0 when the
 #: estimation stage is disabled).
 HIST_CALIB_OFFSET_DB = "calib.offset_db"
@@ -365,9 +337,6 @@ CANONICAL_COUNTERS = frozenset(
         METRIC_BREAKER_OPENED,
         METRIC_QUALITY_DEGRADED,
         METRIC_QUALITY_REJECTED,
-        METRIC_SHM_SEGMENTS_CREATED,
-        METRIC_SHM_SEGMENTS_RELEASED,
-        METRIC_SHM_BYTES_SAVED,
     }
 )
 
@@ -378,20 +347,7 @@ CANONICAL_HISTOGRAMS = frozenset(
         HIST_STAGE_BANDPASS_MS,
         HIST_STAGE_FEATURES_MS,
         HIST_BATCH_MS,
-        HIST_SHM_HANDOFF_MS,
         HIST_CALIB_OFFSET_DB,
-    }
-)
-
-#: Counters that only fire in *degraded* environments (shared memory
-#: unavailable, worker crash leaving orphaned segments).  They are
-#: documented names — the leak test accepts them — but the canonical
-#: emission test does not require a healthy batch run to produce them;
-#: dedicated degraded-environment tests assert their emission instead.
-SHM_DEGRADED_COUNTERS = frozenset(
-    {
-        METRIC_SHM_FALLBACKS,
-        METRIC_SHM_ORPHANS_CLEANED,
     }
 )
 
@@ -592,7 +548,6 @@ def registry() -> dict[str, tuple[str, ...]]:
         "EVENT_NAMES": tuple(sorted(EVENT_NAMES)),
         "CANONICAL_COUNTERS": tuple(sorted(CANONICAL_COUNTERS)),
         "CANONICAL_HISTOGRAMS": tuple(sorted(CANONICAL_HISTOGRAMS)),
-        "SHM_DEGRADED_COUNTERS": tuple(sorted(SHM_DEGRADED_COUNTERS)),
         "ECHO_CONDITIONAL_COUNTERS": tuple(sorted(ECHO_CONDITIONAL_COUNTERS)),
         "SERVE_REJECTION_COUNTERS": tuple(sorted(SERVE_REJECTION_COUNTERS.values())),
         "SERVE_CANONICAL_COUNTERS": tuple(sorted(SERVE_CANONICAL_COUNTERS)),

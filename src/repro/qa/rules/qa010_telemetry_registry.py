@@ -45,7 +45,6 @@ KIND_REGISTRIES: dict[str, tuple[str, ...]] = {
         "CANONICAL_COUNTERS",
         "SERVE_CANONICAL_COUNTERS",
         "SERVE_REJECTION_COUNTERS",
-        "SHM_DEGRADED_COUNTERS",
         "ECHO_CONDITIONAL_COUNTERS",
         "HEALTH_COUNTER_SERIES",
     ),

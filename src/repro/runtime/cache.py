@@ -60,7 +60,7 @@ __all__ = ["recording_key", "FeatureCache"]
 
 #: Bumped whenever the on-disk entry schema changes; entries written by
 #: other versions are treated as corrupt (evicted, recomputed).
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 #: Exceptions that mean "this disk entry is unreadable", not "the
 #: program is broken": bad zip containers, missing/odd fields, short
@@ -230,7 +230,14 @@ class FeatureCache:
         return path.with_name(f"{path.name}.tmp-{os.getpid()}")
 
     def _save(self, path: Path, processed: ProcessedRecording) -> None:
-        state = processed.true_state.value if processed.true_state else ""
+        # Every field is written under its own name; only the enum and
+        # the tuple of reason codes need a storable form.
+        fields = {
+            f.name: getattr(processed, f.name)
+            for f in dataclasses.fields(ProcessedRecording)
+        }
+        fields["true_state"] = processed.true_state.value if processed.true_state else ""
+        fields["quality_reasons"] = np.array(processed.quality_reasons, dtype=np.str_)
         checksum = self._payload_checksum(
             processed.features, processed.curve, processed.mean_segment
         )
@@ -246,20 +253,7 @@ class FeatureCache:
                     stream,
                     cache_version=np.int64(CACHE_FORMAT_VERSION),
                     checksum=np.str_(checksum),
-                    features=processed.features,
-                    curve=processed.curve,
-                    mean_segment=processed.mean_segment,
-                    segment_rate=np.float64(processed.segment_rate),
-                    num_events=np.int64(processed.num_events),
-                    num_echoes=np.int64(processed.num_echoes),
-                    participant_id=np.str_(processed.participant_id),
-                    day=np.float64(processed.day),
-                    true_state=np.str_(state),
-                    confidence=np.float64(processed.confidence),
-                    num_chirps_dropped=np.int64(processed.num_chirps_dropped),
-                    quality_reasons=np.array(
-                        list(processed.quality_reasons), dtype=np.str_
-                    ),
+                    **fields,
                 )
             tmp.replace(path)
 
@@ -278,31 +272,23 @@ class FeatureCache:
                         f"{int(data['cache_version'])}, "
                         f"expected {CACHE_FORMAT_VERSION}"
                     )
-                features = np.array(data["features"])
-                curve = np.array(data["curve"])
-                mean_segment = np.array(data["mean_segment"])
-                checksum = cls._payload_checksum(features, curve, mean_segment)
+                fields = {}
+                for f in dataclasses.fields(ProcessedRecording):
+                    value = np.array(data[f.name])
+                    fields[f.name] = value if value.ndim else value.item()
+                checksum = cls._payload_checksum(
+                    fields["features"], fields["curve"], fields["mean_segment"]
+                )
                 if checksum != str(data["checksum"]):
                     raise CacheCorruptionError(
                         f"cache entry {path.name} failed checksum verification"
                     )
-                state_str = str(data["true_state"])
-                return ProcessedRecording(
-                    features=features,
-                    curve=curve,
-                    mean_segment=mean_segment,
-                    segment_rate=float(data["segment_rate"]),
-                    num_events=int(data["num_events"]),
-                    num_echoes=int(data["num_echoes"]),
-                    participant_id=str(data["participant_id"]),
-                    day=float(data["day"]),
-                    true_state=MeeState(state_str) if state_str else None,
-                    confidence=float(data["confidence"]),
-                    num_chirps_dropped=int(data["num_chirps_dropped"]),
-                    quality_reasons=tuple(
-                        str(r) for r in np.atleast_1d(data["quality_reasons"])
-                    ),
+                state = fields["true_state"]
+                fields["true_state"] = MeeState(state) if state else None
+                fields["quality_reasons"] = tuple(
+                    str(r) for r in fields["quality_reasons"]
                 )
+                return ProcessedRecording(**fields)
         except CacheCorruptionError:
             raise
         except _CORRUPTION_ERRORS as exc:

@@ -57,13 +57,6 @@ from .cache import FeatureCache, recording_key
 from .chaos import FaultInjector
 from .faults import DEFAULT_RETRY_POLICY, FailedRecording, RetryPolicy, run_with_policy
 from .metrics import RuntimeMetrics
-from .shm import (
-    SharedRecording,
-    WaveformArena,
-    materialize_chunk,
-    release_attachments,
-    shared_memory_available,
-)
 
 __all__ = ["BatchExecutor", "BatchResult"]
 
@@ -184,7 +177,7 @@ def _traced_run_one(process, index: int, recording: Recording, policy: RetryPoli
 def _process_chunk(
     config: EarSonarConfig,
     policy: RetryPolicy,
-    chunk: list[tuple[int, Recording]] | list[tuple[int, SharedRecording]],
+    chunk: list[tuple[int, Recording]],
     quality: QualityConfig | None = None,
     injector: FaultInjector | None = None,
     trace_ctx: TraceContext | None = None,
@@ -206,41 +199,28 @@ def _process_chunk(
     crashing the worker, sleeping past the deadline, or raising — so
     the parent's recovery machinery sees the failure exactly where a
     real one would occur.
-
-    Chunks may arrive with :class:`~repro.runtime.shm.SharedRecording`
-    stand-ins (the zero-copy path); they are rebuilt here as read-only
-    views into the parent's shared-memory segment, and every view is
-    dropped before the segment is unmapped on the way out.
     """
     pipeline = _worker_pipeline(config)
     process = functools.partial(_gated_timed_process, pipeline, quality=quality)
-    indexed = list(
-        zip((index for index, _ in chunk), materialize_chunk([item for _, item in chunk]))
-    )
     out = []
-    try:
-        with activate_from_context(trace_ctx) as tracer, activate_health_from_context(
-            health_ctx
-        ) as health:
-            for index, recording in indexed:
-                if injector is not None and injector.should_trip(index):
-                    injector.trip(index)
-                result, attempts = _traced_run_one(process, index, recording, policy)
-                span_dict = (
-                    tracer.traces[-1].to_dict()
-                    if tracer is not None and tracer.traces
-                    else None
-                )
-                if isinstance(result, FailedRecording):
-                    out.append((index, result, None, attempts, span_dict))
-                else:
-                    processed, latencies = result
-                    out.append((index, processed, latencies, attempts, span_dict))
-            recording = None  # drop the last zero-copy view before unmapping
-            health_state = health.export_state() if health is not None else None
-    finally:
-        indexed.clear()
-        release_attachments()
+    with activate_from_context(trace_ctx) as tracer, activate_health_from_context(
+        health_ctx
+    ) as health:
+        for index, recording in chunk:
+            if injector is not None and injector.should_trip(index):
+                injector.trip(index)
+            result, attempts = _traced_run_one(process, index, recording, policy)
+            span_dict = (
+                tracer.traces[-1].to_dict()
+                if tracer is not None and tracer.traces
+                else None
+            )
+            if isinstance(result, FailedRecording):
+                out.append((index, result, None, attempts, span_dict))
+            else:
+                processed, latencies = result
+                out.append((index, processed, latencies, attempts, span_dict))
+        health_state = health.export_state() if health is not None else None
     return out, health_state
 
 
@@ -295,14 +275,6 @@ class BatchExecutor:
         Optional :class:`~repro.runtime.chaos.FaultInjector` armed in
         the workers for chaos tests.  Pool path only — a deliberate
         crash or hang in the serial path would take down the caller.
-    zero_copy:
-        Waveform handoff mode for the pool path.  ``None`` (default)
-        enables the shared-memory arena whenever the host supports it;
-        ``False`` forces the legacy pickled handoff; ``True`` insists
-        on the arena (individual chunks still degrade to pickling,
-        with a ``shm.fallback`` warning, if a segment cannot be
-        created).  Results are byte-identical either way — only
-        dispatch overhead changes.
     """
 
     def __init__(
@@ -318,7 +290,6 @@ class BatchExecutor:
         task_timeout_s: float | None = None,
         breaker: CircuitBreaker | None = None,
         fault_injector: FaultInjector | None = None,
-        zero_copy: bool | None = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -340,7 +311,6 @@ class BatchExecutor:
         self.task_timeout_s = task_timeout_s
         self.breaker = breaker
         self.fault_injector = fault_injector
-        self.zero_copy = zero_copy
         if cache is not None and cache.metrics is None:
             # Corruption evictions surface in this executor's report.
             cache.metrics = self.metrics
@@ -589,114 +559,85 @@ class BatchExecutor:
         breaker = self.breaker
         if breaker is not None:
             breaker.on_new_batch()
-        arena = WaveformArena(self.metrics)
-        use_shm = (
-            self.zero_copy
-            if self.zero_copy is not None
-            else shared_memory_available()
-        )
-        payloads: list[list] = []
-        segments: list[str | None] = []
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            for chunk in chunks:
-                if use_shm:
-                    shared, segment = arena.share_chunk(
-                        [recording for _, recording in chunk]
-                    )
-                    payloads.append(
-                        [(index, item) for (index, _), item in zip(chunk, shared)]
-                    )
-                    segments.append(segment)
-                else:
-                    payloads.append(chunk)
-                    segments.append(None)
             futures = [
                 pool.submit(
                     _process_chunk,
                     config,
                     self.retry_policy,
-                    payload,
+                    chunk,
                     self.quality_gate,
                     self.fault_injector,
                     trace_ctx,
                     health_ctx,
                 )
-                for payload in payloads
+                for chunk in chunks
             ]
             for chunk_no, (chunk, future) in enumerate(zip(chunks, futures)):
+                if breaker is not None and breaker.is_open:
+                    future.cancel()
+                    self.metrics.increment(obs_names.METRIC_CHUNKS_SKIPPED)
+                    self._quarantine_chunk(
+                        chunk,
+                        outcomes,
+                        CircuitOpenError(
+                            "circuit breaker open after "
+                            f"{breaker.consecutive_failures} consecutive "
+                            "chunk failures"
+                        ),
+                    )
+                    continue
                 try:
-                    if breaker is not None and breaker.is_open:
-                        future.cancel()
-                        self.metrics.increment(obs_names.METRIC_CHUNKS_SKIPPED)
-                        self._quarantine_chunk(
-                            chunk,
-                            outcomes,
-                            CircuitOpenError(
-                                "circuit breaker open after "
-                                f"{breaker.consecutive_failures} consecutive "
-                                "chunk failures"
-                            ),
+                    with tracer.span(
+                        obs_names.SPAN_CHUNK, chunk=chunk_no, size=len(chunk)
+                    ):
+                        rows, health_state = future.result(
+                            timeout=self.task_timeout_s
                         )
-                        continue
-                    try:
-                        with tracer.span(
-                            obs_names.SPAN_CHUNK, chunk=chunk_no, size=len(chunk)
-                        ):
-                            rows, health_state = future.result(
-                                timeout=self.task_timeout_s
-                            )
-                    except FuturesTimeoutError:
-                        self.metrics.increment(obs_names.METRIC_TIMEOUTS)
-                        self._chunk_failed(
-                            chunk,
+                except FuturesTimeoutError:
+                    self.metrics.increment(obs_names.METRIC_TIMEOUTS)
+                    self._chunk_failed(
+                        chunk,
+                        outcomes,
+                        TaskTimeoutError(
+                            "pool task missed its "
+                            f"{self.task_timeout_s:g}s deadline"
+                        ),
+                    )
+                except BrokenProcessPool as exc:
+                    self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
+                    self._chunk_failed(
+                        chunk,
+                        outcomes,
+                        WorkerCrashError(f"worker process died mid-chunk: {exc}"),
+                    )
+                except ExecutionError as exc:
+                    # Injected faults and classified infrastructure
+                    # errors raised inside the worker; anything else
+                    # (a genuine programming error) still propagates.
+                    self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
+                    self._chunk_failed(chunk, outcomes, exc)
+                else:
+                    if breaker is not None:
+                        breaker.record_success()
+                    if health_state is not None:
+                        health.merge_state(health_state)
+                    for index, outcome, latencies, attempts, span_dict in rows:
+                        if span_dict is not None:
+                            tracer.adopt(Span.from_dict(span_dict))
+                        self._record_outcome(
+                            index,
+                            by_index[index],
+                            outcome,
+                            latencies,
+                            attempts,
                             outcomes,
-                            TaskTimeoutError(
-                                "pool task missed its "
-                                f"{self.task_timeout_s:g}s deadline"
-                            ),
                         )
-                    except BrokenProcessPool as exc:
-                        self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
-                        self._chunk_failed(
-                            chunk,
-                            outcomes,
-                            WorkerCrashError(f"worker process died mid-chunk: {exc}"),
-                        )
-                    except ExecutionError as exc:
-                        # Injected faults and classified infrastructure
-                        # errors raised inside the worker; anything else
-                        # (a genuine programming error) still propagates.
-                        self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
-                        self._chunk_failed(chunk, outcomes, exc)
-                    else:
-                        if breaker is not None:
-                            breaker.record_success()
-                        if health_state is not None:
-                            health.merge_state(health_state)
-                        for index, outcome, latencies, attempts, span_dict in rows:
-                            if span_dict is not None:
-                                tracer.adopt(Span.from_dict(span_dict))
-                            self._record_outcome(
-                                index,
-                                by_index[index],
-                                outcome,
-                                latencies,
-                                attempts,
-                                outcomes,
-                            )
-                finally:
-                    # The worker is done with (or never got) this
-                    # chunk's segment; unlink it now rather than at
-                    # batch end so arena footprint stays one in-flight
-                    # window, not the whole batch.
-                    arena.release(segments[chunk_no])
         finally:
             # wait=False: after a timeout or crash there may be a hung
             # or dead worker; blocking on it here would forfeit the
-            # deadline we just enforced.  The arena force-release keeps
-            # /dev/shm clean on every exit path, including crashes.
-            arena.close()
+            # deadline we just enforced.
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _chunk(

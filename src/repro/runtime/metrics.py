@@ -111,20 +111,10 @@ class RuntimeMetrics:
     - ``executor.chunks_skipped`` — chunks quarantined by an open breaker
     - ``breaker.opened`` — circuit-breaker open transitions
     - ``quality.degraded`` / ``quality.rejected`` — quality-gate verdicts
-    - ``shm.segments_created`` / ``shm.segments_released`` — zero-copy
-      arena segment lifecycle (always balanced by batch end)
-    - ``shm.bytes_saved`` — waveform bytes handed off by reference
-      instead of being pickled into pool tasks
     - histograms ``recording_ms``, ``stage.bandpass_ms``,
-      ``stage.features_ms``, ``batch_ms``, ``shm.handoff_ms`` (arena
-      packing latency per chunk), ``calib.offset_db`` (per-recording
-      calibration offset estimate; 0.0 whenever the calibration stage
-      is disabled)
-
-    Degraded-path counters (``SHM_DEGRADED_COUNTERS``) appear only when
-    shared memory misbehaves: ``shm.fallbacks`` — chunks that reverted
-    to pickled handoff; ``shm.orphans_cleaned`` — dead-owner segments
-    reclaimed from ``/dev/shm``.
+      ``stage.features_ms``, ``batch_ms``, ``calib.offset_db``
+      (per-recording calibration offset estimate; 0.0 whenever the
+      calibration stage is disabled)
 
     Echo-conditional counters (``ECHO_CONDITIONAL_COUNTERS``) appear
     only on reverberant or miscalibrated inputs: ``reverb.taps_removed``

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter, lfiltic
 
 from ..errors import InvalidWaveformError, SignalProcessingError
 
@@ -117,23 +118,12 @@ def sliding_power(signal: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarr
 def _first_order_smooth(values: np.ndarray, alpha: float, *, seed: float) -> np.ndarray:
     """Evaluate ``y[i] = alpha x[i] + (1 - alpha) y[i-1]`` with ``y[-1] = seed``.
 
-    Delegates to ``scipy.signal.lfilter`` when available (the recursion
-    is exactly a first-order IIR filter) and falls back to an explicit
-    loop otherwise.
+    The recursion is exactly a first-order IIR filter, so
+    ``scipy.signal.lfilter`` evaluates it.
     """
-    try:
-        from scipy.signal import lfilter, lfiltic
-
-        zi = lfiltic([alpha], [1.0, -(1.0 - alpha)], y=[seed])
-        smoothed, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], values, zi=zi)
-        return smoothed
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        out = np.empty_like(values)
-        prev = seed
-        for i, x in enumerate(values):
-            prev = alpha * x + (1.0 - alpha) * prev
-            out[i] = prev
-        return out
+    zi = lfiltic([alpha], [1.0, -(1.0 - alpha)], y=[seed])
+    smoothed, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], values, zi=zi)
+    return smoothed
 
 
 def detect_events(

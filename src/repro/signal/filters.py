@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # Fast inner loop; the pure-Python reference below is the fallback.
-    from scipy.signal import sosfilt as _scipy_sosfilt
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _scipy_sosfilt = None
+from scipy.signal import sosfilt as _scipy_sosfilt
 
 from ..errors import ConfigurationError
 
@@ -281,9 +277,7 @@ def sosfilt(sos: np.ndarray, signal: np.ndarray) -> np.ndarray:
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         return signal.copy()
-    if _scipy_sosfilt is not None:
-        return _scipy_sosfilt(np.atleast_2d(sos), signal)
-    return sosfilt_reference(sos, signal)
+    return _scipy_sosfilt(np.atleast_2d(sos), signal)
 
 
 def sosfiltfilt(sos: np.ndarray, signal: np.ndarray, *, pad_len: int | None = None) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ..errors import ConfigurationError
 
@@ -107,17 +108,7 @@ def motion_artifact(
         raw = rng.standard_normal(num_samples)
         # Single-pole smoothing confines the rumble to low frequencies.
         pole = np.exp(-2.0 * np.pi * 150.0 / sample_rate)
-        rumble = np.empty(num_samples)
-        prev = 0.0
-        # Vectorised first-order filter via lfilter if available.
-        try:
-            from scipy.signal import lfilter
-
-            rumble = lfilter([1.0 - pole], [1.0, -pole], raw)
-        except ImportError:  # pragma: no cover
-            for i, x in enumerate(raw):
-                prev = (1.0 - pole) * x + pole * prev
-                rumble[i] = prev
+        rumble = lfilter([1.0 - pole], [1.0, -pole], raw)
         rms = np.sqrt(np.mean(rumble**2))
         if rms > 0:
             artifact += profile.rumble_rms / rms * rumble

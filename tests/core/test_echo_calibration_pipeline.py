@@ -1,6 +1,6 @@
 """Pipeline integration for the echo-aware + calibration-aware stages.
 
-Three contracts are under test:
+Two contracts are under test:
 
 1. **Disabled is invisible.**  With ``reverb`` and ``calibration`` left
    at their defaults the pipeline output is byte-identical to a config
@@ -10,9 +10,9 @@ Three contracts are under test:
    reverberant captures, and the calibration estimator recovers the
    *relative* drift a device accumulated (the absolute offset carries a
    participant-dependent bias, so the differential is the contract).
-3. **Equivalence across execution modes.**  Serial and pooled
-   (zero-copy) execution agree byte-for-byte even with both new stages
-   enabled.
+
+Equivalence across execution paths with both stages enabled is checked
+by ``tests/runtime/test_cross_path.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 from repro.acoustics.reverb import ReverbConfig
 from repro.core.config import CalibrationConfig, EarSonarConfig
 from repro.core.pipeline import EarSonarPipeline
-from repro.runtime import BatchExecutor
 from repro.simulation import sample_participant
 from repro.simulation.calibration import (
     CalibrationDriftConfig,
@@ -154,39 +153,3 @@ class TestCalibrationStage:
         )
         naive = EarSonarPipeline().process(drifted_recording)
         assert corrected.features.tobytes() != naive.features.tobytes()
-
-
-class TestPoolEquivalence:
-    def test_serial_and_pooled_agree_with_both_stages_on(
-        self, module_participant
-    ):
-        session = SessionConfig(
-            duration_s=0.1,
-            reverb=ReverbConfig(enabled=True, strength=2.0),
-            calibration=DRIFT,
-            device_unit=5,
-        )
-        rng = np.random.default_rng(29)
-        recordings = [
-            record_session(module_participant, float(day), session, rng)
-            for day in (2.0, 9.0, 16.0)
-        ]
-        pipeline = EarSonarPipeline(
-            EarSonarConfig(
-                reverb=ReverbConfig(enabled=True),
-                calibration=CalibrationConfig(enabled=True),
-            )
-        )
-        serial = BatchExecutor(pipeline, workers=1).run(recordings)
-        pooled = BatchExecutor(pipeline, workers=2, zero_copy=True).run(
-            recordings
-        )
-        assert [p.features.tobytes() for p in pooled.processed] == [
-            p.features.tobytes() for p in serial.processed
-        ]
-        assert [p.num_reflections_removed for p in pooled.processed] == [
-            p.num_reflections_removed for p in serial.processed
-        ]
-        assert [p.calibration_offset_db for p in pooled.processed] == [
-            p.calibration_offset_db for p in serial.processed
-        ]

@@ -119,7 +119,6 @@ class TestCanonicalEmission:
         unknown = (
             set(report["counters"])
             - names.CANONICAL_COUNTERS
-            - names.SHM_DEGRADED_COUNTERS
             - names.ECHO_CONDITIONAL_COUNTERS
         )
         assert not unknown, f"undocumented counters: {sorted(unknown)}"

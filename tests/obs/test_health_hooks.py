@@ -201,9 +201,7 @@ class TestPoolMergesLikeSerial:
             serial = BatchExecutor(obs_pipeline, workers=1).run(obs_recordings)
         pool_monitor = make_monitor()
         with use_health(pool_monitor):
-            pooled = BatchExecutor(
-                obs_pipeline, workers=2, zero_copy=False
-            ).run(obs_recordings)
+            pooled = BatchExecutor(obs_pipeline, workers=2).run(obs_recordings)
         for a, b in zip(serial.processed, pooled.processed):
             assert a.features.tobytes() == b.features.tobytes()
         assert pool_monitor.export_state() == serial_monitor.export_state()

@@ -111,6 +111,30 @@ class TestDiskTier:
         assert loaded.day == entry.day
         assert loaded.true_state is MeeState.MUCOID
 
+    def test_every_field_roundtrips(self, tmp_path):
+        entry = _processed(
+            confidence=0.75,
+            num_chirps_dropped=3,
+            quality_reasons=("chirps_dropped", "calibration_unstable"),
+            calibration_offset_db=1.5,
+            num_reflections_removed=7,
+        )
+        fields = dataclasses.fields(ProcessedRecording)
+        for f in fields:
+            if f.default is not dataclasses.MISSING:
+                assert getattr(entry, f.name) != f.default, f.name
+        FeatureCache(directory=tmp_path).put("k", entry)
+
+        loaded = FeatureCache(directory=tmp_path).get("k")
+        for f in fields:
+            expected, actual = getattr(entry, f.name), getattr(loaded, f.name)
+            if isinstance(expected, np.ndarray):
+                assert actual.dtype == expected.dtype, f.name
+                assert actual.tobytes() == expected.tobytes(), f.name
+            else:
+                assert actual == expected, f.name
+                assert type(actual) is type(expected), f.name
+
     def test_none_state_roundtrips(self, tmp_path):
         FeatureCache(directory=tmp_path).put("k", _processed(true_state=None))
         assert FeatureCache(directory=tmp_path).get("k").true_state is None

@@ -1,0 +1,153 @@
+"""One input, one answer: every execution path returns the same result.
+
+The same short captures run through six paths — the direct pipeline,
+``BatchExecutor`` serial and pooled, a memory-cache hit, a disk-cache
+hit read by a fresh ``FeatureCache``, and ``ScreeningService`` on a
+virtual clock — under two configs: the default, and rake + calibration
+on reverberant captures from a drifting device.  Every
+``ProcessedRecording`` field must agree with the direct pipeline's,
+arrays byte for byte.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.acoustics.reverb import ReverbConfig
+from repro.core.config import CalibrationConfig, EarSonarConfig
+from repro.core.pipeline import EarSonarPipeline
+from repro.core.results import ProcessedRecording
+from repro.obs import names as obs_names
+from repro.runtime import BatchExecutor, FeatureCache, RuntimeMetrics
+from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
+from repro.simulation import sample_participant
+from repro.simulation.calibration import CalibrationDriftConfig
+from repro.simulation.session import SessionConfig, record_session
+
+#: The drift and capture construction of the echo/calibration pipeline
+#: tests: a 6 dB gain drift reached within one session.
+DRIFT = CalibrationDriftConfig(
+    enabled=True, gain_drift_db=6.0, tilt_drift_db=0.0, horizon_sessions=1
+)
+
+CONFIGS = {
+    "default": (EarSonarConfig(), SessionConfig(duration_s=0.1)),
+    "reverb_calibration": (
+        EarSonarConfig(
+            reverb=ReverbConfig(enabled=True),
+            calibration=CalibrationConfig(enabled=True),
+        ),
+        SessionConfig(
+            duration_s=0.1,
+            reverb=ReverbConfig(enabled=True, strength=2.0),
+            calibration=DRIFT,
+            device_unit=5,
+        ),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def case(request):
+    """``(pipeline, captures, direct results)`` for one config."""
+    config, session = CONFIGS[request.param]
+    participant = sample_participant(np.random.default_rng(202), "P777")
+    rng = np.random.default_rng(29)
+    captures = [
+        record_session(participant, day, session, rng) for day in (2.0, 9.0, 16.0)
+    ]
+    pipeline = EarSonarPipeline(config)
+    return pipeline, captures, [pipeline.process(c) for c in captures]
+
+
+def _serial(pipeline, captures, tmp_path):
+    return BatchExecutor(pipeline, workers=1).run(captures).processed
+
+
+def _pool(pipeline, captures, tmp_path):
+    metrics = RuntimeMetrics()
+    result = BatchExecutor(pipeline, workers=2, metrics=metrics).run(captures)
+    assert metrics.counter(obs_names.METRIC_CHUNKS_DISPATCHED) > 0
+    return result.processed
+
+
+def _cached(pipeline, captures, cache: FeatureCache) -> list[ProcessedRecording]:
+    metrics = RuntimeMetrics()
+    result = BatchExecutor(pipeline, cache=cache, metrics=metrics).run(captures)
+    assert metrics.counter(obs_names.METRIC_CACHE_HITS) == len(captures)
+    assert metrics.counter(obs_names.METRIC_PIPELINE_CALLS) == 0
+    return result.processed
+
+
+def _memory_hit(pipeline, captures, tmp_path):
+    cache = FeatureCache()
+    BatchExecutor(pipeline, cache=cache).run(captures)
+    return _cached(pipeline, captures, cache)
+
+
+def _disk_hit(pipeline, captures, tmp_path):
+    BatchExecutor(pipeline, cache=FeatureCache(directory=tmp_path)).run(captures)
+    return _cached(pipeline, captures, FeatureCache(directory=tmp_path))
+
+
+def _serve(pipeline, captures, tmp_path):
+    async def scenario():
+        clock = VirtualClock()
+        service = ScreeningService(
+            BatchExecutor(pipeline),
+            clock=clock,
+            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+        )
+        await service.start()
+        tasks = [
+            asyncio.ensure_future(
+                service.submit(ScreeningRequest(f"req-{i}", "clinic", capture))
+            )
+            for i, capture in enumerate(captures)
+        ]
+        await clock.advance_until(lambda: all(task.done() for task in tasks))
+        await service.stop()
+        return [task.result() for task in tasks]
+
+    responses = asyncio.run(scenario())
+    assert all(response.ok for response in responses)
+    return [response.outcome for response in responses]
+
+
+PATHS = {
+    "serial": _serial,
+    "pool": _pool,
+    "memory_hit": _memory_hit,
+    "disk_hit": _disk_hit,
+    "serve": _serve,
+}
+
+
+def assert_same_result(actual: ProcessedRecording, expected: ProcessedRecording):
+    for f in dataclasses.fields(ProcessedRecording):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        if isinstance(e, np.ndarray):
+            assert a.dtype == e.dtype, f.name
+            assert a.tobytes() == e.tobytes(), f.name
+        else:
+            assert a == e, f.name
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_path_matches_the_direct_pipeline(case, path, tmp_path):
+    pipeline, captures, direct = case
+    results = PATHS[path](pipeline, captures, tmp_path)
+    assert len(results) == len(direct)
+    for actual, expected in zip(results, direct):
+        assert_same_result(actual, expected)
+
+
+@pytest.mark.parametrize("case", ["reverb_calibration"], indirect=True)
+def test_reverb_calibration_case_is_not_vacuous(case):
+    _, _, direct = case
+    assert all(p.num_reflections_removed > 0 for p in direct)
+    assert all(p.calibration_offset_db != 0.0 for p in direct)
