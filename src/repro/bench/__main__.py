@@ -22,7 +22,12 @@ from .trajectory import append_entry, check_gate
 
 def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[BenchResult]:
     """Micro-benchmarks: each batched kernel vs its serial oracle."""
+    from ..acoustics.reverb import ReverbConfig
+    from ..core.config import EarSonarConfig
+    from ..core.pipeline import EarSonarPipeline
     from ..features.laplacian import laplacian_scores, laplacian_scores_reference
+    from ..kernels.chirp import rake_cancel_batched
+    from ..kernels.plan import rake_plan
     from ..signal.chirp import (
         ChirpDesign,
         chirp_train,
@@ -30,9 +35,15 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
         matched_filter,
         matched_filter_reference,
     )
-    from ..signal.correlation import correlation_matrix, correlation_matrix_reference
+    from ..signal.correlation import (
+        cancel_early_reflections,
+        correlation_matrix,
+        correlation_matrix_reference,
+    )
     from ..signal.mfcc import MfccConfig, mfcc, mfcc_reference
     from ..signal.spectral import welch_psd, welch_psd_reference
+    from ..simulation import SessionConfig, record_session, sample_participant
+    from ..simulation.calibration import CalibrationDriftConfig
 
     results: list[BenchResult] = []
     fs = ChirpDesign().sample_rate
@@ -115,6 +126,47 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
             f"n={k}",
             lambda: matched_filter(capture, design),
             lambda: matched_filter_reference(capture, design),
+            repeats=repeats,
+        )
+    )
+
+    # The rake stage: every event of one seeded reverberant capture from
+    # a drifting device unit, batched vs the per-event dense oracle.
+    duration = 0.1 if quick else 1.0
+    session = SessionConfig(
+        duration_s=duration,
+        reverb=ReverbConfig(enabled=True),
+        calibration=CalibrationDriftConfig(enabled=True),
+        device_unit=int(rng.integers(8)),
+    )
+    participant = sample_participant(rng, "bench-rake", total_days=30)
+    recording = record_session(participant, float(rng.uniform(0.0, 30.0)), session, rng)
+    pipeline = EarSonarPipeline(EarSonarConfig(reverb=ReverbConfig(enabled=True)))
+    filtered = pipeline.preprocess(recording.waveform)
+    segments = [e.slice(filtered) for e in pipeline.detect_chirp_events(filtered)]
+    rake = rake_plan(pipeline.config.chirp)
+    protect_from = pipeline.rake_protect_from
+    threshold = pipeline.config.reverb.rake_threshold
+    results.append(
+        compare_ops(
+            "rake_cancel",
+            f"events={len(segments)},duration_s={duration}",
+            lambda: rake_cancel_batched(
+                segments,
+                pipeline.config.chirp,
+                protect_from=protect_from,
+                threshold=threshold,
+            ),
+            lambda: [
+                cancel_early_reflections(
+                    segment,
+                    rake.pulse,
+                    rake.quad,
+                    protect_from=protect_from,
+                    threshold=threshold,
+                )
+                for segment in segments
+            ],
             repeats=repeats,
         )
     )

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import InvalidWaveformError, NoEchoFoundError, SignalProcessingError
 from ..features.vector import FeatureVectorBuilder
+from ..kernels.chirp import rake_cancel_batched
 from ..kernels.plan import band_zoom_plan
 from ..kernels.spectral import band_zoom_amplitude
 from ..obs import names as obs_names
@@ -64,7 +65,7 @@ class EarSonarPipeline:
         # the drum echo itself is never touched.
         lo_up, _ = cfg.segmenter.delay_window_samples()
         factor = cfg.segmenter.upsample_factor
-        self._rake_protect = max(1, lo_up // factor)
+        self.rake_protect_from = max(1, lo_up // factor)
         # Calibration-offset estimation: dB-linear baseline fit over the
         # band-edge bins of the absorption grid (away from the notch).
         centre = 0.5 * (self._grid[0] + self._grid[-1])
@@ -150,26 +151,24 @@ class EarSonarPipeline:
     ) -> tuple[np.ndarray, int]:
         """Rake-cancel early canal reflections from every chirp event.
 
-        Each event runs the orthogonal-least-squares rake (plan-cached
-        I/Q templates): reflections landing before the eardrum-delay
-        prior and above the configured amplitude threshold are jointly
-        fit and subtracted from the event.  Returns the cleaned stream
-        (the input array itself when nothing was subtracted) and the
-        total number of reflections removed.
+        All events go through one call of the batched
+        orthogonal-least-squares rake (plan-cached I/Q templates and lag
+        table): reflections landing before the eardrum-delay prior and
+        above the configured amplitude threshold are jointly fit and
+        subtracted from their event.  Events never overlap, so raking
+        them together equals raking them one after another.  Returns
+        the cleaned stream (the input array itself when nothing was
+        subtracted) and the total number of reflections removed.
         """
-        from ..kernels.chirp import rake_cancel_planned
-
-        reverb = self.config.reverb
+        raked = rake_cancel_batched(
+            [event.slice(filtered) for event in events],
+            self.config.chirp,
+            protect_from=self.rake_protect_from,
+            threshold=self.config.reverb.rake_threshold,
+        )
         cleaned = filtered
         removed_total = 0
-        for event in events:
-            segment = cleaned[event.start : event.end]
-            new_segment, removed = rake_cancel_planned(
-                segment,
-                self.config.chirp,
-                protect_from=self._rake_protect,
-                threshold=reverb.rake_threshold,
-            )
+        for event, (new_segment, removed) in zip(events, raked):
             if removed:
                 if cleaned is filtered:
                     cleaned = filtered.copy()

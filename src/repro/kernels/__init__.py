@@ -23,7 +23,13 @@ the band-zoom DFT behind ``EarSonarPipeline.absorption_curves``
 (:func:`band_zoom_amplitude`): it evaluates only the probe-band bins,
 matches the per-echo full-FFT ``absorption_curve`` to ~1e-15 (the
 golden bound is 1e-10), and ``tests/core/test_band_zoom_verdicts.py``
-checks that detector verdicts do not change.
+checks that detector verdicts do not change.  The batched rake
+(:func:`~repro.kernels.chirp.rake_cancel_batched`) chooses its taps
+with lag-table arithmetic, which rounds differently from the dense
+``cancel_early_reflections`` oracle, then re-fits the winner densely;
+its tests hold every event to the oracle's tap count and a cleaned
+segment within 1e-9 (bit-identical on every event tried), and the same
+verdict test covers it.
 
 The plan cache is module-level state, so the runtime's process-pool
 workers build each plan once per worker process and reuse it across

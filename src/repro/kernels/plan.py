@@ -294,35 +294,43 @@ def mfcc_plan(config: "MfccConfig") -> MfccPlan:
 class RakePlan:
     """Precomputed templates of the orthogonal-least-squares rake.
 
-    The I/Q template pair and its 2x2 Gram inverse depend only on the
-    chirp design — none of the per-event data — so the per-event cost
-    collapses to the onset search plus a handful of length-``pulse``
-    dot products per candidate delay.
+    Every rake template is the I/Q pair placed whole at some onset, so
+    the inner product of two placed templates depends only on the
+    difference of their onsets.  The lag table holds those products for
+    every overlap, which turns each entry of a trial fit's Gram matrix
+    into one lookup; the pair and the table depend only on the chirp
+    design, none of the per-event data.
 
     Attributes
     ----------
     pulse, quad:
         The template pulse and its discrete Hilbert quadrature.
-    gram_inv:
-        Inverse 2x2 Gram matrix of the pair (see
-        :func:`repro.signal.correlation.rake_gram_inverse`).
+    lags:
+        ``(2n - 1, 2, 2)`` lag table for an ``n``-sample pulse:
+        ``lags[d + n - 1, a, b] = sum_k t_a[k] * t_b[k - d]`` with
+        ``t_0 = pulse`` and ``t_1 = quad``, for ``|d| < n``.  Templates
+        ``|d| >= n`` apart do not overlap and their product is 0.
     """
 
     pulse: np.ndarray
     quad: np.ndarray
-    gram_inv: np.ndarray
+    lags: np.ndarray
 
 
 def rake_plan(design: "ChirpDesign") -> RakePlan:
     """Cached :class:`RakePlan` for ``design``."""
 
     def build() -> RakePlan:
-        from ..signal.correlation import quadrature_pulse, rake_gram_inverse
+        from ..signal.correlation import quadrature_pulse
 
         pulse = chirp_pulse(design)
         quad = _freeze(quadrature_pulse(pulse))
-        gram_inv = _freeze(rake_gram_inverse(pulse, quad))
-        return RakePlan(pulse=pulse, quad=quad, gram_inv=gram_inv)
+        templates = (pulse, quad)
+        lags = np.empty((2 * pulse.size - 1, 2, 2))
+        for a, first in enumerate(templates):
+            for b, second in enumerate(templates):
+                lags[:, a, b] = np.correlate(first, second, mode="full")
+        return RakePlan(pulse=pulse, quad=quad, lags=_freeze(lags))
 
     return cached_plan(("rake", design), build)
 

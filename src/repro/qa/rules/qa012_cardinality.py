@@ -37,9 +37,6 @@ _LABELED_METHODS = frozenset({"increment", "observe"})
 #: Name of the closed key vocabulary in the project's obs.names module.
 _VOCABULARY = "HEALTH_LABEL_KEYS"
 
-#: Per-project vocabulary cache (resolving walks the names module AST).
-_VOCAB_CACHE: dict[int, frozenset[str] | None] = {}
-
 
 def _names_module(project: Project) -> ModuleInfo | None:
     for name in sorted(project.modules):
@@ -66,14 +63,8 @@ def _literal_strings(node: ast.expr) -> frozenset[str] | None:
     return None
 
 
-def _vocabulary(project: Project) -> frozenset[str] | None:
-    key = id(project)
-    if key not in _VOCAB_CACHE:
-        _VOCAB_CACHE[key] = _resolve_vocabulary(project)
-    return _VOCAB_CACHE[key]
-
-
 def _resolve_vocabulary(project: Project) -> frozenset[str] | None:
+    """The project's declared label-key set: one walk of its names module."""
     names = _names_module(project)
     if names is None:
         return None
@@ -107,7 +98,7 @@ class LabelCardinalityRule(Rule):
     )
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
-        vocabulary = _vocabulary(project)
+        vocabulary = _resolve_vocabulary(project)
         if vocabulary is None:
             return
         for node in ast.walk(module.tree):

@@ -19,9 +19,35 @@ __all__ = [
     "correlation_matrix_reference",
     "quadrature_pulse",
     "rake_onset",
-    "rake_gram_inverse",
+    "rake_joint_fit",
     "cancel_early_reflections",
 ]
+
+# Rake constants, shared with the batched kernel
+# (:func:`repro.kernels.chirp.rake_cancel_batched`) so both paths make
+# the same decisions.
+
+#: Ridge on crowded taps, as a fraction of the pulse energy.
+RAKE_RIDGE = 0.05
+#: Two taps at most this many samples apart are "crowded".
+RAKE_CROWDED_GAP = 2
+#: A new tap must explain this fraction of the remaining energy...
+RAKE_GAIN_FRACTION = 0.05
+#: ...and at least this fraction of the pulse energy.
+RAKE_GAIN_FLOOR = 1e-12
+#: Growth rounds beyond ``protect_from``.
+RAKE_EXTRA_ROUNDS = 4
+#: A window tap above this fraction of the direct amplitude discards
+#: its onset attempt (it relabelled the direct pulse as a tap).
+RAKE_RIVALRY = 0.9
+#: AIC penalty per support tap.
+RAKE_AIC_PENALTY = 8.0
+#: Residual-energy floor of the AIC score, as a fraction of the pulse
+#: energy.
+RAKE_ENERGY_FLOOR = 1e-15
+#: Onset attempts span the envelope peak ± this many samples; each
+#: protected envelope peak also nominates its neighbours this far out.
+RAKE_SPREAD = 2
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,21 +171,39 @@ def rake_onset(segment: np.ndarray, pulse: np.ndarray, quad: np.ndarray) -> int:
     return int(np.argmax(ci * ci + cq * cq))
 
 
-def rake_gram_inverse(pulse: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """2x2 inverse Gram matrix of the in-phase/quadrature template pair.
+def rake_joint_fit(
+    segment: np.ndarray,
+    pulse: np.ndarray,
+    quad: np.ndarray,
+    support: list[int],
+    ridge: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense joint least-squares fit of I/Q templates at ``support`` onsets.
 
-    The pair is nearly orthogonal but not exactly (the discrete Hilbert
-    transform of a short windowed chirp leaks a little), so the rake's
-    per-delay amplitude fits solve the exact 2x2 normal equations
-    instead of assuming orthogonality.
+    Builds the ``segment x 2k`` design (pulse and quadrature placed at
+    each onset), adds ``ridge`` to the diagonal of every *crowded* tap
+    (any tap but the first within :data:`RAKE_CROWDED_GAP` samples of
+    another) and solves the normal equations.  Returns the
+    coefficients, interleaved ``[I0, Q0, I1, Q1, ...]`` in ``support``
+    order, and the residual ``segment - design @ coef``.
     """
-    gram = np.array(
-        [
-            [pulse @ pulse, pulse @ quad],
-            [pulse @ quad, quad @ quad],
-        ]
-    )
-    return np.linalg.inv(gram)
+    n = pulse.size
+    design = np.zeros((segment.size, 2 * len(support)))
+    for i, start in enumerate(support):
+        design[start : start + n, 2 * i] = pulse
+        design[start : start + n, 2 * i + 1] = quad
+    gram = design.T @ design
+    damping = np.zeros(2 * len(support))
+    for i, start in enumerate(support[1:], start=1):
+        crowded = any(
+            0 < abs(start - other) <= RAKE_CROWDED_GAP
+            for j, other in enumerate(support)
+            if j != i
+        )
+        if crowded:
+            damping[2 * i : 2 * i + 2] = ridge
+    coef = np.linalg.solve(gram + np.diag(damping), design.T @ segment)
+    return coef, segment - design @ coef
 
 
 def cancel_early_reflections(
@@ -169,7 +213,6 @@ def cancel_early_reflections(
     *,
     protect_from: int,
     threshold: float,
-    gram_inv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Estimate and subtract early reflections from one chirp event.
 
@@ -198,10 +241,10 @@ def cancel_early_reflections(
     untouched, and sub-threshold window components are never
     subtracted, so estimation noise stays out of the output.
 
-    ``gram_inv``, when given, is the precomputed 2x2 I/Q Gram inverse
-    (see :func:`repro.kernels.plan.rake_plan`).  Returns the cleaned
-    segment (a copy unless something was subtracted) and the number of
-    reflections removed.
+    This is the oracle of the batched
+    :func:`repro.kernels.chirp.rake_cancel_batched`, which the pipeline
+    runs.  Returns the cleaned segment (a copy unless something was
+    subtracted) and the number of reflections removed.
     """
     segment = np.asarray(segment, dtype=float)
     if protect_from < 1:
@@ -209,13 +252,6 @@ def cancel_early_reflections(
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     n = pulse.size
-    if gram_inv is None:
-        gram_inv = rake_gram_inverse(pulse, quad)
-
-    def iq_fit(window: np.ndarray) -> tuple[np.ndarray, float]:
-        theta = gram_inv @ np.array([pulse @ window, quad @ window])
-        return theta, float(np.hypot(theta[0], theta[1]))
-
     pulse_energy = float(pulse @ pulse)
     last_start = segment.size - n
     # A reflection a sample or two from another component is nearly
@@ -224,27 +260,7 @@ def cancel_early_reflections(
     # coefficients.  A small ridge on exactly those crowded taps (never
     # the direct, never a well-separated tap) damps the runaway
     # direction while leaving identifiable components unbiased.
-    ridge = 0.05 * pulse_energy
-
-    def joint_fit(support: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        design = np.zeros((segment.size, 2 * len(support)))
-        for i, start in enumerate(support):
-            design[start : start + n, 2 * i] = pulse
-            design[start : start + n, 2 * i + 1] = quad
-        gram = design.T @ design
-        damping = np.zeros(2 * len(support))
-        for i, start in enumerate(support[1:], start=1):
-            crowded = any(
-                0 < abs(start - other) <= 2
-                for j, other in enumerate(support)
-                if j != i
-            )
-            if crowded:
-                damping[2 * i : 2 * i + 2] = ridge
-        coef = np.linalg.solve(
-            gram + np.diag(damping), design.T @ segment
-        )
-        return coef, segment - design @ coef
+    ridge = RAKE_RIDGE * pulse_energy
 
     def protected_candidates(residual: np.ndarray, protect_end: int) -> set[int]:
         # Neighbourhoods of residual envelope local maxima at or beyond
@@ -263,7 +279,7 @@ def cancel_early_reflections(
             if envelope[start] >= left and envelope[start] >= right:
                 out.update(
                     s
-                    for s in range(start - 2, start + 3)
+                    for s in range(start - RAKE_SPREAD, start + RAKE_SPREAD + 1)
                     if protect_end <= s <= last_start
                 )
         return out
@@ -275,17 +291,19 @@ def cancel_early_reflections(
             return None
         protect_end = onset + protect_from
         support = [onset]
-        coef, residual = joint_fit(support)
+        coef, residual = rake_joint_fit(segment, pulse, quad, support, ridge)
         direct = float(np.hypot(coef[0], coef[1]))
         if direct <= 0.0:
             return None
         energy = float(residual @ residual)
-        for _ in range(protect_from + 4):
+        for _ in range(protect_from + RAKE_EXTRA_ROUNDS):
             # A component worth modelling explains a real fraction of
             # what is left; smaller reductions are noise-chasing.  (The
             # amplitude threshold below decides subtractability — this
             # gate only stops the support growing into the noise.)
-            gain_min = max(0.05 * energy, 1e-12 * pulse_energy)
+            gain_min = max(
+                RAKE_GAIN_FRACTION * energy, RAKE_GAIN_FLOOR * pulse_energy
+            )
             candidates = {
                 s for s in range(onset + 1, protect_end) if s <= last_start
             }
@@ -293,7 +311,9 @@ def cancel_early_reflections(
             candidates -= set(support)
             best = None
             for start in sorted(candidates):
-                trial_coef, trial_residual = joint_fit(support + [start])
+                trial_coef, trial_residual = rake_joint_fit(
+                    segment, pulse, quad, support + [start], ridge
+                )
                 trial_energy = float(trial_residual @ trial_residual)
                 if best is None or trial_energy < best[0]:
                     best = (trial_energy, start, trial_coef, trial_residual)
@@ -309,7 +329,7 @@ def cancel_early_reflections(
             theta = coef[2 * i : 2 * i + 2]
             amp = float(np.hypot(theta[0], theta[1]))
             if start < protect_end:
-                if amp > 0.9 * direct:
+                if amp > RAKE_RIVALRY * direct:
                     # A "reflection" rivalling the direct pulse means
                     # this alignment relabelled the direct as a tap;
                     # subtracting it would delete the signal itself.
@@ -322,8 +342,8 @@ def cancel_early_reflections(
         # penalty a misaligned attempt with spurious taps beats the
         # honest no-tap fit on every noisy clean segment.
         score = segment.size * np.log(
-            max(energy, 1e-15 * pulse_energy) / segment.size
-        ) + 8.0 * len(support)
+            max(energy, RAKE_ENERGY_FLOOR * pulse_energy) / segment.size
+        ) + RAKE_AIC_PENALTY * len(support)
         return float(score), direct, taps
 
     # The matched-filter envelope of a short pulse is broad, so under
@@ -336,7 +356,7 @@ def cancel_early_reflections(
     peak = rake_onset(segment, pulse, quad)
     attempts = [
         attempt
-        for onset in range(max(0, peak - 2), peak + 3)
+        for onset in range(max(0, peak - RAKE_SPREAD), peak + RAKE_SPREAD + 1)
         if (attempt := peel(onset)) is not None
     ]
     if not attempts:

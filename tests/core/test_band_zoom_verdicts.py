@@ -1,4 +1,4 @@
-"""Band-zoom absorption curves give the same verdicts as the per-echo oracle.
+"""Band-zoom curves and the batched rake give the oracles' verdicts.
 
 ``EarSonarPipeline.absorption_curves`` evaluates each echo's spectrum
 with a band-limited direct DFT instead of the full FFT behind
@@ -7,7 +7,10 @@ not bit-identical (the golden suite bounds the curves at 1e-10), so
 this module checks the contract that matters downstream: on a seeded
 reverberant, drifting-device cohort with the rake and calibration
 stages on, detectors fitted on either pipeline's features predict the
-same states.
+same states.  The same holds for the rake stage: the pipeline rakes a
+capture's events in one batched lag-table call, and a pipeline that
+loops the dense ``cancel_early_reflections`` oracle over the events
+must give features within 1e-10 and the same verdicts.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from repro.core.config import CalibrationConfig, EarSonarConfig
 from repro.core.detector import MeeDetector
 from repro.core.pipeline import EarSonarPipeline
 from repro.errors import NoEchoFoundError
+from repro.kernels.plan import rake_plan
+from repro.signal.correlation import cancel_early_reflections
 from repro.simulation import SessionConfig, StudyDesign, build_cohort, simulate_study
 from repro.simulation.calibration import CalibrationDriftConfig
 
@@ -37,9 +42,29 @@ class OraclePipeline(EarSonarPipeline):
         return np.stack([self.absorption_curve(e) for e in echoes])
 
 
+class RakeOraclePipeline(EarSonarPipeline):
+    """The pipeline with the dense rake oracle looped over the events."""
+
+    def cancel_reflections(self, filtered, events):
+        plan = rake_plan(self.config.chirp)
+        cleaned = filtered.copy()
+        removed_total = 0
+        for event in events:
+            segment, removed = cancel_early_reflections(
+                filtered[event.start : event.end],
+                plan.pulse,
+                plan.quad,
+                protect_from=self.rake_protect_from,
+                threshold=self.config.reverb.rake_threshold,
+            )
+            cleaned[event.start : event.end] = segment
+            removed_total += removed
+        return cleaned, removed_total
+
+
 @pytest.fixture(scope="module")
-def features():
-    """(oracle features, band-zoom features, states) of one seeded cohort."""
+def recordings():
+    """One seeded reverberant, drifting-device cohort."""
     rng = np.random.default_rng(4242)
     cohort = build_cohort(3, rng, total_days=8)
     design = StudyDesign(
@@ -51,7 +76,12 @@ def features():
             calibration=CalibrationDriftConfig(enabled=True),
         ),
     )
-    recordings = simulate_study(cohort, design, rng).recordings
+    return simulate_study(cohort, design, rng).recordings
+
+
+@pytest.fixture(scope="module")
+def features(recordings):
+    """(oracle features, band-zoom features, states) of the cohort."""
     oracle = [OraclePipeline(CONFIG).process(r) for r in recordings]
     zoom = [EarSonarPipeline(CONFIG).process(r) for r in recordings]
     return (
@@ -75,3 +105,36 @@ def test_detectors_fitted_on_either_path_predict_identically(features):
     assert from_zoom.predict(zoom) == predicted
     assert from_oracle.predict(zoom) == predicted
     assert from_zoom.predict(oracle) == predicted
+
+
+@pytest.fixture(scope="module")
+def rake_features(recordings):
+    """(rake-oracle, batched-rake) processed recordings and the states."""
+    oracle = [RakeOraclePipeline(CONFIG).process(r) for r in recordings]
+    batched = [EarSonarPipeline(CONFIG).process(r) for r in recordings]
+    return oracle, batched, [r.state for r in recordings]
+
+
+def test_batched_rake_features_match_the_rake_oracle(rake_features):
+    oracle, batched, _ = rake_features
+    removed = [r.num_reflections_removed for r in oracle]
+    assert sum(removed) > 0
+    assert [r.num_reflections_removed for r in batched] == removed
+    np.testing.assert_allclose(
+        np.stack([r.features for r in batched]),
+        np.stack([r.features for r in oracle]),
+        rtol=0.0,
+        atol=1e-10,
+    )
+
+
+def test_detectors_fitted_on_either_rake_predict_identically(rake_features):
+    oracle, batched, states = rake_features
+    oracle = np.stack([r.features for r in oracle])
+    batched = np.stack([r.features for r in batched])
+    from_oracle = MeeDetector().fit(oracle, states)
+    from_batched = MeeDetector().fit(batched, states)
+    predicted = from_oracle.predict(oracle)
+    assert from_batched.predict(batched) == predicted
+    assert from_oracle.predict(batched) == predicted
+    assert from_batched.predict(oracle) == predicted

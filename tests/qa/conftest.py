@@ -20,10 +20,10 @@ from repro.qa import Project
 
 @pytest.fixture
 def make_project(tmp_path) -> Callable[[dict[str, str]], Project]:
-    """Factory: write ``{relpath: source}`` files and scan them."""
+    """Factory: write ``{relpath: source}`` files under ``name`` and scan them."""
 
-    def _make(files: dict[str, str]) -> Project:
-        root = tmp_path / "fixture_src"
+    def _make(files: dict[str, str], name: str = "fixture_src") -> Project:
+        root = tmp_path / name
         for relpath, source in files.items():
             path = root / relpath
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -145,6 +145,28 @@ def test_rule_inert_when_names_module_lacks_the_set(findings_of):
     assert findings == []
 
 
+def test_projects_linted_in_turn_each_read_their_own_vocabulary(make_project):
+    # A project's vocabulary must never leak into the next one linted in
+    # the same process.  CPython reuses the id of a freed object, so a
+    # cache keyed by id(project) handed new projects a dead one's answer.
+    from repro.qa import QAEngine
+
+    hooks = """
+        def record(health, user):
+            health.increment("x", labels={"user_id": user})
+        """
+    reported = []
+    for i in range(10):
+        files = {"repro/app/hooks.py": hooks}
+        if i % 2 == 0:
+            files["repro/obs/names.py"] = NAMES_MODULE
+        project = make_project(files, name=f"project_{i}")
+        findings = _qa012(QAEngine(rules=[LabelCardinalityRule()]).collect(project))
+        reported.append(len(findings))
+        del project
+    assert reported == [1, 0] * 5
+
+
 def test_real_repo_hooks_are_clean(repo_src_root):
     from repro.qa import Project, QAEngine
 
