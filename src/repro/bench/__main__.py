@@ -25,6 +25,7 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
     from ..acoustics.reverb import ReverbConfig
     from ..core.config import EarSonarConfig
     from ..core.pipeline import EarSonarPipeline
+    from ..errors import NoEchoFoundError
     from ..features.laplacian import laplacian_scores, laplacian_scores_reference
     from ..kernels.chirp import rake_cancel_batched
     from ..kernels.plan import rake_plan
@@ -41,6 +42,7 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
         correlation_matrix_reference,
     )
     from ..signal.mfcc import MfccConfig, mfcc, mfcc_reference
+    from ..signal.parity import segment_eardrum_echo, segment_eardrum_echoes
     from ..signal.spectral import welch_psd, welch_psd_reference
     from ..simulation import SessionConfig, record_session, sample_participant
     from ..simulation.calibration import CalibrationDriftConfig
@@ -167,6 +169,36 @@ def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[B
                 )
                 for segment in segments
             ],
+            repeats=repeats,
+        )
+    )
+
+    # The parity stage: every event of one seeded default capture in one
+    # batched call vs the per-event oracle loop.
+    participant = sample_participant(rng, "bench-parity", total_days=30)
+    recording = record_session(
+        participant, float(rng.uniform(0.0, 30.0)), SessionConfig(duration_s=duration), rng
+    )
+    pipeline = EarSonarPipeline()
+    filtered = pipeline.preprocess(recording.waveform)
+    events = [e.slice(filtered) for e in pipeline.detect_chirp_events(filtered)]
+    segmenter = pipeline.config.segmenter
+
+    def parity_oracle() -> list:
+        echoes = []
+        for event in events:
+            try:
+                echoes.append(segment_eardrum_echo(event, segmenter))
+            except NoEchoFoundError:
+                echoes.append(None)
+        return echoes
+
+    results.append(
+        compare_ops(
+            "parity_segment",
+            f"events={len(events)},duration_s={duration}",
+            lambda: segment_eardrum_echoes(events, segmenter),
+            parity_oracle,
             repeats=repeats,
         )
     )

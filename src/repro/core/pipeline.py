@@ -32,7 +32,7 @@ from ..obs.tracer import current_tracer
 from ..signal.chirp import linear_chirp
 from ..signal.events import Event, detect_events
 from ..signal.filters import butterworth_bandpass
-from ..signal.parity import EardrumEcho, segment_eardrum_echo
+from ..signal.parity import EardrumEcho, segment_eardrum_echoes
 from ..signal.resample import upsample
 from ..signal.spectral import amplitude_spectrum
 from ..simulation.hardware import StageLatencies
@@ -133,18 +133,18 @@ class EarSonarPipeline:
     def extract_echoes(
         self, filtered: np.ndarray, events: list[Event] | None = None
     ) -> list[EardrumEcho]:
-        """Segment the eardrum echo of every event that yields one."""
+        """Segment the eardrum echo of every event that yields one.
+
+        All events go through one :func:`segment_eardrum_echoes` call,
+        which equals looping :func:`segment_eardrum_echo` over them and
+        skipping the events that raise :class:`NoEchoFoundError`.
+        """
         if events is None:
             events = self.detect_chirp_events(filtered)
-        echoes: list[EardrumEcho] = []
-        for event in events:
-            try:
-                echoes.append(
-                    segment_eardrum_echo(event.slice(filtered), self.config.segmenter)
-                )
-            except NoEchoFoundError:
-                continue
-        return echoes
+        echoes = segment_eardrum_echoes(
+            [event.slice(filtered) for event in events], self.config.segmenter
+        )
+        return [echo for echo in echoes if echo is not None]
 
     def cancel_reflections(
         self, filtered: np.ndarray, events: list[Event]

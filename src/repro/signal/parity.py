@@ -18,16 +18,23 @@ The machinery, following Gnutti et al. and the paper's Eq. (8)-(10):
 * each candidate is validated by the even (or odd) energy ratio of a
   subsequence centred on it, and by a physical prior on the distance
   between the direct signal and the eardrum echo.
+
+:func:`segment_eardrum_echo` segments one event and is the reference;
+:func:`segment_eardrum_echoes` segments all of a capture's events at
+once and returns the same echoes bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NoEchoFoundError, SignalProcessingError
 from .chirp import SPEED_OF_SOUND
+from .resample import upsample
 
 __all__ = [
     "parity_decompose",
@@ -38,6 +45,7 @@ __all__ = [
     "find_symmetry_candidates",
     "EchoSegmenterConfig",
     "segment_eardrum_echo",
+    "segment_eardrum_echoes",
     "EardrumEcho",
 ]
 
@@ -73,15 +81,17 @@ def autoconvolution(signal: np.ndarray) -> np.ndarray:
     """Linear autoconvolution ``(x * x)[m]`` of ``signal`` via FFT.
 
     Output has length ``2 N - 1``; index ``m`` matches the paper's
-    ``(x * x)[2 n0]`` so fold candidates live at ``n0 = m / 2``.
+    ``(x * x)[2 n0]`` so fold candidates live at ``n0 = m / 2``.  A
+    stack of equal-length rows is transformed along the last axis, each
+    row bit-identical to its own call.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise SignalProcessingError("autoconvolution requires a non-empty signal")
-    n = 2 * signal.size - 1
+    n = 2 * signal.shape[-1] - 1
     nfft = 1 << (n - 1).bit_length()
-    spec = np.fft.rfft(signal, nfft)
-    return np.fft.irfft(spec * spec, nfft)[:n]
+    spec = np.fft.rfft(signal, nfft, axis=-1)
+    return np.fft.irfft(spec * spec, nfft, axis=-1)[..., :n]
 
 
 def parity_energies(signal: np.ndarray, fold: float) -> tuple[float, float]:
@@ -232,6 +242,13 @@ class EchoSegmenterConfig:
             )
         if self.segment_half_length < 4:
             raise ValueError("segment_half_length must be >= 4")
+        if self.support < 1:
+            raise ValueError(f"support must be >= 1, got {self.support}")
+        if not 0.5 < self.energy_ratio_threshold < 1.0:
+            raise ValueError(
+                f"energy_ratio_threshold must be in (0.5, 1), got "
+                f"{self.energy_ratio_threshold}"
+            )
 
     @property
     def upsampled_rate(self) -> float:
@@ -308,8 +325,6 @@ def segment_eardrum_echo(
     event_signal = np.asarray(event_signal, dtype=float)
     if event_signal.size < 4:
         raise NoEchoFoundError("event too short to segment")
-    from .resample import upsample  # local import avoids a cycle at module load
-
     if config.method == "peak":
         return _segment_by_peak(event_signal, config)
     work = upsample(event_signal, config.upsample_factor)
@@ -360,8 +375,6 @@ def _segment_by_peak(event_signal: np.ndarray, config: EchoSegmenterConfig) -> E
     mid-window delay later, with no symmetry search and no candidate
     validation.
     """
-    from .resample import upsample
-
     work = upsample(event_signal, config.upsample_factor)
     if not np.any(work):
         raise NoEchoFoundError("event contains no energy")
@@ -387,3 +400,143 @@ def _segment_by_peak(event_signal: np.ndarray, config: EchoSegmenterConfig) -> E
         delay_samples=delay,
         energy_ratio=0.0,
     )
+
+
+def segment_eardrum_echoes(
+    event_signals: Sequence[np.ndarray], config: EchoSegmenterConfig | None = None
+) -> list[EardrumEcho | None]:
+    """Extract the eardrum echo of every event of a capture in one call.
+
+    Entry ``i`` is what :func:`segment_eardrum_echo` returns for
+    ``event_signals[i]``, bit for bit, or ``None`` where it raises
+    :class:`NoEchoFoundError`.  Events of equal length share one
+    stacked upsample, one stacked autoconvolution and one peak mask;
+    only the peaks are scored, and the selection runs on the padded
+    (events x candidates) arrays (see :func:`_segment_stack`).
+    ``method="peak"`` runs the per-event baseline on each event.
+    """
+    config = config or EchoSegmenterConfig()
+    signals = [np.asarray(signal, dtype=float) for signal in event_signals]
+    echoes: list[EardrumEcho | None] = [None] * len(signals)
+    if config.method == "peak":
+        for i, signal in enumerate(signals):
+            if signal.size < 4:
+                continue
+            try:
+                echoes[i] = _segment_by_peak(signal, config)
+            except NoEchoFoundError:
+                continue
+        return echoes
+    lengths = np.array([signal.size for signal in signals], dtype=int)
+    for n in np.unique(lengths[lengths >= 4]):
+        idx = np.flatnonzero(lengths == n)
+        work = upsample(np.stack([signals[i] for i in idx]), config.upsample_factor)
+        for i, echo in zip(idx, _segment_stack(work, config)):
+            echoes[i] = echo
+    return echoes
+
+
+def _symmetry_scores(
+    work: np.ndarray, support: int, energy_ratio_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`find_symmetry_candidates` on every row of ``work`` at once.
+
+    Returns ``(row, m, energy, ratio)`` of the surviving candidates in
+    row-major, ascending-``m`` order; the fold point is ``m / 2``.  The
+    validation window of autoconvolution index ``m`` is
+    ``work[m//2 - support : (m+1)//2 + support + 1]``: its bounds sum to
+    ``m``, so the window mirrored about ``m / 2`` is the window
+    reversed, ``2 support + 1`` samples wide for even ``m`` and one more
+    for odd ``m``.  Each row's energy and fold sum come from a stacked
+    ``matmul`` of a ``(1, W)`` by a ``(W, 1)`` operand, which runs the
+    same dot loop as the reference's ``window @ window`` and
+    ``window @ window[::-1]``, so the scores match it bit for bit.
+    """
+    length = work.shape[-1]
+    conv = np.abs(autoconvolution(work))
+    interior = conv[:, 1:-1]
+    row, m = np.nonzero((interior >= conv[:, :-2]) & (interior >= conv[:, 2:]))
+    m += 1
+    start = m // 2 - support
+    inside = (start >= 0) & ((m + 1) // 2 + support + 1 <= length)
+    row, m, start = row[inside], m[inside], start[inside]
+    energy = np.empty(m.size)
+    folded = np.empty(m.size)
+    for parity in (0, 1):
+        pick = np.flatnonzero(m % 2 == parity)
+        if pick.size == 0:
+            continue
+        windows = sliding_window_view(work, 2 * support + 1 + parity, axis=-1)[
+            row[pick], start[pick]
+        ]
+        left = windows[:, None, :]
+        energy[pick] = np.matmul(left, windows[:, :, None])[:, 0, 0]
+        folded[pick] = np.matmul(left, windows[:, ::-1, None])[:, 0, 0]
+    positive = energy > 0.0
+    row, m, energy, folded = row[positive], m[positive], energy[positive], folded[positive]
+    ratio = (energy + np.abs(folded)) / (2.0 * energy)
+    keep = ratio > energy_ratio_threshold
+    return row[keep], m[keep], energy[keep], ratio[keep]
+
+
+def _segment_stack(work: np.ndarray, config: EchoSegmenterConfig) -> list[EardrumEcho | None]:
+    """:func:`segment_eardrum_echo`'s selection on every row of ``work``.
+
+    ``work`` holds equal-length upsampled events.  The reference sorts
+    candidates stably by descending energy from ascending ``m``, so its
+    direct pulse is the first maximal energy in ascending-``m`` order,
+    and its echo is the other in-window candidate with the largest
+    ``(energy, ratio)``, an exact tie going to the lowest ``m``.
+    """
+    num_rows = work.shape[0]
+    row, m, energy, ratio = _symmetry_scores(
+        work, config.support, config.energy_ratio_threshold
+    )
+    echoes: list[EardrumEcho | None] = [None] * num_rows
+    if row.size == 0:
+        return echoes
+    count = np.bincount(row, minlength=num_rows)
+    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    # (events x candidates) arrays, each row in ascending-m order.
+    shape = (num_rows, int(count.max()))
+    energies = np.full(shape, -np.inf)
+    energies[row, col] = energy
+    ratios = np.full(shape, -np.inf)
+    ratios[row, col] = ratio
+    centres = np.zeros(shape)
+    centres[row, col] = m / 2.0
+    valid = np.zeros(shape, dtype=bool)
+    valid[row, col] = True
+
+    rows = np.arange(num_rows)
+    direct = np.argmax(energies, axis=1)
+    delay = centres - centres[rows, direct][:, None]
+    lo, hi = config.delay_window_samples()
+    window = valid & (lo <= delay) & (delay <= hi)
+    # With a small min_distance_m the window starts at 0 and would
+    # otherwise admit the direct pulse itself.
+    window[rows, direct] = False
+    in_window = np.where(window, energies, -np.inf)
+    tied = window & (in_window == in_window.max(axis=1, keepdims=True))
+    tied_ratios = np.where(tied, ratios, -np.inf)
+    tied &= tied_ratios == tied_ratios.max(axis=1, keepdims=True)
+    best = np.argmax(tied, axis=1)
+
+    hit = np.flatnonzero(window.any(axis=1))
+    # Segments are cut from the rows zero-padded by ``half`` each side.
+    half = config.segment_half_length
+    padded = np.zeros((hit.size, work.shape[1] + 2 * half))
+    padded[:, half:-half] = work[hit]
+    for j, r in enumerate(hit):
+        echo_centre = centres[r, best[r]]
+        direct_centre = centres[r, direct[r]]
+        start = int(round(echo_centre))
+        echoes[r] = EardrumEcho(
+            segment=padded[j, start : start + 2 * half],
+            sample_rate=config.upsampled_rate,
+            center=float(echo_centre),
+            direct_center=float(direct_centre),
+            delay_samples=float(echo_centre - direct_centre),
+            energy_ratio=float(ratios[r, best[r]]),
+        )
+    return echoes

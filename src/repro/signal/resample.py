@@ -22,9 +22,11 @@ def upsample(signal: np.ndarray, factor: int) -> np.ndarray:
     """Band-limited upsampling of ``signal`` by an integer ``factor``.
 
     Zero-pads the one-sided spectrum so the output has
-    ``len(signal) * factor`` samples spanning the same time interval.
-    Energy normalisation preserves sample *amplitudes* (an upsampled
-    sine keeps its peak value).
+    ``signal.shape[-1] * factor`` samples spanning the same time
+    interval.  Energy normalisation preserves sample *amplitudes* (an
+    upsampled sine keeps its peak value).  A stack of equal-length rows
+    is upsampled along the last axis; each row comes out bit-identical
+    to upsampling it on its own.
     """
     if factor < 1:
         raise ConfigurationError(f"factor must be >= 1, got {factor}")
@@ -33,16 +35,17 @@ def upsample(signal: np.ndarray, factor: int) -> np.ndarray:
         raise ConfigurationError("cannot upsample an empty signal")
     if factor == 1:
         return signal.copy()
-    n = signal.size
+    n = signal.shape[-1]
     out_n = n * factor
-    spectrum = np.fft.rfft(signal)
-    padded = np.zeros(out_n // 2 + 1, dtype=complex)
-    padded[: spectrum.size] = spectrum
+    spectrum = np.fft.rfft(signal, axis=-1)
+    bins = spectrum.shape[-1]
+    padded = np.zeros(signal.shape[:-1] + (out_n // 2 + 1,), dtype=complex)
+    padded[..., :bins] = spectrum
     # If n is even the original Nyquist bin is shared; halve it to keep
     # the interpolation real-symmetric.
     if n % 2 == 0:
-        padded[spectrum.size - 1] *= 0.5
-    return np.fft.irfft(padded, out_n) * factor
+        padded[..., bins - 1] *= 0.5
+    return np.fft.irfft(padded, out_n, axis=-1) * factor
 
 
 def downsample(signal: np.ndarray, factor: int) -> np.ndarray:

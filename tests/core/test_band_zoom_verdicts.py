@@ -10,7 +10,10 @@ stages on, detectors fitted on either pipeline's features predict the
 same states.  The same holds for the rake stage: the pipeline rakes a
 capture's events in one batched lag-table call, and a pipeline that
 loops the dense ``cancel_early_reflections`` oracle over the events
-must give features within 1e-10 and the same verdicts.
+must give features within 1e-10 and the same verdicts.  The parity
+stage segments a capture's events in one batched call, and a pipeline
+that loops the per-event ``segment_eardrum_echo`` oracle must give
+equal features and the same verdicts.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.core.pipeline import EarSonarPipeline
 from repro.errors import NoEchoFoundError
 from repro.kernels.plan import rake_plan
 from repro.signal.correlation import cancel_early_reflections
+from repro.signal.parity import segment_eardrum_echo
 from repro.simulation import SessionConfig, StudyDesign, build_cohort, simulate_study
 from repro.simulation.calibration import CalibrationDriftConfig
 
@@ -60,6 +64,23 @@ class RakeOraclePipeline(EarSonarPipeline):
             cleaned[event.start : event.end] = segment
             removed_total += removed
         return cleaned, removed_total
+
+
+class ParityOraclePipeline(EarSonarPipeline):
+    """The pipeline with the per-event parity oracle looped over the events."""
+
+    def extract_echoes(self, filtered, events=None):
+        if events is None:
+            events = self.detect_chirp_events(filtered)
+        echoes = []
+        for event in events:
+            try:
+                echoes.append(
+                    segment_eardrum_echo(event.slice(filtered), self.config.segmenter)
+                )
+            except NoEchoFoundError:
+                continue
+        return echoes
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +151,34 @@ def test_batched_rake_features_match_the_rake_oracle(rake_features):
 
 def test_detectors_fitted_on_either_rake_predict_identically(rake_features):
     oracle, batched, states = rake_features
+    oracle = np.stack([r.features for r in oracle])
+    batched = np.stack([r.features for r in batched])
+    from_oracle = MeeDetector().fit(oracle, states)
+    from_batched = MeeDetector().fit(batched, states)
+    predicted = from_oracle.predict(oracle)
+    assert from_batched.predict(batched) == predicted
+    assert from_oracle.predict(batched) == predicted
+    assert from_batched.predict(oracle) == predicted
+
+
+@pytest.fixture(scope="module")
+def parity_features(recordings):
+    """(parity-oracle, batched-parity) processed recordings and the states."""
+    oracle = [ParityOraclePipeline(CONFIG).process(r) for r in recordings]
+    batched = [EarSonarPipeline(CONFIG).process(r) for r in recordings]
+    return oracle, batched, [r.state for r in recordings]
+
+
+def test_batched_parity_features_equal_the_parity_oracle(parity_features):
+    oracle, batched, _ = parity_features
+    assert [r.num_echoes for r in batched] == [r.num_echoes for r in oracle]
+    assert np.array_equal(
+        np.stack([r.features for r in batched]), np.stack([r.features for r in oracle])
+    )
+
+
+def test_detectors_fitted_on_either_parity_path_predict_identically(parity_features):
+    oracle, batched, states = parity_features
     oracle = np.stack([r.features for r in oracle])
     batched = np.stack([r.features for r in batched])
     from_oracle = MeeDetector().fit(oracle, states)

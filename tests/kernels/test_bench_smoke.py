@@ -45,7 +45,10 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
     )
     assert rc == 0
     for name, expected_ops in [
-        ("BENCH_kernels.json", {"welch_psd", "mfcc", "correlation_matrix", "rake_cancel"}),
+        (
+            "BENCH_kernels.json",
+            {"welch_psd", "mfcc", "correlation_matrix", "rake_cancel", "parity_segment"},
+        ),
         ("BENCH_pipeline.json", {"record_session_synthesis", "welch_mfcc_feature_path"}),
     ]:
         payload = json.loads((tmp_path / name).read_text())

@@ -35,6 +35,15 @@ class TestUpsample:
     def test_length(self, rng):
         assert upsample(rng.standard_normal(50), 8).size == 400
 
+    @pytest.mark.parametrize("factor", [1, 3, 8])
+    @pytest.mark.parametrize("n", [31, 32])
+    def test_rows_match_one_dimensional_calls(self, rng, factor, n):
+        stack = rng.standard_normal((4, n))
+        up = upsample(stack, factor)
+        assert up.shape == (4, n * factor)
+        for row, expected in zip(up, stack):
+            np.testing.assert_array_equal(row, upsample(expected, factor))
+
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             upsample(np.ones(4), 0)
