@@ -1,14 +1,16 @@
-"""Perf-trajectory harness for the planned/batched DSP kernels.
+"""Perf harness: whole-capture pipeline stages against their oracles.
 
-``python -m repro.bench`` times every batched kernel against its serial
-``*_reference`` oracle and writes two JSON reports next to the working
-directory: ``BENCH_kernels.json`` (isolated kernel micro-benchmarks)
-and ``BENCH_pipeline.json`` (pipeline-shaped stages: chirp-train
-synthesis, device coloration, absorption curves, the Welch/MFCC feature
-path).  Each record carries the op name, a human-readable shape string,
-p50/p95 wall-clock milliseconds for the batched kernel and for its
-serial oracle, and the p50 speedup — so successive commits can be
-compared file-to-file.
+``python -m repro.bench`` times each batched pipeline stage over one
+seeded capture against the loop it replaced (parity against the
+per-event ``segment_eardrum_echo`` loop, spectrum against per-echo
+``absorption_curve``, the rake against the dense
+``cancel_early_reflections`` loop) and writes ``BENCH_stages.json``;
+``BENCH_obs.json`` holds a traced batch run against the untraced one.
+Each record carries the op name, a human-readable shape string, p50/p95
+wall-clock milliseconds for the batched path and for its oracle, and
+the p50 speedup, so successive commits can be compared file to file.
+The two sides of every pair are timed call by call (see
+:func:`compare_ops`).
 
 The harness lives outside the science subpackages on purpose: it is
 allowed to read wall clocks, while :mod:`repro.kernels` itself stays
@@ -32,8 +34,6 @@ import numpy as np
 __all__ = [
     "SCHEMA_VERSION",
     "BenchResult",
-    "time_op",
-    "time_ops_interleaved",
     "compare_ops",
     "git_sha",
     "machine_fingerprint",
@@ -48,7 +48,7 @@ SCHEMA_VERSION = 2
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Timing record for one op, batched vs (optionally) serial oracle.
+    """Timing record for one op: the batched path against its oracle.
 
     All times are wall-clock milliseconds over ``repeats`` calls after
     one untimed warmup; ``speedup`` is ``serial_p50_ms / p50_ms``.
@@ -59,99 +59,49 @@ class BenchResult:
     repeats: int
     p50_ms: float
     p95_ms: float
-    serial_p50_ms: float | None = None
-    serial_p95_ms: float | None = None
-    speedup: float | None = None
-
-
-def time_op(fn: Callable[[], Any], repeats: int) -> tuple[float, float]:
-    """(p50_ms, p95_ms) of ``repeats`` timed calls after one warmup."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    fn()  # warmup: plan-cache population and allocator churn stay untimed
-    samples = np.empty(repeats)
-    for i in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples[i] = (time.perf_counter() - t0) * 1e3
-    return float(np.percentile(samples, 50)), float(np.percentile(samples, 95))
-
-
-def time_ops_interleaved(
-    a: Callable[[], Any], b: Callable[[], Any], repeats: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Paired ``((a_p50, a_p95), (b_p50, b_p95))`` from alternating calls.
-
-    :func:`time_op` times each side as one contiguous block, so clock
-    drift (frequency scaling, thermal throttle, background load) lands
-    wholesale on whichever side ran second.  That bias is invisible
-    next to a 10x kernel speedup but dominates near-1.0 comparisons
-    like the tracing-overhead gate, where a few percent of drift reads
-    as a regression.  Alternating A,B,A,B spreads any drift evenly
-    across both sample sets, so their p50 ratio isolates the real
-    difference between the two paths.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    a()  # warmups stay untimed, mirroring time_op
-    b()
-    sa = np.empty(repeats)
-    sb = np.empty(repeats)
-    for i in range(repeats):
-        t0 = time.perf_counter()
-        a()
-        sa[i] = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        b()
-        sb[i] = (time.perf_counter() - t0) * 1e3
-    return (
-        (float(np.percentile(sa, 50)), float(np.percentile(sa, 95))),
-        (float(np.percentile(sb, 50)), float(np.percentile(sb, 95))),
-    )
+    serial_p50_ms: float
+    serial_p95_ms: float
+    speedup: float
 
 
 def compare_ops(
     op: str,
     shape: str,
     batched: Callable[[], Any],
-    serial: Callable[[], Any] | None = None,
+    serial: Callable[[], Any],
     *,
-    repeats: int = 7,
-    interleave: bool = False,
+    repeats: int,
 ) -> BenchResult:
-    """Time ``batched`` (and optionally ``serial``) and build the record.
+    """Time ``batched`` against ``serial`` call by call and build the record.
 
-    ``interleave=True`` alternates the two sides call-by-call (see
-    :func:`time_ops_interleaved`) — use it when the expected ratio is
-    near 1.0 and block-order drift would swamp the signal.
+    After one untimed warmup of each side (plan-cache population and
+    allocator churn), every round times one ``batched`` call and then
+    one ``serial`` call.  Timing each side as one contiguous block lets
+    clock drift (frequency scaling, a noisy neighbour) land wholesale
+    on whichever side ran second; alternating spreads it over both
+    sample sets, so their p50 ratio, the ``speedup`` the gate reads,
+    isolates the real difference between the two paths.
     """
-    if interleave and serial is not None:
-        (p50, p95), (s50, s95) = time_ops_interleaved(batched, serial, repeats)
-        speedup = s50 / p50 if p50 > 0.0 else float("inf")
-        return BenchResult(
-            op=op,
-            shape=shape,
-            repeats=repeats,
-            p50_ms=p50,
-            p95_ms=p95,
-            serial_p50_ms=s50,
-            serial_p95_ms=s95,
-            speedup=speedup,
-        )
-    p50, p95 = time_op(batched, repeats)
-    if serial is None:
-        return BenchResult(op=op, shape=shape, repeats=repeats, p50_ms=p50, p95_ms=p95)
-    s50, s95 = time_op(serial, repeats)
-    speedup = s50 / p50 if p50 > 0.0 else float("inf")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    batched()
+    serial()
+    samples = np.empty((2, repeats))
+    for i in range(repeats):
+        for side, fn in enumerate((batched, serial)):
+            t0 = time.perf_counter()
+            fn()
+            samples[side, i] = (time.perf_counter() - t0) * 1e3
+    (p50, s50), (p95, s95) = np.percentile(samples, [50, 95], axis=1)
     return BenchResult(
         op=op,
         shape=shape,
         repeats=repeats,
-        p50_ms=p50,
-        p95_ms=p95,
-        serial_p50_ms=s50,
-        serial_p95_ms=s95,
-        speedup=speedup,
+        p50_ms=float(p50),
+        p95_ms=float(p95),
+        serial_p50_ms=float(s50),
+        serial_p95_ms=float(s95),
+        speedup=float(s50 / p50) if p50 > 0.0 else float("inf"),
     )
 
 
@@ -192,29 +142,14 @@ def machine_fingerprint() -> str:
 
 
 def _load_runs(path: Path) -> list[dict]:
-    """Existing runs in ``path``, migrating v1 single-run payloads."""
+    """Existing runs in ``path`` (empty for missing/unreadable)."""
     if not path.exists():
         return []
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return []
-    if not isinstance(payload, dict):
-        return []
-    if payload.get("schema_version") == 1:
-        # v1 wrote one anonymous result set at the top level; keep it
-        # as a run with an unknown SHA rather than dropping history.
-        return [
-            {
-                "git_sha": "unknown",
-                "seed": payload.get("seed"),
-                "quick": payload.get("quick"),
-                "machine": "unknown",
-                "config_fingerprint": None,
-                "results": payload.get("results", []),
-            }
-        ]
-    runs = payload.get("runs", [])
+    runs = payload.get("runs", []) if isinstance(payload, dict) else []
     return runs if isinstance(runs, list) else []
 
 

@@ -1,11 +1,16 @@
 """CLI entry point: ``python -m repro.bench [--quick] [--repeats N] ...``.
 
-Writes ``BENCH_kernels.json`` (kernel micro-benchmarks against their
-serial oracles) and ``BENCH_pipeline.json`` (pipeline-shaped stages on
-a real simulated recording) into ``--output-dir`` and prints a summary
-table.  ``--quick`` shrinks every problem size so the whole run fits in
-a CI smoke job; the default sizes match the pipeline's real workloads
-so the reported speedups are the ones users see.
+Writes ``BENCH_stages.json`` (whole-capture pipeline stages against
+their oracles) and ``BENCH_obs.json`` (a traced batch run against the
+untraced one) into ``--output-dir`` and prints a summary table.
+``--quick`` shrinks the default capture from 1 s to 0.25 s and the
+traced batch with it, so the whole run fits in a CI smoke job.  The
+quick capture is not the 0.1 s serve shape: at 20 events the parity
+pair's speedup swung 2.0–3.2× between runs of one commit on a 2-vCPU
+VM, which the gate's 20% cannot tell from a regression, and at 50
+events it stayed within 4.1–5.3×.  Each side gets 21 timed calls for
+the same reason: with 7, the traced batch's near-1.0 ratio swung
+0.85–1.08× and once failed the gate at one commit.
 """
 
 from __future__ import annotations
@@ -20,298 +25,100 @@ from . import BenchResult, compare_ops, git_sha, machine_fingerprint, write_repo
 from .trajectory import append_entry, check_gate
 
 
-def _kernel_suite(rng: np.random.Generator, quick: bool, repeats: int) -> list[BenchResult]:
-    """Micro-benchmarks: each batched kernel vs its serial oracle."""
+def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
+    """Whole-capture pipeline stages, each timed against its oracle.
+
+    Every op calls the pipeline's own stage method on the output of the
+    stages before it, built once and untimed.  Parity and spectrum run
+    on a seeded default capture (the study-batch shape); the rake runs
+    on a seeded reverberant 0.1 s capture from a drifting device unit
+    (the fleet-closed shape).  Ops are named after the stage spans, so
+    a trace and the ratchet use the same words.
+    """
     from ..acoustics.reverb import ReverbConfig
     from ..core.config import EarSonarConfig
     from ..core.pipeline import EarSonarPipeline
     from ..errors import NoEchoFoundError
-    from ..features.laplacian import laplacian_scores, laplacian_scores_reference
-    from ..kernels.chirp import rake_cancel_batched
     from ..kernels.plan import rake_plan
-    from ..signal.chirp import (
-        ChirpDesign,
-        chirp_train,
-        chirp_train_reference,
-        matched_filter,
-        matched_filter_reference,
-    )
-    from ..signal.correlation import (
-        cancel_early_reflections,
-        correlation_matrix,
-        correlation_matrix_reference,
-    )
-    from ..signal.mfcc import MfccConfig, mfcc, mfcc_reference
-    from ..signal.parity import segment_eardrum_echo, segment_eardrum_echoes
-    from ..signal.spectral import welch_psd, welch_psd_reference
+    from ..obs import names as obs_names
+    from ..signal.correlation import cancel_early_reflections
+    from ..signal.parity import segment_eardrum_echo
     from ..simulation import SessionConfig, record_session, sample_participant
     from ..simulation.calibration import CalibrationDriftConfig
 
-    results: list[BenchResult] = []
-    fs = ChirpDesign().sample_rate
-
-    n = 16_384 if quick else 96_000
-    x = rng.standard_normal(n)
-    results.append(
-        compare_ops(
-            "welch_psd",
-            f"n={n},segment=256,overlap=0.5",
-            lambda: welch_psd(x, fs, segment_length=256, overlap=0.5),
-            lambda: welch_psd_reference(x, fs, segment_length=256, overlap=0.5),
-            repeats=repeats,
-        )
+    rng = np.random.default_rng(seed)
+    duration = 0.25 if quick else 1.0
+    pipeline = EarSonarPipeline()
+    participant = sample_participant(rng, "bench-stages", total_days=30)
+    capture = record_session(
+        participant, float(rng.uniform(0.0, 30.0)), SessionConfig(duration_s=duration), rng
     )
+    filtered = pipeline.preprocess(capture.waveform)
+    events = pipeline.detect_chirp_events(filtered)
+    echoes = pipeline.extract_echoes(filtered, events)
+    segmenter = pipeline.config.segmenter
 
-    mfcc_cfg = MfccConfig(
-        sample_rate=384_000.0,
-        frame_length=256,
-        frame_hop=128,
-        nfft=1024,
-        num_filters=20,
-        num_coefficients=17,
-        low_hz=15_000.0,
-        high_hz=21_000.0,
-    )
-    m = 4_096 if quick else 16_384
-    seg = rng.standard_normal(m)
-    results.append(
-        compare_ops(
-            "mfcc",
-            f"n={m},frame=256,hop=128,nfft=1024",
-            lambda: mfcc(seg, mfcc_cfg),
-            lambda: mfcc_reference(seg, mfcc_cfg),
-            repeats=repeats,
-        )
-    )
+    def parity_oracle() -> list:
+        found = []
+        for event in events:
+            try:
+                found.append(segment_eardrum_echo(event.slice(filtered), segmenter))
+            except NoEchoFoundError:
+                continue
+        return found
 
-    sessions, bins = (24, 128) if quick else (64, 512)
-    curves = rng.standard_normal((sessions, bins))
-    results.append(
-        compare_ops(
-            "correlation_matrix",
-            f"sessions={sessions},bins={bins}",
-            lambda: correlation_matrix(curves),
-            lambda: correlation_matrix_reference(curves),
-            repeats=repeats,
-        )
-    )
-
-    samples, feats = (60, 40) if quick else (240, 105)
-    table = rng.standard_normal((samples, feats))
-    results.append(
-        compare_ops(
-            "laplacian_scores",
-            f"samples={samples},features={feats}",
-            lambda: laplacian_scores(table),
-            lambda: laplacian_scores_reference(table),
-            repeats=repeats,
-        )
-    )
-
-    design = ChirpDesign()
-    chirps = 50 if quick else 200
-    results.append(
-        compare_ops(
-            "chirp_train",
-            f"chirps={chirps}",
-            lambda: chirp_train(design, chirps),
-            lambda: chirp_train_reference(design, chirps),
-            repeats=repeats,
-        )
-    )
-
-    k = 8_192 if quick else 48_000
-    capture = rng.standard_normal(k)
-    results.append(
-        compare_ops(
-            "matched_filter",
-            f"n={k}",
-            lambda: matched_filter(capture, design),
-            lambda: matched_filter_reference(capture, design),
-            repeats=repeats,
-        )
-    )
-
-    # The rake stage: every event of one seeded reverberant capture from
-    # a drifting device unit, batched vs the per-event dense oracle.
-    duration = 0.1 if quick else 1.0
+    reverb = ReverbConfig(enabled=True)
+    raking = EarSonarPipeline(EarSonarConfig(reverb=reverb))
     session = SessionConfig(
-        duration_s=duration,
-        reverb=ReverbConfig(enabled=True),
+        duration_s=0.1,
+        reverb=reverb,
         calibration=CalibrationDriftConfig(enabled=True),
         device_unit=int(rng.integers(8)),
     )
     participant = sample_participant(rng, "bench-rake", total_days=30)
-    recording = record_session(participant, float(rng.uniform(0.0, 30.0)), session, rng)
-    pipeline = EarSonarPipeline(EarSonarConfig(reverb=ReverbConfig(enabled=True)))
-    filtered = pipeline.preprocess(recording.waveform)
-    segments = [e.slice(filtered) for e in pipeline.detect_chirp_events(filtered)]
-    rake = rake_plan(pipeline.config.chirp)
-    protect_from = pipeline.rake_protect_from
-    threshold = pipeline.config.reverb.rake_threshold
-    results.append(
+    reverberant = record_session(participant, float(rng.uniform(0.0, 30.0)), session, rng)
+    unraked = raking.preprocess(reverberant.waveform)
+    rake_events = raking.detect_chirp_events(unraked)
+    plan = rake_plan(raking.config.chirp)
+
+    def rake_oracle() -> tuple[np.ndarray, int]:
+        cleaned = unraked.copy()
+        removed_total = 0
+        for event in rake_events:
+            segment, removed = cancel_early_reflections(
+                event.slice(unraked),
+                plan.pulse,
+                plan.quad,
+                protect_from=raking.rake_protect_from,
+                threshold=raking.config.reverb.rake_threshold,
+            )
+            cleaned[event.start : event.end] = segment
+            removed_total += removed
+        return cleaned, removed_total
+
+    return [
         compare_ops(
-            "rake_cancel",
-            f"events={len(segments)},duration_s={duration}",
-            lambda: rake_cancel_batched(
-                segments,
-                pipeline.config.chirp,
-                protect_from=protect_from,
-                threshold=threshold,
-            ),
-            lambda: [
-                cancel_early_reflections(
-                    segment,
-                    rake.pulse,
-                    rake.quad,
-                    protect_from=protect_from,
-                    threshold=threshold,
-                )
-                for segment in segments
-            ],
-            repeats=repeats,
-        )
-    )
-
-    # The parity stage: every event of one seeded default capture in one
-    # batched call vs the per-event oracle loop.
-    participant = sample_participant(rng, "bench-parity", total_days=30)
-    recording = record_session(
-        participant, float(rng.uniform(0.0, 30.0)), SessionConfig(duration_s=duration), rng
-    )
-    pipeline = EarSonarPipeline()
-    filtered = pipeline.preprocess(recording.waveform)
-    events = [e.slice(filtered) for e in pipeline.detect_chirp_events(filtered)]
-    segmenter = pipeline.config.segmenter
-
-    def parity_oracle() -> list:
-        echoes = []
-        for event in events:
-            try:
-                echoes.append(segment_eardrum_echo(event, segmenter))
-            except NoEchoFoundError:
-                echoes.append(None)
-        return echoes
-
-    results.append(
-        compare_ops(
-            "parity_segment",
-            f"events={len(events)},duration_s={duration}",
-            lambda: segment_eardrum_echoes(events, segmenter),
+            obs_names.SPAN_STAGE_PARITY,
+            f"duration_s={duration},events={len(events)}",
+            lambda: pipeline.extract_echoes(filtered, events),
             parity_oracle,
             repeats=repeats,
-        )
-    )
-    return results
-
-
-def _pipeline_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
-    """Pipeline-shaped stages on one real simulated recording."""
-    from ..acoustics.ear import InsertionState, build_ear_channel
-    from ..core.config import EarSonarConfig
-    from ..core.pipeline import EarSonarPipeline
-    from ..signal.mfcc import MfccConfig, mfcc, mfcc_reference
-    from ..signal.spectral import welch_psd, welch_psd_reference
-    from ..simulation.earphone import PROTOTYPE
-    from ..simulation.participant import sample_participant
-    from ..simulation.session import (
-        SessionConfig,
-        _apply_device,
-        _apply_device_reference,
-        _synthesize_train,
-        _synthesize_train_reference,
-        record_session,
-    )
-
-    results: list[BenchResult] = []
-    setup_rng = np.random.default_rng(seed)
-    participant = sample_participant(setup_rng, "BENCH")
-    session_cfg = SessionConfig(duration_s=0.2 if quick else 1.0)
-    insertion = InsertionState(
-        depth_m=session_cfg.insertion_depth_m, angle_deg=0.0, seal_quality=0.95
-    )
-    load = participant.load_on(0.0, setup_rng)
-    channel = build_ear_channel(
-        participant.geometry, participant.drum_model, load, insertion
-    )
-
-    def synth_batched() -> np.ndarray:
-        return _synthesize_train(channel, session_cfg, np.random.default_rng(seed))
-
-    def synth_serial() -> np.ndarray:
-        return _synthesize_train_reference(
-            channel, session_cfg, np.random.default_rng(seed)
-        )
-
-    results.append(
+        ),
         compare_ops(
-            "record_session_synthesis",
-            f"chirps={session_cfg.num_chirps}",
-            synth_batched,
-            synth_serial,
+            obs_names.SPAN_STAGE_SPECTRUM,
+            f"duration_s={duration},echoes={len(echoes)}",
+            lambda: pipeline.absorption_curves(echoes),
+            lambda: np.stack([pipeline.absorption_curve(e) for e in echoes]),
             repeats=repeats,
-        )
-    )
-
-    waveform = synth_batched()
-    fs = session_cfg.chirp.sample_rate
-    results.append(
+        ),
         compare_ops(
-            "device_coloration",
-            f"n={waveform.size}",
-            lambda: _apply_device(waveform, PROTOTYPE, fs),
-            lambda: _apply_device_reference(waveform, PROTOTYPE, fs),
+            obs_names.SPAN_STAGE_RAKE,
+            f"duration_s={session.duration_s},events={len(rake_events)}",
+            lambda: raking.cancel_reflections(unraked, rake_events),
+            rake_oracle,
             repeats=repeats,
-        )
-    )
-
-    pipeline = EarSonarPipeline(EarSonarConfig())
-    recording = record_session(
-        participant, 0.0, session_cfg, np.random.default_rng(seed + 1)
-    )
-    filtered = pipeline.preprocess(recording.waveform)
-    echoes = pipeline.extract_echoes(filtered)
-    if echoes:
-        results.append(
-            compare_ops(
-                "absorption_curves",
-                f"echoes={len(echoes)},nfft=8192",
-                lambda: pipeline.absorption_curves(echoes),
-                lambda: [pipeline.absorption_curve(e) for e in echoes],
-                repeats=repeats,
-            )
-        )
-        mean_segment = np.stack([e.segment for e in echoes]).mean(axis=0)
-        rate = echoes[0].sample_rate
-        mfcc_cfg = MfccConfig(
-            sample_rate=rate,
-            frame_length=256,
-            frame_hop=128,
-            nfft=1024,
-            num_filters=20,
-            num_coefficients=17,
-            low_hz=15_000.0,
-            high_hz=21_000.0,
-        )
-        # The spectral feature path as the experiments run it: Welch PSD
-        # of the band-passed capture (the Fig. 9 consistency input) plus
-        # MFCCs of the mean eardrum-echo segment (the Sec. IV-C input).
-        results.append(
-            compare_ops(
-                "welch_mfcc_feature_path",
-                f"capture={filtered.size},segment={mean_segment.size}",
-                lambda: (
-                    welch_psd(filtered, fs, segment_length=512),
-                    mfcc(mean_segment, mfcc_cfg),
-                ),
-                lambda: (
-                    welch_psd_reference(filtered, fs, segment_length=512),
-                    mfcc_reference(mean_segment, mfcc_cfg),
-                ),
-                repeats=repeats,
-            )
-        )
-    return results
+        ),
+    ]
 
 
 def _obs_suite(
@@ -363,9 +170,6 @@ def _obs_suite(
         run_traced,
         lambda: untraced_exec.run(recordings),
         repeats=repeats,
-        # The expected ratio is ~1.0, so block-ordered timing would let
-        # clock drift masquerade as tracing overhead; interleave pairs.
-        interleave=True,
     )
     if trace_dir is not None:
         write_run_record(
@@ -378,10 +182,8 @@ def _obs_suite(
     return [comparison]
 
 
-def overhead_pct(result: BenchResult) -> float | None:
+def overhead_pct(result: BenchResult) -> float:
     """Tracing overhead percent from an obs-suite comparison record."""
-    if result.serial_p50_ms is None or result.serial_p50_ms <= 0.0:
-        return None
     return (result.p50_ms / result.serial_p50_ms - 1.0) * 100.0
 
 
@@ -392,22 +194,24 @@ def _print_table(title: str, results: list[BenchResult]) -> None:
     print(header)
     print("-" * len(header))
     for r in results:
-        serial = f"{r.serial_p50_ms:.3f}" if r.serial_p50_ms is not None else "-"
-        speed = f"{r.speedup:.1f}x" if r.speedup is not None else "-"
-        print(f"{r.op:<28}{r.shape:<34}{r.p50_ms:>10.3f}{serial:>12}{speed:>9}")
+        speed = f"{r.speedup:.1f}x"
+        print(
+            f"{r.op:<28}{r.shape:<34}{r.p50_ms:>10.3f}"
+            f"{r.serial_p50_ms:>12.3f}{speed:>9}"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run both suites and write the BENCH_*.json reports."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark batched DSP kernels against their serial oracles.",
+        description="Time whole-capture pipeline stages against their oracles.",
     )
     parser.add_argument(
         "--quick", action="store_true", help="small problem sizes for CI smoke runs"
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="timed calls per op (default 7, quick 3)"
+        "--repeats", type=int, default=21, help="timed calls per side of each op"
     )
     parser.add_argument(
         "--output-dir", type=Path, default=Path("."), help="where BENCH_*.json land"
@@ -448,13 +252,11 @@ def main(argv: list[str] | None = None) -> int:
         "(default 0.20)",
     )
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
 
-    repeats = args.repeats if args.repeats is not None else (3 if args.quick else 7)
-    rng = np.random.default_rng(args.seed)
-
-    kernel_results = _kernel_suite(rng, args.quick, repeats)
-    pipeline_results = _pipeline_suite(args.seed, args.quick, repeats)
-    obs_results = _obs_suite(args.seed, args.quick, repeats, args.trace_dir)
+    stage_results = _stage_suite(args.seed, args.quick, args.repeats)
+    obs_results = _obs_suite(args.seed, args.quick, args.repeats, args.trace_dir)
 
     from ..core.config import EarSonarConfig
 
@@ -469,34 +271,26 @@ def main(argv: list[str] | None = None) -> int:
         "config_fingerprint": fingerprint,
     }
     args.output_dir.mkdir(parents=True, exist_ok=True)
-    kernels_path = write_report(
-        args.output_dir / "BENCH_kernels.json", kernel_results, label="kernels", **stamp
-    )
-    pipeline_path = write_report(
-        args.output_dir / "BENCH_pipeline.json",
-        pipeline_results,
-        label="pipeline",
-        **stamp,
+    stages_path = write_report(
+        args.output_dir / "BENCH_stages.json", stage_results, label="stages", **stamp
     )
     obs_path = write_report(
         args.output_dir / "BENCH_obs.json", obs_results, label="obs", **stamp
     )
 
-    _print_table("kernel micro-benchmarks (batched vs serial oracle)", kernel_results)
-    _print_table("pipeline stages (batched vs serial oracle)", pipeline_results)
+    _print_table("pipeline stages, whole capture (batched vs oracle)", stage_results)
     _print_table("observability overhead (traced vs disabled)", obs_results)
     overhead = overhead_pct(obs_results[0])
-    if overhead is not None:
-        print(f"\ntracing overhead: {overhead:+.2f}% on batch p50")
-    print(f"wrote {kernels_path}, {pipeline_path} and {obs_path}")
+    print(f"\ntracing overhead: {overhead:+.2f}% on batch p50")
+    print(f"wrote {stages_path} and {obs_path}")
 
     failed = False
     if args.trajectory is not None:
         # The obs op is namespaced so the ratchet tracks tracing
         # overhead per entry: its speedup is untraced/traced p50, so a
         # drop past tolerance (more overhead) plus a p50 rise fails the
-        # gate like any kernel regression.
-        trajectory_results = kernel_results + [
+        # gate like any stage regression.
+        trajectory_results = stage_results + [
             dataclasses.replace(r, op=f"obs.{r.op}") for r in obs_results
         ]
         append_entry(
@@ -527,11 +321,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             failed = failed or bool(regressions)
 
-    if (
-        args.fail_overhead_pct is not None
-        and overhead is not None
-        and overhead > args.fail_overhead_pct
-    ):
+    if args.fail_overhead_pct is not None and overhead > args.fail_overhead_pct:
         print(
             f"FAIL: tracing overhead {overhead:+.2f}% exceeds "
             f"{args.fail_overhead_pct:g}% budget"

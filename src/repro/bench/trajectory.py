@@ -1,24 +1,28 @@
 """Append-only perf trajectory and its regression gate.
 
 ``BENCH_trajectory.json`` is the committed, machine-readable history of
-kernel performance across the stacked PRs: one entry per benchmark
-invocation, stamped with the git SHA, seed, and machine fingerprint,
-holding per-op p50/p95/speedup numbers.  Entries are *appended*, never
-rewritten — the file is the trajectory, so a regression is visible as
-two adjacent entries, not as a silently replaced number.
+stage performance across commits: one entry per benchmark invocation,
+stamped with the git SHA, seed, and machine fingerprint, holding per-op
+p50/p95/speedup numbers.  Entries are *appended*, never rewritten — the
+file is the trajectory, so a regression is visible as two adjacent
+entries, not as a silently replaced number.  Ops that the harness no
+longer runs stay in older entries as history.
 
 :func:`check_gate` implements the CI bench-gate: the newest entry is
 compared against the most recent *prior* entry from the same machine
 fingerprint and problem-size class (``quick``), and an op fails the
 gate when **both** regression signals agree: its p50 slowed beyond the
-noise tolerance *and* its in-run speedup (batched vs the serial twin
-measured seconds apart under identical load) dropped beyond the same
-tolerance.  Raw p50s are hostage to CPU frequency scaling and noisy
-neighbours — on a busy runner a 30 µs op can "regress" 30% between two
-invocations of the same binary — but a genuine kernel regression moves
-both numbers, because the serial oracle it is measured against did not
-change.  Cross-machine entries are never compared — a laptop following
-a CI runner in the file is history, not a regression.
+noise tolerance *and* its in-run speedup (batched vs its oracle, timed
+call by call so both sides share the host's load) dropped beyond the
+same tolerance.  Raw p50s are hostage to CPU frequency scaling and
+noisy neighbours — on a 2-vCPU VM a sub-millisecond op swings
+1.25–1.65× between two runs of one commit — while a slowdown of the
+batched path moves both numbers, because the oracle it is measured
+against did not change.  The speedup is not noise-free either, so the
+gate filters for large, repeatable slowdowns rather than proving each
+trip a regression.  Cross-machine entries are never compared — a
+laptop following a CI runner in the file is history, not a
+regression.
 """
 
 from __future__ import annotations

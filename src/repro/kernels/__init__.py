@@ -14,8 +14,10 @@ The serial implementations in :mod:`repro.signal`,
 ``*_reference`` functions: they are the executable specification, and
 the golden suite in ``tests/kernels`` holds every kernel to a
 ``<= 1e-10`` max-abs-diff bound against them (bit-identical in the
-common case).  ``python -m repro.bench`` times both sides and records
-the speedups in ``BENCH_kernels.json`` / ``BENCH_pipeline.json``.
+common case).  ``python -m repro.bench`` times the pipeline stages
+built on these kernels (parity, spectrum, rake) over a whole capture
+against their oracle loops and records the speedups in
+``BENCH_stages.json``.
 
 There is one numeric lane: every kernel computes in float64 /
 complex128.  The one kernel that is not bit-identical to its oracle is

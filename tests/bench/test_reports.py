@@ -68,26 +68,6 @@ class TestWriteReport:
         )
         assert len(json.loads(path.read_text())["runs"]) == 2
 
-    def test_v1_payload_is_migrated_not_dropped(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "seed": 7,
-                    "quick": True,
-                    "results": [{"op": "legacy", "p50_ms": 3.0}],
-                }
-            )
-        )
-        write_report(
-            path, [_result("op", 1.0)], label="x", quick=False, seed=0, sha="aaa"
-        )
-        runs = json.loads(path.read_text())["runs"]
-        assert len(runs) == 2
-        assert runs[0]["git_sha"] == "unknown"
-        assert runs[0]["results"][0]["op"] == "legacy"
-
     def test_machine_fingerprint_is_short_and_stable(self):
         assert machine_fingerprint() == machine_fingerprint()
         assert len(machine_fingerprint()) == 12

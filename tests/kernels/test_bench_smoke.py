@@ -2,7 +2,9 @@
 
 import json
 
-from repro.bench import SCHEMA_VERSION, BenchResult, compare_ops, time_op, write_report
+import pytest
+
+from repro.bench import SCHEMA_VERSION, BenchResult, compare_ops, write_report
 from repro.bench.__main__ import main
 
 _RESULT_KEYS = {
@@ -17,14 +19,24 @@ _RESULT_KEYS = {
 }
 
 
-def test_time_op_and_compare_ops():
-    p50, p95 = time_op(lambda: sum(range(100)), repeats=3)
-    assert 0.0 <= p50 <= p95
-    result = compare_ops("toy", "n=100", lambda: 1, lambda: 2, repeats=3)
+def test_compare_ops_times_the_pair_call_by_call():
+    calls = []
+    result = compare_ops(
+        "toy",
+        "n=1",
+        lambda: calls.append("batched"),
+        lambda: calls.append("serial"),
+        repeats=3,
+    )
+    # One untimed warmup of each side, then the sides alternate.
+    assert calls == ["batched", "serial"] * 4
     assert isinstance(result, BenchResult)
-    assert result.speedup is not None and result.speedup > 0.0
-    solo = compare_ops("toy2", "n=1", lambda: 1, repeats=2)
-    assert solo.serial_p50_ms is None and solo.speedup is None
+    assert result.repeats == 3
+    assert 0.0 <= result.p50_ms <= result.p95_ms
+    assert 0.0 <= result.serial_p50_ms <= result.serial_p95_ms
+    assert result.speedup > 0.0
+    with pytest.raises(ValueError, match="repeats"):
+        compare_ops("toy", "n=1", lambda: 1, lambda: 2, repeats=0)
 
 
 def test_write_report_schema(tmp_path):
@@ -45,25 +57,29 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
     )
     assert rc == 0
     for name, expected_ops in [
-        (
-            "BENCH_kernels.json",
-            {"welch_psd", "mfcc", "correlation_matrix", "rake_cancel", "parity_segment"},
-        ),
-        ("BENCH_pipeline.json", {"record_session_synthesis", "welch_mfcc_feature_path"}),
+        ("BENCH_stages.json", {"stage.parity", "stage.spectrum", "stage.rake"}),
+        ("BENCH_obs.json", {"batch_screening_traced"}),
     ]:
         payload = json.loads((tmp_path / name).read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
         (run,) = payload["runs"]
         assert run["quick"] is True and run["seed"] == 1
-        ops = {r["op"] for r in run["results"]}
-        assert expected_ops <= ops
+        assert {r["op"] for r in run["results"]} == expected_ops
         for record in run["results"]:
             assert set(record) == _RESULT_KEYS
             assert record["p50_ms"] > 0.0
             assert record["repeats"] == 1
-            assert record["serial_p50_ms"] is not None  # every op has an oracle
-    # The single-precision lane and its report are gone for good.
-    assert not (tmp_path / "BENCH_backends.json").exists()
-    for path in tmp_path.glob("BENCH_*.json"):
-        for run in json.loads(path.read_text())["runs"]:
-            assert not any(r["op"].startswith("f32.") for r in run["results"])
+            assert record["serial_p50_ms"] > 0.0  # every op has an oracle
+    # The micro-op reports and the single-precision lane's are gone.
+    assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == [
+        "BENCH_obs.json",
+        "BENCH_stages.json",
+    ]
+
+
+def test_cli_rejects_repeats_below_one(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--quick", "--repeats", "0", "--output-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--repeats must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # rejected before any input was built

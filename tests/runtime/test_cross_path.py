@@ -3,10 +3,16 @@
 The same short captures run through six paths — the direct pipeline,
 ``BatchExecutor`` serial and pooled, a memory-cache hit, a disk-cache
 hit read by a fresh ``FeatureCache``, and ``ScreeningService`` on a
-virtual clock — under two configs: the default, and rake + calibration
-on reverberant captures from a drifting device.  Every
-``ProcessedRecording`` field must agree with the direct pipeline's,
-arrays byte for byte.
+virtual clock — under three configs: the default, rake + calibration
+on reverberant captures from a drifting device, and non-finite
+sanitizing on captures damaged by each faultlab model.  Every outcome
+must agree with the direct pipeline's: each ``ProcessedRecording``
+field, arrays byte for byte, and each quarantine's ``FailedRecording``
+(error type and message included).
+
+Clean captures must all process: the direct pipeline raises otherwise,
+and since every path must return the same outcome type, each of their
+serve responses is ok and each second run is all cache hits.
 """
 
 from __future__ import annotations
@@ -18,11 +24,15 @@ import numpy as np
 import pytest
 
 from repro.acoustics.reverb import ReverbConfig
-from repro.core.config import CalibrationConfig, EarSonarConfig
+from repro.core.config import CalibrationConfig, EarSonarConfig, RobustnessConfig
 from repro.core.pipeline import EarSonarPipeline
 from repro.core.results import ProcessedRecording
+from repro.errors import SignalProcessingError
+from repro.faultlab import apply_to_recording, fault_catalog
 from repro.obs import names as obs_names
 from repro.runtime import BatchExecutor, FeatureCache, RuntimeMetrics
+from repro.runtime.executor import Outcome
+from repro.runtime.faults import FailedRecording
 from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
 from repro.simulation import sample_participant
 from repro.simulation.calibration import CalibrationDriftConfig
@@ -34,8 +44,11 @@ DRIFT = CalibrationDriftConfig(
     enabled=True, gain_drift_db=6.0, tilt_drift_db=0.0, horizon_sessions=1
 )
 
+#: Name -> (pipeline config, session, fault models).  A config without
+#: fault models screens three clean captures; one with them screens one
+#: capture damaged by each model, and a quarantine is a valid outcome.
 CONFIGS = {
-    "default": (EarSonarConfig(), SessionConfig(duration_s=0.1)),
+    "default": (EarSonarConfig(), SessionConfig(duration_s=0.1), None),
     "reverb_calibration": (
         EarSonarConfig(
             reverb=ReverbConfig(enabled=True),
@@ -47,40 +60,68 @@ CONFIGS = {
             calibration=DRIFT,
             device_unit=5,
         ),
+        None,
+    ),
+    "robustness": (
+        EarSonarConfig(robustness=RobustnessConfig(sanitize_nonfinite=True)),
+        SessionConfig(duration_s=0.1),
+        fault_catalog(2.0),
     ),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
 def case(request):
-    """``(pipeline, captures, direct results)`` for one config."""
-    config, session = CONFIGS[request.param]
+    """``(pipeline, captures, direct outcomes)`` for one config."""
+    config, session, faults = CONFIGS[request.param]
     participant = sample_participant(np.random.default_rng(202), "P777")
     rng = np.random.default_rng(29)
-    captures = [
-        record_session(participant, day, session, rng) for day in (2.0, 9.0, 16.0)
-    ]
     pipeline = EarSonarPipeline(config)
-    return pipeline, captures, [pipeline.process(c) for c in captures]
+    if faults is None:
+        captures = [
+            record_session(participant, day, session, rng) for day in (2.0, 9.0, 16.0)
+        ]
+        return pipeline, captures, [pipeline.process(c) for c in captures]
+    captures = [
+        apply_to_recording(record_session(participant, day, session, rng), model, rng)
+        for day, model in enumerate(faults.values(), start=2)
+    ]
+    return pipeline, captures, [_process_or_quarantine(pipeline, c) for c in captures]
+
+
+def _process_or_quarantine(pipeline, capture) -> Outcome:
+    """The pipeline's result, or the quarantine record the runtime makes."""
+    try:
+        return pipeline.process(capture)
+    except SignalProcessingError as exc:
+        return FailedRecording(
+            participant_id=capture.participant_id,
+            day=capture.day,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            true_state=capture.state,
+        )
 
 
 def _serial(pipeline, captures, tmp_path):
-    return BatchExecutor(pipeline, workers=1).run(captures).processed
+    return BatchExecutor(pipeline, workers=1).run(captures).outcomes
 
 
 def _pool(pipeline, captures, tmp_path):
     metrics = RuntimeMetrics()
     result = BatchExecutor(pipeline, workers=2, metrics=metrics).run(captures)
     assert metrics.counter(obs_names.METRIC_CHUNKS_DISPATCHED) > 0
-    return result.processed
+    return result.outcomes
 
 
-def _cached(pipeline, captures, cache: FeatureCache) -> list[ProcessedRecording]:
+def _cached(pipeline, captures, cache: FeatureCache) -> list[Outcome]:
     metrics = RuntimeMetrics()
     result = BatchExecutor(pipeline, cache=cache, metrics=metrics).run(captures)
-    assert metrics.counter(obs_names.METRIC_CACHE_HITS) == len(captures)
-    assert metrics.counter(obs_names.METRIC_PIPELINE_CALLS) == 0
-    return result.processed
+    # Quarantines are never cached, so only they reach the pipeline again;
+    # on a clean config that means all hits and no pipeline call.
+    assert metrics.counter(obs_names.METRIC_CACHE_HITS) == result.ok_count
+    assert metrics.counter(obs_names.METRIC_PIPELINE_CALLS) == result.failed_count
+    return result.outcomes
 
 
 def _memory_hit(pipeline, captures, tmp_path):
@@ -113,9 +154,7 @@ def _serve(pipeline, captures, tmp_path):
         await service.stop()
         return [task.result() for task in tasks]
 
-    responses = asyncio.run(scenario())
-    assert all(response.ok for response in responses)
-    return [response.outcome for response in responses]
+    return [response.outcome for response in asyncio.run(scenario())]
 
 
 PATHS = {
@@ -127,8 +166,9 @@ PATHS = {
 }
 
 
-def assert_same_result(actual: ProcessedRecording, expected: ProcessedRecording):
-    for f in dataclasses.fields(ProcessedRecording):
+def assert_same_result(actual: Outcome, expected: Outcome):
+    assert type(actual) is type(expected)
+    for f in dataclasses.fields(expected):
         a, e = getattr(actual, f.name), getattr(expected, f.name)
         if isinstance(e, np.ndarray):
             assert a.dtype == e.dtype, f.name
@@ -151,3 +191,16 @@ def test_reverb_calibration_case_is_not_vacuous(case):
     _, _, direct = case
     assert all(p.num_reflections_removed > 0 for p in direct)
     assert all(p.calibration_offset_db != 0.0 for p in direct)
+
+
+@pytest.mark.parametrize("case", ["robustness"], indirect=True)
+def test_robustness_case_is_not_vacuous(case):
+    _, _, direct = case
+    quarantined = [o for o in direct if isinstance(o, FailedRecording)]
+    sanitized = [
+        o
+        for o in direct
+        if isinstance(o, ProcessedRecording) and "non_finite" in o.quality_reasons
+    ]
+    assert [o.error_type for o in quarantined] == ["NoEchoFoundError"]
+    assert len(sanitized) == 1 and sanitized[0].confidence < 1.0
