@@ -67,6 +67,7 @@ __all__ = [
     "METRIC_TIMEOUTS",
     "METRIC_WORKER_FAILURES",
     "METRIC_CHUNKS_SKIPPED",
+    "METRIC_POOL_STARTS",
     "METRIC_BREAKER_OPENED",
     "METRIC_QUALITY_DEGRADED",
     "METRIC_QUALITY_REJECTED",
@@ -289,6 +290,9 @@ METRIC_TIMEOUTS = "executor.timeouts"
 METRIC_WORKER_FAILURES = "executor.worker_failures"
 #: Chunks quarantined by an open circuit breaker.
 METRIC_CHUNKS_SKIPPED = "executor.chunks_skipped"
+#: Worker pools created: one per pooled run of an unopened executor,
+#: one per worker count (plus one per fault) while it is open.
+METRIC_POOL_STARTS = "executor.pool_starts"
 #: Circuit-breaker open transitions.
 METRIC_BREAKER_OPENED = "breaker.opened"
 #: Quality-gate DEGRADE verdicts (and pipeline-degraded results).
@@ -334,6 +338,7 @@ CANONICAL_COUNTERS = frozenset(
         METRIC_TIMEOUTS,
         METRIC_WORKER_FAILURES,
         METRIC_CHUNKS_SKIPPED,
+        METRIC_POOL_STARTS,
         METRIC_BREAKER_OPENED,
         METRIC_QUALITY_DEGRADED,
         METRIC_QUALITY_REJECTED,

@@ -12,23 +12,34 @@ Three properties are load-bearing and tested:
   byte-identical to a serial run: parallelism changes wall-clock, not
   science.
 - **Cache-before-dispatch** — lookups happen in the parent, so a fully
-  warm cache performs *zero* pipeline calls and never pays pool
-  startup.
+  warm cache performs *zero* pipeline calls and dispatches nothing to
+  a pool.
 - **Fault isolation** — expected signal failures become structured
   :class:`~repro.runtime.faults.FailedRecording` entries; programming
   errors still propagate.
 
 Work is chunked before pickling so each pool task amortizes the cost of
 shipping waveforms to a worker; workers rebuild the pipeline once per
-(process, config) pair and reuse it across chunks.
+(process, config) pair and reuse it across chunks, for as long as the
+process lives.
+
+A pool, and so each worker process, lives for one
+:meth:`BatchExecutor.run` unless the executor is open: between
+:meth:`~BatchExecutor.open` and :meth:`~BatchExecutor.close` (or inside
+``with executor:``) every pooled run reuses one pool, so its workers
+build their pipelines and plan caches once and keep them.  The
+screening service holds its executor open while it runs; batch
+callers, which run a few large batches, fork a pool per run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import multiprocessing
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -47,9 +58,22 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..obs import names as obs_names
-from ..obs.events import EventLevel, current_event_log
-from ..obs.health import HealthContext, activate_health_from_context, current_health
-from ..obs.tracer import Span, TraceContext, activate_from_context, current_tracer
+from ..obs.events import NULL_EVENT_LOG, EventLevel, current_event_log, use_event_log
+from ..obs.health import (
+    NULL_HEALTH,
+    HealthContext,
+    activate_health_from_context,
+    current_health,
+    use_health,
+)
+from ..obs.tracer import (
+    NULL_TRACER,
+    Span,
+    TraceContext,
+    activate_from_context,
+    current_tracer,
+    use_tracer,
+)
 from ..quality import QualityConfig, assess_recording
 from ..simulation.session import Recording
 from .breaker import CircuitBreaker
@@ -100,6 +124,24 @@ class BatchResult:
 #: Per-worker-process pipeline cache, keyed by config fingerprint, so a
 #: worker serving many chunks designs its filters/templates only once.
 _WORKER_PIPELINES: dict[str, EarSonarPipeline] = {}
+
+#: The null telemetry scopes :func:`_init_worker` enters, held open for
+#: the worker's lifetime (a dropped scope would restore what it reset).
+_WORKER_SCOPES = contextlib.ExitStack()
+
+
+def _init_worker() -> None:
+    """Pool initializer: start each worker with null telemetry.
+
+    A forked worker inherits the parent's ambient tracer, health monitor
+    and event log as they were at the fork.  Chunks that ask for tracing
+    or health build their own from the shipped contexts, so anything
+    inherited would only collect spans nobody reads, without bound in a
+    worker that serves many runs.
+    """
+    _WORKER_SCOPES.enter_context(use_tracer(NULL_TRACER))
+    _WORKER_SCOPES.enter_context(use_health(NULL_HEALTH))
+    _WORKER_SCOPES.enter_context(use_event_log(NULL_EVENT_LOG))
 
 
 def _worker_pipeline(config: EarSonarConfig) -> EarSonarPipeline:
@@ -241,7 +283,11 @@ class BatchExecutor:
     workers:
         Process count.  1 (the default) runs serially in-process, which
         keeps single-study experiments deterministic-by-construction
-        and avoids pool startup for small batches.
+        and avoids pool startup for small batches.  A run with fewer
+        cache misses than workers forks only as many; an open
+        executor's pool always has ``workers`` processes.  May be
+        changed between runs (the serve controller does); an open pool
+        is then replaced at the next pooled run.
     chunk_size:
         Recordings per pool task.  ``None`` auto-sizes to about four
         chunks per worker, balancing pickling overhead against
@@ -275,6 +321,14 @@ class BatchExecutor:
         Optional :class:`~repro.runtime.chaos.FaultInjector` armed in
         the workers for chaos tests.  Pool path only — a deliberate
         crash or hang in the serial path would take down the caller.
+
+    Pool lifetime: by default each pooled :meth:`run` forks its own
+    pool and shuts it down without waiting.  :meth:`open` (or ``with
+    executor:``) keeps one pool from the next pooled run until
+    :meth:`close`.  A pool that lost a worker or missed a deadline is
+    discarded at the end of its run, its workers killed, and the next
+    pooled run starts a new one.  The ``executor.pool_starts`` counter
+    counts every pool created.
     """
 
     def __init__(
@@ -291,8 +345,6 @@ class BatchExecutor:
         breaker: CircuitBreaker | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1 or None, got {chunk_size}"
@@ -301,8 +353,16 @@ class BatchExecutor:
             raise ConfigurationError(
                 f"task_timeout_s must be positive or None, got {task_timeout_s}"
             )
-        self.pipeline = pipeline or EarSonarPipeline(EarSonarConfig())
+        self._open = False
+        self._pool: ProcessPoolExecutor | None = None
+        #: The workers this executor forked that may still run, for
+        #: close() to wait on: multiprocessing holds each child until it
+        #: is reaped, so a weak set drops exactly the ones that ended.
+        self._forked: weakref.WeakSet[multiprocessing.process.BaseProcess] = (
+            weakref.WeakSet()
+        )
         self.workers = workers
+        self.pipeline = pipeline or EarSonarPipeline(EarSonarConfig())
         self.chunk_size = chunk_size
         self.cache = cache
         self.metrics = metrics or RuntimeMetrics()
@@ -315,6 +375,46 @@ class BatchExecutor:
             # Corruption evictions surface in this executor's report.
             cache.metrics = self.metrics
         self._fingerprint = self.pipeline.config.fingerprint()
+
+    @property
+    def workers(self) -> int:
+        """Process count (see the class docstring); at least 1."""
+        return self._workers
+
+    @workers.setter
+    def workers(self, value: int) -> None:
+        if value < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {value}")
+        if self._pool is not None and value != self._workers:
+            self._retire(self._pool)
+        self._workers = value
+
+    # -- pool lifetime -------------------------------------------------
+
+    def open(self) -> BatchExecutor:
+        """Keep one worker pool, created at the next pooled run, until :meth:`close`."""
+        self._open = True
+        return self
+
+    def close(self) -> None:
+        """Shut the open pool down; return once every worker has exited.
+
+        Covers every process this executor forked, including the pools
+        of unopened runs, which shut down without waiting.
+        """
+        self._open = False
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True, cancel_futures=True)
+        for process in list(self._forked):
+            while process.exitcode is None:
+                process.join()
+
+    def __enter__(self) -> BatchExecutor:
+        return self.open()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- public API ----------------------------------------------------
 
@@ -559,7 +659,8 @@ class BatchExecutor:
         breaker = self.breaker
         if breaker is not None:
             breaker.on_new_batch()
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = self._acquire_pool(workers)
+        faulted = False
         try:
             futures = [
                 pool.submit(
@@ -574,6 +675,8 @@ class BatchExecutor:
                 )
                 for chunk in chunks
             ]
+            # Workers exist once the first task is submitted.
+            self._forked.update(pool._processes.values())
             for chunk_no, (chunk, future) in enumerate(zip(chunks, futures)):
                 if breaker is not None and breaker.is_open:
                     future.cancel()
@@ -596,6 +699,7 @@ class BatchExecutor:
                             timeout=self.task_timeout_s
                         )
                 except FuturesTimeoutError:
+                    faulted = True
                     self.metrics.increment(obs_names.METRIC_TIMEOUTS)
                     self._chunk_failed(
                         chunk,
@@ -606,6 +710,7 @@ class BatchExecutor:
                         ),
                     )
                 except BrokenProcessPool as exc:
+                    faulted = True
                     self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
                     self._chunk_failed(
                         chunk,
@@ -635,10 +740,44 @@ class BatchExecutor:
                             outcomes,
                         )
         finally:
-            # wait=False: after a timeout or crash there may be a hung
-            # or dead worker; blocking on it here would forfeit the
-            # deadline we just enforced.
-            pool.shutdown(wait=False, cancel_futures=True)
+            if faulted or pool is not self._pool:
+                self._retire(pool, kill=faulted)
+
+    def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The pool a run dispatches to: the open one, or a new one.
+
+        An open executor keeps one pool of ``self.workers`` processes
+        and replaces it only once it is gone or broken (a worker died
+        while it sat idle); an unopened executor forks ``workers``
+        processes for this run alone.
+        """
+        if self._pool is not None:
+            if not self._pool._broken:
+                return self._pool
+            self._retire(self._pool, kill=True)
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers if self._open else workers,
+            initializer=_init_worker,
+        )
+        self.metrics.increment(obs_names.METRIC_POOL_STARTS)
+        if self._open:
+            self._pool = pool
+        return pool
+
+    def _retire(self, pool: ProcessPoolExecutor, *, kill: bool = False) -> None:
+        """Shut ``pool`` down without waiting, first killing its workers if asked.
+
+        Never waits: after a timeout a worker may be hung, and blocking
+        on it would forfeit the deadline just enforced, so a faulted
+        pool's workers are killed instead (a crashed pool's are dead
+        already).  :meth:`close` waits for whatever is still exiting.
+        """
+        if pool is self._pool:
+            self._pool = None
+        if kill:
+            for process in list(pool._processes.values()):
+                process.kill()
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def _chunk(
         self, misses: list[tuple[int, Recording]], workers: int

@@ -109,6 +109,8 @@ class RuntimeMetrics:
     - ``executor.timeouts`` — pool tasks that missed their deadline
     - ``executor.worker_failures`` — chunks lost to crashes/injected faults
     - ``executor.chunks_skipped`` — chunks quarantined by an open breaker
+    - ``executor.pool_starts`` — worker pools created (per run, or per
+      worker count and fault while the executor is open)
     - ``breaker.opened`` — circuit-breaker open transitions
     - ``quality.degraded`` / ``quality.rejected`` — quality-gate verdicts
     - histograms ``recording_ms``, ``stage.bandpass_ms``,

@@ -18,10 +18,13 @@ batch runtime.  A caller submits one
 4. **dispatches** each micro-batch through the shared
    :class:`~repro.runtime.executor.BatchExecutor` — the *same* runtime
    the offline path uses, so a served feature vector is bit-identical
-   to the batch one;
+   to the batch one.  The service holds the executor open from
+   :meth:`~ScreeningService.start` to :meth:`~ScreeningService.stop`,
+   so every micro-batch runs on one pool of warm workers;
 5. **steers capacity**: observed batch latencies feed the
    :class:`~repro.serve.controller.LatencyController`, whose
-   recommendation resizes the executor's worker pool between batches.
+   recommendation resizes the executor's worker pool between batches
+   (the open pool is replaced at the next batch).
 
 Every timed decision reads the injected :class:`~repro.serve.clock.Clock`,
 so the whole service — backpressure, fairness, deadlines, the feedback
@@ -124,6 +127,7 @@ class ScreeningService:
         metrics registry becomes the service's registry, so ``serve.*``
         counters land next to the executor's own telemetry; its
         ``workers`` attribute is the knob the latency controller turns.
+        :meth:`start` opens it and :meth:`stop` closes it.
     clock:
         Time source for every deadline, wait, and latency measurement.
         Defaults to :class:`MonotonicClock`; tests pass
@@ -210,10 +214,18 @@ class ScreeningService:
         return self.executor.workers
 
     async def start(self) -> None:
-        """Begin accepting requests and start the dispatch loop."""
+        """Begin accepting requests and start the dispatch loop.
+
+        Opens the executor, so every micro-batch until :meth:`stop` runs
+        on one worker pool.  A stopped service may be started again.
+        """
         if self._running:
             return
+        if self.batcher.closed:
+            self.batcher = MicroBatcher(self.scheduler, self.batch_policy, self.clock)
+        self._abandoned = False
         self._running = True
+        self.executor.open()
         self._dispatch_task = asyncio.ensure_future(self._dispatch_loop())
         current_event_log().emit(
             obs_names.EVENT_SERVE_STARTED,
@@ -229,7 +241,8 @@ class ScreeningService:
         still batched and answered before the loop exits — shutdown
         never strands accepted work.  With ``drain=False`` queued
         requests are failed immediately with
-        :class:`ServiceStoppedError` on their futures.
+        :class:`ServiceStoppedError` on their futures.  Either way the
+        executor's pool is closed last, once no batch can still need it.
         """
         if not self._running:
             return
@@ -248,6 +261,7 @@ class ScreeningService:
         if self._dispatch_task is not None:
             await self._dispatch_task
             self._dispatch_task = None
+        self.executor.close()
         # Close the health trajectory with one final snapshot so short
         # runs produce at least one sample and alerts resolve on record.
         self._maybe_health_snapshot(force=True)

@@ -1,14 +1,16 @@
 """One input, one answer: every execution path returns the same result.
 
-The same short captures run through six paths — the direct pipeline,
-``BatchExecutor`` serial and pooled, a memory-cache hit, a disk-cache
-hit read by a fresh ``FeatureCache``, and ``ScreeningService`` on a
-virtual clock — under three configs: the default, rake + calibration
-on reverberant captures from a drifting device, and non-finite
-sanitizing on captures damaged by each faultlab model.  Every outcome
-must agree with the direct pipeline's: each ``ProcessedRecording``
-field, arrays byte for byte, and each quarantine's ``FailedRecording``
-(error type and message included).
+The same short captures run through eight paths — the direct pipeline,
+``BatchExecutor`` serial and pooled, a second run on an open pool's
+warm workers, a memory-cache hit, a disk-cache hit read by a fresh
+``FeatureCache``, and ``ScreeningService`` on a virtual clock, both
+in-process and on the two-worker pool it holds open — under three
+configs: the default, rake + calibration on reverberant captures from
+a drifting device, and non-finite sanitizing on captures damaged by
+each faultlab model.  Every outcome must agree with the direct
+pipeline's: each ``ProcessedRecording`` field, arrays byte for byte,
+and each quarantine's ``FailedRecording`` (error type and message
+included).
 
 Clean captures must all process: the direct pipeline raises otherwise,
 and since every path must return the same outcome type, each of their
@@ -114,6 +116,17 @@ def _pool(pipeline, captures, tmp_path):
     return result.outcomes
 
 
+def _open_pool(pipeline, captures, tmp_path):
+    metrics = RuntimeMetrics()
+    with BatchExecutor(pipeline, workers=2, metrics=metrics) as executor:
+        executor.run(captures)
+        # The second run is on warm workers, which keep their pipelines.
+        result = executor.run(captures)
+    assert metrics.counter(obs_names.METRIC_POOL_STARTS) == 1
+    assert metrics.counter(obs_names.METRIC_CHUNKS_DISPATCHED) > 0
+    return result.outcomes
+
+
 def _cached(pipeline, captures, cache: FeatureCache) -> list[Outcome]:
     metrics = RuntimeMetrics()
     result = BatchExecutor(pipeline, cache=cache, metrics=metrics).run(captures)
@@ -157,12 +170,46 @@ def _serve(pipeline, captures, tmp_path):
     return [response.outcome for response in asyncio.run(scenario())]
 
 
+def _serve_pool(pipeline, captures, tmp_path):
+    """The service on a two-worker pool: every capture is sent twice, so
+    each micro-batch of two goes to the pool the service holds open."""
+    metrics = RuntimeMetrics()
+
+    async def scenario():
+        clock = VirtualClock()
+        service = ScreeningService(
+            BatchExecutor(pipeline, workers=2, metrics=metrics),
+            clock=clock,
+            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+        )
+        await service.start()
+        tasks = [
+            asyncio.ensure_future(
+                service.submit(ScreeningRequest(f"req-{i}", "clinic", capture))
+            )
+            for i, capture in enumerate(captures + captures)
+        ]
+        await clock.advance_until(lambda: all(task.done() for task in tasks))
+        await service.stop()
+        return [task.result() for task in tasks]
+
+    responses = asyncio.run(scenario())
+    assert len({response.batch for response in responses}) >= 2
+    assert metrics.counter(obs_names.METRIC_POOL_STARTS) == 1
+    first, second = responses[: len(captures)], responses[len(captures) :]
+    for again, once in zip(second, first):
+        assert_same_result(again.outcome, once.outcome)
+    return [response.outcome for response in second]
+
+
 PATHS = {
     "serial": _serial,
     "pool": _pool,
+    "open_pool": _open_pool,
     "memory_hit": _memory_hit,
     "disk_hit": _disk_hit,
     "serve": _serve,
+    "serve_pool": _serve_pool,
 }
 
 

@@ -430,6 +430,27 @@ class TestLifecycle:
             isinstance(task.exception(), ServiceStoppedError) for task in tasks
         )
 
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_restarted_service_answers(self, executor, serve_recordings, drain):
+        async def scenario():
+            clock = VirtualClock()
+            service = make_service(executor, clock)
+            answers = []
+            for round_no in range(2):
+                await service.start()
+                tasks = submit_all(
+                    service,
+                    [ScreeningRequest(f"r{round_no}", "clinic", serve_recordings[0])],
+                )
+                await drive(clock, tasks)
+                answers.append(tasks[0].result())
+                await service.stop(drain=drain)
+            return answers
+
+        first, second = run(scenario())
+        assert first.ok and second.ok
+        assert (first.batch, second.batch) == (0, 1)
+
 
 class TestController:
     def test_sustained_overload_grows_the_pool(
