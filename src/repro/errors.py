@@ -128,13 +128,12 @@ class ServiceError(EarSonarError):
 class AdmissionRejected(ServiceError):
     """The service refused a request at the front door.
 
-    Carries machine-readable shedding metadata so callers can implement
+    Carries machine-readable backpressure metadata so callers can implement
     polite retry:
 
     - ``reason`` — one of ``"rate_limited"`` (the tenant's token bucket
       is empty), ``"queue_full"`` (the bounded request queue is at
-      capacity), ``"overload"`` (estimated queue wait exceeds the SLO
-      headroom), or ``"shutdown"`` (the service is stopping);
+      capacity), or ``"shutdown"`` (the service is stopping);
     - ``retry_after_s`` — the earliest time, in seconds, at which a
       retry has a chance of being admitted.
     """
@@ -143,7 +142,7 @@ class AdmissionRejected(ServiceError):
         self,
         message: str = "request rejected by admission control",
         *,
-        reason: str = "overload",
+        reason: str = "queue_full",
         retry_after_s: float = 0.0,
     ) -> None:
         super().__init__(message)
@@ -155,6 +154,6 @@ class ServiceStoppedError(ServiceError):
     """An operation was attempted on a service that is not running.
 
     Raised by ``submit`` before ``start`` or after ``stop`` — distinct
-    from :class:`AdmissionRejected`, which describes load shedding on a
+    from :class:`AdmissionRejected`, which describes backpressure on a
     *running* service.
     """

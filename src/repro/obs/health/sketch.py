@@ -3,7 +3,7 @@
 Every streaming latency or drift distribution in the repo is one of
 these: the runtime's :class:`~repro.runtime.metrics.Histogram` holds
 one, and every fleet-health window bucket is an epoch plus one.  Many
-producers (pool workers, serve shards) accumulate locally and a parent
+producers (pool workers, service processes) accumulate locally and a parent
 combines them without loss.  Exact reservoirs don't merge — two
 reservoirs concatenated are no longer a uniform sample — so the sketch
 is the standard mergeable alternative: a histogram whose bucket

@@ -87,18 +87,15 @@ __all__ = [
     "EVENT_SERVE_STOPPED",
     "EVENT_SERVE_REJECTED",
     "EVENT_SERVE_BATCH_DISPATCHED",
-    "EVENT_SERVE_POOL_RESIZED",
     "METRIC_SERVE_SUBMITTED",
     "METRIC_SERVE_ADMITTED",
     "METRIC_SERVE_COMPLETED",
     "METRIC_SERVE_FAST_REJECTED",
     "METRIC_SERVE_REJECTED_RATE_LIMITED",
     "METRIC_SERVE_REJECTED_QUEUE_FULL",
-    "METRIC_SERVE_REJECTED_OVERLOAD",
     "METRIC_SERVE_REJECTED_SHUTDOWN",
     "METRIC_SERVE_BATCHES_DISPATCHED",
     "METRIC_SERVE_BATCH_FAILURES",
-    "METRIC_SERVE_POOL_RESIZES",
     "HIST_SERVE_REQUEST_MS",
     "HIST_SERVE_QUEUE_MS",
     "HIST_SERVE_BATCH_MS",
@@ -224,9 +221,6 @@ EVENT_SERVE_STOPPED = "serve.stopped"
 EVENT_SERVE_REJECTED = "serve.request_rejected"
 #: A micro-batch was handed to the executor (fields: batch, size, ms).
 EVENT_SERVE_BATCH_DISPATCHED = "serve.batch_dispatched"
-#: The SLO controller resized the worker pool (fields: previous,
-#: workers, p95_ms).
-EVENT_SERVE_POOL_RESIZED = "serve.pool_resized"
 #: A periodic fleet-health snapshot was taken (fields: seq, at_s,
 #: alerts_active, series).  The full snapshot travels out of band (the
 #: serve loop's snapshot sink / ``--health-out``); the event carries a
@@ -255,7 +249,6 @@ EVENT_NAMES = frozenset(
         EVENT_SERVE_STOPPED,
         EVENT_SERVE_REJECTED,
         EVENT_SERVE_BATCH_DISPATCHED,
-        EVENT_SERVE_POOL_RESIZED,
         EVENT_HEALTH_SNAPSHOT,
         EVENT_SLO_ALERT_FIRED,
         EVENT_SLO_ALERT_RESOLVED,
@@ -382,16 +375,12 @@ METRIC_SERVE_FAST_REJECTED = "serve.requests.fast_rejected"
 METRIC_SERVE_REJECTED_RATE_LIMITED = "serve.rejected.rate_limited"
 #: Rejections: the bounded request queue was at capacity.
 METRIC_SERVE_REJECTED_QUEUE_FULL = "serve.rejected.queue_full"
-#: Rejections: estimated queue wait exceeded the SLO headroom.
-METRIC_SERVE_REJECTED_OVERLOAD = "serve.rejected.overload"
 #: Rejections: the service was stopping.
 METRIC_SERVE_REJECTED_SHUTDOWN = "serve.rejected.shutdown"
 #: Micro-batches handed to the batch executor.
 METRIC_SERVE_BATCHES_DISPATCHED = "serve.batches.dispatched"
 #: Micro-batches whose executor call raised (requests answered as failed).
 METRIC_SERVE_BATCH_FAILURES = "serve.batch_failures"
-#: Worker-pool resizes applied by the SLO latency controller.
-METRIC_SERVE_POOL_RESIZES = "serve.pool_resizes"
 
 #: Submit-to-response wall time per request.
 HIST_SERVE_REQUEST_MS = "serve.request_ms"
@@ -405,7 +394,6 @@ HIST_SERVE_BATCH_MS = "serve.batch_ms"
 SERVE_REJECTION_COUNTERS = {
     "rate_limited": METRIC_SERVE_REJECTED_RATE_LIMITED,
     "queue_full": METRIC_SERVE_REJECTED_QUEUE_FULL,
-    "overload": METRIC_SERVE_REJECTED_OVERLOAD,
     "shutdown": METRIC_SERVE_REJECTED_SHUTDOWN,
 }
 
@@ -419,11 +407,9 @@ SERVE_CANONICAL_COUNTERS = frozenset(
         METRIC_SERVE_FAST_REJECTED,
         METRIC_SERVE_REJECTED_RATE_LIMITED,
         METRIC_SERVE_REJECTED_QUEUE_FULL,
-        METRIC_SERVE_REJECTED_OVERLOAD,
         METRIC_SERVE_REJECTED_SHUTDOWN,
         METRIC_SERVE_BATCHES_DISPATCHED,
         METRIC_SERVE_BATCH_FAILURES,
-        METRIC_SERVE_POOL_RESIZES,
     }
 )
 

@@ -2,8 +2,8 @@
 
 Two whole-program lock/state hazards the per-file rules cannot see:
 
-1. **Order inversion.**  The repo holds ``threading.Lock`` (metrics)
-   and ``flock``-based ``FileLock`` (cache shards) instances.  Deadlock
+1. **Order inversion.**  The rule tracks ``threading.Lock`` (the
+   metrics registry's) and ``flock``-based ``FileLock`` instances.  Deadlock
    needs two sites acquiring two locks in opposite nesting orders —
    almost always in *different* functions, often different modules.
    This rule builds a global lock-order graph: a directed edge A→B for

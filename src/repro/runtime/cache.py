@@ -22,10 +22,8 @@ whole studies skip signal processing entirely.
 The disk tier is safe for many *writers* as well as many readers:
 every write lands in a per-process temporary file (named with the
 writer's PID, so two processes storing the same key never interleave
-bytes) and is published with an atomic rename, optionally serialized
-through a caller-supplied ``write_lock`` (the sharded service cache in
-:mod:`repro.serve.shards` passes a per-shard file lock, which also
-mutually excludes compaction against live writers).
+bytes) and is published with an atomic rename, so the last writer of
+a key wins and no reader ever sees half an entry.
 
 The disk tier is *validated* on load: every entry carries a format
 version and a SHA-256 payload checksum, and anything that fails to
@@ -43,7 +41,6 @@ import hashlib
 import os
 import zipfile
 from collections import OrderedDict
-from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +99,6 @@ class FeatureCache:
         cache counts corrupt-entry evictions under ``cache.corrupt``.
         :class:`~repro.runtime.executor.BatchExecutor` wires its own
         registry in when the cache has none.
-    write_lock:
-        Optional reusable context manager entered around each disk
-        write (the per-process tmp write plus the atomic publish
-        rename).  Writes are already interleaving-safe without it; a
-        lock additionally serializes writers against maintenance that
-        deletes files (e.g. shard compaction).
     """
 
     def __init__(
@@ -115,7 +106,6 @@ class FeatureCache:
         capacity: int | None = 4096,
         directory: str | Path | None = None,
         metrics: RuntimeMetrics | None = None,
-        write_lock: AbstractContextManager | None = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
@@ -124,7 +114,6 @@ class FeatureCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics
-        self.write_lock = write_lock
         #: Corrupt disk entries evicted so far (also mirrored to
         #: ``metrics`` when a registry is attached).
         self.corrupt_evictions = 0
@@ -223,9 +212,8 @@ class FeatureCache:
         the same key stage into *different* files and the last atomic
         rename wins — concurrent writers can waste a write but can
         never interleave bytes into a shared tmp.  The name ends in a
-        non-``.npz`` suffix so directory scans (warm lookups,
-        compaction) never mistake a half-written staging file for an
-        entry; compaction removes any orphaned by a killed writer.
+        non-``.npz`` suffix, so a staging file is never mistaken for an
+        entry, even one orphaned by a killed writer.
         """
         return path.with_name(f"{path.name}.tmp-{os.getpid()}")
 
@@ -242,20 +230,16 @@ class FeatureCache:
             processed.features, processed.curve, processed.mean_segment
         )
         tmp = self.tmp_path_for(path)
-        lock: AbstractContextManager = (
-            self.write_lock if self.write_lock is not None else nullcontext()
-        )
-        with lock:
-            # An open handle (not a path) keeps numpy from appending a
-            # second ``.npz`` to the staging suffix.
-            with open(tmp, "wb") as stream:
-                np.savez(
-                    stream,
-                    cache_version=np.int64(CACHE_FORMAT_VERSION),
-                    checksum=np.str_(checksum),
-                    **fields,
-                )
-            tmp.replace(path)
+        # An open handle (not a path) keeps numpy from appending a
+        # second ``.npz`` to the staging suffix.
+        with open(tmp, "wb") as stream:
+            np.savez(
+                stream,
+                cache_version=np.int64(CACHE_FORMAT_VERSION),
+                checksum=np.str_(checksum),
+                **fields,
+            )
+        tmp.replace(path)
 
     @classmethod
     def _load(cls, path: Path) -> ProcessedRecording:

@@ -286,8 +286,8 @@ class BatchExecutor:
         and avoids pool startup for small batches.  A run with fewer
         cache misses than workers forks only as many; an open
         executor's pool always has ``workers`` processes.  May be
-        changed between runs (the serve controller does); an open pool
-        is then replaced at the next pooled run.
+        changed between runs; an open pool is then replaced at the next
+        pooled run.
     chunk_size:
         Recordings per pool task.  ``None`` auto-sizes to about four
         chunks per worker, balancing pickling overhead against

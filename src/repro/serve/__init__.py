@@ -9,13 +9,9 @@ multi-tenant ingestion service:
   tests) behind every deadline and latency measurement;
 - :mod:`~repro.serve.queue` — bounded admission with typed
   backpressure (:class:`~repro.errors.AdmissionRejected`);
-- :mod:`~repro.serve.limiter` — per-tenant token buckets and weighted
-  round-robin dequeue;
+- :mod:`~repro.serve.limiter` — per-tenant token buckets and a
+  round-robin ring of tenant lanes;
 - :mod:`~repro.serve.batcher` — deadline/size micro-batching;
-- :mod:`~repro.serve.controller` — SLO-driven worker-pool sizing from
-  observed batch latencies;
-- :mod:`~repro.serve.shards` — the sharded, compacting, multi-process
-  safe feature-cache tier;
 - :mod:`~repro.serve.service` — :class:`ScreeningService`, tying the
   above together;
 - ``python -m repro.serve`` — a JSONL serving front end and a seeded
@@ -33,11 +29,9 @@ Quick use::
 
 from .batcher import BatchPolicy, MicroBatcher
 from .clock import Clock, MonotonicClock, VirtualClock, wait_for_event
-from .controller import ControllerPolicy, LatencyController
 from .limiter import TenancyConfig, TenantPolicy, TenantScheduler, TokenBucket
 from .queue import AdmissionController, AdmissionPolicy, PendingRequest, ScreeningRequest
 from .service import ScreeningResponse, ScreeningService
-from .shards import CompactionReport, FileLock, ShardedFeatureCache, shard_index
 
 __all__ = [
     "Clock",
@@ -54,12 +48,6 @@ __all__ = [
     "TenantScheduler",
     "BatchPolicy",
     "MicroBatcher",
-    "ControllerPolicy",
-    "LatencyController",
-    "FileLock",
-    "shard_index",
-    "CompactionReport",
-    "ShardedFeatureCache",
     "ScreeningResponse",
     "ScreeningService",
 ]

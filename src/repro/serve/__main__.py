@@ -15,6 +15,13 @@ Two subcommands::
         --report report.json
     python -m repro.serve loadgen --chaos --workers 2   # injected faults
 
+A spec that is not a JSON object, or whose ``seed``/``day``/
+``duration_s`` do not convert, is answered like invalid JSON: with an
+``{"error", "message"}`` record (a stdout line, or the spool file's
+``.result.json``), and the server keeps serving.  ``--cache-dir DIR``
+keeps the feature cache on disk, so a second run over the same
+captures is answered from the cache.
+
 The load generator runs on a :class:`~repro.serve.clock.VirtualClock`
 by default — the full arrival schedule, batching, backpressure, and
 fairness play out deterministically in simulated time, so CI soak runs
@@ -61,11 +68,9 @@ from ..simulation.participant import sample_participant
 from ..simulation.session import Recording, SessionConfig, record_session
 from .batcher import BatchPolicy
 from .clock import Clock, MonotonicClock, VirtualClock
-from .controller import ControllerPolicy
 from .limiter import TenancyConfig, TenantPolicy
 from .queue import AdmissionPolicy, ScreeningRequest
 from .service import ScreeningResponse, ScreeningService
-from .shards import ShardedFeatureCache
 
 
 def _synthesize(
@@ -135,25 +140,13 @@ def _build_service(
         # Injected faults arm only in the pool path; force it on.
         workers = max(2, workers)
         fault_injector = FaultInjector(mode="error", indices=(0,))
-    cache: FeatureCache | ShardedFeatureCache
-    if args.cache_dir is not None:
-        cache = ShardedFeatureCache(args.cache_dir, num_shards=args.shards)
-    else:
-        cache = FeatureCache()
     executor = BatchExecutor(
         EarSonarPipeline(),
         workers=workers,
-        cache=cache,
+        cache=FeatureCache(directory=args.cache_dir),
         metrics=metrics,
         fault_injector=fault_injector,
     )
-    controller = None
-    if args.target_p95_ms is not None:
-        controller = ControllerPolicy(
-            target_p95_ms=args.target_p95_ms,
-            min_workers=1,
-            max_workers=max(workers, args.max_workers),
-        )
     tenancy = TenancyConfig(
         default=TenantPolicy(rate_per_s=args.tenant_rate, burst=args.tenant_burst)
         if args.tenant_rate is not None
@@ -162,16 +155,12 @@ def _build_service(
     return ScreeningService(
         executor,
         clock=clock,
-        admission=AdmissionPolicy(
-            max_queue_depth=args.max_queue_depth,
-            shed_wait_ms=args.shed_wait_ms,
-        ),
+        admission=AdmissionPolicy(max_queue_depth=args.max_queue_depth),
         tenancy=tenancy,
         batching=BatchPolicy(
             max_batch_size=args.max_batch_size,
             max_delay_s=args.max_delay_ms / 1e3,
         ),
-        controller=controller,
         fast_reject=QualityConfig() if args.fast_reject else None,
         health_interval_s=args.health_interval_s,
         health_sink=health_sink,
@@ -201,18 +190,59 @@ def _response_line(response: ScreeningResponse) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _request_from_spec(spec: dict, index: int, duration_s: float) -> ScreeningRequest:
+def _request_from_spec(
+    text: str | bytes, index: int, duration_s: float
+) -> ScreeningRequest:
+    """Parse one JSON request spec and synthesize its recording.
+
+    Raises ``ValueError`` (``json.JSONDecodeError`` included),
+    ``TypeError`` or ``OverflowError`` for text that is not a JSON
+    object or whose fields do not convert, and
+    :class:`~repro.errors.EarSonarError` for values the simulation
+    refuses.
+    """
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise TypeError(
+            f"a request spec is a JSON object, not {type(spec).__name__}"
+        )
+    participant_id = spec.get("participant_id")
     recording = _synthesize(
         int(spec.get("seed", index)),
         float(spec.get("day", 0.5)),
         float(spec.get("duration_s", duration_s)),
-        spec.get("participant_id"),
+        None if participant_id is None else str(participant_id),
     )
     return ScreeningRequest(
         request_id=str(spec.get("request_id", f"req-{index:05d}")),
         tenant=str(spec.get("tenant", "default")),
         recording=recording,
     )
+
+
+async def _answer(
+    service: ScreeningService, text: str | bytes, index: int, duration_s: float
+) -> tuple[dict, bool]:
+    """Screen one spec: ``(line, answered)``.
+
+    A bad spec or a refused request is answered with an
+    ``{"error", "message"}`` record and ``answered=False``, so one bad
+    line never stops the server.
+    """
+    try:
+        request = _request_from_spec(text, index, duration_s)
+    except (ValueError, TypeError, OverflowError, EarSonarError) as exc:
+        return _error_line(exc), False
+    try:
+        # Service submission, not pool dispatch.
+        response = await service.submit(request)  # qa: ignore[QA003]
+    except EarSonarError as exc:
+        return _error_line(exc), False
+    return _response_line(response), True
+
+
+def _error_line(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc)}
 
 
 async def _serve_stdin(service: ScreeningService, args: argparse.Namespace) -> int:
@@ -223,19 +253,9 @@ async def _serve_stdin(service: ScreeningService, args: argparse.Namespace) -> i
             line = line.strip()
             if not line:
                 continue
-            try:
-                spec = json.loads(line)
-                request = _request_from_spec(spec, index, args.duration)
-                # Service submission, not pool dispatch.
-                response = await service.submit(request)  # qa: ignore[QA003]
-                print(json.dumps(_response_line(response)))
-            except (json.JSONDecodeError, EarSonarError) as exc:
-                failures += 1
-                print(
-                    json.dumps(
-                        {"error": type(exc).__name__, "message": str(exc)}
-                    )
-                )
+            answer, answered = await _answer(service, line, index, args.duration)
+            failures += not answered
+            print(json.dumps(answer))
     finally:
         await service.stop()
     return 1 if failures else 0
@@ -255,14 +275,9 @@ async def _serve_watch(service: ScreeningService, args: argparse.Namespace) -> i
                 await service.clock.sleep(args.poll_s)
                 continue
             for path in pending:
-                try:
-                    spec = json.loads(path.read_text())
-                    request = _request_from_spec(spec, handled, args.duration)
-                    # Service submission, not pool dispatch.
-                    response = await service.submit(request)  # qa: ignore[QA003]
-                    line = _response_line(response)
-                except (json.JSONDecodeError, EarSonarError) as exc:
-                    line = {"error": type(exc).__name__, "message": str(exc)}
+                line, _ = await _answer(
+                    service, path.read_bytes(), handled, args.duration
+                )
                 path.with_suffix(".result.json").write_text(json.dumps(line))
                 path.unlink(missing_ok=True)
                 handled += 1
@@ -399,7 +414,6 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
         "latency_ms": latency,
         "per_tenant": per_tenant,
         "workers_final": service.workers,
-        "pool_resizes": metrics["counters"].get("serve.pool_resizes", 0),
         "batches": metrics["counters"].get("serve.batches.dispatched", 0),
         "counters": metrics["counters"],
     }
@@ -415,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     def _shared(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--workers", type=int, default=1, help="worker processes")
         cmd.add_argument(
-            "--max-workers", type=int, default=4, help="controller ceiling"
-        )
-        cmd.add_argument(
             "--max-batch-size", type=int, default=8, help="micro-batch size cap"
         )
         cmd.add_argument(
@@ -430,12 +441,6 @@ def main(argv: list[str] | None = None) -> int:
             "--max-queue-depth", type=int, default=256, help="admission queue cap"
         )
         cmd.add_argument(
-            "--shed-wait-ms",
-            type=float,
-            default=None,
-            help="SLO headroom: shed when estimated wait exceeds this",
-        )
-        cmd.add_argument(
             "--tenant-rate",
             type=float,
             default=None,
@@ -445,20 +450,16 @@ def main(argv: list[str] | None = None) -> int:
             "--tenant-burst", type=float, default=8.0, help="per-tenant burst size"
         )
         cmd.add_argument(
-            "--target-p95-ms",
-            type=float,
-            default=None,
-            help="enable the latency controller with this p95 budget",
-        )
-        cmd.add_argument(
             "--fast-reject",
             action="store_true",
             help="run the quality gate before admission",
         )
         cmd.add_argument(
-            "--cache-dir", default=None, help="sharded feature-cache directory"
+            "--cache-dir",
+            default=None,
+            help="persist the feature cache in this directory (reused "
+            "across runs and safe to share between processes)",
         )
-        cmd.add_argument("--shards", type=int, default=8, help="cache shard count")
         cmd.add_argument(
             "--duration",
             type=float,

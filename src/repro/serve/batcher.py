@@ -15,9 +15,9 @@ batching latency (latency mode).  The deadline is measured on the
 injected clock, so both modes are exactly simulatable.
 
 Requests are pulled from the :class:`~repro.serve.limiter.TenantScheduler`
-in weighted round-robin order, which is where per-tenant fairness
-becomes per-*batch* composition: a backlogged tenant fills at most its
-weighted share of each batch while any other tenant has work queued.
+in round-robin order, which is where per-tenant fairness becomes
+per-*batch* composition: a backlogged tenant fills at most its turn of
+each batch while any other tenant has work queued.
 """
 
 from __future__ import annotations

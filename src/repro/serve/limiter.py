@@ -1,4 +1,4 @@
-"""Per-tenant fairness: token-bucket rate limiting and weighted dequeue.
+"""Per-tenant fairness: token-bucket rate limiting and round-robin dequeue.
 
 A screening service fronting many clinics (tenants) has two fairness
 problems, solved by two cooperating mechanisms:
@@ -10,11 +10,9 @@ problems, solved by two cooperating mechanisms:
   retry-after computed from the refill rate.
 - **Egress**: among *admitted* work, a backlogged tenant must not starve
   the others.  :class:`TenantScheduler` keeps one FIFO lane per tenant
-  and drains them with deficit-style weighted round-robin: each lane is
-  served up to ``weight`` requests per cycle while every other
-  non-empty lane is guaranteed its own turn each cycle, so worst-case
-  head-of-line delay for any tenant is bounded by one cycle regardless
-  of how deep another tenant's backlog is.
+  and a ring of the lanes that hold work, served one request per turn,
+  so with ``k`` tenants backlogged each waits at most ``k - 1``
+  dequeues, however deep another tenant's backlog is.
 
 All timing flows through the injected :class:`~repro.serve.clock.Clock`
 so both mechanisms are exactly simulatable in tests.
@@ -41,15 +39,10 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """Fairness parameters for one tenant (or the default for all).
+    """Admission limits for one tenant (or the default for all).
 
     Attributes
     ----------
-    weight:
-        Relative dequeue share under weighted round-robin.  A tenant
-        with weight 3 gets up to three requests dispatched per
-        scheduling cycle for every one of a weight-1 tenant — when both
-        are backlogged; an idle tenant's share is never wasted.
     rate_per_s:
         Sustained admission rate for the tenant's token bucket, in
         requests per second.  ``None`` disables rate limiting.
@@ -58,13 +51,10 @@ class TenantPolicy:
         before the sustained rate applies.
     """
 
-    weight: int = 1
     rate_per_s: float | None = None
     burst: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise ConfigurationError(f"weight must be >= 1, got {self.weight}")
         if self.rate_per_s is not None and self.rate_per_s <= 0:
             raise ConfigurationError(
                 f"rate_per_s must be positive or None, got {self.rate_per_s}"
@@ -89,8 +79,9 @@ class TokenBucket:
     """Classic token bucket on an injected clock.
 
     Starts full (``burst`` tokens); refills continuously at
-    ``rate_per_s``.  :meth:`try_acquire` is the only mutation point, so
-    the bucket needs no locking inside a single event loop.
+    ``rate_per_s``.  :meth:`try_acquire` and :meth:`refund` are the
+    only mutation points, so the bucket needs no locking inside a single
+    event loop.
     """
 
     def __init__(self, rate_per_s: float, burst: float, clock: Clock) -> None:
@@ -130,37 +121,37 @@ class TokenBucket:
             return 0.0
         return (cost - self._tokens) / self._rate
 
+    def refund(self, cost: float = 1.0) -> None:
+        """Give back ``cost`` tokens taken for a request that was then refused."""
+        self._refill()
+        self._tokens = min(self._burst, self._tokens + cost)
+
 
 @dataclass
 class _Lane(Generic[T]):
-    """One tenant's FIFO plus its scheduling state."""
+    """One tenant's FIFO, token bucket and counts."""
 
-    policy: TenantPolicy
     queue: deque = field(default_factory=deque)
-    credit: int = 0
     bucket: TokenBucket | None = None
     enqueued: int = 0
     dequeued: int = 0
 
 
 class TenantScheduler(Generic[T]):
-    """Per-tenant FIFO lanes drained by weighted round-robin.
+    """Per-tenant FIFO lanes drained round-robin.
 
-    Deficit-style scheduling: a cursor walks the lanes in first-seen
-    order; each visit serves a lane for up to ``weight`` consecutive
-    items (its per-cycle credit) and then moves on.  When no non-empty
-    lane has credit left, every non-empty lane is recharged by its
-    weight and the cycle restarts.  Idle lanes carry no credit into the
-    next cycle, so quiet tenants cannot hoard bandwidth and bursty ones
-    cannot exceed their share while others wait.
+    The ring holds every tenant with queued work, in the order its lane
+    last became non-empty.  Each dequeue serves the lane at the head of
+    the ring once and moves it to the tail if it still has work, so
+    backlogged tenants take strict turns and a lane that empties simply
+    leaves the ring: an idle tenant banks nothing.
     """
 
     def __init__(self, tenancy: TenancyConfig, clock: Clock) -> None:
         self._tenancy = tenancy
         self._clock = clock
         self._lanes: dict[str, _Lane[T]] = {}
-        self._ring: list[str] = []
-        self._cursor = 0
+        self._ring: deque[str] = deque()
         self._depth = 0
 
     @property
@@ -171,7 +162,7 @@ class TenantScheduler(Generic[T]):
     @property
     def tenants(self) -> tuple[str, ...]:
         """Every tenant seen so far, in first-seen order."""
-        return tuple(self._ring)
+        return tuple(self._lanes)
 
     def depth_for(self, tenant: str) -> int:
         """Queued items for one tenant."""
@@ -185,8 +176,7 @@ class TenantScheduler(Generic[T]):
             bucket = None
             if policy.rate_per_s is not None:
                 bucket = TokenBucket(policy.rate_per_s, policy.burst, self._clock)
-            lane = self._lanes[tenant] = _Lane(policy=policy, bucket=bucket)
-            self._ring.append(tenant)
+            lane = self._lanes[tenant] = _Lane(bucket=bucket)
         return lane
 
     def acquire_slot(self, tenant: str) -> float:
@@ -200,56 +190,38 @@ class TenantScheduler(Generic[T]):
             return 0.0
         return lane.bucket.try_acquire()
 
+    def refund_slot(self, tenant: str) -> None:
+        """Return the token :meth:`acquire_slot` took for a refused request."""
+        bucket = self._lane(tenant).bucket
+        if bucket is not None:
+            bucket.refund()
+
     def enqueue(self, tenant: str, item: T) -> None:
         """Append one admitted item to the tenant's FIFO lane."""
         lane = self._lane(tenant)
+        if not lane.queue:
+            self._ring.append(tenant)
         lane.queue.append(item)
         lane.enqueued += 1
         self._depth += 1
 
     def dequeue(self) -> T | None:
-        """Next item under weighted round-robin, or ``None`` if empty."""
-        if self._depth == 0:
+        """Next item in round-robin order, or ``None`` if empty."""
+        if not self._ring:
             return None
-        # At most two passes over the ring: one to exhaust remaining
-        # credit, one after a recharge (a recharge always makes some
-        # non-empty lane eligible, since weights are >= 1).
-        for _ in range(2 * len(self._ring) + 1):
-            tenant = self._ring[self._cursor % len(self._ring)]
-            lane = self._lanes[tenant]
-            if lane.queue and lane.credit >= 1:
-                lane.credit -= 1
-                lane.dequeued += 1
-                self._depth -= 1
-                item = lane.queue.popleft()
-                if not lane.queue or lane.credit < 1:
-                    self._cursor += 1
-                return item
-            if not lane.queue:
-                # Idle lanes do not bank credit across cycles.
-                lane.credit = 0
-            self._cursor += 1
-            if self._cursor % len(self._ring) == 0 and not self._any_eligible():
-                self._recharge()
-        raise AssertionError("weighted round-robin failed to find a lane")
-
-    def _any_eligible(self) -> bool:
-        return any(
-            lane.queue and lane.credit >= 1 for lane in self._lanes.values()
-        )
-
-    def _recharge(self) -> None:
-        for lane in self._lanes.values():
-            if lane.queue:
-                lane.credit += lane.policy.weight
+        tenant = self._ring.popleft()
+        lane = self._lanes[tenant]
+        item = lane.queue.popleft()
+        if lane.queue:
+            self._ring.append(tenant)
+        lane.dequeued += 1
+        self._depth -= 1
+        return item
 
     def drain(self) -> list[T]:
         """Remove and return every queued item in round-robin order."""
         items: list[T] = []
-        while self._depth:
-            item = self.dequeue()
-            if item is None:
-                break
+        while (item := self.dequeue()) is not None:
             items.append(item)
         return items
 
@@ -260,7 +232,6 @@ class TenantScheduler(Generic[T]):
                 "enqueued": lane.enqueued,
                 "dequeued": lane.dequeued,
                 "queued": len(lane.queue),
-                "weight": lane.policy.weight,
             }
             for tenant, lane in self._lanes.items()
         }

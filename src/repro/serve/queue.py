@@ -1,4 +1,4 @@
-"""Bounded request queue: admission control, backpressure, shedding.
+"""Bounded request queue: admission control and backpressure.
 
 The service's front door.  Every screening request passes one
 :class:`AdmissionController` before it may occupy queue space; the
@@ -7,24 +7,20 @@ controller answers with either *admitted* or a typed
 reason and an honest retry-after — never by silently dropping work or
 letting the queue grow without bound.
 
-Three independent gates, checked in order:
+Two gates, checked in order:
 
 1. **Rate limit** — the tenant's token bucket (see
    :mod:`repro.serve.limiter`); retry-after is the bucket refill time.
 2. **Queue depth** — a hard cap on admitted-but-undispatched requests.
-   Full queue means the caller is asked to back off for roughly one
-   micro-batch drain interval.
-3. **SLO headroom** — load shedding before saturation: when the
-   *estimated* queue wait (backlog × observed p95 batch latency)
-   already exceeds the configured headroom, admitting more work would
-   only manufacture deadline misses, so the request is shed while the
-   queue still has nominal space.
+   Full queue means the caller is asked to back off for roughly the
+   time the backlog takes to drain.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import AdmissionRejected, ConfigurationError
 from ..simulation.session import Recording
@@ -68,27 +64,18 @@ class AdmissionPolicy:
     max_queue_depth:
         Hard cap on admitted-but-undispatched requests across all
         tenants.
-    shed_wait_ms:
-        SLO headroom: reject (``reason="overload"``) when the estimated
-        queue wait exceeds this many milliseconds.  ``None`` disables
-        headroom shedding (depth and rate limits still apply).
     retry_after_floor_s:
         Minimum retry-after ever returned, so a rejected caller never
         busy-loops on a zero hint.
     """
 
     max_queue_depth: int = 256
-    shed_wait_ms: float | None = None
     retry_after_floor_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.shed_wait_ms is not None and self.shed_wait_ms <= 0:
-            raise ConfigurationError(
-                f"shed_wait_ms must be positive or None, got {self.shed_wait_ms}"
             )
         if self.retry_after_floor_s < 0:
             raise ConfigurationError(
@@ -105,19 +92,21 @@ class AdmissionController:
     def _retry_after(self, estimate_s: float) -> float:
         return max(self.policy.retry_after_floor_s, estimate_s)
 
-    def check(self, *, depth: int, est_wait_ms: float, rate_wait_s: float) -> None:
+    def check(
+        self, *, depth: int, rate_wait_s: float, drain_ms: Callable[[], float]
+    ) -> None:
         """Raise :class:`AdmissionRejected` unless the request may enter.
 
         Parameters
         ----------
         depth:
             Current admitted-but-undispatched queue depth.
-        est_wait_ms:
-            Estimated queue wait for a request admitted now
-            (backlog × observed p95 batch latency).
         rate_wait_s:
             Token-bucket verdict for the tenant: ``0.0`` if a token was
             taken, else seconds until one is available.
+        drain_ms:
+            Estimated time for the queued backlog to drain, called only
+            to size a full queue's retry-after.
         """
         if rate_wait_s > 0:
             raise AdmissionRejected(
@@ -130,13 +119,5 @@ class AdmissionController:
                 f"request queue at capacity ({depth}/"
                 f"{self.policy.max_queue_depth})",
                 reason="queue_full",
-                retry_after_s=self._retry_after(est_wait_ms / 1e3),
-            )
-        shed = self.policy.shed_wait_ms
-        if shed is not None and est_wait_ms > shed:
-            raise AdmissionRejected(
-                f"estimated queue wait {est_wait_ms:.0f}ms exceeds the "
-                f"{shed:.0f}ms SLO headroom",
-                reason="overload",
-                retry_after_s=self._retry_after((est_wait_ms - shed) / 1e3),
+                retry_after_s=self._retry_after(drain_ms() / 1e3),
             )

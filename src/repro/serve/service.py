@@ -9,26 +9,23 @@ batch runtime.  A caller submits one
    the gate runs *before* admission, so a flat-line or clipped
    recording is answered immediately and never spends queue capacity
    or a rate-limit token on DSP it would fail anyway;
-2. **admits or sheds** via :class:`~repro.serve.queue.AdmissionController`
-   (tenant token bucket → queue depth → SLO headroom), raising a typed
+2. **admits or refuses** via :class:`~repro.serve.queue.AdmissionController`
+   (tenant token bucket, then queue depth), raising a typed
    :class:`~repro.errors.AdmissionRejected` with an honest retry-after;
+   a refusal after the rate gate refunds the tenant's token;
 3. **coalesces** admitted requests into micro-batches
-   (:class:`~repro.serve.batcher.MicroBatcher` over the weighted
-   round-robin :class:`~repro.serve.limiter.TenantScheduler`);
+   (:class:`~repro.serve.batcher.MicroBatcher` over the round-robin
+   :class:`~repro.serve.limiter.TenantScheduler`);
 4. **dispatches** each micro-batch through the shared
    :class:`~repro.runtime.executor.BatchExecutor` — the *same* runtime
    the offline path uses, so a served feature vector is bit-identical
    to the batch one.  The service holds the executor open from
    :meth:`~ScreeningService.start` to :meth:`~ScreeningService.stop`,
-   so every micro-batch runs on one pool of warm workers;
-5. **steers capacity**: observed batch latencies feed the
-   :class:`~repro.serve.controller.LatencyController`, whose
-   recommendation resizes the executor's worker pool between batches
-   (the open pool is replaced at the next batch).
+   so every micro-batch runs on one pool of warm workers.
 
 Every timed decision reads the injected :class:`~repro.serve.clock.Clock`,
-so the whole service — backpressure, fairness, deadlines, the feedback
-loop — runs unmodified and deterministically under
+so the whole service — backpressure, fairness, deadlines — runs
+unmodified and deterministically under
 :class:`~repro.serve.clock.VirtualClock` in tests.
 
 This module is a *boundary*: the dispatch path catches ``Exception``
@@ -56,7 +53,6 @@ from ..core.results import ProcessedRecording
 from ..simulation.session import Recording
 from .batcher import BatchPolicy, MicroBatcher
 from .clock import Clock, MonotonicClock
-from .controller import ControllerPolicy, LatencyController
 from .limiter import TenancyConfig, TenantScheduler
 from .queue import AdmissionController, AdmissionPolicy, PendingRequest, ScreeningRequest
 
@@ -125,8 +121,7 @@ class ScreeningService:
     executor:
         The batch runtime that actually screens recordings.  Its
         metrics registry becomes the service's registry, so ``serve.*``
-        counters land next to the executor's own telemetry; its
-        ``workers`` attribute is the knob the latency controller turns.
+        counters land next to the executor's own telemetry.
         :meth:`start` opens it and :meth:`stop` closes it.
     clock:
         Time source for every deadline, wait, and latency measurement.
@@ -136,9 +131,6 @@ class ScreeningService:
         Backpressure, fairness, and coalescing policies (defaults are
         reasonable for tests; real deployments should size
         ``max_queue_depth`` and tenant buckets deliberately).
-    controller:
-        Optional :class:`ControllerPolicy` enabling SLO-driven pool
-        sizing.  ``None`` leaves the executor's worker count alone.
     fast_reject:
         Optional :class:`QualityConfig`; when set, REJECT-verdict
         captures are answered pre-admission without queueing.
@@ -164,7 +156,6 @@ class ScreeningService:
         admission: AdmissionPolicy | None = None,
         tenancy: TenancyConfig | None = None,
         batching: BatchPolicy | None = None,
-        controller: ControllerPolicy | None = None,
         fast_reject: QualityConfig | None = None,
         runner: BatchRunner | None = None,
         health_interval_s: float | None = None,
@@ -181,13 +172,6 @@ class ScreeningService:
         self.batcher = MicroBatcher(self.scheduler, self.batch_policy, self.clock)
         self.fast_reject = fast_reject
         self._runner: BatchRunner = runner if runner is not None else executor.run
-        self._controller: LatencyController | None = None
-        if controller is not None:
-            initial = min(
-                max(executor.workers, controller.min_workers), controller.max_workers
-            )
-            self._controller = LatencyController(controller, initial_workers=initial)
-            self.executor.workers = self._controller.workers
         self._dispatch_task: asyncio.Task | None = None
         self._running = False
         self._abandoned = False
@@ -277,8 +261,8 @@ class ScreeningService:
         ServiceStoppedError
             If the service is not accepting (before start / after stop).
         AdmissionRejected
-            Typed backpressure verdict (rate limit, full queue, or SLO
-            shedding) with a machine-readable reason and retry-after.
+            Typed backpressure verdict (rate limit or full queue) with a
+            machine-readable reason and retry-after.
         """
         self.metrics.increment(obs_names.METRIC_SERVE_SUBMITTED)
         self.metrics.increment(
@@ -387,15 +371,21 @@ class ScreeningService:
         )
 
     def _admit(self, request: ScreeningRequest) -> None:
-        """Run admission control; record and re-raise rejections."""
+        """Run admission control; record and re-raise rejections.
+
+        A request refused after its token was taken gets the token
+        back: only admitted requests spend the tenant's rate.
+        """
         rate_wait = self.scheduler.acquire_slot(request.tenant)
         try:
             self.admission.check(
                 depth=self.scheduler.depth,
-                est_wait_ms=self.estimated_wait_ms(),
                 rate_wait_s=rate_wait,
+                drain_ms=self.estimated_wait_ms,
             )
         except AdmissionRejected as rejection:
+            if rate_wait == 0.0:
+                self.scheduler.refund_slot(request.tenant)
             self.metrics.increment(
                 obs_names.SERVE_REJECTION_COUNTERS[rejection.reason]
             )
@@ -426,8 +416,9 @@ class ScreeningService:
         """Expected queue wait for a request admitted right now.
 
         Backlog expressed in whole micro-batches, each costing the
-        observed p95 batch latency.  Zero until the first batch has
-        been timed — the service never sheds on a guess.
+        observed p95 batch latency; zero until the first batch has been
+        timed.  Admission reads it only to size a full queue's
+        retry-after.
         """
         depth = self.scheduler.depth
         if depth == 0:
@@ -493,7 +484,6 @@ class ScreeningService:
         else:
             for pending, outcome in zip(batch, result.outcomes):
                 self._resolve(pending, outcome, seq, batch_ms)
-        self._steer(batch_ms)
         self._maybe_health_snapshot()
 
     def _maybe_health_snapshot(self, force: bool = False) -> None:
@@ -566,19 +556,3 @@ class ScreeningService:
                 batch_ms=batch_ms,
             )
         )
-
-    def _steer(self, batch_ms: float) -> None:
-        """Feed the latency controller; apply any resize to the executor."""
-        if self._controller is None:
-            return
-        before = self.executor.workers
-        after = self._controller.observe(batch_ms)
-        if after != before:
-            self.executor.workers = after
-            self.metrics.increment(obs_names.METRIC_SERVE_POOL_RESIZES)
-            current_event_log().emit(
-                obs_names.EVENT_SERVE_POOL_RESIZED,
-                workers_before=before,
-                workers_after=after,
-                window_p95_ms=self._controller.window_p95(),
-            )

@@ -1,6 +1,8 @@
 """Unit tests for the content-addressed feature cache."""
 
 import dataclasses
+import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -152,3 +154,36 @@ class TestDiskTier:
         cache.clear_memory()
         assert len(cache) == 0
         assert cache.get("k") is not None
+
+    def test_single_flat_cache_is_also_multi_writer_safe(self, tmp_path):
+        """The underlying FeatureCache staging survives concurrency too."""
+        ctx = multiprocessing.get_context("fork")
+        workers = [
+            ctx.Process(
+                target=_hammer_flat_store, args=(str(tmp_path), w, 5)
+            )
+            for w in range(4)
+        ]
+        for proc in workers:
+            proc.start()
+        for proc in workers:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        cache = FeatureCache(directory=tmp_path)
+        for i in range(4):
+            entry = cache.get(key_of(i))
+            assert entry is not None
+        assert cache.corrupt_evictions == 0
+        assert not list(tmp_path.glob("*.tmp-*"))  # no stranded staging
+
+
+def key_of(i: int) -> str:
+    return hashlib.sha256(f"entry-{i}".encode()).hexdigest()
+
+
+def _hammer_flat_store(root: str, worker: int, rounds: int) -> None:
+    """Child-process body: four writers store the same keys over and over."""
+    cache = FeatureCache(directory=root)
+    for round_no in range(rounds):
+        for i in range(4):
+            cache.put(key_of(i), _processed(worker + round_no))

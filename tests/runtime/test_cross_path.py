@@ -1,11 +1,11 @@
 """One input, one answer: every execution path returns the same result.
 
-The same short captures run through eight paths — the direct pipeline,
+The same short captures run through nine paths — the direct pipeline,
 ``BatchExecutor`` serial and pooled, a second run on an open pool's
 warm workers, a memory-cache hit, a disk-cache hit read by a fresh
-``FeatureCache``, and ``ScreeningService`` on a virtual clock, both
-in-process and on the two-worker pool it holds open — under three
-configs: the default, rake + calibration on reverberant captures from
+``FeatureCache``, and ``ScreeningService`` on a virtual clock, in
+process with micro-batches of two and of one, and on the two-worker
+pool it holds open — under three configs: the default, rake + calibration on reverberant captures from
 a drifting device, and non-finite sanitizing on captures damaged by
 each faultlab model.  Every outcome must agree with the direct
 pipeline's: each ``ProcessedRecording`` field, arrays byte for byte,
@@ -170,6 +170,33 @@ def _serve(pipeline, captures, tmp_path):
     return [response.outcome for response in asyncio.run(scenario())]
 
 
+def _serve_singles(pipeline, captures, tmp_path):
+    """The service with one capture per micro-batch: where the batch
+    boundaries fall must not change any result."""
+
+    async def scenario():
+        clock = VirtualClock()
+        service = ScreeningService(
+            BatchExecutor(pipeline),
+            clock=clock,
+            batching=BatchPolicy(max_batch_size=1, max_delay_s=0.01),
+        )
+        await service.start()
+        tasks = [
+            asyncio.ensure_future(
+                service.submit(ScreeningRequest(f"req-{i}", "clinic", capture))
+            )
+            for i, capture in enumerate(captures)
+        ]
+        await clock.advance_until(lambda: all(task.done() for task in tasks))
+        await service.stop()
+        return [task.result() for task in tasks]
+
+    responses = asyncio.run(scenario())
+    assert len({response.batch for response in responses}) == len(captures)
+    return [response.outcome for response in responses]
+
+
 def _serve_pool(pipeline, captures, tmp_path):
     """The service on a two-worker pool: every capture is sent twice, so
     each micro-batch of two goes to the pool the service holds open."""
@@ -209,6 +236,7 @@ PATHS = {
     "memory_hit": _memory_hit,
     "disk_hit": _disk_hit,
     "serve": _serve,
+    "serve_singles": _serve_singles,
     "serve_pool": _serve_pool,
 }
 

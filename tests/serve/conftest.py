@@ -92,8 +92,7 @@ def ticking_runner(
 
     Under virtual time the service's batch latency measurement is
     ``clock.now()`` deltas, so a runner that ticks the clock by
-    ``cost_s`` models "this batch took that long" exactly — which is
-    what controller and SLO-shedding tests steer on.
+    ``cost_s`` models "this batch took that long" exactly.
     """
 
     def _run(recordings: list[Recording]) -> BatchResult:

@@ -4,7 +4,7 @@ Mirror of ``tests/obs/test_canonical_names.py`` for the serving layer:
 one shared registry (plus a tracer and event log) is driven through
 the scenarios that produce each serve counter, histogram, span, and
 event family — happy path, fast-reject, every rejection reason,
-controller resizes, crashed batches, and shutdown — then the registry
+crashed batches, and shutdown — then the registry
 is checked against ``SERVE_CANONICAL_COUNTERS`` /
 ``SERVE_CANONICAL_HISTOGRAMS`` so the documented vocabulary cannot
 drift from what the service actually emits.
@@ -21,7 +21,6 @@ from repro.quality import QualityConfig
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
-    ControllerPolicy,
     ScreeningRequest,
     ScreeningService,
     TenancyConfig,
@@ -58,14 +57,11 @@ def exercised(serve_recordings, silent_recording):
 
         executor = BatchExecutor(EarSonarPipeline(), metrics=metrics)
 
-        # Scenario 1: happy path + fast reject + controller pressure.
+        # Scenario 1: happy path + fast reject.
         service = ScreeningService(
             executor,
             clock=clock,
             batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
-            controller=ControllerPolicy(
-                target_p95_ms=50.0, max_workers=2, window=2, cooldown=1
-            ),
             fast_reject=QualityConfig(),
             runner=ticking_runner(clock, 0.4),
         )
@@ -84,7 +80,7 @@ def exercised(serve_recordings, silent_recording):
         assert fast.batch == -1
         await service.stop()
 
-        # Scenario 2a: rate-limit and hard queue-cap rejections.
+        # Scenario 2: rate-limit and hard queue-cap rejections.
         tight = ScreeningService(
             executor,
             clock=clock,
@@ -111,28 +107,6 @@ def exercised(serve_recordings, silent_recording):
             await tight.submit(
                 ScreeningRequest("late", "calm", serve_recordings[0])
             )  # shutdown rejection
-
-        # Scenario 2b: SLO-headroom shedding — deep queue allowed, but
-        # the shared p95 (hundreds of ms from scenario 1) blows a 1 ms
-        # headroom the moment anything is queued ahead.
-        shedding = ScreeningService(
-            executor,
-            clock=clock,
-            admission=AdmissionPolicy(max_queue_depth=1000, shed_wait_ms=1.0),
-            batching=BatchPolicy(max_batch_size=1, max_delay_s=0.01),
-            runner=ticking_runner(clock, 0.05),
-        )
-        await shedding.start()
-        overload = submit_all(
-            shedding,
-            [
-                ScreeningRequest("o-0", "calm", serve_recordings[1]),
-                ScreeningRequest("o-1", "calm", serve_recordings[1]),
-            ],
-        )
-        await drive(clock, overload)
-        assert any(task.exception() is not None for task in overload)
-        await shedding.stop()
 
         # Scenario 3: a crashed batch runner.
         def exploding(recordings):
@@ -233,6 +207,5 @@ class TestCanonicalEmission:
             names.EVENT_SERVE_STOPPED,
             names.EVENT_SERVE_REJECTED,
             names.EVENT_SERVE_BATCH_DISPATCHED,
-            names.EVENT_SERVE_POOL_RESIZED,
         } <= serve_events
         assert emitted <= names.EVENT_NAMES

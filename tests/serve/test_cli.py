@@ -9,6 +9,9 @@ import pytest
 
 from repro.serve.__main__ import main
 
+#: Specs that parse as JSON but are not a screenable request.
+BAD_SPECS = ['{"seed": "abc"}', "[1, 2]"]
+
 
 class TestLoadgen:
     def test_virtual_clock_run_is_lossless_and_reported(self, tmp_path):
@@ -83,6 +86,28 @@ class TestLoadgen:
         assert report["quarantined"] >= 1
         assert report["responded"] == report["requests"]
 
+    def test_cache_dir_answers_a_rerun_from_disk(self, tmp_path):
+        def report(run_id):
+            path = tmp_path / f"cached-{run_id}.json"
+            argv = [
+                "loadgen",
+                "--requests", "8",
+                "--rate", "50",
+                "--seed", "5",
+                "--pool", "2",
+                "--duration", "0.05",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--report", str(path),
+            ]
+            assert main(argv) == 0
+            return json.loads(path.read_text())
+
+        first, second = report(1), report(2)
+        assert first["counters"].get("cache.misses", 0) > 0
+        assert second["responded"] == 8
+        assert second["counters"]["cache.hits"] == second["responded"]
+        assert "cache.misses" not in second["counters"]
+
     def test_min_completion_gate_fails_the_run(self, tmp_path):
         # An impossible bar (>100%) must exit non-zero: this is the
         # same gate the CI soak job relies on.
@@ -139,6 +164,25 @@ class TestServeStdin:
         assert any("error" in line for line in lines)
         assert any(line.get("verdict") == "processed" for line in lines)
 
+    @pytest.mark.parametrize("bad", BAD_SPECS)
+    def test_bad_spec_is_answered_and_serving_goes_on(
+        self, monkeypatch, capsys, bad
+    ):
+        good = [
+            json.dumps({"tenant": "clinic", "seed": seed, "day": 1.0})
+            for seed in (5, 6)
+        ]
+        stdin = io.StringIO(f"{good[0]}\n{bad}\n{good[1]}\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        exit_code = main(["serve", "--duration", "0.05"])
+        assert exit_code == 1
+        first, middle, last = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert first["verdict"] == last["verdict"] == "processed"
+        assert set(middle) == {"error", "message"}
+
 
 class TestServeWatch:
     def test_spool_directory_round_trip(self, tmp_path, capsys):
@@ -164,3 +208,35 @@ class TestServeWatch:
         for path in results:
             payload = json.loads(path.read_text())
             assert payload["verdict"] in {"processed", "quarantined"}
+
+    @pytest.mark.parametrize("bad", BAD_SPECS)
+    def test_bad_spec_file_is_answered_and_removed(self, tmp_path, bad):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "a.json").write_text(
+            json.dumps({"tenant": "clinic", "seed": 21, "day": 0.5})
+        )
+        (spool / "b.json").write_text(bad)
+        (spool / "c.json").write_text(
+            json.dumps({"tenant": "clinic", "seed": 22, "day": 10.5})
+        )
+        exit_code = main(
+            [
+                "serve",
+                "--watch", str(spool),
+                "--max-files", "3",
+                "--duration", "0.05",
+            ]
+        )
+        assert exit_code == 0
+        assert sorted(p.name for p in spool.iterdir()) == [
+            "a.result.json",
+            "b.result.json",
+            "c.result.json",
+        ]
+        payloads = [
+            json.loads((spool / f"{name}.result.json").read_text())
+            for name in "abc"
+        ]
+        assert payloads[0]["verdict"] == payloads[2]["verdict"] == "processed"
+        assert set(payloads[1]) == {"error", "message"}

@@ -2,30 +2,28 @@
 
 The service is an ingestion layer, not a second science path — the
 same recordings through ``ScreeningService`` and ``BatchExecutor.run``
-must produce byte-identical features, response curves, and verdicts.
+must produce byte-identical features, response curves, and verdicts,
+and a second service reading the first one's disk cache must hand back
+the same arrays.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 
 from repro.core.pipeline import EarSonarPipeline
+from repro.obs.names import METRIC_CACHE_HITS
+from repro.runtime.cache import FeatureCache
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import RuntimeMetrics
-from repro.serve import (
-    BatchPolicy,
-    ScreeningRequest,
-    ScreeningService,
-    ShardedFeatureCache,
-    VirtualClock,
-)
+from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run
 
 
 async def serve_all(service, clock, recordings):
-    import asyncio
-
     await service.start()
     tasks = [
         asyncio.ensure_future(
@@ -39,15 +37,11 @@ async def serve_all(service, clock, recordings):
 
 
 def fresh_executor(**kwargs) -> BatchExecutor:
-    return BatchExecutor(
-        EarSonarPipeline(), metrics=RuntimeMetrics(), **kwargs
-    )
+    return BatchExecutor(EarSonarPipeline(), metrics=RuntimeMetrics(), **kwargs)
 
 
 class TestResultEquivalence:
-    def test_served_outcomes_match_direct_batch_run_bitwise(
-        self, serve_recordings
-    ):
+    def test_served_outcomes_match_direct_batch_run_bitwise(self, serve_recordings):
         direct = fresh_executor().run(list(serve_recordings))
 
         async def scenario():
@@ -69,63 +63,35 @@ class TestResultEquivalence:
             assert np.array_equal(outcome.curve, expected.curve)
             assert outcome.confidence == expected.confidence
 
-    def test_batch_boundaries_do_not_change_results(self, serve_recordings):
-        """Different micro-batch splits, identical science output."""
-
-        def outcomes_with(batch_size):
-            async def scenario():
-                clock = VirtualClock()
-                service = ScreeningService(
-                    fresh_executor(),
-                    clock=clock,
-                    batching=BatchPolicy(
-                        max_batch_size=batch_size, max_delay_s=0.01
-                    ),
-                )
-                return await serve_all(service, clock, serve_recordings)
-
-            responses = run(scenario())
-            return {r.request_id: r.outcome for r in responses}
-
-        singles = outcomes_with(1)
-        whole = outcomes_with(len(serve_recordings))
-        for request_id, outcome in singles.items():
-            other = whole[request_id]
-            assert np.array_equal(outcome.features, other.features)
-            assert outcome.confidence == other.confidence
-
     def test_sharded_cache_round_trip_preserves_features(
         self, serve_recordings, tmp_path
     ):
+        """A second service rehydrates from the disk tier the first wrote.
+
+        The disk tier is the flat ``FeatureCache`` directory (the sharded
+        tier folded into it); each service gets a fresh cache over it, so
+        every hit of the second is a read from disk.
+        """
+
         def serve_with_cache():
             async def scenario():
                 clock = VirtualClock()
-                cache = ShardedFeatureCache(
-                    tmp_path / "shards", num_shards=4
-                )
-                executor = fresh_executor(cache=cache)
+                cache = FeatureCache(directory=tmp_path / "cache")
                 service = ScreeningService(
-                    executor,
+                    fresh_executor(cache=cache),
                     clock=clock,
                     batching=BatchPolicy(max_batch_size=3, max_delay_s=0.01),
                 )
-                responses = await serve_all(
-                    service, clock, serve_recordings
-                )
+                responses = await serve_all(service, clock, serve_recordings)
                 return responses, service.metrics
 
             return run(scenario())
 
         first, _ = serve_with_cache()
         second, metrics = serve_with_cache()
-        # Second service instance rehydrates from the shared shard tier.
-        from repro.obs.names import METRIC_CACHE_HITS
-
         assert metrics.counter(METRIC_CACHE_HITS) > 0
         by_id_first = {r.request_id: r.outcome for r in first}
         for response in second:
             expected = by_id_first[response.request_id]
-            assert np.array_equal(
-                response.outcome.features, expected.features
-            )
+            assert np.array_equal(response.outcome.features, expected.features)
             assert np.array_equal(response.outcome.curve, expected.curve)

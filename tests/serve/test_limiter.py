@@ -1,4 +1,4 @@
-"""Token-bucket rate limiting and weighted round-robin fairness."""
+"""Token-bucket rate limiting and round-robin fairness."""
 
 from __future__ import annotations
 
@@ -33,6 +33,16 @@ class TestTokenBucket:
         clock.tick(0.1)
         assert bucket.try_acquire() == 0.0
 
+    def test_refund_returns_a_token_capped_at_burst(self):
+        clock = VirtualClock()
+        bucket = TokenBucket(rate_per_s=0.1, burst=1.0, clock=clock)
+        assert bucket.try_acquire() == 0.0
+        bucket.refund()
+        assert bucket.try_acquire() == 0.0
+        bucket.refund()
+        bucket.refund()
+        assert bucket.tokens == pytest.approx(1.0)
+
     def test_tokens_cap_at_burst(self):
         clock = VirtualClock()
         bucket = TokenBucket(rate_per_s=100.0, burst=3.0, clock=clock)
@@ -50,19 +60,17 @@ class TestTokenBucket:
 class TestTenantPolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TenantPolicy(weight=0)
-        with pytest.raises(ConfigurationError):
             TenantPolicy(rate_per_s=-1.0)
         with pytest.raises(ConfigurationError):
             TenantPolicy(burst=0.0)
 
     def test_overrides_fall_back_to_default(self):
         tenancy = TenancyConfig(
-            default=TenantPolicy(weight=1),
-            overrides={"vip": TenantPolicy(weight=3)},
+            default=TenantPolicy(rate_per_s=1.0),
+            overrides={"vip": TenantPolicy(rate_per_s=3.0)},
         )
-        assert tenancy.policy_for("vip").weight == 3
-        assert tenancy.policy_for("anyone-else").weight == 1
+        assert tenancy.policy_for("vip").rate_per_s == 3.0
+        assert tenancy.policy_for("anyone-else").rate_per_s == 1.0
 
 
 def make_scheduler(**overrides) -> TenantScheduler:
@@ -81,20 +89,22 @@ class TestTenantScheduler:
         assert [sched.dequeue() for _ in range(3)] == ["a", "b", "c"]
         assert sched.dequeue() is None
 
-    def test_weighted_round_robin_share(self):
-        # b has 3x a's weight: a backlogged cycle serves a,b,b,b.
-        sched = make_scheduler(b=TenantPolicy(weight=3))
+    def test_backlogged_tenants_take_turns(self):
+        # A lane that empties leaves the ring; the others keep turns.
+        sched = make_scheduler()
         for i in range(2):
             sched.enqueue("a", f"a{i}")
-        for i in range(6):
+        for i in range(4):
             sched.enqueue("b", f"b{i}")
-        order = [sched.dequeue() for _ in range(8)]
-        assert order == ["a0", "b0", "b1", "b2", "a1", "b3", "b4", "b5"]
+        sched.enqueue("c", "c0")
+        order = [sched.dequeue() for _ in range(7)]
+        assert order == ["a0", "b0", "c0", "a1", "b1", "b2", "b3"]
+        assert sched.dequeue() is None
 
     def test_no_starvation_under_hot_tenant(self):
         # Even with a 100-deep hot backlog, the light tenant's lone
         # request is served within one scheduling cycle.
-        sched = make_scheduler(hot=TenantPolicy(weight=4))
+        sched = make_scheduler()
         for i in range(100):
             sched.enqueue("hot", f"h{i}")
         sched.enqueue("light", "L")
@@ -102,21 +112,21 @@ class TestTenantScheduler:
         assert "L" in first_cycle
 
     def test_idle_lane_does_not_bank_credit(self):
-        sched = make_scheduler(b=TenantPolicy(weight=2))
+        sched = make_scheduler()
         # b is idle for several full cycles of a-only traffic.
         for i in range(5):
             sched.enqueue("a", f"a{i}")
         for _ in range(5):
             sched.dequeue()
-        # Now both become backlogged: b gets its per-cycle 2, not
-        # 2 * (cycles it sat idle).
+        # Now both become backlogged: b gets one turn per cycle, not
+        # extra turns for the cycles it sat idle.
         for i in range(2):
             sched.enqueue("a", f"x{i}")
         for i in range(6):
             sched.enqueue("b", f"y{i}")
         cycle = [sched.dequeue() for _ in range(3)]
         assert cycle.count("x0") + cycle.count("x1") >= 1
-        assert sum(1 for item in cycle if item.startswith("y")) <= 2
+        assert sum(1 for item in cycle if item.startswith("y")) == 1
 
     def test_depth_bookkeeping_and_drain(self):
         sched = make_scheduler()
@@ -152,5 +162,4 @@ class TestTenantScheduler:
             "enqueued": 2,
             "dequeued": 1,
             "queued": 1,
-            "weight": 1,
         }

@@ -19,32 +19,30 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             AdmissionPolicy(max_queue_depth=0)
         with pytest.raises(ConfigurationError):
-            AdmissionPolicy(shed_wait_ms=0.0)
-        with pytest.raises(ConfigurationError):
             AdmissionPolicy(retry_after_floor_s=-0.1)
 
 
 class TestErrorTaxonomy:
     def test_service_errors_slot_into_the_hierarchy(self):
         rejection = AdmissionRejected(
-            "too busy", reason="overload", retry_after_s=1.5
+            "too busy", reason="rate_limited", retry_after_s=1.5
         )
         assert isinstance(rejection, ServiceError)
         assert isinstance(rejection, EarSonarError)
-        assert rejection.reason == "overload"
+        assert rejection.reason == "rate_limited"
         assert rejection.retry_after_s == 1.5
         assert isinstance(ServiceStoppedError("stopped"), ServiceError)
 
     def test_single_message_construction(self):
         # The taxonomy-wide contract: every error builds from one
         # positional message.
-        assert AdmissionRejected("boom").reason == "overload"
+        assert AdmissionRejected("boom").reason == "queue_full"
         assert AdmissionRejected("boom").retry_after_s == 0.0
 
 
 def check(controller, *, depth=0, est_wait_ms=0.0, rate_wait_s=0.0):
     controller.check(
-        depth=depth, est_wait_ms=est_wait_ms, rate_wait_s=rate_wait_s
+        depth=depth, rate_wait_s=rate_wait_s, drain_ms=lambda: est_wait_ms
     )
 
 
@@ -68,35 +66,18 @@ class TestAdmissionController:
         assert excinfo.value.reason == "queue_full"
         assert excinfo.value.retry_after_s == pytest.approx(0.8)
 
-    def test_overload_sheds_on_slo_headroom(self):
-        controller = AdmissionController(
-            AdmissionPolicy(max_queue_depth=100, shed_wait_ms=200.0)
-        )
-        check(controller, depth=5, est_wait_ms=199.0)
-        with pytest.raises(AdmissionRejected) as excinfo:
-            check(controller, depth=5, est_wait_ms=700.0)
-        assert excinfo.value.reason == "overload"
-        assert excinfo.value.retry_after_s == pytest.approx(0.5)
+    def test_admission_never_reads_the_wait_estimate(self):
+        def unreachable() -> float:
+            raise AssertionError("estimate read for an admitted request")
 
-    def test_shedding_disabled_without_headroom_policy(self):
-        controller = AdmissionController(AdmissionPolicy(max_queue_depth=100))
-        check(controller, depth=5, est_wait_ms=1e9)  # no exception
+        controller = AdmissionController(AdmissionPolicy(max_queue_depth=2))
+        controller.check(depth=1, rate_wait_s=0.0, drain_ms=unreachable)
 
-    def test_rate_limit_outranks_queue_and_headroom(self):
-        controller = AdmissionController(
-            AdmissionPolicy(max_queue_depth=1, shed_wait_ms=1.0)
-        )
+    def test_rate_limit_outranks_queue_full(self):
+        controller = AdmissionController(AdmissionPolicy(max_queue_depth=1))
         with pytest.raises(AdmissionRejected) as excinfo:
             check(controller, depth=99, est_wait_ms=1e6, rate_wait_s=2.0)
         assert excinfo.value.reason == "rate_limited"
-
-    def test_queue_full_outranks_headroom(self):
-        controller = AdmissionController(
-            AdmissionPolicy(max_queue_depth=2, shed_wait_ms=1.0)
-        )
-        with pytest.raises(AdmissionRejected) as excinfo:
-            check(controller, depth=2, est_wait_ms=1e6)
-        assert excinfo.value.reason == "queue_full"
 
     def test_retry_after_is_floored(self):
         controller = AdmissionController(

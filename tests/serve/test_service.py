@@ -2,8 +2,8 @@
 
 These are deterministic *simulations*: requests arrive as asyncio
 tasks, batch cost is modelled by stub runners that tick the virtual
-clock, and every assertion — backpressure, fairness, SLO steering,
-drain semantics — holds on exact virtual timestamps.
+clock, and every assertion — backpressure, fairness, drain semantics —
+holds on exact virtual timestamps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.quality import QualityConfig
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
-    ControllerPolicy,
     ScreeningRequest,
     ScreeningService,
     TenancyConfig,
@@ -167,52 +166,46 @@ class TestBackpressure:
             metrics.counter(obs_names.METRIC_SERVE_REJECTED_QUEUE_FULL) == 3
         )
 
-    def test_slo_headroom_sheds_before_the_queue_fills(
+    def test_queue_full_refusal_refunds_the_rate_token(
         self, executor, serve_recordings
     ):
         async def scenario():
             clock = VirtualClock()
-            # Batches cost 200 ms; shed once the estimated wait tops
-            # 300 ms even though the queue itself has plenty of room.
             service = make_service(
                 executor,
                 clock,
-                admission=AdmissionPolicy(
-                    max_queue_depth=1000, shed_wait_ms=300.0
+                admission=AdmissionPolicy(max_queue_depth=1),
+                tenancy=TenancyConfig(
+                    overrides={"slow": TenantPolicy(rate_per_s=0.1, burst=1.0)}
                 ),
-                batching=BatchPolicy(max_batch_size=1, max_delay_s=0.01),
-                runner=ticking_runner(clock, 0.2),
+                runner=ticking_runner(clock, 0.0),
             )
             await service.start()
-            # Prime the latency estimate with one observed batch.
-            first = submit_all(
-                service,
-                [ScreeningRequest("prime", "clinic", serve_recordings[0])],
-            )
-            await drive(clock, first)
-            # Burst: each queued request now predicts +200 ms of wait.
-            burst = submit_all(
+            # Another tenant's request fills the queue; the slow
+            # tenant's first request is refused for the full queue.
+            tasks = submit_all(
                 service,
                 [
-                    ScreeningRequest(f"b{i}", "clinic", serve_recordings[0])
-                    for i in range(6)
+                    ScreeningRequest("other", "clinic", serve_recordings[0]),
+                    ScreeningRequest("first", "slow", serve_recordings[1]),
                 ],
             )
-            await drive(clock, burst)
+            await drive(clock, tasks)
+            # Its retry finds the queue empty and a token unspent.
+            await clock.advance(0.5)
+            retry = submit_all(
+                service, [ScreeningRequest("retry", "slow", serve_recordings[1])]
+            )
+            await drive(clock, retry)
             await service.stop()
-            return burst, service.metrics
+            return tasks[1].exception(), retry[0]
 
-        burst, metrics = run(scenario())
-        overloaded = [
-            task.exception() for task in burst if task.exception() is not None
-        ]
-        assert overloaded, "headroom shedding never engaged"
-        assert {exc.reason for exc in overloaded} == {"overload"}
-        assert metrics.counter(obs_names.METRIC_SERVE_REJECTED_OVERLOAD) == len(
-            overloaded
-        )
-        # Depth stayed far from the hard cap: shedding was preemptive.
-        assert metrics.counter(obs_names.METRIC_SERVE_REJECTED_QUEUE_FULL) == 0
+        refused, retry = run(scenario())
+        assert isinstance(refused, AdmissionRejected)
+        assert refused.reason == "queue_full"
+        assert refused.retry_after_s == pytest.approx(0.05)
+        assert retry.exception() is None
+        assert retry.result().ok
 
 
 class TestTenantFairness:
@@ -453,39 +446,7 @@ class TestLifecycle:
 
 
 class TestController:
-    def test_sustained_overload_grows_the_pool(
-        self, executor, serve_recordings
-    ):
-        async def scenario():
-            clock = VirtualClock()
-            service = make_service(
-                executor,
-                clock,
-                batching=BatchPolicy(max_batch_size=1, max_delay_s=0.001),
-                runner=ticking_runner(clock, 0.8),  # 800 ms per batch
-                controller=ControllerPolicy(
-                    target_p95_ms=150.0,
-                    max_workers=4,
-                    window=2,
-                    cooldown=1,
-                ),
-            )
-            await service.start()
-            tasks = submit_all(
-                service,
-                [
-                    ScreeningRequest(f"r{i}", "clinic", serve_recordings[0])
-                    for i in range(6)
-                ],
-            )
-            await drive(clock, tasks, step=0.1)
-            await service.stop()
-            return service
-
-        service = run(scenario())
-        assert service.workers == 4  # pinned at the ceiling under load
-        assert service.executor.workers == 4
-        assert service.metrics.counter(obs_names.METRIC_SERVE_POOL_RESIZES) >= 3
+    """The service never resizes the executor's worker pool."""
 
     def test_without_controller_workers_are_untouched(
         self, executor, serve_recordings
