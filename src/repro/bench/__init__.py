@@ -8,9 +8,9 @@ per-event ``segment_eardrum_echo`` loop, spectrum against per-echo
 ``BENCH_obs.json`` holds a traced batch run against the untraced one.
 Each record carries the op name, a human-readable shape string, p50/p95
 wall-clock milliseconds for the batched path and for its oracle, and
-the p50 speedup, so successive commits can be compared file to file.
-The two sides of every pair are timed call by call (see
-:func:`compare_ops`).
+the speedup, so successive commits can be compared file to file.  The
+two sides of every pair are timed call by call, and the speedup is the
+median of the per-pair ratios (see :func:`compare_ops`).
 
 The harness lives outside the science subpackages on purpose: it is
 allowed to read wall clocks, while :mod:`repro.kernels` itself stays
@@ -51,7 +51,8 @@ class BenchResult:
     """Timing record for one op: the batched path against its oracle.
 
     All times are wall-clock milliseconds over ``repeats`` calls after
-    one untimed warmup; ``speedup`` is ``serial_p50_ms / p50_ms``.
+    one untimed warmup; ``speedup`` is the median over the ``repeats``
+    rounds of ``serial_i / batched_i``, not ``serial_p50_ms / p50_ms``.
     """
 
     op: str
@@ -78,9 +79,14 @@ def compare_ops(
     allocator churn), every round times one ``batched`` call and then
     one ``serial`` call.  Timing each side as one contiguous block lets
     clock drift (frequency scaling, a noisy neighbour) land wholesale
-    on whichever side ran second; alternating spreads it over both
-    sample sets, so their p50 ratio, the ``speedup`` the gate reads,
-    isolates the real difference between the two paths.
+    on whichever side ran second; alternating puts both calls of a
+    round under the same drift.  The ``speedup`` the gate reads is the
+    median of the per-round ratios, so drift that slows a whole round
+    cancels inside its ratio, where a ratio of the two p50s would
+    compare calls from different rounds: over 20 ``--quick`` runs on a
+    2-vCPU VM the traced batch's overhead read from the p50s spread
+    −7.7…+14.7% (quartiles 0.0/+3.2%), and from per-round ratios
+    −1.8…+9.6% (quartiles +0.8/+2.6%).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -101,7 +107,7 @@ def compare_ops(
         p95_ms=float(p95),
         serial_p50_ms=float(s50),
         serial_p95_ms=float(s95),
-        speedup=float(s50 / p50) if p50 > 0.0 else float("inf"),
+        speedup=float(np.median(samples[1] / samples[0])),
     )
 
 

@@ -127,8 +127,9 @@ def _obs_suite(
     """Tracing overhead: one batch run traced vs the NullTracer path.
 
     The ``serial`` side is the default (tracing disabled) run, so
-    ``speedup`` reads as ``untraced_p50 / traced_p50`` — 1.0 means free
-    tracing, and the overhead percentage is ``(1/speedup - 1) * 100``.
+    ``speedup`` reads as the median per-round ``untraced / traced``
+    ratio — 1.0 means free tracing, and the overhead percentage is
+    ``(1/speedup - 1) * 100``.
     When ``trace_dir`` is given, the artifacts of one traced run
     (run record, Chrome trace, events, Prometheus text) are written
     there so CI can upload them next to the BENCH reports.
@@ -184,7 +185,7 @@ def _obs_suite(
 
 def overhead_pct(result: BenchResult) -> float:
     """Tracing overhead percent from an obs-suite comparison record."""
-    return (result.p50_ms / result.serial_p50_ms - 1.0) * 100.0
+    return (1.0 / result.speedup - 1.0) * 100.0
 
 
 def _print_table(title: str, results: list[BenchResult]) -> None:
@@ -227,15 +228,15 @@ def main(argv: list[str] | None = None) -> int:
         "--fail-overhead-pct",
         type=float,
         default=None,
-        help="exit 1 if tracing-enabled batch p50 exceeds the disabled "
-        "path by more than this percent",
+        help="exit 1 if a traced batch run takes more than this percent "
+        "longer than the untraced run it is paired with (median of pairs)",
     )
     parser.add_argument(
         "--trajectory",
         type=Path,
         default=None,
         help="append this run's per-op numbers to the given "
-        "BENCH_trajectory.json (append-only perf history)",
+        "trajectory file (append-only perf history)",
     )
     parser.add_argument(
         "--gate",
@@ -281,13 +282,13 @@ def main(argv: list[str] | None = None) -> int:
     _print_table("pipeline stages, whole capture (batched vs oracle)", stage_results)
     _print_table("observability overhead (traced vs disabled)", obs_results)
     overhead = overhead_pct(obs_results[0])
-    print(f"\ntracing overhead: {overhead:+.2f}% on batch p50")
+    print(f"\ntracing overhead: {overhead:+.2f}% (median of paired batch runs)")
     print(f"wrote {stages_path} and {obs_path}")
 
     failed = False
     if args.trajectory is not None:
         # The obs op is namespaced so the ratchet tracks tracing
-        # overhead per entry: its speedup is untraced/traced p50, so a
+        # overhead per entry: its speedup is untraced/traced, so a
         # drop past tolerance (more overhead) plus a p50 rise fails the
         # gate like any stage regression.
         trajectory_results = stage_results + [
@@ -308,16 +309,11 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"bench-gate: {detail}")
             for reg in regressions:
-                speedup_note = ""
-                if reg.baseline_speedup is not None and reg.current_speedup is not None:
-                    speedup_note = (
-                        f", speedup {reg.baseline_speedup:.2f}x -> "
-                        f"{reg.current_speedup:.2f}x"
-                    )
                 print(
                     f"FAIL: {reg.op} regressed {reg.ratio:.2f}x "
                     f"({reg.baseline_p50_ms:.3f} ms -> "
-                    f"{reg.current_p50_ms:.3f} ms{speedup_note})"
+                    f"{reg.current_p50_ms:.3f} ms, speedup "
+                    f"{reg.baseline_speedup:.2f}x -> {reg.current_speedup:.2f}x)"
                 )
             failed = failed or bool(regressions)
 

@@ -1,12 +1,13 @@
 """Append-only perf trajectory and its regression gate.
 
-``BENCH_trajectory.json`` is the committed, machine-readable history of
-stage performance across commits: one entry per benchmark invocation,
-stamped with the git SHA, seed, and machine fingerprint, holding per-op
-p50/p95/speedup numbers.  Entries are *appended*, never rewritten — the
-file is the trajectory, so a regression is visible as two adjacent
-entries, not as a silently replaced number.  Ops that the harness no
-longer runs stay in older entries as history.
+A trajectory file is a machine-readable history of stage performance
+across commits: one entry per benchmark invocation, stamped with the
+git SHA, seed, and machine fingerprint, holding per-op p50/p95/speedup
+numbers.  Entries are *appended*, never rewritten, so a regression is
+visible as two adjacent entries, not as a silently replaced number.
+CI's bench-gate starts a scratch file on its runner with the base
+commit's entry and appends the head's; timings from another machine
+are never compared, so no trajectory is committed.
 
 :func:`check_gate` implements the CI bench-gate: the newest entry is
 compared against the most recent *prior* entry from the same machine
@@ -55,8 +56,8 @@ class Regression:
     op: str
     baseline_p50_ms: float
     current_p50_ms: float
-    baseline_speedup: float | None = None
-    current_speedup: float | None = None
+    baseline_speedup: float
+    current_speedup: float
 
     @property
     def ratio(self) -> float:
@@ -121,9 +122,8 @@ def check_gate(
 
     An op regresses only when both signals cross ``tolerance``: p50
     slowed by more than it *and* the in-run speedup dropped by more
-    than it (an op without a recorded speedup gates on p50 alone).  A
-    p50 rise with a stable speedup is machine noise — both lanes of
-    the pair slowed together — not a kernel regression.
+    than it.  A p50 rise with a stable speedup is machine noise — both
+    lanes of the pair slowed together — not a kernel regression.
 
     Returns ``(regressions, explanation)``; an empty regression list
     with a descriptive message means the gate passes (including the
@@ -157,22 +157,17 @@ def check_gate(
         cur_p50 = float(stats.get("p50_ms", 0.0))
         if not (base_p50 > 0.0 and cur_p50 > base_p50 * (1.0 + tolerance)):
             continue
-        base_speedup = base.get("speedup")
-        cur_speedup = stats.get("speedup")
-        if base_speedup is not None and cur_speedup is not None:
-            if float(cur_speedup) >= float(base_speedup) * (1.0 - tolerance):
-                continue  # speedup held up: the pair slowed together (noise)
+        base_speedup = float(base["speedup"])
+        cur_speedup = float(stats["speedup"])
+        if cur_speedup >= base_speedup * (1.0 - tolerance):
+            continue  # speedup held up: the pair slowed together (noise)
         regressions.append(
             Regression(
                 op=op,
                 baseline_p50_ms=base_p50,
                 current_p50_ms=cur_p50,
-                baseline_speedup=(
-                    float(base_speedup) if base_speedup is not None else None
-                ),
-                current_speedup=(
-                    float(cur_speedup) if cur_speedup is not None else None
-                ),
+                baseline_speedup=base_speedup,
+                current_speedup=cur_speedup,
             )
         )
     message = (

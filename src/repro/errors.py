@@ -89,9 +89,10 @@ class ExecutionError(EarSonarError):
     """Base class for batch-runtime execution failures.
 
     These are *infrastructure* faults (a worker died, a deadline
-    passed, the circuit breaker opened) as opposed to the per-signal
-    :class:`SignalProcessingError` family; the executor converts them
-    into structured quarantine entries rather than crashing a batch.
+    passed, a chaos test injected a fault) as opposed to the per-signal
+    :class:`SignalProcessingError` family; the executor quarantines
+    the recordings of the chunk that hit one, rather than crashing a
+    batch.
     """
 
 
@@ -101,14 +102,6 @@ class TaskTimeoutError(ExecutionError):
 
 class WorkerCrashError(ExecutionError):
     """A pool worker died mid-chunk (segfault, OOM-kill, ``os._exit``)."""
-
-
-class CircuitOpenError(ExecutionError):
-    """Work was rejected because the executor's circuit breaker is open.
-
-    Raised/recorded for recordings that were *not attempted* after
-    ``failure_threshold`` consecutive worker failures halted fan-out.
-    """
 
 
 class InjectedFaultError(ExecutionError):

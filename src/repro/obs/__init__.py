@@ -5,7 +5,7 @@ other layer but owned here:
 
 - :mod:`~repro.obs.tracer` — hierarchical spans; one trace per
   recording with child spans per pipeline stage, plus runtime spans
-  (cache lookups, chunk waits, quality gates, retry attempts).  The
+  (cache lookups, chunk waits, the service's quality gate).  The
   ambient default is a :class:`NullTracer`, making instrumentation
   zero-cost and bit-identical when disabled.
 - :mod:`~repro.obs.events` — append-only JSONL structured event log

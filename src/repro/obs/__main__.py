@@ -62,7 +62,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         print(f"\nslowest {len(slowest)} recordings:")
         header = (
             f"{'idx':>5} {'participant':<14}{'day':>6}{'ms':>10}"
-            f"  {'outcome':<12}{'quality':<8}"
+            f"  {'outcome':<12}"
         )
         print(header)
         print("-" * len(header))
@@ -70,7 +70,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             print(
                 f"{str(row['index']):>5} {row['participant']:<14}"
                 f"{str(row['day']):>6}{row['duration_ms']:>10.3f}"
-                f"  {row['outcome']:<12}{row['quality_verdict']:<8}"
+                f"  {row['outcome']:<12}"
             )
     return 0
 

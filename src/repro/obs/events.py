@@ -1,7 +1,7 @@
 """Append-only structured event log (JSONL) with severity levels.
 
-The runtime's noteworthy moments — batch start/finish, breaker trips,
-quarantines, corrupt-cache evictions — are *events*: discrete,
+The runtime's noteworthy moments — batch start/finish, quarantines,
+corrupt-cache evictions, serial fallbacks — are *events*: discrete,
 structured, and worth keeping even when full tracing is off.  This
 module replaces ad-hoc ``print`` / ``sys.stderr.write`` reporting with
 an append-only log of JSON objects, one per line, so a run's event

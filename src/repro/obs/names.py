@@ -16,7 +16,7 @@ defined here.  Centralizing the vocabulary buys three things:
   drift from reality.
 
 Names are dotted, lowercase, and grouped by subsystem prefix
-(``stage.``, ``cache.``, ``executor.``, ``quality.``, ``breaker.``,
+(``stage.``, ``cache.``, ``executor.``, ``quality.``,
 ``recordings.``, ``serve.``); histogram names carry their unit as a
 suffix (``_ms``).
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 __all__ = [
     "SPAN_RECORDING",
-    "SPAN_RETRY_ATTEMPT",
     "SPAN_QUALITY_GATE",
     "SPAN_CACHE_LOOKUP",
     "SPAN_CHUNK",
@@ -47,7 +46,6 @@ __all__ = [
     "STAGE_SPAN_NAMES",
     "EVENT_BATCH_STARTED",
     "EVENT_BATCH_FINISHED",
-    "EVENT_BREAKER_OPENED",
     "EVENT_CACHE_CORRUPT_EVICTED",
     "EVENT_RECORDING_QUARANTINED",
     "EVENT_SERIAL_FALLBACK",
@@ -57,7 +55,6 @@ __all__ = [
     "METRIC_RECORDINGS_SUBMITTED",
     "METRIC_RECORDINGS_OK",
     "METRIC_RECORDINGS_FAILED",
-    "METRIC_RECORDINGS_RETRIED",
     "METRIC_PIPELINE_CALLS",
     "METRIC_CACHE_HITS",
     "METRIC_CACHE_MISSES",
@@ -66,13 +63,9 @@ __all__ = [
     "METRIC_SERIAL_FALLBACK",
     "METRIC_TIMEOUTS",
     "METRIC_WORKER_FAILURES",
-    "METRIC_CHUNKS_SKIPPED",
     "METRIC_POOL_STARTS",
-    "METRIC_BREAKER_OPENED",
     "METRIC_QUALITY_DEGRADED",
-    "METRIC_QUALITY_REJECTED",
     "METRIC_REVERB_TAPS_REMOVED",
-    "METRIC_QUALITY_ECHO_DOMINANT",
     "HIST_RECORDING_MS",
     "HIST_STAGE_BANDPASS_MS",
     "HIST_STAGE_FEATURES_MS",
@@ -129,11 +122,10 @@ __all__ = [
 
 # -- span names ---------------------------------------------------------
 
-#: Root span of one recording's trace (attrs: index, participant, day).
+#: Root span of one recording's trace (attrs: index, participant, day,
+#: outcome, error_type).
 SPAN_RECORDING = "recording"
-#: One processing attempt under the retry policy (attr: attempt).
-SPAN_RETRY_ATTEMPT = "retry.attempt"
-#: Pre-DSP quality-gate assessment (attrs: verdict, reasons).
+#: The service's pre-admission quality gate (attrs: verdict, reasons).
 SPAN_QUALITY_GATE = "quality.gate"
 #: Parent-side feature-cache lookup for one recording (attrs: index, hit).
 SPAN_CACHE_LOOKUP = "cache.lookup"
@@ -181,7 +173,6 @@ STAGE_SPAN_NAMES = (
 SPAN_NAMES = frozenset(
     {
         SPAN_RECORDING,
-        SPAN_RETRY_ATTEMPT,
         SPAN_QUALITY_GATE,
         SPAN_CACHE_LOOKUP,
         SPAN_CHUNK,
@@ -200,8 +191,6 @@ SPAN_NAMES = frozenset(
 EVENT_BATCH_STARTED = "batch.started"
 #: A batch run completed (fields: ok, failed, seconds).
 EVENT_BATCH_FINISHED = "batch.finished"
-#: The circuit breaker opened (field: consecutive_failures).
-EVENT_BREAKER_OPENED = "breaker.opened"
 #: An unreadable disk cache entry was evicted (field: entry).
 EVENT_CACHE_CORRUPT_EVICTED = "cache.corrupt_evicted"
 #: One recording was quarantined (fields: participant, error_type).
@@ -239,7 +228,6 @@ EVENT_NAMES = frozenset(
     {
         EVENT_BATCH_STARTED,
         EVENT_BATCH_FINISHED,
-        EVENT_BREAKER_OPENED,
         EVENT_CACHE_CORRUPT_EVICTED,
         EVENT_RECORDING_QUARANTINED,
         EVENT_SERIAL_FALLBACK,
@@ -263,8 +251,6 @@ METRIC_RECORDINGS_SUBMITTED = "recordings.submitted"
 METRIC_RECORDINGS_OK = "recordings.ok"
 #: Recordings quarantined as :class:`FailedRecording`.
 METRIC_RECORDINGS_FAILED = "recordings.failed"
-#: Extra attempts granted by the retry policy.
-METRIC_RECORDINGS_RETRIED = "recordings.retried"
 #: Actual DSP invocations (cache misses only).
 METRIC_PIPELINE_CALLS = "pipeline.calls"
 #: Cache lookups served from the cache.
@@ -281,26 +267,17 @@ METRIC_SERIAL_FALLBACK = "executor.serial_fallback"
 METRIC_TIMEOUTS = "executor.timeouts"
 #: Chunks lost to worker crashes or injected faults.
 METRIC_WORKER_FAILURES = "executor.worker_failures"
-#: Chunks quarantined by an open circuit breaker.
-METRIC_CHUNKS_SKIPPED = "executor.chunks_skipped"
 #: Worker pools created: one per pooled run of an unopened executor,
 #: one per worker count (plus one per fault) while it is open.
 METRIC_POOL_STARTS = "executor.pool_starts"
-#: Circuit-breaker open transitions.
-METRIC_BREAKER_OPENED = "breaker.opened"
-#: Quality-gate DEGRADE verdicts (and pipeline-degraded results).
+#: Results the pipeline tagged with quality reasons (``corrupt_chirps``,
+#: ``calibration_unstable``, ``non_finite``): screened, but degraded.
 METRIC_QUALITY_DEGRADED = "quality.degraded"
-#: Quality-gate REJECT verdicts.
-METRIC_QUALITY_REJECTED = "quality.rejected"
 #: Early reflections subtracted by the rake stage.  Conditional: only
 #: emitted when ``EarSonarConfig.reverb`` is enabled and the rake
 #: removed at least one tap, so it lives in
 #: :data:`ECHO_CONDITIONAL_COUNTERS`.
 METRIC_REVERB_TAPS_REMOVED = "reverb.taps_removed"
-#: Recordings whose quality report carries the ``echo_dominant``
-#: reason (rejected as unusable multipath, or degraded-but-rescued
-#: reverberant captures).  Conditional: healthy batches never emit it.
-METRIC_QUALITY_ECHO_DOMINANT = "quality.echo_dominant"
 
 #: Per-recording DSP wall time (band-pass + feature extraction).
 HIST_RECORDING_MS = "recording_ms"
@@ -321,7 +298,6 @@ CANONICAL_COUNTERS = frozenset(
         METRIC_RECORDINGS_SUBMITTED,
         METRIC_RECORDINGS_OK,
         METRIC_RECORDINGS_FAILED,
-        METRIC_RECORDINGS_RETRIED,
         METRIC_PIPELINE_CALLS,
         METRIC_CACHE_HITS,
         METRIC_CACHE_MISSES,
@@ -330,11 +306,8 @@ CANONICAL_COUNTERS = frozenset(
         METRIC_SERIAL_FALLBACK,
         METRIC_TIMEOUTS,
         METRIC_WORKER_FAILURES,
-        METRIC_CHUNKS_SKIPPED,
         METRIC_POOL_STARTS,
-        METRIC_BREAKER_OPENED,
         METRIC_QUALITY_DEGRADED,
-        METRIC_QUALITY_REJECTED,
     }
 )
 
@@ -349,15 +322,13 @@ CANONICAL_HISTOGRAMS = frozenset(
     }
 )
 
-#: Counters that only fire on *reverberant or miscalibrated* inputs
-#: (the rake subtracted a reflection, or the quality gate saw
-#: echo-dominant multipath).  Documented names — the leak test accepts
+#: Counters that only fire on *reverberant* inputs (the rake
+#: subtracted a reflection).  Documented names — the leak test accepts
 #: them — but a healthy anechoic batch run is not required to produce
 #: them; the echo-robustness tests assert their emission instead.
 ECHO_CONDITIONAL_COUNTERS = frozenset(
     {
         METRIC_REVERB_TAPS_REMOVED,
-        METRIC_QUALITY_ECHO_DOMINANT,
     }
 )
 

@@ -67,22 +67,10 @@ def stage_stats(spans: Iterable[Span]) -> dict[str, StageStats]:
     }
 
 
-def _quality_verdict(root: Span) -> str:
-    """The quality-gate verdict recorded anywhere under ``root``."""
-    for span in root.walk():
-        if span.name == names.SPAN_QUALITY_GATE:
-            verdict = span.attrs.get("verdict")
-            if verdict is not None:
-                return str(verdict)
-    return "-"
-
-
 def slowest_recordings(spans: Iterable[Span], top: int = 10) -> list[dict]:
     """The ``top`` recording traces by total duration, slowest first.
 
-    Each entry carries the recording's provenance, outcome, and the
-    quality-gate verdict found in its subtree (``"-"`` when the run
-    had no quality gate).
+    Each entry carries the recording's provenance and outcome.
     """
     roots = [s for s in spans if s.name == names.SPAN_RECORDING]
     roots.sort(key=lambda s: s.duration_ms, reverse=True)
@@ -93,7 +81,6 @@ def slowest_recordings(spans: Iterable[Span], top: int = 10) -> list[dict]:
             "day": root.attrs.get("day"),
             "duration_ms": root.duration_ms,
             "outcome": root.attrs.get("outcome", ""),
-            "quality_verdict": _quality_verdict(root),
         }
         for root in roots[: max(0, top)]
     ]

@@ -23,7 +23,9 @@ The checks mirror the dominant at-home acquisition faults modelled in
 This complements :mod:`repro.core.diagnostics`, which scores a capture
 *after* running the pipeline (echo yield, curve stability); the quality
 gate exists so obviously-bad captures never pay for the pipeline at
-all, and marginal ones are processed but tagged as degraded.
+all.  The screening service runs it before admission
+(``ScreeningService(fast_reject=QualityConfig())``) and answers a
+REJECTed capture without queueing it.
 """
 
 from .assess import QualityConfig, assess_recording, assess_waveform

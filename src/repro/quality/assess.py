@@ -29,7 +29,7 @@ class QualityConfig:
     """Thresholds for the accept / degrade / reject decision.
 
     Each metric has a *degrade* and a *reject* bound; crossing the
-    first tags the recording, crossing the second quarantines it.
+    first tags the report, crossing the second rejects the capture.
     Defaults are calibrated against the simulator's clean captures
     (which must ACCEPT) and :mod:`repro.faultlab` at default severity.
     """

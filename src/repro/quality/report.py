@@ -12,9 +12,8 @@ class Verdict(Enum):
     """Gate decision for one recording.
 
     - ``ACCEPT`` — clean capture, process normally;
-    - ``DEGRADE`` — process, but tag the result: some quality metric is
-      in the marginal band, so downstream consumers should weight the
-      screening outcome accordingly;
+    - ``DEGRADE`` — processable, but some quality metric is in the
+      marginal band; the report's reason codes say which;
     - ``REJECT`` — do not run the DSP; quarantine with reason codes and
       prompt a re-measurement.
     """

@@ -12,7 +12,7 @@ Injection is honored only on the executor's pool path.  A crash or a
 hang in the serial path would take down (or freeze) the caller's own
 process, which is the opposite of what a chaos harness wants; the pool
 path is also where the recovery machinery under test — deadlines,
-circuit breaker, chunk quarantine — actually lives.
+chunk quarantine, pool replacement — actually lives.
 """
 
 from __future__ import annotations

@@ -35,8 +35,6 @@ callers, which run a few large batches, fork a pool per run.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import functools
 import multiprocessing
 import time
 import weakref
@@ -50,10 +48,8 @@ from ..core.config import EarSonarConfig
 from ..core.pipeline import EarSonarPipeline
 from ..core.results import ProcessedRecording
 from ..errors import (
-    CircuitOpenError,
     ConfigurationError,
     ExecutionError,
-    QualityRejectedError,
     TaskTimeoutError,
     WorkerCrashError,
 )
@@ -74,12 +70,10 @@ from ..obs.tracer import (
     current_tracer,
     use_tracer,
 )
-from ..quality import QualityConfig, assess_recording
 from ..simulation.session import Recording
-from .breaker import CircuitBreaker
 from .cache import FeatureCache, recording_key
 from .chaos import FaultInjector
-from .faults import DEFAULT_RETRY_POLICY, FailedRecording, RetryPolicy, run_with_policy
+from .faults import FailedRecording, run_quarantined
 from .metrics import RuntimeMetrics
 
 __all__ = ["BatchExecutor", "BatchResult"]
@@ -152,52 +146,15 @@ def _worker_pipeline(config: EarSonarConfig) -> EarSonarPipeline:
     return pipeline
 
 
-def _gated_timed_process(
-    pipeline: EarSonarPipeline,
-    recording: Recording,
-    quality: QualityConfig | None = None,
-):
-    """``timed_process`` behind the optional quality gate.
-
-    REJECT verdicts raise :class:`QualityRejectedError` — a
-    :class:`~repro.errors.SignalProcessingError`, so the standard
-    quarantine path catches it and the recording never pays for the
-    DSP.  DEGRADE verdicts process normally but merge the gate's
-    reason codes into the result's ``quality_reasons``.
-    """
-    if quality is None:
-        return pipeline.timed_process(recording)
-    # The gate span closes before a REJECT raises so the span tree of a
-    # rejected recording is the same whether or not retries follow.
-    with current_tracer().span(obs_names.SPAN_QUALITY_GATE) as span:
-        report = assess_recording(recording, pipeline.config.chirp, quality)
-        span.set("verdict", report.verdict.value)
-        if report.reasons:
-            span.set("reasons", report.reason_string)
-    if report.rejected:
-        raise QualityRejectedError(
-            f"quality gate rejected capture: {report.reason_string}"
-        )
-    processed, latencies = pipeline.timed_process(recording)
-    if not report.accepted:
-        merged = tuple(
-            dict.fromkeys(
-                processed.quality_reasons
-                + tuple(code.value for code in report.reasons)
-            )
-        )
-        processed = dataclasses.replace(processed, quality_reasons=merged)
-    return processed, latencies
-
-
-def _traced_run_one(process, index: int, recording: Recording, policy: RetryPolicy):
+def _traced_run_one(process, index: int, recording: Recording):
     """Run one recording under the ambient tracer's ``recording`` root.
 
-    The single per-recording instrumentation point shared by the serial
-    path and the pool workers — both build the root span here, so a
-    parallel run's adopted trees are structurally identical to a serial
-    run's.  Root attributes are pure functions of the input and the
-    outcome (never of timing or scheduling).
+    Returns ``(outcome, stage_latencies_or_None)``.  The single
+    per-recording instrumentation point shared by the serial path and
+    the pool workers — both build the root span here, so a parallel
+    run's adopted trees are structurally identical to a serial run's.
+    Root attributes are pure functions of the input and the outcome
+    (never of timing or scheduling).
     """
     tracer = current_tracer()
     with tracer.span(
@@ -206,31 +163,31 @@ def _traced_run_one(process, index: int, recording: Recording, policy: RetryPoli
         participant=recording.participant_id,
         day=recording.day,
     ) as span:
-        result, attempts = run_with_policy(process, recording, policy)
-        span.set("attempts", attempts)
+        # Quarantining inside the span closes it cleanly (no ``error``
+        # attr stamped by __exit__), so the tree is the same in serial
+        # and pool runs.
+        result = run_quarantined(process, recording)
         if isinstance(result, FailedRecording):
             span.set("outcome", "failed")
             span.set("error_type", result.error_type)
-        else:
-            span.set("outcome", "ok")
-    return result, attempts
+            return result, None
+        span.set("outcome", "ok")
+    return result
 
 
 def _process_chunk(
     config: EarSonarConfig,
-    policy: RetryPolicy,
     chunk: list[tuple[int, Recording]],
-    quality: QualityConfig | None = None,
     injector: FaultInjector | None = None,
     trace_ctx: TraceContext | None = None,
     health_ctx: HealthContext | None = None,
-) -> tuple[list[tuple[int, Outcome, object, int, dict | None]], dict | None]:
+) -> tuple[list[tuple[int, Outcome, object, dict | None]], dict | None]:
     """Process one chunk in a worker; never raises for expected faults.
 
     Returns ``(rows, health_state_or_None)`` where each row is
-    ``(index, outcome, stage_latencies_or_None, attempts,
-    span_tree_or_None)``; quarantining happens here so the parent's
-    merge step is the same for serial and parallel runs.  When
+    ``(index, outcome, stage_latencies_or_None, span_tree_or_None)``;
+    quarantining happens here so the parent's merge step is the same
+    for serial and parallel runs.  When
     ``trace_ctx`` asks for tracing, each recording's span tree is
     serialized into its row for the parent to adopt; when
     ``health_ctx`` asks for fleet-health aggregation, the pipeline's
@@ -242,8 +199,7 @@ def _process_chunk(
     the parent's recovery machinery sees the failure exactly where a
     real one would occur.
     """
-    pipeline = _worker_pipeline(config)
-    process = functools.partial(_gated_timed_process, pipeline, quality=quality)
+    process = _worker_pipeline(config).timed_process
     out = []
     with activate_from_context(trace_ctx) as tracer, activate_health_from_context(
         health_ctx
@@ -251,17 +207,13 @@ def _process_chunk(
         for index, recording in chunk:
             if injector is not None and injector.should_trip(index):
                 injector.trip(index)
-            result, attempts = _traced_run_one(process, index, recording, policy)
+            outcome, latencies = _traced_run_one(process, index, recording)
             span_dict = (
                 tracer.traces[-1].to_dict()
                 if tracer is not None and tracer.traces
                 else None
             )
-            if isinstance(result, FailedRecording):
-                out.append((index, result, None, attempts, span_dict))
-            else:
-                processed, latencies = result
-                out.append((index, processed, latencies, attempts, span_dict))
+            out.append((index, outcome, latencies, span_dict))
         health_state = health.export_state() if health is not None else None
     return out, health_state
 
@@ -297,26 +249,12 @@ class BatchExecutor:
     metrics:
         Optional :class:`RuntimeMetrics` registry; one is created per
         executor when omitted.
-    retry_policy:
-        Bounded retry for transient failures (default: no retries).
-    quality_gate:
-        Optional :class:`~repro.quality.QualityConfig`.  When set,
-        every recording is assessed before the DSP: REJECT verdicts
-        are quarantined without processing, DEGRADE verdicts process
-        but carry the gate's reason codes.  Applies to the serial and
-        pool paths alike (the gate is deterministic).
     task_timeout_s:
         Per-pool-task deadline in seconds.  A chunk whose result does
         not arrive in time is quarantined as
         :class:`~repro.errors.TaskTimeoutError` instead of blocking
         the batch forever behind a hung worker.  ``None`` (default)
         waits indefinitely.  Pool path only.
-    breaker:
-        Optional :class:`CircuitBreaker`.  After its threshold of
-        *consecutive* chunk failures (crashes, deadline misses,
-        injected faults) the remaining chunks are quarantined as
-        :class:`~repro.errors.CircuitOpenError` without being waited
-        on.  Pool path only.
     fault_injector:
         Optional :class:`~repro.runtime.chaos.FaultInjector` armed in
         the workers for chaos tests.  Pool path only — a deliberate
@@ -339,10 +277,7 @@ class BatchExecutor:
         chunk_size: int | None = None,
         cache: FeatureCache | None = None,
         metrics: RuntimeMetrics | None = None,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        quality_gate: QualityConfig | None = None,
         task_timeout_s: float | None = None,
-        breaker: CircuitBreaker | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
@@ -366,10 +301,7 @@ class BatchExecutor:
         self.chunk_size = chunk_size
         self.cache = cache
         self.metrics = metrics or RuntimeMetrics()
-        self.retry_policy = retry_policy
-        self.quality_gate = quality_gate
         self.task_timeout_s = task_timeout_s
-        self.breaker = breaker
         self.fault_injector = fault_injector
         if cache is not None and cache.metrics is None:
             # Corruption evictions surface in this executor's report.
@@ -501,32 +433,20 @@ class BatchExecutor:
         recording: Recording,
         outcome: Outcome,
         latencies,
-        attempts: int,
         outcomes: list[Outcome | None],
     ) -> None:
         outcomes[index] = outcome
-        self.metrics.increment(obs_names.METRIC_PIPELINE_CALLS, attempts)
-        if attempts > 1:
-            self.metrics.increment(obs_names.METRIC_RECORDINGS_RETRIED, attempts - 1)
+        self.metrics.increment(obs_names.METRIC_PIPELINE_CALLS)
         # Parent-side fleet-health rollups: one screening outcome per
         # recording (verdict/reason dimensions) plus the quality SLO
         # feed.  Always in the parent so serial and pool runs count
         # identically regardless of which process ran the DSP.
         health = current_health()
         if isinstance(outcome, FailedRecording):
-            if outcome.error_type == "QualityRejectedError":
-                self.metrics.increment(obs_names.METRIC_QUALITY_REJECTED)
-                if "echo_dominant" in outcome.message:
-                    self.metrics.increment(obs_names.METRIC_QUALITY_ECHO_DOMINANT)
             if health.enabled:
-                verdict = (
-                    "rejected"
-                    if outcome.error_type == "QualityRejectedError"
-                    else "failed"
-                )
                 health.increment(
                     obs_names.HEALTH_SCREENINGS,
-                    labels={"verdict": verdict, "reason": outcome.error_type},
+                    labels={"verdict": "failed", "reason": outcome.error_type},
                 )
                 health.slo_sample(obs_names.SLO_QUALITY, good=False)
             current_event_log().emit(
@@ -555,8 +475,6 @@ class BatchExecutor:
                     )
             if outcome.quality_reasons:
                 self.metrics.increment(obs_names.METRIC_QUALITY_DEGRADED)
-                if "echo_dominant" in outcome.quality_reasons:
-                    self.metrics.increment(obs_names.METRIC_QUALITY_ECHO_DOMINANT)
             self.metrics.observe(
                 obs_names.HIST_CALIB_OFFSET_DB, outcome.calibration_offset_db
             )
@@ -577,20 +495,11 @@ class BatchExecutor:
     def _run_serial(
         self, misses: list[tuple[int, Recording]], outcomes: list[Outcome | None]
     ) -> None:
-        process = functools.partial(
-            _gated_timed_process, self.pipeline, quality=self.quality_gate
-        )
         for index, recording in misses:
-            result, attempts = _traced_run_one(
-                process, index, recording, self.retry_policy
+            outcome, latencies = _traced_run_one(
+                self.pipeline.timed_process, index, recording
             )
-            if isinstance(result, FailedRecording):
-                self._record_outcome(index, recording, result, None, attempts, outcomes)
-            else:
-                processed, latencies = result
-                self._record_outcome(
-                    index, recording, processed, latencies, attempts, outcomes
-                )
+            self._record_outcome(index, recording, outcome, latencies, outcomes)
 
     def _quarantine_chunk(
         self,
@@ -607,7 +516,6 @@ class BatchExecutor:
                 day=recording.day,
                 error_type=type(exc).__name__,
                 message=str(exc),
-                attempts=1,
                 true_state=getattr(recording, "state", None),
             )
             # The worker died (or never ran), so no span tree came
@@ -629,21 +537,6 @@ class BatchExecutor:
                 error_type=type(exc).__name__,
             )
 
-    def _chunk_failed(
-        self,
-        chunk: list[tuple[int, Recording]],
-        outcomes: list[Outcome | None],
-        exc: BaseException,
-    ) -> None:
-        self._quarantine_chunk(chunk, outcomes, exc)
-        if self.breaker is not None and self.breaker.record_failure():
-            self.metrics.increment(obs_names.METRIC_BREAKER_OPENED)
-            current_event_log().emit(
-                obs_names.EVENT_BREAKER_OPENED,
-                level=EventLevel.ERROR,
-                consecutive_failures=self.breaker.consecutive_failures,
-            )
-
     def _run_pool(
         self, misses: list[tuple[int, Recording]], outcomes: list[Outcome | None]
     ) -> None:
@@ -656,9 +549,6 @@ class BatchExecutor:
         trace_ctx = TraceContext.capture()
         health = current_health()
         health_ctx = HealthContext.capture()
-        breaker = self.breaker
-        if breaker is not None:
-            breaker.on_new_batch()
         pool = self._acquire_pool(workers)
         faulted = False
         try:
@@ -666,9 +556,7 @@ class BatchExecutor:
                 pool.submit(
                     _process_chunk,
                     config,
-                    self.retry_policy,
                     chunk,
-                    self.quality_gate,
                     self.fault_injector,
                     trace_ctx,
                     health_ctx,
@@ -678,19 +566,6 @@ class BatchExecutor:
             # Workers exist once the first task is submitted.
             self._forked.update(pool._processes.values())
             for chunk_no, (chunk, future) in enumerate(zip(chunks, futures)):
-                if breaker is not None and breaker.is_open:
-                    future.cancel()
-                    self.metrics.increment(obs_names.METRIC_CHUNKS_SKIPPED)
-                    self._quarantine_chunk(
-                        chunk,
-                        outcomes,
-                        CircuitOpenError(
-                            "circuit breaker open after "
-                            f"{breaker.consecutive_failures} consecutive "
-                            "chunk failures"
-                        ),
-                    )
-                    continue
                 try:
                     with tracer.span(
                         obs_names.SPAN_CHUNK, chunk=chunk_no, size=len(chunk)
@@ -701,7 +576,7 @@ class BatchExecutor:
                 except FuturesTimeoutError:
                     faulted = True
                     self.metrics.increment(obs_names.METRIC_TIMEOUTS)
-                    self._chunk_failed(
+                    self._quarantine_chunk(
                         chunk,
                         outcomes,
                         TaskTimeoutError(
@@ -712,7 +587,7 @@ class BatchExecutor:
                 except BrokenProcessPool as exc:
                     faulted = True
                     self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
-                    self._chunk_failed(
+                    self._quarantine_chunk(
                         chunk,
                         outcomes,
                         WorkerCrashError(f"worker process died mid-chunk: {exc}"),
@@ -722,22 +597,15 @@ class BatchExecutor:
                     # errors raised inside the worker; anything else
                     # (a genuine programming error) still propagates.
                     self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
-                    self._chunk_failed(chunk, outcomes, exc)
+                    self._quarantine_chunk(chunk, outcomes, exc)
                 else:
-                    if breaker is not None:
-                        breaker.record_success()
                     if health_state is not None:
                         health.merge_state(health_state)
-                    for index, outcome, latencies, attempts, span_dict in rows:
+                    for index, outcome, latencies, span_dict in rows:
                         if span_dict is not None:
                             tracer.adopt(Span.from_dict(span_dict))
                         self._record_outcome(
-                            index,
-                            by_index[index],
-                            outcome,
-                            latencies,
-                            attempts,
-                            outcomes,
+                            index, by_index[index], outcome, latencies, outcomes
                         )
         finally:
             if faulted or pool is not self._pool:

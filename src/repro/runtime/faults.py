@@ -11,22 +11,19 @@ Only the library's expected signal-processing failures
 :class:`~repro.errors.NoEchoFoundError`) are quarantined; programming
 errors still propagate and fail the batch loudly.
 
-:class:`RetryPolicy` is the bounded-retry hook: the simulated DSP is
-deterministic so nothing retries by default, but a real deployment
-reading waveforms off flaky storage or a network can declare which
-exception types are transient and how many extra attempts they get.
+Each recording is processed once.  The DSP is deterministic, so a
+second attempt at the same waveform fails the same way; a failed
+capture calls for a new measurement, not a retry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SignalProcessingError
-from ..obs import names as obs_names
-from ..obs.tracer import current_tracer
 from ..simulation.effusion import MeeState
 
-__all__ = ["FailedRecording", "RetryPolicy", "DEFAULT_RETRY_POLICY"]
+__all__ = ["FailedRecording"]
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,6 @@ class FailedRecording:
         Exception class name (e.g. ``"NoEchoFoundError"``).
     message:
         The exception's message.
-    attempts:
-        Total processing attempts made (1 when no retry happened).
     true_state:
         Ground-truth state if the recording carried one (simulation);
         ``None`` for field recordings.
@@ -53,7 +48,6 @@ class FailedRecording:
     day: float
     error_type: str
     message: str
-    attempts: int = 1
     true_state: MeeState | None = None
 
     @property
@@ -67,65 +61,20 @@ class FailedRecording:
         return f"{self.error_type}: {self.message}"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry for transient per-recording failures.
+def run_quarantined(func, recording):
+    """Call ``func(recording)``, quarantining signal-processing failures.
 
-    Attributes
-    ----------
-    max_retries:
-        Extra attempts after the first (0 disables retry entirely).
-    transient:
-        Exception types considered worth retrying.  Anything else —
-        including the deterministic :class:`NoEchoFoundError` — is
-        quarantined on first failure.
+    Returns the call's result, or a :class:`FailedRecording` when it
+    raised a :class:`~repro.errors.SignalProcessingError`; every other
+    exception propagates unchanged.
     """
-
-    max_retries: int = 0
-    transient: tuple[type[BaseException], ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-    def should_retry(self, exc: BaseException, attempt: int) -> bool:
-        """Whether attempt number ``attempt`` (1-based) may be retried."""
-        if attempt > self.max_retries:
-            return False
-        return isinstance(exc, self.transient)
-
-
-#: No retries: correct for the deterministic simulation pipeline.
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-def run_with_policy(func, recording, policy: RetryPolicy):
-    """Call ``func(recording)`` under ``policy``.
-
-    Returns ``(result, attempts)`` on success.  On a quarantinable
-    failure returns ``(FailedRecording, attempts)``; other exceptions
-    propagate unchanged.
-    """
-    tracer = current_tracer()
-    attempt = 0
-    while True:
-        attempt += 1
-        # The try sits *inside* the attempt span so a quarantined
-        # failure closes the span cleanly (no ``error`` attr stamped by
-        # __exit__) and the tree stays identical across serial/pool.
-        with tracer.span(obs_names.SPAN_RETRY_ATTEMPT, attempt=attempt) as span:
-            try:
-                return func(recording), attempt
-            except SignalProcessingError as exc:
-                span.set("quarantined_error", type(exc).__name__)
-                if policy.should_retry(exc, attempt):
-                    continue
-                failed = FailedRecording(
-                    participant_id=recording.participant_id,
-                    day=recording.day,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=attempt,
-                    true_state=getattr(recording, "state", None),
-                )
-                return failed, attempt
+    try:
+        return func(recording)
+    except SignalProcessingError as exc:
+        return FailedRecording(
+            participant_id=recording.participant_id,
+            day=recording.day,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            true_state=getattr(recording, "state", None),
+        )

@@ -100,7 +100,6 @@ class RuntimeMetrics:
     an end-to-end emission test; the highlights:
 
     - ``recordings.submitted`` / ``recordings.ok`` / ``recordings.failed``
-    - ``recordings.retried`` — extra attempts granted by the retry policy
     - ``pipeline.calls`` — actual DSP invocations (cache misses only)
     - ``cache.hits`` / ``cache.misses``
     - ``cache.corrupt`` — unreadable disk entries evicted (each also a miss)
@@ -108,21 +107,19 @@ class RuntimeMetrics:
     - ``executor.serial_fallback`` — parallel run degraded to serial
     - ``executor.timeouts`` — pool tasks that missed their deadline
     - ``executor.worker_failures`` — chunks lost to crashes/injected faults
-    - ``executor.chunks_skipped`` — chunks quarantined by an open breaker
     - ``executor.pool_starts`` — worker pools created (per run, or per
       worker count and fault while the executor is open)
-    - ``breaker.opened`` — circuit-breaker open transitions
-    - ``quality.degraded`` / ``quality.rejected`` — quality-gate verdicts
+    - ``quality.degraded`` — results the pipeline tagged with quality
+      reasons (``corrupt_chirps``, ``calibration_unstable``,
+      ``non_finite``)
     - histograms ``recording_ms``, ``stage.bandpass_ms``,
       ``stage.features_ms``, ``batch_ms``, ``calib.offset_db``
       (per-recording calibration offset estimate; 0.0 whenever the
       calibration stage is disabled)
 
     Echo-conditional counters (``ECHO_CONDITIONAL_COUNTERS``) appear
-    only on reverberant or miscalibrated inputs: ``reverb.taps_removed``
-    — early reflections subtracted by the rake stage;
-    ``quality.echo_dominant`` — gate outcomes carrying the
-    ``echo_dominant`` reason.
+    only on reverberant inputs: ``reverb.taps_removed`` — early
+    reflections subtracted by the rake stage.
     """
 
     def __init__(self) -> None:

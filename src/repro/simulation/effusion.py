@@ -119,8 +119,10 @@ class RecoveryTrajectory:
 
     def state_at(self, day: float) -> MeeState:
         """Ground-truth effusion state on ``day`` (0-based)."""
-        if day < 0:
-            raise SimulationError(f"day must be >= 0, got {day}")
+        # NaN compares false against every boundary and +inf passes
+        # them all, so either would silently read as CLEAR.
+        if not (np.isfinite(day) and day >= 0):
+            raise SimulationError(f"day must be finite and >= 0, got {day}")
         p_end, m_end, s_end = self.stage_boundaries
         if day < p_end:
             return MeeState.PURULENT

@@ -22,15 +22,15 @@ from repro.bench import (
 from repro.bench.trajectory import append_entry, check_gate, load_entries
 
 
-def _result(op: str, p50: float, speedup: float | None = 2.0) -> BenchResult:
+def _result(op: str, p50: float, speedup: float = 2.0) -> BenchResult:
     return BenchResult(
         op=op,
         shape="n=8",
         repeats=3,
         p50_ms=p50,
         p95_ms=p50 * 1.2,
-        serial_p50_ms=None if speedup is None else p50 * speedup,
-        serial_p95_ms=None if speedup is None else p50 * speedup * 1.2,
+        serial_p50_ms=p50 * speedup,
+        serial_p95_ms=p50 * speedup * 1.2,
         speedup=speedup,
     )
 
@@ -123,18 +123,6 @@ class TestTrajectory:
         )
         regressions, _ = check_gate(path, tolerance=0.20)
         assert regressions == []
-
-    def test_gate_without_speedup_falls_back_to_p50_only(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_entry(
-            path, [_result("op", 1.0, speedup=None)], seed=0, quick=True, machine="m1"
-        )
-        append_entry(
-            path, [_result("op", 1.5, speedup=None)], seed=0, quick=True, machine="m1"
-        )
-        regressions, _ = check_gate(path, tolerance=0.20)
-        assert [r.op for r in regressions] == ["op"]
-        assert regressions[0].baseline_speedup is None
 
     def test_gate_never_compares_across_machines(self, tmp_path):
         path = tmp_path / "t.json"

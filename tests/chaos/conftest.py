@@ -3,7 +3,7 @@
 Two shared workloads:
 
 - ``chaos_batch`` — 16 fast recordings for executor fault-injection
-  scenarios (crash/hang/error/breaker) on the pool path;
+  scenarios (crash/hang/error) on the pool path;
 - ``acceptance_batch`` — the seeded 200-recording batch behind the
   headline robustness acceptance criterion (>= 90% completion under
   any single fault at default severity).

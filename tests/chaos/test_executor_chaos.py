@@ -1,9 +1,9 @@
 """Chaos scenarios: deliberate worker failure on the executor pool path.
 
 Each test arms a deterministic :class:`FaultInjector` and asserts the
-recovery machinery — chunk quarantine, per-task deadlines, the circuit
-breaker — converts the failure into structured outcomes without ever
-losing a recording or raising out of ``BatchExecutor.run``.
+recovery machinery — chunk quarantine and per-task deadlines — converts
+the failure into structured outcomes without ever losing a recording or
+raising out of ``BatchExecutor.run``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import EarSonarConfig, EarSonarPipeline
 from repro.core.results import ProcessedRecording
-from repro.runtime import BatchExecutor, CircuitBreaker, FaultInjector
+from repro.runtime import BatchExecutor, FaultInjector
 from repro.runtime.faults import FailedRecording
 
 pytestmark = pytest.mark.chaos
@@ -100,45 +100,3 @@ class TestDeadline:
         assert all(
             isinstance(o, ProcessedRecording) for o in result.outcomes[8:]
         )
-
-
-class TestCircuitBreaker:
-    def test_systematic_failure_opens_and_skips(self, pipeline, chaos_batch):
-        # Every chunk's first recording trips, so every dispatched chunk
-        # fails; with threshold 1 the breaker opens after the first.
-        executor = BatchExecutor(
-            pipeline,
-            workers=2,
-            chunk_size=4,
-            breaker=CircuitBreaker(failure_threshold=1),
-            fault_injector=FaultInjector(mode="error", indices=(0, 4, 8, 12)),
-        )
-        result = executor.run(chaos_batch)
-
-        assert len(result) == len(chaos_batch)
-        assert result.ok_count == 0
-        assert executor.metrics.counter("breaker.opened") == 1
-        skipped = [
-            o for o in result.quarantine if o.error_type == "CircuitOpenError"
-        ]
-        assert len(skipped) >= 4  # at least one whole chunk never dispatched
-        assert executor.metrics.counter("executor.chunks_skipped") >= 1
-
-    def test_healthy_rerun_recovers_through_half_open(self, pipeline, chaos_batch):
-        breaker = CircuitBreaker(failure_threshold=1)
-        sick = BatchExecutor(
-            pipeline,
-            workers=2,
-            chunk_size=4,
-            breaker=breaker,
-            fault_injector=FaultInjector(mode="error", indices=(0, 4, 8, 12)),
-        )
-        sick.run(chaos_batch)
-        assert breaker.is_open
-
-        healthy = BatchExecutor(
-            pipeline, workers=2, chunk_size=4, breaker=breaker
-        )
-        result = healthy.run(chaos_batch)
-        assert not breaker.is_open
-        assert result.ok_count == len(chaos_batch)

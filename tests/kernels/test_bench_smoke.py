@@ -1,11 +1,14 @@
 """Smoke test of the ``python -m repro.bench`` perf harness."""
 
+import itertools
 import json
+import types
 
 import pytest
 
+import repro.bench as bench
 from repro.bench import SCHEMA_VERSION, BenchResult, compare_ops, write_report
-from repro.bench.__main__ import main
+from repro.bench.__main__ import main, overhead_pct
 
 _RESULT_KEYS = {
     "op",
@@ -37,6 +40,24 @@ def test_compare_ops_times_the_pair_call_by_call():
     assert result.speedup > 0.0
     with pytest.raises(ValueError, match="repeats"):
         compare_ops("toy", "n=1", lambda: 1, lambda: 2, repeats=0)
+
+
+def test_speedup_is_the_median_of_per_round_ratios(monkeypatch):
+    # Per-round call times in ms: round 1 is 3x faster batched, rounds 2
+    # and 3 are even.  The per-round ratios 3, 1, 1 have median 1, while
+    # the ratio of the two p50s (3 ms over 2 ms) would read 1.5x.
+    batched_ms, serial_ms = (1.0, 2.0, 4.0), (3.0, 2.0, 4.0)
+    ticks = [0.0]
+    for ms in itertools.chain.from_iterable(zip(batched_ms, serial_ms)):
+        ticks += [ticks[-1], ticks[-1] + ms / 1e3]
+    clock = iter(ticks[1:])
+    stub = types.SimpleNamespace(perf_counter=lambda: next(clock))
+    monkeypatch.setattr(bench, "time", stub)
+    result = compare_ops("toy", "n=1", lambda: None, lambda: None, repeats=3)
+    assert result.p50_ms == pytest.approx(2.0)
+    assert result.serial_p50_ms == pytest.approx(3.0)
+    assert result.speedup == pytest.approx(1.0)
+    assert overhead_pct(result) == pytest.approx(0.0)
 
 
 def test_write_report_schema(tmp_path):

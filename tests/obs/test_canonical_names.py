@@ -4,24 +4,25 @@
 vocabulary; the :class:`~repro.runtime.metrics.RuntimeMetrics`
 docstring documents the same names.  This suite drives one shared
 registry through the scenarios that produce each family — cold/warm
-cache, corruption, quality gating, retries, pool faults, breaker
-trips, timeouts, and the daemon fallback — then asserts the registry
-contains *every* canonical name, so the documentation cannot drift
-from what the runtime actually emits.
+cache, corruption, a pipeline-degraded capture, pool faults, timeouts,
+and the daemon fallback — then asserts the registry contains *every*
+canonical name, so the documentation cannot drift from what the
+runtime actually emits.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.errors import NoEchoFoundError
+from repro.core.config import EarSonarConfig, RobustnessConfig
+from repro.core.pipeline import EarSonarPipeline
 from repro.obs import names
-from repro.quality import QualityConfig
-from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.cache import FeatureCache
 from repro.runtime.chaos import FaultInjector
 from repro.runtime.executor import BatchExecutor
-from repro.runtime.faults import RetryPolicy
 from repro.runtime.metrics import RuntimeMetrics
 
 
@@ -32,42 +33,40 @@ def exercised(obs_pipeline, obs_recordings, tmp_path_factory):
     clean = [r for i, r in enumerate(obs_recordings[:6]) if i != 1]
     silent = obs_recordings[1]
 
-    # Cold pass / corrupt-entry pass / warm pass over a disk cache,
-    # with a quality gate tuned so every clean capture DEGRADEs (the
-    # degrade SNR bar is unreachable) and the silent one REJECTs.
+    # Cold pass / corrupt-entry pass / warm pass over a disk cache; the
+    # silent capture fails every pass.
     cache_dir = tmp_path_factory.mktemp("cache")
-    gated = BatchExecutor(
+    cached = BatchExecutor(
         obs_pipeline,
         cache=FeatureCache(directory=cache_dir),
         metrics=metrics,
-        quality_gate=QualityConfig(degrade_snr_db=1e6),
     )
     batch = clean[:3] + [silent]
-    gated.run(batch)  # cold: misses, pipeline calls, degrade + reject
-    gated.cache.clear_memory()
+    cached.run(batch)  # cold: misses, pipeline calls, one failure
+    cached.cache.clear_memory()
     for entry in cache_dir.glob("*.npz"):
         entry.write_bytes(b"not an npz archive")
-    gated.run(batch)  # corrupt: evictions, recompute
-    gated.run(batch)  # warm: hits
+    cached.run(batch)  # corrupt: evictions, recompute
+    cached.run(batch)  # warm: hits
 
-    # Transient-retry scenario: the silent recording fails with
-    # NoEchoFoundError, declared retryable, so extra attempts accrue.
-    BatchExecutor(
-        obs_pipeline,
-        metrics=metrics,
-        retry_policy=RetryPolicy(max_retries=1, transient=(NoEchoFoundError,)),
-    ).run([silent])
+    # A capture with a few NaN samples, zero-filled under the
+    # sanitizing robustness policy: screened, but tagged ``non_finite``.
+    waveform = clean[0].waveform.copy()
+    waveform[:: waveform.size // 8] = np.nan
+    damaged = dataclasses.replace(clean[0], waveform=waveform)
+    sanitizing = EarSonarPipeline(
+        EarSonarConfig(robustness=RobustnessConfig(sanitize_nonfinite=True))
+    )
+    BatchExecutor(sanitizing, metrics=metrics).run([damaged])
 
-    # Pool faults + breaker: every chunk trips an injected error, the
-    # one-strike breaker opens on the first, the rest are skipped.
+    # Pool fault: the first chunk trips an injected error.
     BatchExecutor(
         obs_pipeline,
         workers=2,
         chunk_size=1,
         metrics=metrics,
-        breaker=CircuitBreaker(failure_threshold=1),
-        fault_injector=FaultInjector(mode="error", indices=(0, 1, 2, 3)),
-    ).run(clean[:4])
+        fault_injector=FaultInjector(mode="error", indices=(0,)),
+    ).run(clean[:2])
 
     # Deadline overrun: the first recording hangs past its timeout.
     BatchExecutor(

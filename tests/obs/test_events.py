@@ -29,8 +29,8 @@ class TestEmission:
     def test_min_level_filters_at_emission(self):
         log = EventLog(min_level=EventLevel.WARNING)
         log.emit("batch.started")  # INFO, dropped
-        log.emit("breaker.opened", level=EventLevel.ERROR)
-        assert [e.name for e in log.events] == ["breaker.opened"]
+        log.emit("recording.quarantined", level=EventLevel.ERROR)
+        assert [e.name for e in log.events] == ["recording.quarantined"]
         assert log.events[0].level == "error"
         # seq counts recorded events only, so the log stays dense.
         assert log.events[0].seq == 0

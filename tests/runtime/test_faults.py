@@ -1,16 +1,11 @@
-"""Unit tests for fault quarantine and the retry policy."""
+"""Unit tests for per-recording fault quarantine."""
 
 import dataclasses
 
 import pytest
 
-from repro.errors import NoEchoFoundError, SignalProcessingError
-from repro.runtime.faults import (
-    DEFAULT_RETRY_POLICY,
-    FailedRecording,
-    RetryPolicy,
-    run_with_policy,
-)
+from repro.errors import NoEchoFoundError
+from repro.runtime.faults import FailedRecording, run_quarantined
 
 
 @dataclasses.dataclass
@@ -20,75 +15,38 @@ class _FakeRecording:
     state: str = "clear"
 
 
-class _TransientError(SignalProcessingError):
-    """Stands in for an I/O blip that succeeds on retry."""
-
-
-class TestRetryPolicy:
-    def test_default_never_retries(self):
-        exc = _TransientError("blip")
-        assert not DEFAULT_RETRY_POLICY.should_retry(exc, attempt=1)
-
-    def test_retries_only_transient_types(self):
-        policy = RetryPolicy(max_retries=2, transient=(_TransientError,))
-        assert policy.should_retry(_TransientError("x"), attempt=1)
-        assert policy.should_retry(_TransientError("x"), attempt=2)
-        assert not policy.should_retry(_TransientError("x"), attempt=3)
-        assert not policy.should_retry(NoEchoFoundError("no echo"), attempt=1)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-
-
 class TestRunWithPolicy:
+    """``run_quarantined``: one call, signal errors quarantined."""
+
     def test_success_returns_result_and_one_attempt(self):
-        result, attempts = run_with_policy(
-            lambda r: "ok", _FakeRecording(), DEFAULT_RETRY_POLICY
-        )
-        assert result == "ok"
-        assert attempts == 1
+        calls = []
+
+        def process(recording):
+            calls.append(recording)
+            return "ok"
+
+        assert run_quarantined(process, _FakeRecording()) == "ok"
+        assert len(calls) == 1
 
     def test_quarantines_signal_failures(self):
+        calls = []
+
         def fail(recording):
+            calls.append(recording)
             raise NoEchoFoundError("only 0 of 5 events produced echoes")
 
-        result, attempts = run_with_policy(fail, _FakeRecording(), DEFAULT_RETRY_POLICY)
+        result = run_quarantined(fail, _FakeRecording())
         assert isinstance(result, FailedRecording)
         assert result.participant_id == "P001"
         assert result.day == 3.5
         assert result.error_type == "NoEchoFoundError"
         assert "0 of 5" in result.message
-        assert result.attempts == 1
         assert result.true_state == "clear"
-
-    def test_transient_failure_recovers_on_retry(self):
-        calls = {"n": 0}
-
-        def flaky(recording):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise _TransientError("blip")
-            return "recovered"
-
-        policy = RetryPolicy(max_retries=1, transient=(_TransientError,))
-        result, attempts = run_with_policy(flaky, _FakeRecording(), policy)
-        assert result == "recovered"
-        assert attempts == 2
-
-    def test_retry_budget_is_bounded(self):
-        def always_flaky(recording):
-            raise _TransientError("still down")
-
-        policy = RetryPolicy(max_retries=2, transient=(_TransientError,))
-        result, attempts = run_with_policy(always_flaky, _FakeRecording(), policy)
-        assert isinstance(result, FailedRecording)
-        assert attempts == 3  # 1 try + 2 retries
-        assert result.attempts == 3
+        assert len(calls) == 1  # a deterministic failure is never retried
 
     def test_programming_errors_propagate(self):
         def broken(recording):
             raise TypeError("not a signal problem")
 
         with pytest.raises(TypeError):
-            run_with_policy(broken, _FakeRecording(), DEFAULT_RETRY_POLICY)
+            run_quarantined(broken, _FakeRecording())

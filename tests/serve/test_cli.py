@@ -10,7 +10,7 @@ import pytest
 from repro.serve.__main__ import main
 
 #: Specs that parse as JSON but are not a screenable request.
-BAD_SPECS = ['{"seed": "abc"}', "[1, 2]"]
+BAD_SPECS = ['{"seed": "abc"}', "[1, 2]", '{"day": "nan"}']
 
 
 class TestLoadgen:

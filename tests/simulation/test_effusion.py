@@ -98,6 +98,12 @@ class TestTrajectoryBehaviour:
         with pytest.raises(SimulationError):
             traj.state_at(-1.0)
 
+    @pytest.mark.parametrize("day", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_day_rejected(self, day):
+        traj = RecoveryTrajectory((4, 9, 14), 0.85)
+        with pytest.raises(SimulationError):
+            traj.state_at(day)
+
     def test_recovery_day(self):
         assert RecoveryTrajectory((4, 9, 14), 0.85).recovery_day == 14
 

@@ -16,7 +16,6 @@ import pytest
 import repro.errors as errors_module
 from repro.errors import (
     CacheCorruptionError,
-    CircuitOpenError,
     ConfigurationError,
     EarSonarError,
     ExecutionError,
@@ -31,7 +30,7 @@ from repro.errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
-from repro.runtime.faults import DEFAULT_RETRY_POLICY, FailedRecording, run_with_policy
+from repro.runtime.faults import FailedRecording, run_quarantined
 
 ALL_EXCEPTIONS = [
     obj
@@ -52,7 +51,6 @@ EXECUTION_ERRORS = [
     ExecutionError,
     TaskTimeoutError,
     WorkerCrashError,
-    CircuitOpenError,
     InjectedFaultError,
 ]
 
@@ -100,9 +98,8 @@ class TestQuarantineRoundTrip:
         def process(_):
             raise exc_type("diagnostic detail")
 
-        result, attempts = run_with_policy(process, recording, DEFAULT_RETRY_POLICY)
+        result = run_quarantined(process, recording)
         assert isinstance(result, FailedRecording)
-        assert attempts == 1
         assert result.error_type == exc_type.__name__
         assert result.message == "diagnostic detail"
         assert result.reason == f"{exc_type.__name__}: diagnostic detail"
@@ -122,11 +119,11 @@ class TestQuarantineRoundTrip:
             raise exc_type("infrastructure broke")
 
         with pytest.raises(exc_type):
-            run_with_policy(process, recording, DEFAULT_RETRY_POLICY)
+            run_quarantined(process, recording)
 
     def test_programming_errors_propagate(self, recording):
         def process(_):
             raise AttributeError("typo'd attribute")
 
         with pytest.raises(AttributeError):
-            run_with_policy(process, recording, DEFAULT_RETRY_POLICY)
+            run_quarantined(process, recording)
