@@ -6,19 +6,15 @@ Examples::
     python -m repro.qa --strict              # warnings fail too (CI)
     python -m repro.qa --format json         # machine-readable output
     python -m repro.qa --format sarif        # code-scanning annotations
-    python -m repro.qa --jobs 4              # parallel per-file analysis
-    python -m repro.qa --no-cache            # ignore the summary cache
-    python -m repro.qa --write-baseline      # accept current findings
     python -m repro.qa --rules QA001,QA004   # subset of rules
     python -m repro.qa --root other/src      # lint a different tree
 
-Exit codes: 0 clean, 1 findings (new errors; with ``--strict`` any new
-finding), 2 usage error.
+Exit codes: 0 clean, 1 findings (errors; with ``--strict`` any finding
+that no pragma covers), 2 usage error.
 
-The whole-program rules (QA008–QA010) build per-function summaries,
-cached by content hash under ``--cache-dir`` (default ``.qa-cache``
-next to the source root) so repeated runs only re-analyze changed
-files; findings are byte-identical to a cold run either way.
+A run is one serial pass: it reads the source root, runs every rule,
+builds the whole-program model (QA008–QA010) from the summaries of that
+run, and prints the report.  It keeps no state and writes no files.
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ import json
 import sys
 from pathlib import Path
 
-from .baseline import Baseline
 from .engine import QAEngine, Report, all_rules
+from .project import Project
 
 __all__ = ["main"]
 
@@ -53,21 +49,12 @@ def _uri_prefix(root: Path) -> str:
     return "" if rel == Path(".") else rel.as_posix()
 
 
-def _render_text(report: Report, baseline_path: Path) -> str:
+def _render_text(report: Report) -> str:
     lines = [f.render() for f in report.findings]
-    summary = (
+    lines.append(
         f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)"
-        f" ({len(report.pragma_suppressed)} pragma-suppressed,"
-        f" {len(report.baseline_suppressed)} baselined)"
+        f" ({len(report.pragma_suppressed)} pragma-suppressed)"
     )
-    lines.append(summary)
-    if report.stale_baseline_keys:
-        lines.append(
-            f"note: {len(report.stale_baseline_keys)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline_keys) == 1 else 'ies'} in "
-            f"{baseline_path} no longer match anything; re-run "
-            "--write-baseline to ratchet the debt down"
-        )
     return "\n".join(lines)
 
 
@@ -79,9 +66,7 @@ def _render_json(report: Report) -> str:
                 "errors": len(report.errors),
                 "warnings": len(report.warnings),
                 "pragma_suppressed": len(report.pragma_suppressed),
-                "baseline_suppressed": len(report.baseline_suppressed),
             },
-            "stale_baseline_keys": report.stale_baseline_keys,
         },
         indent=2,
     )
@@ -105,34 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("text", "json", "sarif"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel worker processes for per-file analysis (default: 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="summary cache directory (default: ./.qa-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental summary cache",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("qa_baseline.json"),
-        help="baseline file of accepted findings (default: qa_baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline and exit 0",
     )
     parser.add_argument(
         "--strict",
@@ -169,35 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"source root {root} does not exist", file=sys.stderr)
         return 2
 
-    from .graph import DEFAULT_CACHE_DIR, SummaryCache
-    from .project import Project
-
-    project = Project.scan(root)
-    try:
-        baseline = Baseline.load(args.baseline)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    if args.no_cache:
-        cache = None
-    else:
-        cache_dir = args.cache_dir or Path(DEFAULT_CACHE_DIR)
-        cache = SummaryCache(cache_dir)
-
-    engine = QAEngine(rules=rules, baseline=baseline, cache=cache, jobs=args.jobs)
-
-    if args.write_baseline:
-        # Pragma-suppressed findings stay suppressed by their pragma;
-        # everything else becomes accepted debt.
-        report = QAEngine(rules=rules, cache=cache, jobs=args.jobs).run(project)
-        Baseline.from_findings(report.findings).save(args.baseline)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {args.baseline}",
-        )
-        return 0
-
-    report = engine.run(project)
+    report = QAEngine(rules=rules).run(Project.scan(root))
     if args.format == "json":
         print(_render_json(report))
     elif args.format == "sarif":
@@ -205,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
 
         print(render_sarif(report, rules, uri_prefix=_uri_prefix(root)))
     else:
-        print(_render_text(report, args.baseline))
+        print(_render_text(report))
     return report.exit_code(strict=args.strict)
 
 

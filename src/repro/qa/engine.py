@@ -12,34 +12,26 @@ one or more of three hooks:
   summaries + call graph) for interprocedural rules (QA008–QA010).
 
 Rules register themselves with the :func:`register` decorator; the
-engine instantiates every registered rule (or a requested subset), runs
-them over a project, then applies the two suppression layers in order —
-inline ``# qa: ignore`` pragmas first, the baseline second — and
-returns a :class:`Report` that the CLI renders.
-
-Per-module work (``check_module`` across all rules, plus summary
-extraction) is pure per-file, so ``jobs > 1`` fans it out over a
-process pool; findings and summaries are merged and sorted in the
-parent, making the output byte-identical for any job count.  The
-summary step routes through an optional content-hash
-:class:`~repro.qa.graph.SummaryCache` so repeated runs only re-analyze
-changed files.
+engine instantiates every registered rule (or a requested subset) and
+runs them over a project in one serial pass that keeps no state: each
+module is checked by every per-file rule and summarized, the program
+model is built from the summaries of that run, and the whole-program
+rules run on it.  Findings that an inline ``# qa: ignore`` pragma
+covers are then set aside, and the engine returns a :class:`Report`
+that the CLI renders.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Type
 
-from .baseline import Baseline, apply_baseline
 from .findings import Finding, Severity
 from .pragmas import parse_pragmas
 from .project import ModuleInfo, Project
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep startup light
-    from .graph import ModuleSummary, ProgramModel, SummaryCache
+    from .graph import ModuleSummary, ProgramModel
 
 __all__ = ["Rule", "register", "all_rules", "QAEngine", "Report"]
 
@@ -116,8 +108,6 @@ class Report:
 
     findings: list[Finding] = field(default_factory=list)
     pragma_suppressed: list[Finding] = field(default_factory=list)
-    baseline_suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline_keys: list[str] = field(default_factory=list)
 
     @property
     def errors(self) -> list[Finding]:
@@ -132,65 +122,18 @@ class Report:
     def exit_code(self, strict: bool = False) -> int:
         """1 if the run should fail CI, else 0.
 
-        Default mode fails on new errors only; ``--strict`` also fails
-        on warnings, so hygiene debt cannot accrete silently.
+        Default mode fails on errors only; ``--strict`` also fails on
+        warnings, so every finding that no pragma covers fails CI.
         """
         gate = self.findings if strict else self.errors
         return 1 if gate else 0
 
 
-# ---------------------------------------------------------------------------
-# Parallel worker machinery (module-level so it pickles)
-# ---------------------------------------------------------------------------
-
-_WORKER_PROJECT: Project | None = None
-_WORKER_RULES: list[Rule] = []
-
-
-def _init_worker(
-    root: str, exclude_parts: tuple[str, ...], rule_ids: frozenset[str]
-) -> None:
-    """Per-worker setup: scan the project once, instantiate the rules."""
-    global _WORKER_PROJECT, _WORKER_RULES
-    _WORKER_PROJECT = Project.scan(Path(root), exclude_parts=exclude_parts)
-    _WORKER_RULES = [rule for rule in all_rules() if rule.rule_id in rule_ids]
-
-
-def _analyze_module(
-    task: tuple[str, bool],
-) -> tuple[str, list[Finding], dict | None]:
-    """One module's worth of work: per-file rules + optional summary."""
-    from .graph import summarize_module
-
-    name, need_summary = task
-    assert _WORKER_PROJECT is not None
-    module = _WORKER_PROJECT.get(name)
-    if module is None:  # racing edit between parent scan and worker scan
-        return name, [], None
-    findings = [
-        finding
-        for rule in _WORKER_RULES
-        for finding in rule.check_module(module, _WORKER_PROJECT)
-    ]
-    summary = summarize_module(module).to_dict() if need_summary else None
-    return name, findings, summary
-
-
 class QAEngine:
-    """Run rules over a project and apply suppression layers."""
+    """Run rules over a project and set aside pragma-covered findings."""
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] | None = None,
-        baseline: Baseline | None = None,
-        *,
-        cache: "SummaryCache | None" = None,
-        jobs: int = 1,
-    ) -> None:
+    def __init__(self, rules: Sequence[Rule] | None = None) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
-        self.baseline = baseline or Baseline()
-        self.cache = cache
-        self.jobs = max(1, jobs)
 
     # -- collection -------------------------------------------------------
 
@@ -222,22 +165,7 @@ class QAEngine:
     def _analyze_modules(
         self, project: Project, need_summaries: bool
     ) -> tuple[list[Finding], "dict[str, ModuleSummary]"]:
-        """Per-module rules + summaries, serial or fanned out over jobs.
-
-        Results are merged and sorted in the parent either way, so the
-        findings are byte-identical for any job count.
-        """
-        if self.jobs > 1 and self._parallel_safe():
-            return self._analyze_parallel(project, need_summaries)
-        return self._analyze_serial(project, need_summaries)
-
-    def _parallel_safe(self) -> bool:
-        """Workers rebuild rules from the registry; ad-hoc instances can't ship."""
-        return all(type(rule) is _REGISTRY.get(rule.rule_id) for rule in self.rules)
-
-    def _analyze_serial(
-        self, project: Project, need_summaries: bool
-    ) -> tuple[list[Finding], "dict[str, ModuleSummary]"]:
+        """Per-module rules over every module, plus each module's summary."""
         from .graph import summarize_module
 
         findings: list[Finding] = []
@@ -246,51 +174,13 @@ class QAEngine:
             for rule in self.rules:
                 findings.extend(rule.check_module(module, project))
             if need_summaries:
-                if self.cache is not None:
-                    summaries[module.name] = self.cache.summarize(module)
-                else:
-                    summaries[module.name] = summarize_module(module)
-        return findings, summaries
-
-    def _analyze_parallel(
-        self, project: Project, need_summaries: bool
-    ) -> tuple[list[Finding], "dict[str, ModuleSummary]"]:
-        from .graph import ModuleSummary
-
-        summaries: dict[str, "ModuleSummary"] = {}
-        tasks: list[tuple[str, bool]] = []
-        modules = {module.name: module for module in project}
-        for name in sorted(modules):
-            need = need_summaries
-            if need and self.cache is not None:
-                cached = self.cache.peek(modules[name])
-                if cached is not None:
-                    summaries[name] = cached
-                    need = False
-            tasks.append((name, need))
-
-        rule_ids = frozenset(rule.rule_id for rule in self.rules)
-        findings: list[Finding] = []
-        with ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_init_worker,
-            initargs=(str(project.root), project.exclude_parts, rule_ids),
-        ) as pool:
-            for name, module_findings, summary_dict in pool.map(
-                _analyze_module, tasks
-            ):
-                findings.extend(module_findings)
-                if summary_dict is not None:
-                    summary = ModuleSummary.from_dict(summary_dict)
-                    summaries[name] = summary
-                    if self.cache is not None:
-                        self.cache.put(modules[name], summary)
+                summaries[module.name] = summarize_module(module)
         return findings, summaries
 
     # -- suppression ------------------------------------------------------
 
     def run(self, project: Project) -> Report:
-        """Collect findings, then filter through pragmas and baseline."""
+        """Collect findings, then set aside those a pragma covers."""
         raw = self.collect(project)
 
         pragma_indexes = {
@@ -304,11 +194,4 @@ class QAEngine:
                 pragma_suppressed.append(finding)
             else:
                 surviving.append(finding)
-
-        filtered = apply_baseline(surviving, self.baseline)
-        return Report(
-            findings=filtered.active,
-            pragma_suppressed=pragma_suppressed,
-            baseline_suppressed=filtered.suppressed,
-            stale_baseline_keys=filtered.stale_keys,
-        )
+        return Report(findings=surviving, pragma_suppressed=pragma_suppressed)

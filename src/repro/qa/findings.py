@@ -1,11 +1,8 @@
 """Structured lint findings.
 
 Every rule reports :class:`Finding` objects rather than printing text:
-the engine owns presentation (text/JSON), suppression (pragmas and the
-baseline), and exit-code policy.  A finding's :meth:`Finding.key` is
-deliberately *line-free* — baselines match on ``path::rule::message`` so
-that unrelated edits shifting a file by a few lines do not resurrect
-already-accepted findings.
+the engine owns presentation (text, JSON, SARIF), suppression (inline
+pragmas), and exit-code policy.
 """
 
 from __future__ import annotations
@@ -48,8 +45,7 @@ class Finding:
         :class:`Severity` of the violation.
     message:
         Human-readable description of what is wrong.  Messages name the
-        offending symbol so they stay stable under line drift (the
-        baseline keys on them).
+        offending symbol, so they stay stable under line drift.
     suggestion:
         Optional actionable fix, shown indented under the message.
     """
@@ -60,10 +56,6 @@ class Finding:
     severity: Severity = field(compare=False)
     message: str = field(compare=False)
     suggestion: str | None = field(default=None, compare=False)
-
-    def key(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def render(self) -> str:
         """Single-line text rendering (plus an indented suggestion)."""

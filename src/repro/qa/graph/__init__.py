@@ -1,9 +1,9 @@
-"""Whole-program analysis: import graph, summaries, call graph, cache.
+"""Whole-program analysis: import graph, summaries, call graph.
 
 This subpackage turns ``repro.qa`` from a per-file linter into a
 whole-program analyzer.  The pipeline is::
 
-    Project ──summarize_module──▶ ModuleSummary (cached by content hash)
+    Project ──summarize_module──▶ ModuleSummary (one per module per run)
             ──ImportGraph.build──▶ module dependency edges
     {ModuleSummary} ──CallGraph──▶ interprocedural resolution + BFS
 
@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..project import Project
-from .cache import DEFAULT_CACHE_DIR, CacheStats, SummaryCache
 from .callgraph import CallGraph
 from .imports import ImportGraph, ModuleBindings, resolve_relative_import
 from .summaries import (
-    SUMMARY_FORMAT_VERSION,
     BlockingUse,
     CallSite,
     ClassSummary,
@@ -34,10 +32,7 @@ from .summaries import (
 )
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
-    "SUMMARY_FORMAT_VERSION",
     "BlockingUse",
-    "CacheStats",
     "CallGraph",
     "CallSite",
     "ClassSummary",
@@ -48,7 +43,6 @@ __all__ = [
     "ModuleBindings",
     "ModuleSummary",
     "ProgramModel",
-    "SummaryCache",
     "TelemetryUse",
     "build_program_model",
     "resolve_relative_import",
@@ -67,23 +61,17 @@ class ProgramModel:
 
 
 def build_program_model(
-    project: Project,
-    *,
-    cache: SummaryCache | None = None,
-    summaries: dict[str, ModuleSummary] | None = None,
+    project: Project, *, summaries: dict[str, ModuleSummary] | None = None
 ) -> ProgramModel:
-    """Assemble the program model, summarizing through ``cache`` if given.
+    """Assemble the program model from per-module summaries.
 
-    Pre-computed ``summaries`` (e.g. merged from parallel workers) are
-    used as-is; remaining modules are summarized here.
+    ``summaries`` already computed in this run are used as-is; modules
+    without one are summarized here.
     """
     table: dict[str, ModuleSummary] = dict(summaries or {})
     for module in project:
         if module.name not in table:
-            if cache is not None:
-                table[module.name] = cache.summarize(module)
-            else:
-                table[module.name] = summarize_module(module)
+            table[module.name] = summarize_module(module)
     return ProgramModel(
         project=project,
         summaries=table,

@@ -3,10 +3,9 @@
 One :class:`ModuleSummary` per source module captures everything the
 interprocedural rules need — so the call graph, the async-blocking
 closure, the lock-order graph, and the telemetry diff can all be built
-from summaries alone, without re-touching the ASTs.  That property is
-what makes the incremental cache sound: a summary is a pure function of
-one file's text, serialized by content hash, and re-deriving the whole
-program from cached summaries is byte-identical to a cold analysis.
+from summaries alone, without re-touching the ASTs.  A summary is a
+pure function of one file's text; the engine computes every module's
+summary afresh in each run and keeps none between runs.
 
 Each :class:`FunctionSummary` records, per function or method:
 
@@ -36,13 +35,12 @@ this as the analysis boundary.
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..project import ModuleInfo
 from .imports import ModuleBindings
 
 __all__ = [
-    "SUMMARY_FORMAT_VERSION",
     "CallSite",
     "BlockingUse",
     "LockAcquisition",
@@ -53,9 +51,6 @@ __all__ = [
     "ModuleSummary",
     "summarize_module",
 ]
-
-#: Bump whenever extraction semantics change; invalidates cached summaries.
-SUMMARY_FORMAT_VERSION = 1
 
 #: Canonical dotted calls that block the calling thread.
 _BLOCKING_CALLS: dict[str, str] = {
@@ -182,7 +177,7 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """The per-module analysis artifact cached by content hash."""
+    """The per-module analysis artifact the whole-program rules read."""
 
     module: str
     relpath: str
@@ -193,74 +188,6 @@ class ModuleSummary:
     classes: tuple[ClassSummary, ...] = ()
     string_constants: dict[str, tuple[str, int]] = field(default_factory=dict)
     registry_sets: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (tuples become lists)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-
-        def calls(items: list) -> tuple[CallSite, ...]:
-            return tuple(
-                CallSite(
-                    name=c["name"],
-                    receiver_class=c["receiver_class"],
-                    lineno=c["lineno"],
-                    via_partial=c["via_partial"],
-                    held_locks=tuple(c["held_locks"]),
-                )
-                for c in items
-            )
-
-        functions = tuple(
-            FunctionSummary(
-                qualname=f["qualname"],
-                module=f["module"],
-                name=f["name"],
-                lineno=f["lineno"],
-                is_async=f["is_async"],
-                owner_class=f["owner_class"],
-                calls=calls(f["calls"]),
-                blocking=tuple(BlockingUse(**b) for b in f["blocking"]),
-                locks=tuple(
-                    LockAcquisition(
-                        lock_id=k["lock_id"], lineno=k["lineno"], held=tuple(k["held"])
-                    )
-                    for k in f["locks"]
-                ),
-                telemetry=tuple(TelemetryUse(**t) for t in f["telemetry"]),
-                global_rebinds=tuple(GlobalRebind(**g) for g in f["global_rebinds"]),
-                pool_targets=calls(f["pool_targets"]),
-            )
-            for f in data["functions"]
-        )
-        classes = tuple(
-            ClassSummary(
-                qualname=c["qualname"],
-                name=c["name"],
-                module=c["module"],
-                lineno=c["lineno"],
-                bases=tuple(c["bases"]),
-                methods=tuple(c["methods"]),
-                attr_types=dict(c["attr_types"]),
-            )
-            for c in data["classes"]
-        )
-        return cls(
-            module=data["module"],
-            relpath=data["relpath"],
-            is_package=data["is_package"],
-            is_entry_point=data["is_entry_point"],
-            bindings=dict(data["bindings"]),
-            functions=functions,
-            classes=classes,
-            string_constants={
-                k: (v[0], v[1]) for k, v in data["string_constants"].items()
-            },
-            registry_sets={k: tuple(v) for k, v in data["registry_sets"].items()},
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ comment::
     y = other()            # qa: ignore
 
 The bracketed form suppresses only the listed rule ids on that line;
-the bare form suppresses every rule.  Pragmas are the *local* escape
-hatch (one line, visible in review next to the code it excuses); the
-baseline file is the *bulk* one for pre-existing debt.
+the bare form suppresses every rule.  Pragmas are the one suppression
+mechanism: each excuses one line, visible in review next to the code
+it excuses, and there is no bulk waiver for pre-existing findings.
 """
 
 from __future__ import annotations

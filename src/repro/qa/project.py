@@ -80,32 +80,23 @@ class ModuleInfo:
 class Project:
     """All modules under one source root, with static name resolution."""
 
-    def __init__(
-        self,
-        root: Path,
-        modules: dict[str, ModuleInfo],
-        exclude_parts: tuple[str, ...] = ("__pycache__",),
-    ) -> None:
+    def __init__(self, root: Path, modules: dict[str, ModuleInfo]) -> None:
         self.root = root
         self.modules = modules
-        #: Kept so parallel workers can reproduce this exact scan.
-        self.exclude_parts = exclude_parts
 
     @classmethod
-    def scan(
-        cls, root: Path, *, exclude_parts: tuple[str, ...] = ("__pycache__",)
-    ) -> "Project":
+    def scan(cls, root: Path) -> "Project":
         """Parse every ``.py`` under ``root`` into a project model.
 
         Files that fail to parse are skipped (the engine lints code, it
-        does not compile it); hidden directories and ``exclude_parts``
+        does not compile it); hidden and ``__pycache__`` directories
         are pruned.
         """
         root = Path(root).resolve()
         modules: dict[str, ModuleInfo] = {}
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root)
-            if any(part.startswith(".") or part in exclude_parts for part in rel.parts):
+            if any(part.startswith(".") or part == "__pycache__" for part in rel.parts):
                 continue
             try:
                 source = path.read_text(encoding="utf-8")
@@ -126,7 +117,7 @@ class Project:
                 source=source,
                 tree=tree,
             )
-        return cls(root, modules, exclude_parts)
+        return cls(root, modules)
 
     def __iter__(self) -> Iterable[ModuleInfo]:
         return iter(self.modules.values())

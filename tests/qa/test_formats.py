@@ -74,13 +74,8 @@ def test_json_format_contract_is_stable(make_project):
 
     # The machine interface other tooling scripts against: exactly these
     # top-level keys, and per-finding dicts with exactly these fields.
-    assert set(doc) == {"findings", "counts", "stale_baseline_keys"}
-    assert set(doc["counts"]) == {
-        "errors",
-        "warnings",
-        "pragma_suppressed",
-        "baseline_suppressed",
-    }
+    assert set(doc) == {"findings", "counts"}
+    assert set(doc["counts"]) == {"errors", "warnings", "pragma_suppressed"}
     (finding,) = doc["findings"]
     assert set(finding) == {
         "rule",
@@ -104,9 +99,6 @@ def test_cli_sarif_round_trip(make_project, tmp_path, capsys, monkeypatch):
             str(project.root),
             "--format",
             "sarif",
-            "--no-cache",
-            "--baseline",
-            str(tmp_path / "baseline.json"),
             "--rules",
             "QA001",
         ]

@@ -107,22 +107,6 @@ def test_summary_captures_calls_blocking_locks_telemetry(make_project):
     assert ("counter", "constant", "repro.obs.names.COUNTER") in telemetry
 
 
-def test_summary_roundtrips_through_dict(make_project):
-    project = make_project(
-        {
-            "repro/pkg/mod.py": """
-                import time
-
-                async def poll():
-                    time.sleep(1)
-                """,
-        }
-    )
-    summary = summarize_module(project.get("repro.pkg.mod"))
-    restored = type(summary).from_dict(summary.to_dict())
-    assert restored == summary
-
-
 def test_summary_tracks_registry_sets_with_star_expansion(make_project):
     project = make_project(
         {
