@@ -13,12 +13,12 @@ one or more of three hooks:
 
 Rules register themselves with the :func:`register` decorator; the
 engine instantiates every registered rule (or a requested subset) and
-runs them over a project in one serial pass that keeps no state: each
-module is checked by every per-file rule and summarized, the program
-model is built from the summaries of that run, and the whole-program
-rules run on it.  Findings that an inline ``# qa: ignore`` pragma
-covers are then set aside, and the engine returns a :class:`Report`
-that the CLI renders.
+runs them over a project in one serial pass that keeps no state: every
+per-file rule checks every module, the program model is built from
+summaries extracted in that run, and the whole-program rules run on
+it.  Findings that an inline ``# qa: ignore`` pragma covers are then
+set aside, and the engine returns a :class:`Report` that the CLI
+renders.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .pragmas import parse_pragmas
 from .project import ModuleInfo, Project
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep startup light
-    from .graph import ModuleSummary, ProgramModel
+    from .graph import ProgramModel
 
 __all__ = ["Rule", "register", "all_rules", "QAEngine", "Report"]
 
@@ -137,45 +137,27 @@ class QAEngine:
 
     # -- collection -------------------------------------------------------
 
-    def _program_rules(self) -> list[Rule]:
-        return [
-            rule
-            for rule in self.rules
-            if type(rule).check_program is not Rule.check_program
-        ]
-
     def collect(self, project: Project) -> list[Finding]:
         """Raw findings from every rule, before any suppression."""
         findings: list[Finding] = []
         for rule in self.rules:
             findings.extend(rule.check_project(project))
-
-        need_summaries = bool(self._program_rules())
-        module_findings, summaries = self._analyze_modules(project, need_summaries)
-        findings.extend(module_findings)
-
-        if need_summaries:
-            from .graph import build_program_model
-
-            program = build_program_model(project, summaries=summaries)
-            for rule in self._program_rules():
-                findings.extend(rule.check_program(program))
-        return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
-
-    def _analyze_modules(
-        self, project: Project, need_summaries: bool
-    ) -> tuple[list[Finding], "dict[str, ModuleSummary]"]:
-        """Per-module rules over every module, plus each module's summary."""
-        from .graph import summarize_module
-
-        findings: list[Finding] = []
-        summaries: dict[str, "ModuleSummary"] = {}
         for module in project:
             for rule in self.rules:
                 findings.extend(rule.check_module(module, project))
-            if need_summaries:
-                summaries[module.name] = summarize_module(module)
-        return findings, summaries
+
+        program_rules = [
+            rule
+            for rule in self.rules
+            if type(rule).check_program is not Rule.check_program
+        ]
+        if program_rules:
+            from .graph import build_program_model
+
+            program = build_program_model(project)
+            for rule in program_rules:
+                findings.extend(rule.check_program(program))
+        return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
 
     # -- suppression ------------------------------------------------------
 

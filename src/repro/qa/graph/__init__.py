@@ -60,18 +60,9 @@ class ProgramModel:
     callgraph: CallGraph
 
 
-def build_program_model(
-    project: Project, *, summaries: dict[str, ModuleSummary] | None = None
-) -> ProgramModel:
-    """Assemble the program model from per-module summaries.
-
-    ``summaries`` already computed in this run are used as-is; modules
-    without one are summarized here.
-    """
-    table: dict[str, ModuleSummary] = dict(summaries or {})
-    for module in project:
-        if module.name not in table:
-            table[module.name] = summarize_module(module)
+def build_program_model(project: Project) -> ProgramModel:
+    """Summarize every module of ``project`` and assemble the program model."""
+    table = {module.name: summarize_module(module) for module in project}
     return ProgramModel(
         project=project,
         summaries=table,
