@@ -126,17 +126,19 @@ def _obs_suite(
 ) -> list[BenchResult]:
     """Tracing overhead: one batch run traced vs the NullTracer path.
 
-    The ``serial`` side is the default (tracing disabled) run, so
-    ``speedup`` reads as the median per-round ``untraced / traced``
-    ratio — 1.0 means free tracing, and the overhead percentage is
-    ``(1/speedup - 1) * 100``.
+    The traced side runs under a real :class:`~repro.obs.Tracer` and
+    nothing else, so the op measures the tracer alone.  The ``serial``
+    side is the default (tracing disabled) run, so ``speedup`` reads as
+    the median per-round ``untraced / traced`` ratio — 1.0 means free
+    tracing, and the overhead percentage is ``(1/speedup - 1) * 100``,
+    which ``--fail-overhead-pct`` (5 in CI) bounds.
     When ``trace_dir`` is given, the artifacts of one traced run
-    (run record, Chrome trace, events, Prometheus text) are written
+    (run record, Chrome trace, manifest, Prometheus text) are written
     there so CI can upload them next to the BENCH reports.
     """
     from ..core.config import EarSonarConfig
     from ..core.pipeline import EarSonarPipeline
-    from ..obs import EventLog, Tracer, capture_manifest, use_event_log, use_tracer
+    from ..obs import Tracer, capture_manifest, use_tracer
     from ..obs.export import write_run_record
     from ..runtime.executor import BatchExecutor
     from ..runtime.metrics import RuntimeMetrics
@@ -159,10 +161,10 @@ def _obs_suite(
     last: dict = {}
 
     def run_traced():
-        tracer, log = Tracer(), EventLog()
-        with use_tracer(tracer), use_event_log(log):
+        tracer = Tracer()
+        with use_tracer(tracer):
             result = traced_exec.run(recordings)
-        last["tracer"], last["log"] = tracer, log
+        last["tracer"] = tracer
         return result
 
     comparison = compare_ops(
@@ -178,7 +180,6 @@ def _obs_suite(
             spans=last["tracer"].traces,
             metrics=traced_metrics,
             manifest=capture_manifest(config=config, seed=seed),
-            events=last["log"],
         )
     return [comparison]
 

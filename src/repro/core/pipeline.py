@@ -27,7 +27,6 @@ from ..kernels.chirp import rake_cancel_batched
 from ..kernels.plan import band_zoom_plan
 from ..kernels.spectral import band_zoom_amplitude
 from ..obs import names as obs_names
-from ..obs.health import current_health
 from ..obs.tracer import current_tracer
 from ..signal.chirp import linear_chirp
 from ..signal.events import Event, detect_events
@@ -261,11 +260,6 @@ class EarSonarPipeline:
         """
         rb = self.config.robustness
         tracer = current_tracer()
-        # In-worker fleet-health hooks: per-device-model rake-tap and
-        # calibration-drift rollups live here (the stages run wherever
-        # the DSP runs); the executor merges worker-local aggregates.
-        health = current_health()
-        device_model = recording.config.earphone.name if health.enabled else ""
         t0 = time.perf_counter()
         raw = np.asarray(recording.waveform, dtype=float)
         nonfinite_fraction = (
@@ -284,12 +278,6 @@ class EarSonarPipeline:
                     filtered, events
                 )
                 span.set("removed", reflections_removed)
-            if health.enabled and reflections_removed > 0:
-                health.increment(
-                    obs_names.HEALTH_RAKE_TAPS,
-                    reflections_removed,
-                    labels={"device_model": device_model},
-                )
         with tracer.span(obs_names.SPAN_STAGE_PARITY) as span:
             echoes = self.extract_echoes(filtered, events)
             span.set("echoes", len(echoes))
@@ -338,12 +326,6 @@ class EarSonarPipeline:
                     )
                     span.set("offset_db", calibration_offset_db)
                     span.set("stable", calibration_stable)
-                if health.enabled:
-                    health.observe(
-                        obs_names.HEALTH_CALIB_OFFSET_DB,
-                        calibration_offset_db,
-                        labels={"device_model": device_model},
-                    )
                 if not calibration_stable:
                     reasons.append("calibration_unstable")
             mean_curve = curves.mean(axis=0)

@@ -10,8 +10,8 @@ Scale accepts the ``EARSONAR_SCALE`` presets (``small`` / ``default`` /
 ``paper``) or a participant count.
 
 ``--trace-dir DIR`` runs the experiments under the observability layer
-and writes the run record (spans, JSONL events, manifest, Chrome trace)
-there for ``python -m repro.obs`` to inspect.
+and writes the run record (spans, manifest, Chrome trace) there for
+``python -m repro.obs`` to inspect.
 """
 
 from __future__ import annotations
@@ -21,17 +21,7 @@ import contextlib
 import os
 import sys
 import time
-from pathlib import Path
-
-from ..obs import (
-    EventLog,
-    Tracer,
-    capture_manifest,
-    current_event_log,
-    names as obs_names,
-    use_event_log,
-    use_tracer,
-)
+from ..obs import Tracer, capture_manifest, use_tracer
 from ..obs.export import write_run_record
 
 from . import (
@@ -77,7 +67,6 @@ _EXPERIMENTS = {
 
 def _run_one(name: str) -> None:
     module, needs_scale = _EXPERIMENTS[name]
-    current_event_log().emit(obs_names.EVENT_EXPERIMENT_STARTED, experiment=name)
     start = time.time()
     if needs_scale:
         scale = scale_from_env()
@@ -98,11 +87,6 @@ def _run_one(name: str) -> None:
         result = module.run()
     print(result.render())
     elapsed = time.time() - start
-    current_event_log().emit(
-        obs_names.EVENT_EXPERIMENT_FINISHED,
-        experiment=name,
-        seconds=round(elapsed, 3),
-    )
     print(f"[{name}: {elapsed:.0f}s]\n")
 
 
@@ -131,16 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["EARSONAR_SCALE"] = args.scale
     names = sorted(set(_EXPERIMENTS)) if args.experiment == "all" else [args.experiment]
 
-    tracer: Tracer | None = None
-    events: EventLog | None = None
-    scopes = contextlib.ExitStack()
-    if args.trace_dir is not None:
-        tracer = Tracer()
-        events = EventLog(path=Path(args.trace_dir) / "events.jsonl")
-        scopes.enter_context(use_tracer(tracer))
-        scopes.enter_context(use_event_log(events))
-
-    with scopes:
+    tracer = Tracer() if args.trace_dir is not None else None
+    with use_tracer(tracer) if tracer is not None else contextlib.nullcontext():
         # fig07/fig08 and fig10/fig11 and table2/table3 share modules; dedupe.
         seen_modules = set()
         for name in names:
@@ -150,13 +126,11 @@ def main(argv: list[str] | None = None) -> int:
             seen_modules.add(module)
             _run_one(name)
 
-    if tracer is not None and events is not None:
-        events.close()
+    if tracer is not None:
         paths = write_run_record(
             args.trace_dir,
             spans=tracer.traces,
             manifest=capture_manifest(argv=argv),
-            events=events,
         )
         print(f"trace written: {paths['record']}", file=sys.stderr)
     return 0

@@ -1,4 +1,4 @@
-"""``repro.obs`` — tracing, structured telemetry, and run provenance.
+"""``repro.obs`` — tracing, run records, and fleet health.
 
 The observability layer of the reproduction, threaded through every
 other layer but owned here:
@@ -7,56 +7,45 @@ other layer but owned here:
   recording with child spans per pipeline stage, plus runtime spans
   (cache lookups, chunk waits, the service's quality gate).  The
   ambient default is a :class:`NullTracer`, making instrumentation
-  zero-cost and bit-identical when disabled.
-- :mod:`~repro.obs.events` — append-only JSONL structured event log
-  with severity levels.
+  zero-cost and bit-identical when disabled.  A pool worker ships each
+  recording's span tree home with its outcome: the only telemetry that
+  crosses the process boundary.
 - :mod:`~repro.obs.manifest` — :class:`RunManifest` provenance
   (config fingerprint, seed, versions, git SHA, hostname, argv).
-- :mod:`~repro.obs.names` — the canonical span/event/metric name
-  registry (enforced by lint rule QA007).
+- :mod:`~repro.obs.names` — the canonical span/metric name registry
+  (enforced by lint rules QA007 and QA010).
 - :mod:`~repro.obs.export` — run records, Chrome trace-event files
   (Perfetto flamegraphs), Prometheus text exposition.
 - :mod:`~repro.obs.summary` — per-stage percentiles, critical paths,
   and run-to-run diffs.
-- :mod:`~repro.obs.health` — fleet-health aggregation: mergeable
-  sliding windows, bounded-label rollups, and SLO burn-rate alerting
-  over the injected clock (``python -m repro.obs health`` renders the
-  dashboard).
+- :mod:`~repro.obs.health` — fleet-health aggregation in the parent
+  process: sliding windows, bounded-label rollups, and SLO burn-rate
+  alerting over the injected clock (``python -m repro.obs health``
+  renders the dashboard).
 
 Quick use::
 
-    from repro.obs import Tracer, EventLog, use_tracer, use_event_log
+    from repro.obs import Tracer, use_tracer
 
-    tracer, log = Tracer(), EventLog()
-    with use_tracer(tracer), use_event_log(log):
-        result = executor.run(recordings)   # spans + events collected
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = executor.run(recordings)   # spans collected
 
     from repro.obs.export import write_run_record
     write_run_record("runs/today", spans=tracer.traces,
-                     metrics=executor.metrics, events=log)
+                     metrics=executor.metrics)
 
 then ``python -m repro.obs summarize runs/today/trace.json``.
 """
 
 from . import names
-from .events import (
-    NULL_EVENT_LOG,
-    EventLevel,
-    EventLog,
-    LogEvent,
-    NullEventLog,
-    current_event_log,
-    use_event_log,
-)
 from .export import RunRecord, chrome_trace, load_run_record, prometheus_text, write_run_record
 from .health import (
     NULL_HEALTH,
     HealthConfig,
-    HealthContext,
     HealthMonitor,
     NullHealthMonitor,
     SloConfig,
-    activate_health_from_context,
     current_health,
     use_health,
 )
@@ -85,13 +74,6 @@ __all__ = [
     "current_tracer",
     "use_tracer",
     "activate_from_context",
-    "EventLevel",
-    "LogEvent",
-    "EventLog",
-    "NullEventLog",
-    "NULL_EVENT_LOG",
-    "current_event_log",
-    "use_event_log",
     "RunManifest",
     "capture_manifest",
     "git_revision",
@@ -109,9 +91,7 @@ __all__ = [
     "NullHealthMonitor",
     "NULL_HEALTH",
     "HealthConfig",
-    "HealthContext",
     "SloConfig",
     "current_health",
     "use_health",
-    "activate_health_from_context",
 ]

@@ -14,6 +14,10 @@ diffs); two derived views serve external tools:
   histogram summaries in the plain-text scrape format, so a periodic
   batch job can push its metrics to a gateway without new deps.
 
+With ``manifest.json`` beside them, that is every file a run record
+writes.  What happened to each recording (its outcome and error type)
+is on its ``recording`` span, not in a separate log.
+
 This is the one Prometheus text writer: :func:`prom_name`,
 :func:`prom_labels` and :func:`summary_samples` also render
 :meth:`~repro.obs.health.HealthMonitor.prometheus`.
@@ -31,7 +35,6 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import names
-from .events import EventLog, NullEventLog
 from .manifest import RunManifest
 from .tracer import Span
 
@@ -235,15 +238,14 @@ def write_run_record(
     spans: Iterable[Span],
     metrics: Any = None,
     manifest: RunManifest | None = None,
-    events: "EventLog | NullEventLog | None" = None,
     stem: str = "trace",
 ) -> dict[str, Path]:
     """Write every export of one run under ``directory``.
 
     Produces ``<stem>.json`` (the run record), ``<stem>.chrome.json``
-    (Perfetto), plus ``manifest.json``, ``metrics.prom``, and
-    ``events.jsonl`` when the corresponding inputs are given.  Returns
-    the written paths keyed by artifact kind.
+    (Perfetto), plus ``manifest.json`` and ``metrics.prom`` when the
+    corresponding inputs are given.  Returns the written paths keyed by
+    artifact kind.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -270,11 +272,6 @@ def write_run_record(
         prom_path = directory / "metrics.prom"
         prom_path.write_text(prometheus_text(report), encoding="utf-8")
         paths["prometheus"] = prom_path
-    if events is not None and getattr(events, "enabled", False):
-        events_path = directory / "events.jsonl"
-        if getattr(events, "path", None) != events_path:
-            events_path.write_text(events.to_jsonl(), encoding="utf-8")
-        paths["events"] = events_path
     return paths
 
 

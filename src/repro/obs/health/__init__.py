@@ -1,14 +1,15 @@
-"""Fleet-health observability: mergeable aggregates, rollups, SLOs.
+"""Fleet-health observability: windowed aggregates, rollups, SLOs.
 
 The health tier answers "is the fleet OK?" the way the tracer answers
-"what happened in this run?": hooks across the executor, pipeline, and
-serve loop feed an ambient :class:`HealthMonitor`, which rolls the
-stream up into bounded-cardinality dimensional windows, watches the
-declared SLOs with multi-window multi-burn-rate alerting, and renders
-snapshots as JSON or Prometheus text.  Everything merges — worker
-aggregates fold into the parent's exactly — and everything takes its
-clock from the caller, so the whole tier replays deterministically
-under :class:`~repro.serve.clock.VirtualClock`.
+"what happened in this run?": hooks in the executor and the serve loop
+feed an ambient :class:`HealthMonitor`, which rolls the stream up into
+bounded-cardinality dimensional windows, watches the declared SLOs
+with multi-window multi-burn-rate alerting, and renders snapshots as
+JSON or Prometheus text.  Every hook runs in the parent process, so a
+pooled run feeds the monitor the same observations in the same order
+as a serial one.  Everything takes its clock from
+the caller, so the whole tier replays deterministically under
+:class:`~repro.serve.clock.VirtualClock`.
 
 See ``DESIGN.md`` ("Fleet health") for the window/sketch design, the
 label-cardinality budget, and the burn-rate math.
@@ -19,11 +20,9 @@ from .monitor import (
     DEFAULT_SLOS,
     NULL_HEALTH,
     HealthConfig,
-    HealthContext,
     HealthMonitor,
     NullHealthMonitor,
     SeriesSpec,
-    activate_health_from_context,
     current_health,
     use_health,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_SERIES",
     "DEFAULT_SLOS",
     "HealthConfig",
-    "HealthContext",
     "HealthMonitor",
     "NULL_HEALTH",
     "NullHealthMonitor",
@@ -51,7 +49,6 @@ __all__ = [
     "SloTracker",
     "WindowConfig",
     "WindowSnapshot",
-    "activate_health_from_context",
     "current_health",
     "use_health",
 ]

@@ -1,29 +1,21 @@
-"""The fleet-health monitor: ambient, mergeable, zero-cost when off.
+"""The fleet-health monitor: ambient, parent-side, zero-cost when off.
 
 :class:`HealthMonitor` is the live counterpart of the tracer: hooks in
-the executor, the pipeline, and the serve loop feed it observations;
-it aggregates them into bounded-label rollups over mergeable sliding
-windows, evaluates the configured SLOs, and renders snapshots as JSON
-and Prometheus text.
+the executor and the serve loop feed it observations; it aggregates
+them into bounded-label rollups over sliding windows, evaluates the
+configured SLOs, and renders snapshots as JSON and Prometheus text.
 
-The ambient pattern mirrors :mod:`repro.obs.tracer` exactly:
+The ambient pattern mirrors :mod:`repro.obs.tracer`:
+:func:`current_health` returns the shared :data:`NULL_HEALTH` unless a
+run opted in with :func:`use_health`, so permanently compiled-in hooks
+cost one contextvar read and a no-op call.
 
-- :func:`current_health` returns the shared :data:`NULL_HEALTH`
-  unless a run opted in with :func:`use_health`, so permanently
-  compiled-in hooks cost one contextvar read and a no-op call;
-- pool workers cannot share the parent's monitor, so the parent ships
-  a picklable :class:`HealthContext` and each worker records into a
-  local monitor whose exported state travels home with the chunk
-  results for :meth:`HealthMonitor.merge_state` — the trace-adoption
-  pattern, applied to aggregates.
-
-Workers observe against the context's *capture-time* clock reading:
-a worker has no view of the parent's monotonic epoch (and must never
-read its own wall clock into the shared time axis), so its
-observations land in the bucket that was current at dispatch.  Batch
-dispatch is short next to the bucket width, and the placement is a
-pure function of the injected clock — worker-merged windows stay
-bit-identical run to run.
+Every hook runs in the parent.  A pool worker records nothing here: the
+executor records each outcome's health rows (the per-device-model rake
+taps and calibration offset included) from its
+:class:`~repro.core.results.ProcessedRecording` when the result comes
+home, so a pooled run admits label values in the same order as a
+serial one and keeps the same per-key budget.
 
 Every ``now`` ultimately comes from an injected clock (the serve
 tier passes ``Clock.now``), so snapshots, burn rates, and alert
@@ -53,12 +45,10 @@ __all__ = [
     "HealthMonitor",
     "NullHealthMonitor",
     "NULL_HEALTH",
-    "HealthContext",
     "DEFAULT_SERIES",
     "DEFAULT_SLOS",
     "current_health",
     "use_health",
-    "activate_health_from_context",
 ]
 
 
@@ -100,38 +90,13 @@ DEFAULT_SLOS = (
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Everything a monitor (or a worker-side replica) needs."""
+    """Everything a monitor needs: window grid, series, SLOs, label budget."""
 
     window: WindowConfig = field(default_factory=WindowConfig)
     series: tuple[SeriesSpec, ...] = DEFAULT_SERIES
     slos: tuple[SloConfig, ...] = DEFAULT_SLOS
     max_values_per_key: int = 16
     quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
-
-
-@dataclass(frozen=True)
-class HealthContext:
-    """Picklable health-propagation marker shipped to pool workers.
-
-    ``frozen_now`` pins the worker's time axis to the parent clock at
-    capture; see the module docstring for why.
-    """
-
-    config: HealthConfig
-    frozen_now: float
-
-    @classmethod
-    def capture(cls) -> "HealthContext | None":
-        """Context for the ambient monitor; ``None`` when disabled.
-
-        ``None`` keeps the disabled path's pickled task payload
-        byte-identical to pre-health builds, like ``TraceContext``.
-        """
-        health = current_health()
-        if not health.enabled:
-            return None
-        assert isinstance(health, HealthMonitor)
-        return cls(config=health.config, frozen_now=health.now())
 
 
 class HealthMonitor:
@@ -246,28 +211,6 @@ class HealthMonitor:
                 )
             good = value_ms <= threshold
         tracker.sample(good, self.now() if now is None else now)
-
-    # -- worker propagation ---------------------------------------------
-
-    def capture_context(self) -> HealthContext | None:
-        """Shippable context for pool workers (see :class:`HealthContext`)."""
-        return HealthContext(config=self.config, frozen_now=self.now())
-
-    def export_state(self) -> dict[str, Any]:
-        """JSON-safe series state for the trip back to the parent."""
-        return {
-            "series": {
-                name: series.export_state()
-                for name, series in sorted(self._series.items())
-            },
-        }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold a worker monitor's exported series into this one."""
-        for name, payload in state["series"].items():
-            series = self._series.get(name)
-            if series is not None:
-                series.merge_state(payload)
 
     # -- evaluation / rendering -----------------------------------------
 
@@ -412,12 +355,6 @@ class NullHealthMonitor:
     def slo_sample(self, objective: str, *, good: Any = None, value_ms: Any = None, now: Any = None) -> None:
         """Discard the sample."""
 
-    def capture_context(self) -> None:
-        """Always ``None``: workers stay disabled too."""
-
-    def merge_state(self, state: Any) -> None:
-        """Discard the state."""
-
     def snapshot(self, now: Any = None) -> dict[str, Any]:
         """Always empty."""
         return {}
@@ -459,24 +396,3 @@ def use_health(monitor: AnyHealth) -> Iterator[AnyHealth]:
         yield monitor
     finally:
         _CURRENT_HEALTH.reset(token)
-
-
-@contextmanager
-def activate_health_from_context(
-    context: HealthContext | None,
-) -> Iterator[HealthMonitor | None]:
-    """Worker-side monitor activation from a shipped :class:`HealthContext`.
-
-    Yields the local :class:`HealthMonitor` (ambient inside the block)
-    when the context asks for health aggregation, else ``None`` with
-    the null monitor left in place.  The local monitor's clock is
-    frozen at the context's capture time so every worker observation
-    lands on the parent's time axis deterministically.
-    """
-    if context is None:
-        yield None
-        return
-    frozen = context.frozen_now
-    monitor = HealthMonitor(context.config, now=lambda: frozen)
-    with use_health(monitor):
-        yield monitor

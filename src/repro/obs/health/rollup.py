@@ -15,13 +15,15 @@ down the way unbounded label sets melt down real Prometheus servers:
   collapse into the :data:`OVERFLOW_VALUE` bucket.  Totals stay right;
   only the long tail loses its own row.
 
-Series state is mergeable: rows merge window-wise by label tuple, so
-worker-local rollups ship home and fold into the parent's exactly.
+The budget admits values in observation order, so it holds only while
+one series sees every observation: the executor and the serve loop
+record in the parent, where a pooled run observes in the same order
+as a serial one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ...errors import ConfigurationError
 from ..names import HEALTH_LABEL_KEYS
@@ -135,48 +137,3 @@ class RollupSeries:
         for window in self._rows.values():
             merged.merge(window)
         return merged.totals(now, horizon_s=horizon_s)
-
-    # -- merge / serialization ------------------------------------------
-
-    def merge(self, other: "RollupSeries") -> None:
-        """Fold another series' rows into this one, label tuple-wise."""
-        if other.name != self.name or other.label_keys != self.label_keys:
-            raise ConfigurationError(
-                f"cannot merge series {other.name!r}{other.label_keys} "
-                f"into {self.name!r}{self.label_keys}"
-            )
-        for key, window in other._rows.items():
-            for index, value in zip(self.label_keys, key):
-                if value != OVERFLOW_VALUE:
-                    self._bound_value(index, value)
-            mine = self._rows.get(key)
-            if mine is None:
-                mine = self._rows[key] = SlidingWindow(self.window_config)
-            mine.merge(window)
-
-    def export_state(self) -> dict[str, Any]:
-        """JSON-safe rows for cross-process shipping."""
-        return {
-            "name": self.name,
-            "rows": [
-                {"labels": list(key), "window": window.export_state()}
-                for key, window in sorted(self._rows.items())
-            ],
-        }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold an :meth:`export_state` payload into this series."""
-        if state["name"] != self.name:
-            raise ConfigurationError(
-                f"cannot merge state of series {state['name']!r} into "
-                f"{self.name!r}"
-            )
-        for row in state["rows"]:
-            key = tuple(str(v) for v in row["labels"])
-            for index, value in zip(self.label_keys, key):
-                if value != OVERFLOW_VALUE:
-                    self._bound_value(index, value)
-            window = self._rows.get(key)
-            if window is None:
-                window = self._rows[key] = SlidingWindow(self.window_config)
-            window.merge_state(row["window"])

@@ -2,13 +2,14 @@
 
 Every streaming latency or drift distribution in the repo is one of
 these: the runtime's :class:`~repro.runtime.metrics.Histogram` holds
-one, and every fleet-health window bucket is an epoch plus one.  Many
-producers (pool workers, service processes) accumulate locally and a parent
-combines them without loss.  Exact reservoirs don't merge — two
-reservoirs concatenated are no longer a uniform sample — so the sketch
-is the standard mergeable alternative: a histogram whose bucket
-boundaries grow geometrically, giving a bounded *relative* error on
-every quantile estimate.
+one, and every fleet-health window bucket is an epoch plus one.  A
+window answers a horizon by combining its live buckets, and a rollup
+answers a label-blind total by combining its rows, so sketches must
+combine without loss.  Exact reservoirs don't merge — two reservoirs
+concatenated are no longer a uniform sample — so the sketch is the
+standard mergeable alternative: a histogram whose bucket boundaries
+grow geometrically, giving a bounded *relative* error on every
+quantile estimate.
 
 There is one bucket grid (:data:`GROWTH`, :data:`MIN_VALUE`,
 :data:`MAX_INDEX`), so any two sketches merge.  Properties that the
@@ -36,7 +37,7 @@ so counts, rates and means never pay the quantization error.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["GROWTH", "MIN_VALUE", "MAX_INDEX", "QuantileSketch"]
 
@@ -145,17 +146,6 @@ class QuantileSketch:
             "vmax": None if self.count == 0 else self.vmax,
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QuantileSketch":
-        """Rebuild a sketch serialized by :meth:`to_dict`."""
-        sketch = cls()
-        sketch.count = int(data["count"])
-        sketch.total = float(data["total"])
-        sketch.vmin = math.inf if data["vmin"] is None else float(data["vmin"])
-        sketch.vmax = -math.inf if data["vmax"] is None else float(data["vmax"])
-        sketch.buckets = {int(k): int(v) for k, v in data["buckets"].items()}
-        return sketch
 
     def __repr__(self) -> str:
         return (

@@ -17,21 +17,26 @@ paging, the short window un-pages as soon as the bleeding stops.
 Every timestamp comes from the caller (ultimately the injected
 :class:`~repro.serve.clock.Clock`), and the good/bad tallies are
 integer bucket counts, so alert transitions are bit-deterministic
-under :class:`~repro.serve.clock.VirtualClock` and reproducible from a
-replayed event log.
+under :class:`~repro.serve.clock.VirtualClock`: replaying the same
+observations reproduces the same transitions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 from ...errors import ConfigurationError
-from ..events import EventLevel, current_event_log
 from .. import names as obs_names
 from .window import SlidingWindow, WindowConfig
 
 __all__ = ["BurnRule", "SloConfig", "DEFAULT_BURN_RULES", "SloTracker"]
+
+
+def _positive_finite(value: float) -> bool:
+    """``value > 0`` and neither NaN nor infinite."""
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -47,16 +52,19 @@ class BurnRule:
     min_events: int = 1
 
     def __post_init__(self) -> None:
-        if self.long_s <= 0 or self.short_s <= 0:
+        if not (_positive_finite(self.long_s) and _positive_finite(self.short_s)):
             raise ConfigurationError(
-                f"burn windows must be positive, got {self.long_s}/{self.short_s}"
+                "burn windows must be positive and finite, got "
+                f"{self.long_s}/{self.short_s}"
             )
         if self.short_s > self.long_s:
             raise ConfigurationError(
                 f"short window {self.short_s}s exceeds long window {self.long_s}s"
             )
-        if self.factor <= 0:
-            raise ConfigurationError(f"factor must be positive, got {self.factor}")
+        if not _positive_finite(self.factor):
+            raise ConfigurationError(
+                f"factor must be positive and finite, got {self.factor}"
+            )
 
     @property
     def key(self) -> str:
@@ -107,9 +115,9 @@ class SloConfig:
             raise ConfigurationError(
                 f"target must be in (0, 1), got {self.target}"
             )
-        if self.threshold_ms is not None and self.threshold_ms <= 0:
+        if self.threshold_ms is not None and not _positive_finite(self.threshold_ms):
             raise ConfigurationError(
-                f"threshold_ms must be positive, got {self.threshold_ms}"
+                f"threshold_ms must be positive and finite, got {self.threshold_ms}"
             )
 
 
@@ -158,12 +166,11 @@ class SloTracker:
     def evaluate(self, now: float) -> list[dict[str, Any]]:
         """Evaluate every rule at ``now``; return per-rule gauge dicts.
 
-        State changes are appended to :attr:`transitions` and emitted to
-        the ambient event log, stamped with the caller's clock — under
-        ``VirtualClock`` a replayed run reproduces identical timestamps.
+        State changes are appended to :attr:`transitions`, stamped with
+        the caller's clock — under ``VirtualClock`` a replayed run
+        reproduces identical timestamps.
         """
         gauges: list[dict[str, Any]] = []
-        events = current_event_log()
         for rule in self.config.rules:
             burn_long, total_long = self.burn_rate(now, rule.long_s)
             burn_short, _ = self.burn_rate(now, rule.short_s)
@@ -175,38 +182,17 @@ class SloTracker:
             was_firing = self._firing[rule.key]
             if firing != was_firing:
                 self._firing[rule.key] = firing
-                transition = {
-                    "at_s": round(now, 6),
-                    "slo": self.config.objective,
-                    "severity": rule.severity,
-                    "rule": rule.key,
-                    "state": "fired" if firing else "resolved",
-                    "burn_long": round(burn_long, 6),
-                    "burn_short": round(burn_short, 6),
-                }
-                self.transitions.append(transition)
-                if firing:
-                    events.emit(
-                        obs_names.EVENT_SLO_ALERT_FIRED,
-                        level=EventLevel.ERROR,
-                        slo=self.config.objective,
-                        severity=rule.severity,
-                        rule=rule.key,
-                        at_s=transition["at_s"],
-                        burn_long=transition["burn_long"],
-                        burn_short=transition["burn_short"],
-                    )
-                else:
-                    events.emit(
-                        obs_names.EVENT_SLO_ALERT_RESOLVED,
-                        level=EventLevel.INFO,
-                        slo=self.config.objective,
-                        severity=rule.severity,
-                        rule=rule.key,
-                        at_s=transition["at_s"],
-                        burn_long=transition["burn_long"],
-                        burn_short=transition["burn_short"],
-                    )
+                self.transitions.append(
+                    {
+                        "at_s": round(now, 6),
+                        "slo": self.config.objective,
+                        "severity": rule.severity,
+                        "rule": rule.key,
+                        "state": "fired" if firing else "resolved",
+                        "burn_long": round(burn_long, 6),
+                        "burn_short": round(burn_short, 6),
+                    }
+                )
             gauges.append(
                 {
                     "rule": rule.key,

@@ -6,9 +6,10 @@ seconds with fixed-width buckets, each an epoch plus one mergeable
 count/sum/min/max moments answer counter series and whose buckets
 answer quantiles for distribution series.  Buckets are aligned to the
 absolute epoch grid (``bucket index = floor(now / bucket_s)``), which
-is what makes two windows fed from *different processes* mergeable:
-the grid is a pure function of the injected clock, not of either
-window's construction time.
+is what makes any two windows on one grid mergeable (a rollup's
+label-blind total merges its rows' windows): the grid is a pure
+function of the injected clock, not of either window's construction
+time.
 
 Expiry is lazy: the ring slot for a new epoch gets a fresh bucket, and
 reads simply skip buckets whose epoch has fallen out of the horizon.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from ...errors import ConfigurationError
 from .sketch import QuantileSketch
@@ -41,9 +42,9 @@ class WindowConfig:
     num_buckets: int = 360
 
     def __post_init__(self) -> None:
-        if self.bucket_s <= 0.0:
+        if not (math.isfinite(self.bucket_s) and self.bucket_s > 0.0):
             raise ConfigurationError(
-                f"bucket_s must be positive, got {self.bucket_s}"
+                f"bucket_s must be positive and finite, got {self.bucket_s}"
             )
         if self.num_buckets < 1:
             raise ConfigurationError(
@@ -178,20 +179,3 @@ class SlidingWindow:
             rate_per_s=count / horizon if horizon > 0 else 0.0,
             quantiles=qvals,
         )
-
-    # -- serialization --------------------------------------------------
-
-    def export_state(self) -> dict[str, Any]:
-        """JSON-safe live buckets, for shipping across a process boundary."""
-        return {
-            "buckets": [
-                {"epoch": epoch, "sketch": sketch.to_dict()}
-                for epoch, sketch in filter(None, self._ring)
-                if sketch.count > 0
-            ],
-        }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold an :meth:`export_state` payload into this ring."""
-        for data in state["buckets"]:
-            self._merge_bucket(int(data["epoch"]), QuantileSketch.from_dict(data["sketch"]))

@@ -1,15 +1,14 @@
-"""Canonical telemetry names: the single registry of spans, events, and metrics.
+"""Canonical telemetry names: the single registry of spans and metrics.
 
-Every span the tracer opens, every structured event the log emits, and
-every counter/histogram the runtime records is named by a constant
-defined here.  Centralizing the vocabulary buys three things:
+Every span the tracer opens and every counter/histogram the runtime
+records is named by a constant defined here.  Centralizing the vocabulary buys three things:
 
 - dashboards and trace tooling can rely on stable names (renaming a
   stage is a reviewed change to this module, not a drive-by string
   edit);
 - the QA007 lint rule can enforce that library code never invents span
-  or event names inline — a literal string passed to ``.span()`` or
-  ``.emit()`` outside a ``__main__`` module is a finding;
+  names inline — a literal string passed to ``.span()`` outside a
+  ``__main__`` module is a finding;
 - the canonical-emission test can assert that every documented metric
   name is actually produced by an end-to-end batch run, so the
   :class:`~repro.runtime.metrics.RuntimeMetrics` docstring cannot
@@ -44,14 +43,6 @@ __all__ = [
     "SPAN_STAGE_CALIBRATION",
     "SPAN_NAMES",
     "STAGE_SPAN_NAMES",
-    "EVENT_BATCH_STARTED",
-    "EVENT_BATCH_FINISHED",
-    "EVENT_CACHE_CORRUPT_EVICTED",
-    "EVENT_RECORDING_QUARANTINED",
-    "EVENT_SERIAL_FALLBACK",
-    "EVENT_EXPERIMENT_STARTED",
-    "EVENT_EXPERIMENT_FINISHED",
-    "EVENT_NAMES",
     "METRIC_RECORDINGS_SUBMITTED",
     "METRIC_RECORDINGS_OK",
     "METRIC_RECORDINGS_FAILED",
@@ -76,10 +67,6 @@ __all__ = [
     "ECHO_CONDITIONAL_COUNTERS",
     "SPAN_SERVE_ADMISSION",
     "SPAN_SERVE_BATCH",
-    "EVENT_SERVE_STARTED",
-    "EVENT_SERVE_STOPPED",
-    "EVENT_SERVE_REJECTED",
-    "EVENT_SERVE_BATCH_DISPATCHED",
     "METRIC_SERVE_SUBMITTED",
     "METRIC_SERVE_ADMITTED",
     "METRIC_SERVE_COMPLETED",
@@ -101,9 +88,6 @@ __all__ = [
     "tenant_counter",
     "split_tenant_counter",
     "SPAN_HEALTH_SNAPSHOT",
-    "EVENT_HEALTH_SNAPSHOT",
-    "EVENT_SLO_ALERT_FIRED",
-    "EVENT_SLO_ALERT_RESOLVED",
     "HEALTH_SCREENINGS",
     "HEALTH_REQUESTS",
     "HEALTH_RAKE_TAPS",
@@ -182,64 +166,6 @@ SPAN_NAMES = frozenset(
         SPAN_STAGE_CALIBRATION,
         SPAN_HEALTH_SNAPSHOT,
         *STAGE_SPAN_NAMES,
-    }
-)
-
-# -- structured-event names --------------------------------------------
-
-#: A batch run began (fields: recordings, workers).
-EVENT_BATCH_STARTED = "batch.started"
-#: A batch run completed (fields: ok, failed, seconds).
-EVENT_BATCH_FINISHED = "batch.finished"
-#: An unreadable disk cache entry was evicted (field: entry).
-EVENT_CACHE_CORRUPT_EVICTED = "cache.corrupt_evicted"
-#: One recording was quarantined (fields: participant, error_type).
-EVENT_RECORDING_QUARANTINED = "recording.quarantined"
-#: A parallel run degraded to serial execution (field: reason).
-EVENT_SERIAL_FALLBACK = "executor.serial_fallback"
-#: An experiments-CLI run started (field: experiment).
-EVENT_EXPERIMENT_STARTED = "experiment.started"
-#: An experiments-CLI run finished (fields: experiment, seconds).
-EVENT_EXPERIMENT_FINISHED = "experiment.finished"
-#: The online screening service started (fields: workers, max_depth).
-EVENT_SERVE_STARTED = "serve.started"
-#: The service stopped (fields: completed, rejected, drained).
-EVENT_SERVE_STOPPED = "serve.stopped"
-#: Admission control rejected a request (fields: tenant, reason,
-#: retry_after_s).
-EVENT_SERVE_REJECTED = "serve.request_rejected"
-#: A micro-batch was handed to the executor (fields: batch, size, ms).
-EVENT_SERVE_BATCH_DISPATCHED = "serve.batch_dispatched"
-#: A periodic fleet-health snapshot was taken (fields: seq, at_s,
-#: alerts_active, series).  The full snapshot travels out of band (the
-#: serve loop's snapshot sink / ``--health-out``); the event carries a
-#: scalar summary so an ``EventLog`` replay can reconstruct the alert
-#: timeline without megabyte field payloads.
-EVENT_HEALTH_SNAPSHOT = "health.snapshot"
-#: A burn-rate rule crossed its threshold on both its windows (fields:
-#: slo, severity, at_s, burn_long, burn_short).
-EVENT_SLO_ALERT_FIRED = "slo.alert_fired"
-#: A previously firing burn-rate rule dropped back below threshold
-#: (fields: slo, severity, at_s, burn_long, burn_short).
-EVENT_SLO_ALERT_RESOLVED = "slo.alert_resolved"
-
-#: Every registered structured-event name.
-EVENT_NAMES = frozenset(
-    {
-        EVENT_BATCH_STARTED,
-        EVENT_BATCH_FINISHED,
-        EVENT_CACHE_CORRUPT_EVICTED,
-        EVENT_RECORDING_QUARANTINED,
-        EVENT_SERIAL_FALLBACK,
-        EVENT_EXPERIMENT_STARTED,
-        EVENT_EXPERIMENT_FINISHED,
-        EVENT_SERVE_STARTED,
-        EVENT_SERVE_STOPPED,
-        EVENT_SERVE_REJECTED,
-        EVENT_SERVE_BATCH_DISPATCHED,
-        EVENT_HEALTH_SNAPSHOT,
-        EVENT_SLO_ALERT_FIRED,
-        EVENT_SLO_ALERT_RESOLVED,
     }
 )
 
@@ -411,8 +337,8 @@ HEALTH_SCREENINGS = "health.screenings"
 #: Service answers per tenant and outcome (labels: tenant, outcome).
 HEALTH_REQUESTS = "health.requests"
 #: Early-reflection taps the rake stage subtracted, rolled up per
-#: device model (labels: device_model).  Fed by the pipeline's rake
-#: hook — worker-local monitors ship the counts home for merging.
+#: device model (labels: device_model).  Fed by the executor's
+#: parent-side outcome hook from ``num_reflections_removed``.
 HEALTH_RAKE_TAPS = "health.rake_taps"
 
 #: Per-recording DSP wall time distribution (unlabelled).
@@ -420,7 +346,8 @@ HEALTH_RECORDING_MS = "health.recording_ms"
 #: Submit-to-response latency distribution per tenant (labels: tenant).
 HEALTH_REQUEST_MS = "health.request_ms"
 #: Calibration-offset estimates per device model (labels:
-#: device_model) — the fleet-drift rollup the ROADMAP asked for.
+#: device_model): the fleet-drift rollup.  Fed by the executor's
+#: parent-side outcome hook when calibration is enabled.
 HEALTH_CALIB_OFFSET_DB = "health.calib_offset_db"
 
 #: Every health *counter* series the monitor documents.
@@ -507,7 +434,6 @@ def registry() -> dict[str, tuple[str, ...]]:
     """
     return {
         "SPAN_NAMES": tuple(sorted(SPAN_NAMES)),
-        "EVENT_NAMES": tuple(sorted(EVENT_NAMES)),
         "CANONICAL_COUNTERS": tuple(sorted(CANONICAL_COUNTERS)),
         "CANONICAL_HISTOGRAMS": tuple(sorted(CANONICAL_HISTOGRAMS)),
         "ECHO_CONDITIONAL_COUNTERS": tuple(sorted(ECHO_CONDITIONAL_COUNTERS)),

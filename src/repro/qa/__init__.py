@@ -20,8 +20,8 @@ about:
   annotations.
 - **QA006 exception boundaries** — broad ``except`` handlers appear
   only in the quarantine-boundary modules.
-- **QA007 telemetry hygiene** — library modules emit structured events,
-  never ``print``, under registered span and event names.
+- **QA007 telemetry hygiene** — library modules never ``print``, and
+  name their spans with registered constants.
 - **QA008 async blocking** — no blocking primitive is transitively
   reachable from an ``async def`` under ``serve``.
 - **QA009 lock discipline** — locks nest in one global order, and

@@ -18,7 +18,7 @@ Each :class:`FunctionSummary` records, per function or method:
 - **lock acquisitions** — with a stable cross-process lock identity
   (``repro.runtime.metrics.Histogram._lock``) and the locks already
   held, for the QA009 ordering rule;
-- **telemetry uses** — span/event/counter/histogram names referenced
+- **telemetry uses** — span/counter/histogram names referenced
   by registered constant, literal, rejection-table subscript, or the
   ``tenant_counter`` pattern, for the QA010 registry diff;
 - **global rebinds** and **pool-dispatch targets** — for the QA009
@@ -73,7 +73,6 @@ _LOCK_CONSTRUCTORS = ("threading.Lock", "threading.RLock", "multiprocessing.Lock
 #: Telemetry-emitting method name → name kind.
 _TELEMETRY_METHODS = {
     "span": "span",
-    "emit": "event",
     "increment": "counter",
     "observe": "histogram",
     "histogram": "histogram",
@@ -130,7 +129,7 @@ class TelemetryUse:
     helper such as ``tenant_counter``).
     """
 
-    kind: str  # "span" | "event" | "counter" | "histogram"
+    kind: str  # "span" | "counter" | "histogram"
     ref: str
     form: str
     lineno: int

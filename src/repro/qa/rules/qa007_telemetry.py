@@ -3,16 +3,16 @@
 Observability is an interface, not a side effect.  Two habits erode it:
 
 1. **Ad-hoc output.**  A ``print()`` or ``sys.stderr.write`` buried in
-   a library module bypasses the structured event log — the message is
-   invisible to the JSONL artifact, unfilterable by severity, and lost
-   in a pool worker whose stdout nobody reads.  Library code must emit
-   through :mod:`repro.obs` (or return strings for a CLI to print);
+   a library module is telemetry nobody can query: it reaches no span,
+   metric or run record, and is lost in a pool worker whose stdout
+   nobody reads.  Library code records through :mod:`repro.obs` (a
+   span attribute, a counter) or returns strings for a CLI to print;
    only ``__main__`` entry-point modules own stdout/stderr.
 
-2. **Free-form telemetry names.**  A span or event named by a string
-   literal at the call site drifts: two sites spell the same stage two
-   ways, and dashboards/tests silently miss one.  Every name passed to
-   ``.span(...)`` / ``.emit(...)`` must be a registered constant from
+2. **Free-form span names.**  A span named by a string literal at the
+   call site drifts: two sites spell the same stage two ways, and
+   dashboards/tests silently miss one.  Every name passed to
+   ``.span(...)`` must be a registered constant from
    :mod:`repro.obs.names`, the single source of truth the exporters
    and the canonical-emission test are built on.
 """
@@ -39,7 +39,7 @@ _STREAM_WRITES = frozenset(
 
 #: Method names whose first positional argument is a telemetry name
 #: that must come from :mod:`repro.obs.names`.
-_NAMED_TELEMETRY_METHODS = frozenset({"span", "emit"})
+_NAMED_TELEMETRY_METHODS = frozenset({"span"})
 
 
 def _is_entry_point(module: ModuleInfo) -> bool:
@@ -48,15 +48,15 @@ def _is_entry_point(module: ModuleInfo) -> bool:
 
 @register
 class TelemetryDisciplineRule(Rule):
-    """No print/stream writes in library modules; telemetry names from constants."""
+    """No print/stream writes in library modules; span names from constants."""
 
     rule_id = "QA007"
     severity = Severity.ERROR
     description = (
         "library modules must not print() or write to sys.stdout/stderr "
-        "(emit structured events via repro.obs instead; __main__ modules "
-        "are exempt), and span/event names must be registered constants "
-        "from repro.obs.names, never string literals at the call site"
+        "(record through repro.obs instead; __main__ modules are exempt), "
+        "and span names must be registered constants from "
+        "repro.obs.names, never string literals at the call site"
     )
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
@@ -76,10 +76,11 @@ class TelemetryDisciplineRule(Rule):
             yield self.finding(
                 module,
                 node.lineno,
-                "print() in a library module bypasses the structured "
-                "event log (and is lost inside pool workers)",
-                "emit a repro.obs event, or return the text and let a "
-                "__main__ module print it",
+                "print() in a library module is output no span, metric "
+                "or run record keeps (and is lost inside pool workers)",
+                "record it through repro.obs (a span attribute or a "
+                "counter), or return the text and let a __main__ module "
+                "print it",
             )
             return
         dotted = canonical_name(node.func, imports)
@@ -87,10 +88,10 @@ class TelemetryDisciplineRule(Rule):
             yield self.finding(
                 module,
                 node.lineno,
-                f"{dotted}() in a library module bypasses the structured "
-                "event log",
-                "emit a repro.obs event with an appropriate severity "
-                "instead of writing to the raw stream",
+                f"{dotted}() in a library module is output no span, "
+                "metric or run record keeps",
+                "record it through repro.obs (a span attribute or a "
+                "counter) instead of writing to the raw stream",
             )
 
     def _check_telemetry_name(
@@ -108,9 +109,9 @@ class TelemetryDisciplineRule(Rule):
             yield self.finding(
                 module,
                 node.lineno,
-                f".{func.attr}({first.value!r}, ...) names the "
-                "span/event with a string literal, so the name can "
-                "drift from the registry unnoticed",
+                f".{func.attr}({first.value!r}, ...) names the span "
+                "with a string literal, so the name can drift from the "
+                "registry unnoticed",
                 "use the registered constant from repro.obs.names "
-                "(add one there if this is a new span/event)",
+                "(add one there if this is a new span)",
             )

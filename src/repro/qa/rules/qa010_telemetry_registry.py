@@ -1,9 +1,9 @@
 """QA010 — telemetry consistency: registries and emission sites must agree.
 
 QA007 polices the *form* of telemetry (constants, not literals, for
-span/event names).  This rule polices the *content*, both directions:
+span names).  This rule polices the *content*, both directions:
 
-- **emitted-but-undeclared** — a counter/histogram/span/event name used
+- **emitted-but-undeclared** — a counter/histogram/span name used
   at some call site that no ``obs.names`` registry set declares.
   Dashboards, the Prometheus exporter, and the canonical-emission tests
   all iterate the registries; an undeclared name is invisible to every
@@ -14,7 +14,7 @@ span/event names).  This rule polices the *content*, both directions:
   permanently flat, both land here.
 
 Emission sites come from the function summaries (every ``.span`` /
-``.emit`` / ``.increment`` / ``.observe`` / ``.histogram`` first
+``.increment`` / ``.observe`` / ``.histogram`` first
 argument that is a string literal, a registered constant, a registry
 subscript like ``SERVE_REJECTION_COUNTERS[reason]``, or the
 ``tenant_counter(BASE, ...)`` pattern).  Matching is **by value**, so a
@@ -40,7 +40,6 @@ __all__ = ["TelemetryRegistryRule"]
 #: Telemetry kind → the registry-set names whose union declares it.
 KIND_REGISTRIES: dict[str, tuple[str, ...]] = {
     "span": ("SPAN_NAMES",),
-    "event": ("EVENT_NAMES",),
     "counter": (
         "CANONICAL_COUNTERS",
         "SERVE_CANONICAL_COUNTERS",

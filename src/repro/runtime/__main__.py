@@ -11,7 +11,7 @@ the runtime metrics report::
     python -m repro.runtime --trace-dir runs/demo            # full telemetry
 
 ``--trace-dir`` enables the observability layer: spans for every
-pipeline stage and runtime step, a structured JSONL event log, a
+pipeline stage and runtime step, a
 :class:`~repro.obs.manifest.RunManifest`, and the Chrome-trace /
 Prometheus exports — inspect them with ``python -m repro.obs``.
 
@@ -26,13 +26,12 @@ import contextlib
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from ..core.config import EarSonarConfig
 from ..core.pipeline import EarSonarPipeline
-from ..obs import EventLog, Tracer, capture_manifest, use_event_log, use_tracer
+from ..obs import Tracer, capture_manifest, use_tracer
 from ..obs.export import write_run_record
 from ..simulation.cohort import StudyDesign, build_cohort, simulate_study
 from ..simulation.session import SessionConfig
@@ -73,8 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-dir",
         default=None,
-        help="enable tracing and write the run record (spans, events, "
-        "manifest, Chrome trace, Prometheus text) to this directory",
+        help="enable tracing and write the run record (spans, manifest, "
+        "Chrome trace, Prometheus text) to this directory",
     )
     args = parser.parse_args(argv)
 
@@ -99,17 +98,9 @@ def main(argv: list[str] | None = None) -> int:
         metrics=metrics,
     )
 
-    tracer: Tracer | None = None
-    events: EventLog | None = None
-    scopes = contextlib.ExitStack()
-    if args.trace_dir is not None:
-        tracer = Tracer()
-        events = EventLog(path=Path(args.trace_dir) / "events.jsonl")
-        scopes.enter_context(use_tracer(tracer))
-        scopes.enter_context(use_event_log(events))
-
+    tracer = Tracer() if args.trace_dir is not None else None
     passes = {}
-    with scopes:
+    with use_tracer(tracer) if tracer is not None else contextlib.nullcontext():
         for name in ["cold"] if args.no_warm_pass else ["cold", "warm"]:
             t0 = time.perf_counter()
             result = executor.run(study.recordings)
@@ -122,15 +113,12 @@ def main(argv: list[str] | None = None) -> int:
                 "recordings_per_sec": round(len(result) / elapsed, 2) if elapsed else 0.0,
             }
 
-    if tracer is not None and events is not None:
-        manifest = capture_manifest(config=config, seed=args.seed, argv=argv)
-        events.close()
+    if tracer is not None:
         paths = write_run_record(
             args.trace_dir,
             spans=tracer.traces,
             metrics=metrics,
-            manifest=manifest,
-            events=events,
+            manifest=capture_manifest(config=config, seed=args.seed, argv=argv),
         )
         print(f"trace written: {paths['record']}", file=sys.stderr)
 

@@ -48,7 +48,6 @@ import numpy as np
 from ..core.results import ProcessedRecording
 from ..errors import CacheCorruptionError
 from ..obs import names as obs_names
-from ..obs.events import EventLevel, current_event_log
 from ..simulation.effusion import MeeState
 from ..simulation.session import Recording
 from .metrics import RuntimeMetrics
@@ -189,11 +188,6 @@ class FeatureCache:
         self.corrupt_evictions += 1
         if self.metrics is not None:
             self.metrics.increment(obs_names.METRIC_CACHE_CORRUPT)
-        current_event_log().emit(
-            obs_names.EVENT_CACHE_CORRUPT_EVICTED,
-            level=EventLevel.WARNING,
-            entry=path.name,
-        )
 
     @staticmethod
     def _payload_checksum(

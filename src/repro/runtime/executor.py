@@ -54,14 +54,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..obs import names as obs_names
-from ..obs.events import NULL_EVENT_LOG, EventLevel, current_event_log, use_event_log
-from ..obs.health import (
-    NULL_HEALTH,
-    HealthContext,
-    activate_health_from_context,
-    current_health,
-    use_health,
-)
+from ..obs.health import NULL_HEALTH, current_health, use_health
 from ..obs.tracer import (
     NULL_TRACER,
     Span,
@@ -127,15 +120,17 @@ _WORKER_SCOPES = contextlib.ExitStack()
 def _init_worker() -> None:
     """Pool initializer: start each worker with null telemetry.
 
-    A forked worker inherits the parent's ambient tracer, health monitor
-    and event log as they were at the fork.  Chunks that ask for tracing
-    or health build their own from the shipped contexts, so anything
-    inherited would only collect spans nobody reads, without bound in a
-    worker that serves many runs.
+    A forked worker inherits the parent's ambient tracer and health
+    monitor as they were at the fork.  Chunks that ask for tracing build
+    their own tracer from the shipped context, so an inherited one would
+    only collect spans nobody reads, without bound in a worker that
+    serves many runs.  Nothing in a worker records health (the parent
+    records every outcome's rows when the result comes home), so the
+    inherited monitor is dropped only so that no worker holds a stale
+    copy of the parent's.
     """
     _WORKER_SCOPES.enter_context(use_tracer(NULL_TRACER))
     _WORKER_SCOPES.enter_context(use_health(NULL_HEALTH))
-    _WORKER_SCOPES.enter_context(use_event_log(NULL_EVENT_LOG))
 
 
 def _worker_pipeline(config: EarSonarConfig) -> EarSonarPipeline:
@@ -180,20 +175,16 @@ def _process_chunk(
     chunk: list[tuple[int, Recording]],
     injector: FaultInjector | None = None,
     trace_ctx: TraceContext | None = None,
-    health_ctx: HealthContext | None = None,
-) -> tuple[list[tuple[int, Outcome, object, dict | None]], dict | None]:
+) -> list[tuple[int, Outcome, object, dict | None]]:
     """Process one chunk in a worker; never raises for expected faults.
 
-    Returns ``(rows, health_state_or_None)`` where each row is
-    ``(index, outcome, stage_latencies_or_None, span_tree_or_None)``;
-    quarantining happens here so the parent's merge step is the same
-    for serial and parallel runs.  When
-    ``trace_ctx`` asks for tracing, each recording's span tree is
-    serialized into its row for the parent to adopt; when
-    ``health_ctx`` asks for fleet-health aggregation, the pipeline's
-    in-worker health hooks record into a chunk-local monitor whose
-    exported state travels home for the parent to merge — the same
-    adoption pattern, applied to aggregates.  An armed
+    Returns one ``(index, outcome, stage_latencies_or_None,
+    span_tree_or_None)`` row per recording; quarantining happens here
+    so the parent records serial and parallel outcomes the same way.
+    When ``trace_ctx`` asks for tracing, each recording's span tree is
+    serialized into its row for the parent to adopt.  That tree is the
+    only telemetry a worker sends home: every metric and health row is
+    recorded in the parent from the outcome.  An armed
     :class:`FaultInjector` fires *before* its recording is processed —
     crashing the worker, sleeping past the deadline, or raising — so
     the parent's recovery machinery sees the failure exactly where a
@@ -201,9 +192,7 @@ def _process_chunk(
     """
     process = _worker_pipeline(config).timed_process
     out = []
-    with activate_from_context(trace_ctx) as tracer, activate_health_from_context(
-        health_ctx
-    ) as health:
+    with activate_from_context(trace_ctx) as tracer:
         for index, recording in chunk:
             if injector is not None and injector.should_trip(index):
                 injector.trip(index)
@@ -214,8 +203,7 @@ def _process_chunk(
                 else None
             )
             out.append((index, outcome, latencies, span_dict))
-        health_state = health.export_state() if health is not None else None
-    return out, health_state
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +347,6 @@ class BatchExecutor:
         """
         recordings = list(recordings)
         t0 = time.perf_counter()
-        events = current_event_log()
-        events.emit(
-            obs_names.EVENT_BATCH_STARTED,
-            recordings=len(recordings),
-            workers=self.workers,
-        )
         self.metrics.increment(obs_names.METRIC_RECORDINGS_SUBMITTED, len(recordings))
         outcomes: list[Outcome | None] = [None] * len(recordings)
 
@@ -387,7 +369,6 @@ class BatchExecutor:
         self.metrics.increment(obs_names.METRIC_RECORDINGS_OK, ok)
         self.metrics.increment(obs_names.METRIC_RECORDINGS_FAILED, failed)
         self.metrics.observe(obs_names.HIST_BATCH_MS, (time.perf_counter() - t0) * 1e3)
-        events.emit(obs_names.EVENT_BATCH_FINISHED, ok=ok, failed=failed)
         assert all(o is not None for o in outcomes)
         return BatchResult(outcomes=list(outcomes))
 
@@ -419,11 +400,6 @@ class BatchExecutor:
             # Daemonized processes (e.g. inside another pool) cannot
             # fork children; degrade gracefully instead of crashing.
             self.metrics.increment(obs_names.METRIC_SERIAL_FALLBACK)
-            current_event_log().emit(
-                obs_names.EVENT_SERIAL_FALLBACK,
-                level=EventLevel.WARNING,
-                reason="daemonized process cannot fork workers",
-            )
             return 1
         return min(self.workers, num_misses)
 
@@ -438,9 +414,10 @@ class BatchExecutor:
         outcomes[index] = outcome
         self.metrics.increment(obs_names.METRIC_PIPELINE_CALLS)
         # Parent-side fleet-health rollups: one screening outcome per
-        # recording (verdict/reason dimensions) plus the quality SLO
-        # feed.  Always in the parent so serial and pool runs count
-        # identically regardless of which process ran the DSP.
+        # recording (verdict/reason dimensions), the quality SLO feed and
+        # the per-device-model rake taps and calibration offset.  Always
+        # in the parent so serial and pool runs record the same rows in
+        # the same order, whichever process ran the DSP.
         health = current_health()
         if isinstance(outcome, FailedRecording):
             if health.enabled:
@@ -449,13 +426,6 @@ class BatchExecutor:
                     labels={"verdict": "failed", "reason": outcome.error_type},
                 )
                 health.slo_sample(obs_names.SLO_QUALITY, good=False)
-            current_event_log().emit(
-                obs_names.EVENT_RECORDING_QUARANTINED,
-                level=EventLevel.WARNING,
-                index=index,
-                participant=outcome.participant_id,
-                error_type=outcome.error_type,
-            )
             return
         if isinstance(outcome, ProcessedRecording):
             if health.enabled:
@@ -472,6 +442,19 @@ class BatchExecutor:
                     health.observe(
                         obs_names.HEALTH_RECORDING_MS,
                         latencies.bandpass_ms + latencies.feature_extract_ms,
+                    )
+                device_model = recording.config.earphone.name
+                if outcome.num_reflections_removed > 0:
+                    health.increment(
+                        obs_names.HEALTH_RAKE_TAPS,
+                        outcome.num_reflections_removed,
+                        labels={"device_model": device_model},
+                    )
+                if self.pipeline.config.calibration.enabled:
+                    health.observe(
+                        obs_names.HEALTH_CALIB_OFFSET_DB,
+                        outcome.calibration_offset_db,
+                        labels={"device_model": device_model},
                     )
             if outcome.quality_reasons:
                 self.metrics.increment(obs_names.METRIC_QUALITY_DEGRADED)
@@ -509,7 +492,6 @@ class BatchExecutor:
     ) -> None:
         """Turn a whole failed pool task into per-recording quarantine."""
         tracer = current_tracer()
-        events = current_event_log()
         for index, recording in chunk:
             outcomes[index] = FailedRecording(
                 participant_id=recording.participant_id,
@@ -529,13 +511,6 @@ class BatchExecutor:
             ) as span:
                 span.set("outcome", "quarantined")
                 span.set("error_type", type(exc).__name__)
-            events.emit(
-                obs_names.EVENT_RECORDING_QUARANTINED,
-                level=EventLevel.WARNING,
-                index=index,
-                participant=recording.participant_id,
-                error_type=type(exc).__name__,
-            )
 
     def _run_pool(
         self, misses: list[tuple[int, Recording]], outcomes: list[Outcome | None]
@@ -547,20 +522,11 @@ class BatchExecutor:
         config = self.pipeline.config
         tracer = current_tracer()
         trace_ctx = TraceContext.capture()
-        health = current_health()
-        health_ctx = HealthContext.capture()
         pool = self._acquire_pool(workers)
         faulted = False
         try:
             futures = [
-                pool.submit(
-                    _process_chunk,
-                    config,
-                    chunk,
-                    self.fault_injector,
-                    trace_ctx,
-                    health_ctx,
-                )
+                pool.submit(_process_chunk, config, chunk, self.fault_injector, trace_ctx)
                 for chunk in chunks
             ]
             # Workers exist once the first task is submitted.
@@ -570,9 +536,7 @@ class BatchExecutor:
                     with tracer.span(
                         obs_names.SPAN_CHUNK, chunk=chunk_no, size=len(chunk)
                     ):
-                        rows, health_state = future.result(
-                            timeout=self.task_timeout_s
-                        )
+                        rows = future.result(timeout=self.task_timeout_s)
                 except FuturesTimeoutError:
                     faulted = True
                     self.metrics.increment(obs_names.METRIC_TIMEOUTS)
@@ -599,8 +563,6 @@ class BatchExecutor:
                     self.metrics.increment(obs_names.METRIC_WORKER_FAILURES)
                     self._quarantine_chunk(chunk, outcomes, exc)
                 else:
-                    if health_state is not None:
-                        health.merge_state(health_state)
                     for index, outcome, latencies, span_dict in rows:
                         if span_dict is not None:
                             tracer.adopt(Span.from_dict(span_dict))

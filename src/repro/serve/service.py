@@ -43,7 +43,6 @@ from typing import Callable
 
 from ..errors import AdmissionRejected, QualityRejectedError, ServiceStoppedError
 from ..obs import names as obs_names
-from ..obs.events import EventLevel, current_event_log
 from ..obs.health import current_health
 from ..obs.tracer import current_tracer
 from ..quality import QualityConfig, assess_recording
@@ -138,9 +137,8 @@ class ScreeningService:
         Override for the batch-dispatch callable (testing seam).
     health_interval_s:
         When set (and a fleet-health monitor is ambient), the dispatch
-        loop builds a ``health.snapshot`` at most once per this many
-        clock seconds: a scalar summary goes to the event log and the
-        full snapshot dict to ``health_sink``.  A final snapshot is
+        loop builds a health snapshot at most once per this many clock
+        seconds and hands it to ``health_sink``.  A final snapshot is
         always taken at :meth:`stop`.
     health_sink:
         Callable receiving each full health-snapshot dict (the serve
@@ -211,12 +209,6 @@ class ScreeningService:
         self._running = True
         self.executor.open()
         self._dispatch_task = asyncio.ensure_future(self._dispatch_loop())
-        current_event_log().emit(
-            obs_names.EVENT_SERVE_STARTED,
-            workers=self.executor.workers,
-            max_queue_depth=self.admission.policy.max_queue_depth,
-            max_batch_size=self.batch_policy.max_batch_size,
-        )
 
     async def stop(self, drain: bool = True) -> None:
         """Stop the service.
@@ -249,7 +241,6 @@ class ScreeningService:
         # Close the health trajectory with one final snapshot so short
         # runs produce at least one sample and alerts resolve on record.
         self._maybe_health_snapshot(force=True)
-        current_event_log().emit(obs_names.EVENT_SERVE_STOPPED)
 
     # -- submission ----------------------------------------------------
 
@@ -403,13 +394,6 @@ class ScreeningService:
                     now=now,
                 )
                 health.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=now)
-            current_event_log().emit(
-                obs_names.EVENT_SERVE_REJECTED,
-                level=EventLevel.WARNING,
-                tenant=request.tenant,
-                reason=rejection.reason,
-                retry_after_s=rejection.retry_after_s,
-            )
             raise
 
     def estimated_wait_ms(self) -> float:
@@ -467,12 +451,6 @@ class ScreeningService:
         batch_ms = (self.clock.now() - start) * 1e3
         self.metrics.observe(obs_names.HIST_SERVE_BATCH_MS, batch_ms)
         self.metrics.increment(obs_names.METRIC_SERVE_BATCHES_DISPATCHED)
-        current_event_log().emit(
-            obs_names.EVENT_SERVE_BATCH_DISPATCHED,
-            batch=seq,
-            size=len(batch),
-            batch_ms=batch_ms,
-        )
         if error is not None or result is None or len(result.outcomes) != len(batch):
             self.metrics.increment(obs_names.METRIC_SERVE_BATCH_FAILURES)
             message = (
@@ -487,7 +465,7 @@ class ScreeningService:
         self._maybe_health_snapshot()
 
     def _maybe_health_snapshot(self, force: bool = False) -> None:
-        """Periodic ``health.snapshot``: event-log summary + full sink dump.
+        """Periodic health snapshot, handed to ``health_sink``.
 
         Runs at most once per ``health_interval_s`` of the injected
         clock, between batches (never on the request path), so a soak
@@ -506,15 +484,9 @@ class ScreeningService:
         ):
             return
         self._last_health_at = now
+        # Taken even without a sink: the snapshot evaluates the SLOs,
+        # stamping alert transitions with this clock reading.
         snapshot = health.snapshot(now)
-        current_event_log().emit(
-            obs_names.EVENT_HEALTH_SNAPSHOT,
-            seq=snapshot["seq"],
-            at_s=snapshot["at_s"],
-            series=len(snapshot["series"]),
-            alerts_active=len(snapshot["alerts_active"]),
-            transitions=len(snapshot["transitions"]),
-        )
         if self.health_sink is not None:
             self.health_sink(snapshot)
 

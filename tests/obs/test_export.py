@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    EventLog,
     RunRecord,
     Tracer,
     capture_manifest,
@@ -172,19 +171,17 @@ class TestRunRecord:
         metrics = RuntimeMetrics()
         metrics.increment("recordings.ok", 2)
         manifest = capture_manifest(seed=7, argv=["test"])
-        events = EventLog()
-        events.emit("batch.started", recordings=3)
 
         paths = write_run_record(
             tmp_path,
             spans=tracer.traces,
             metrics=metrics,
             manifest=manifest,
-            events=events,
         )
-        assert set(paths) == {"record", "chrome", "manifest", "prometheus", "events"}
-        for path in paths.values():
-            assert path.exists()
+        assert set(paths) == {"record", "chrome", "manifest", "prometheus"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in paths.values()
+        )
 
         record = load_run_record(paths["record"])
         assert [s.structure() for s in record.spans] == [
@@ -192,22 +189,11 @@ class TestRunRecord:
         ]
         assert record.metrics["counters"]["recordings.ok"] == 2
         assert record.manifest == manifest
-        assert len(EventLog.read_jsonl(paths["events"])) == 1
         # The chrome export equals a direct chrome_trace of the spans.
         chrome = json.loads(paths["chrome"].read_text())
         assert _normalized_chrome(chrome) == _normalized_chrome(
             chrome_trace(tracer.traces)
         )
-
-    def test_streaming_events_file_is_not_rewritten(self, tmp_path):
-        # When the event log already streams into the target directory,
-        # write_run_record must not duplicate its lines.
-        events = EventLog(path=tmp_path / "events.jsonl")
-        events.emit("batch.started", recordings=1)
-        events.emit("batch.finished", ok=1, failed=0)
-        events.close()
-        paths = write_run_record(tmp_path, spans=[], events=events)
-        assert len(EventLog.read_jsonl(paths["events"])) == 2
 
     def test_minimal_record_without_optional_inputs(self, tmp_path):
         paths = write_run_record(tmp_path, spans=[])

@@ -3,11 +3,12 @@
 A few hundred events over several tenants and device models feed a
 default-configured :class:`HealthMonitor`: every default series, every
 SLO (with a slow phase that fires and resolves the latency alerts), a
-device-model label set past the cardinality budget, signed and
-near-zero calibration offsets, and one worker monitor folded in through
-``merge_state``.  The final ``snapshot()`` JSON and ``prometheus()``
-text must match the checked-in files byte for byte, so any change to
-the window, sketch or writer that moves a health number shows up here.
+device-model label set past the cardinality budget, and signed and
+near-zero calibration offsets.  The final ``snapshot()`` JSON and
+``prometheus()`` text must match the checked-in files byte for byte,
+so any change to the window, sketch or writer that moves a health
+number shows up here, and no series may hold more label values per key
+than the budget admits.
 
 Tenant ids include a backslash and a double quote, so the goldens pin
 label escaping too.  Regenerate (only for an intended rendering
@@ -21,7 +22,7 @@ import random
 from pathlib import Path
 
 from repro.obs import names as obs_names
-from repro.obs.health import HealthConfig, HealthMonitor
+from repro.obs.health import OVERFLOW_VALUE, HealthConfig, HealthMonitor
 
 GOLDEN_SNAPSHOT = Path(__file__).parent / "golden_health_snapshot.json"
 GOLDEN_PROM = Path(__file__).parent / "golden_health.prom"
@@ -35,14 +36,10 @@ REASONS = ("", "low_snr", "clipped", "echo_dominant")
 def seeded_renderings() -> tuple[str, str]:
     """(snapshot JSON, Prometheus text) of the seeded stream."""
     rng = random.Random(1303)
-    parent = HealthMonitor(HealthConfig(), now=lambda: 0.0)
-    worker = HealthMonitor(HealthConfig(), now=lambda: 0.0)
+    monitor = HealthMonitor(HealthConfig(), now=lambda: 0.0)
     at = 1000.0
     for i in range(480):
         at += rng.expovariate(1.0)
-        # Every fourth event is observed by the worker, SLOs excepted:
-        # SLO trackers live in the parent only.
-        target = worker if i % 4 == 3 else parent
         tenant = rng.choice(TENANTS)
         device = rng.choice(DEVICES)
         ok = rng.random() > 0.06
@@ -51,44 +48,48 @@ def seeded_renderings() -> tuple[str, str]:
             latency_ms *= 1000.0  # a slow phase: the latency SLO burns
         offset_db = 0.0 if i % 37 == 0 else rng.gauss(0.0, 1.5)
         reason = rng.choice(REASONS)
-        target.increment(
+        monitor.increment(
             obs_names.HEALTH_REQUESTS,
             labels={"tenant": tenant, "outcome": "ok" if ok else "error"},
             now=at,
         )
-        target.observe(
+        monitor.observe(
             obs_names.HEALTH_REQUEST_MS, latency_ms, labels={"tenant": tenant}, now=at
         )
-        target.observe(obs_names.HEALTH_RECORDING_MS, latency_ms * 0.25, now=at)
-        target.observe(
+        monitor.observe(obs_names.HEALTH_RECORDING_MS, latency_ms * 0.25, now=at)
+        monitor.observe(
             obs_names.HEALTH_CALIB_OFFSET_DB,
             offset_db,
             labels={"device_model": device},
             now=at,
         )
-        target.increment(
+        monitor.increment(
             obs_names.HEALTH_RAKE_TAPS,
             rng.randrange(0, 4),
             labels={"device_model": device},
             now=at,
         )
-        target.increment(
+        monitor.increment(
             obs_names.HEALTH_SCREENINGS,
             labels={"verdict": "accept" if not reason else "degrade", "reason": reason},
             now=at,
         )
-        parent.slo_sample(obs_names.SLO_AVAILABILITY, good=ok, now=at)
-        parent.slo_sample(obs_names.SLO_LATENCY, value_ms=latency_ms, now=at)
-        parent.slo_sample(obs_names.SLO_QUALITY, good=reason != "clipped", now=at)
+        monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=ok, now=at)
+        monitor.slo_sample(obs_names.SLO_LATENCY, value_ms=latency_ms, now=at)
+        monitor.slo_sample(obs_names.SLO_QUALITY, good=reason != "clipped", now=at)
         if i % 30 == 29:
-            parent.evaluate(at)
-    parent.merge_state(json.loads(json.dumps(worker.export_state())))
-    snapshot = json.dumps(parent.snapshot(at), indent=2, sort_keys=True) + "\n"
-    return snapshot, parent.prometheus(at)
+            monitor.evaluate(at)
+    snapshot = json.dumps(monitor.snapshot(at), indent=2, sort_keys=True) + "\n"
+    return snapshot, monitor.prometheus(at)
 
 
 def test_snapshot_and_prometheus_match_the_goldens():
     snapshot, prom = seeded_renderings()
+    budget = HealthConfig().max_values_per_key
+    for name, rows in json.loads(snapshot)["series"].items():
+        for key in rows[0]["labels"]:
+            values = {row["labels"][key] for row in rows} - {OVERFLOW_VALUE}
+            assert len(values) <= budget, (name, key, sorted(values))
     assert snapshot == GOLDEN_SNAPSHOT.read_text(encoding="utf-8")
     assert prom == GOLDEN_PROM.read_text(encoding="utf-8")
 

@@ -1,4 +1,4 @@
-"""Fleet-health hooks across the executor and the pipeline stages.
+"""Fleet-health hooks in the executor, on serial and pooled runs.
 
 Contracts under test:
 
@@ -6,13 +6,15 @@ Contracts under test:
   are byte-identical to a run that predates the health tier.
 - **Parent-side screening rollups.**  Verdict/reason counts balance the
   batch exactly, and the quality SLO sees one sample per recording.
-- **In-worker stage rollups.**  Rake-tap and calibration-offset series
-  are keyed by device model, and the offset distribution reflects the
-  drift the simulator injected into the device fleet.
-- **Pool merges like serial.**  Worker-local aggregates shipped home
-  produce byte-identical exported state to a serial run (on a config
-  without the wall-clock timing series, which is the one lane whose
-  *values* legitimately differ between runs).
+- **Stage rollups from the outcome.**  Rake-tap and calibration-offset
+  series are keyed by device model, and the offset distribution
+  reflects the drift the simulator injected into the device fleet, on
+  a serial run and on a pool alike.
+- **Pool reports like serial.**  Every hook runs in the parent, so a
+  pooled run renders a byte-identical snapshot to a serial one and
+  keeps the same per-key label budget (on a config without the
+  wall-clock timing series, which is the one lane whose *values*
+  legitimately differ between runs).
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ from repro.core.config import CalibrationConfig, EarSonarConfig
 from repro.core.pipeline import EarSonarPipeline
 from repro.obs import names as obs_names
 from repro.obs.health import (
+    OVERFLOW_VALUE,
     HealthConfig,
     HealthMonitor,
-    SeriesSpec,
     use_health,
 )
 from repro.runtime import BatchExecutor
 from repro.simulation import sample_participant
 from repro.simulation.calibration import CalibrationDriftConfig
+from repro.simulation.earphone import COMMERCIAL_EARPHONES
 from repro.simulation.session import SessionConfig, record_session
 
 from .conftest import POISONED
@@ -46,8 +49,10 @@ STAGE_SERIES = tuple(
 )
 
 
-def make_monitor() -> HealthMonitor:
-    return HealthMonitor(HealthConfig(series=STAGE_SERIES), now=lambda: 1000.0)
+def make_monitor(**config) -> HealthMonitor:
+    return HealthMonitor(
+        HealthConfig(series=STAGE_SERIES, **config), now=lambda: 1000.0
+    )
 
 
 def screening_rows(monitor: HealthMonitor) -> dict[tuple[str, str], int]:
@@ -151,10 +156,14 @@ def clean_stage_recordings():
 
 
 class TestStageRollups:
+    workers = 1
+
     def run_monitored(self, recordings) -> HealthMonitor:
         monitor = make_monitor()
         with use_health(monitor):
-            result = BatchExecutor(EarSonarPipeline(STAGE_PIPELINE)).run(recordings)
+            result = BatchExecutor(
+                EarSonarPipeline(STAGE_PIPELINE), workers=self.workers
+            ).run(recordings)
         assert result.failed_count == 0
         return monitor
 
@@ -194,6 +203,32 @@ class TestStageRollups:
         assert drift_signal > 0.5
 
 
+class TestStageRollupsPooled(TestStageRollups):
+    """The same stage rollups, with every capture screened on a pool."""
+
+    workers = 2
+
+
+@pytest.fixture(scope="module")
+def fleet_recordings():
+    """One reverberant capture per commercial earphone model."""
+    participant = sample_participant(np.random.default_rng(41), "P700")
+    rng = np.random.default_rng(43)
+    return [
+        record_session(
+            participant,
+            float(day),
+            SessionConfig(
+                duration_s=0.1,
+                reverb=ReverbConfig(enabled=True, strength=2.0),
+                earphone=model,
+            ),
+            rng,
+        )
+        for day, model in enumerate(COMMERCIAL_EARPHONES, start=2)
+    ]
+
+
 class TestPoolMergesLikeSerial:
     def test_exported_state_is_byte_identical(self, obs_pipeline, obs_recordings):
         serial_monitor = make_monitor()
@@ -204,4 +239,23 @@ class TestPoolMergesLikeSerial:
             pooled = BatchExecutor(obs_pipeline, workers=2).run(obs_recordings)
         for a, b in zip(serial.processed, pooled.processed):
             assert a.features.tobytes() == b.features.tobytes()
-        assert pool_monitor.export_state() == serial_monitor.export_state()
+        assert pool_monitor.snapshot() == serial_monitor.snapshot()
+
+    def test_pool_keeps_the_per_key_label_budget(self, fleet_recordings):
+        def run(**executor_options):
+            monitor = make_monitor(max_values_per_key=1)
+            with use_health(monitor):
+                result = BatchExecutor(
+                    EarSonarPipeline(STAGE_PIPELINE), **executor_options
+                ).run(fleet_recordings)
+            assert result.failed_count == 0
+            return monitor.snapshot()
+
+        serial = run(workers=1)
+        pooled = run(workers=2, chunk_size=1)
+        for name in (obs_names.HEALTH_RAKE_TAPS, obs_names.HEALTH_CALIB_OFFSET_DB):
+            models = [row["labels"]["device_model"] for row in pooled["series"][name]]
+            # The first model screened keeps its row; the other three
+            # fold into the overflow bucket, as on a serial run.
+            assert models == [COMMERCIAL_EARPHONES[0].name, OVERFLOW_VALUE]
+        assert pooled == serial

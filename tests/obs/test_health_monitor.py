@@ -1,37 +1,37 @@
-"""HealthMonitor semantics: merge, SLO burn rates, alert determinism.
+"""HealthMonitor semantics: config validation, SLO burn rates, rendering.
 
 Three contracts:
 
-1. **Worker merge is lossless.**  A monitor fed a split stream through
-   ``export_state``/``merge_state`` exports byte-identical state to a
-   single monitor that saw everything (the executor's pool path relies
-   on this to make parallel runs report like serial ones).
+1. **Configs refuse what they cannot evaluate.**  Window widths, burn
+   windows, burn factors and latency thresholds must be positive and
+   finite; anything else is a :class:`ConfigurationError` at
+   construction, not a bare ``ValueError`` (or a rule that can never
+   fire) later.
 2. **Burn-rate alerting is the SRE recipe, deterministically.**  A rule
    fires only when both its windows exceed the factor with enough
    events, transitions carry the caller's clock, and replaying the same
    observation log reproduces identical transition timestamps.
 3. **Disabled is invisible.**  The null monitor returns empty
-   renderings and ``HealthContext.capture`` ships nothing.
+   renderings.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import names as obs_names
-from repro.obs.events import EventLog, use_event_log
 from repro.obs.health import (
+    DEFAULT_SLOS,
     NULL_HEALTH,
     BurnRule,
     HealthConfig,
-    HealthContext,
     HealthMonitor,
     SeriesSpec,
     SloConfig,
-    activate_health_from_context,
-    current_health,
-    use_health,
 )
 from repro.obs.health.window import WindowConfig
 
@@ -74,42 +74,45 @@ def sample_stream(n: int = 60):
     ]
 
 
-class TestWorkerMerge:
-    def test_split_stream_merges_byte_identical_to_single(self):
-        samples = sample_stream()
-        single = HealthMonitor(CONFIG, now=lambda: 0.0)
-        feed(single, samples)
-        parent = HealthMonitor(CONFIG, now=lambda: 0.0)
-        worker = HealthMonitor(CONFIG, now=lambda: 0.0)
-        feed(parent, samples[:23])
-        feed(worker, samples[23:])
-        parent.merge_state(worker.export_state())
-        assert parent.export_state() == single.export_state()
+class TestConfigValidation:
+    @pytest.mark.parametrize("bucket_s", [0.0, -5.0, math.nan, math.inf])
+    def test_window_bucket_must_be_positive_and_finite(self, bucket_s):
+        with pytest.raises(ConfigurationError, match="bucket_s"):
+            WindowConfig(bucket_s=bucket_s)
 
-    def test_context_round_trip_activates_a_frozen_clock_worker(self):
-        monitor = HealthMonitor(CONFIG, now=lambda: 512.0)
-        with use_health(monitor):
-            context = HealthContext.capture()
-        assert context is not None
-        assert context.frozen_now == 512.0
-        with activate_health_from_context(context) as worker:
-            assert current_health() is worker
-            # Worker-side observations land at the frozen dispatch time
-            # regardless of when the worker actually runs them.
-            worker.increment(
-                obs_names.HEALTH_REQUESTS,
-                labels={"tenant": "clinic", "outcome": "ok"},
+    @pytest.mark.parametrize(
+        "long_s, short_s",
+        [
+            (0.0, 0.0),
+            (60.0, -1.0),
+            (math.nan, math.nan),
+            (math.nan, 10.0),
+            (60.0, math.nan),
+            (math.inf, 10.0),
+            (math.inf, math.inf),
+        ],
+    )
+    def test_burn_windows_must_be_positive_and_finite(self, long_s, short_s):
+        with pytest.raises(ConfigurationError, match="burn windows"):
+            BurnRule(long_s=long_s, short_s=short_s, factor=2.0)
+
+    @pytest.mark.parametrize("factor", [0.0, -2.0, math.nan, math.inf])
+    def test_burn_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(ConfigurationError, match="factor"):
+            BurnRule(long_s=60.0, short_s=10.0, factor=factor)
+
+    @pytest.mark.parametrize("threshold_ms", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_latency_threshold_must_be_positive_and_finite(self, threshold_ms):
+        with pytest.raises(ConfigurationError, match="threshold_ms"):
+            SloConfig(
+                objective=obs_names.SLO_LATENCY,
+                target=0.95,
+                threshold_ms=threshold_ms,
             )
-        monitor.merge_state(worker.export_state())
-        snap = monitor.snapshot(512.0)
-        rows = snap["series"][obs_names.HEALTH_REQUESTS]
-        assert rows[0]["count"] == 1
-
-    def test_disabled_capture_ships_nothing(self):
-        assert HealthContext.capture() is None
-        with activate_health_from_context(None) as worker:
-            assert worker is None
-            assert current_health() is NULL_HEALTH
+        # The serve CLI's --slo-latency-ms override takes this path.
+        [latency] = [s for s in DEFAULT_SLOS if s.objective == obs_names.SLO_LATENCY]
+        with pytest.raises(ConfigurationError, match="threshold_ms"):
+            dataclasses.replace(latency, threshold_ms=threshold_ms)
 
 
 class TestSeriesResolution:
@@ -171,28 +174,19 @@ class TestBurnRateAlerting:
 
     def test_short_window_recovery_resolves_the_alert(self):
         monitor = self.monitor()
-        log = EventLog()
-        with use_event_log(log):
-            for i in range(10):
-                monitor.slo_sample(
-                    obs_names.SLO_AVAILABILITY, good=False, now=100.0 + i
-                )
-            monitor.evaluate(110.0)
-            assert monitor.active_alerts() != []
-            # 20 s of clean traffic empties the 10 s short window while
-            # the long window still remembers the damage.
-            for i in range(20):
-                monitor.slo_sample(
-                    obs_names.SLO_AVAILABILITY, good=True, now=111.0 + i
-                )
-            monitor.evaluate(131.0)
+        for i in range(10):
+            monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=100.0 + i)
+        monitor.evaluate(110.0)
+        assert monitor.active_alerts() != []
+        # 20 s of clean traffic empties the 10 s short window while
+        # the long window still remembers the damage.
+        for i in range(20):
+            monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=True, now=111.0 + i)
+        monitor.evaluate(131.0)
         assert monitor.active_alerts() == []
-        states = [t["state"] for t in monitor.transitions]
-        assert states == ["fired", "resolved"]
-        emitted = [e.name for e in log.events]
-        assert emitted == [
-            obs_names.EVENT_SLO_ALERT_FIRED,
-            obs_names.EVENT_SLO_ALERT_RESOLVED,
+        assert [(t["state"], t["at_s"]) for t in monitor.transitions] == [
+            ("fired", 110.0),
+            ("resolved", 131.0),
         ]
 
     def test_replayed_observation_log_reproduces_transitions_exactly(self):
@@ -280,4 +274,3 @@ class TestRendering:
         assert NULL_HEALTH.prometheus() == ""
         assert NULL_HEALTH.transitions == ()
         assert NULL_HEALTH.active_alerts() == []
-        assert NULL_HEALTH.capture_context() is None

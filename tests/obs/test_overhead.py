@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import NULL_EVENT_LOG, NULL_TRACER, current_tracer
+from repro.obs import NULL_TRACER, current_health, current_tracer
+from repro.obs import names as obs_names
 
 #: Upper bound per disabled span, in microseconds.  Real cost is a few
 #: hundredths of a microsecond; the slack absorbs shared-runner noise.
@@ -54,11 +55,15 @@ class TestDisabledOverhead:
 
         assert _per_call_us(one_span) < _BUDGET_US_PER_SPAN
 
-    def test_null_event_emit_fits_the_budget(self):
-        def one_emit():
-            NULL_EVENT_LOG.emit("batch.started", recordings=4)
+    def test_null_health_hook_fits_the_budget(self):
+        # The executor's per-outcome health hook with no monitor ambient.
+        def one_hook():
+            current_health().increment(
+                obs_names.HEALTH_SCREENINGS,
+                labels={"verdict": "accepted", "reason": ""},
+            )
 
-        assert _per_call_us(one_emit) < _BUDGET_US_PER_SPAN
+        assert _per_call_us(one_hook) < _BUDGET_US_PER_SPAN
 
     def test_null_span_allocates_nothing_per_call(self):
         # The no-op span is a shared singleton: the disabled hot path

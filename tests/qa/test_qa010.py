@@ -14,7 +14,6 @@ REJECTIONS = {"full": "work.rejected.full"}
 
 CANONICAL_COUNTERS = frozenset({METRIC_OK, METRIC_DEAD, *REJECTIONS.values()})
 SPAN_NAMES = frozenset({SPAN_STEP})
-EVENT_NAMES = frozenset()
 CANONICAL_HISTOGRAMS = frozenset()
 """
 
@@ -81,16 +80,18 @@ def test_registry_subscript_marks_all_values_emitted(findings_of):
                 "repro/app/work.py": """
                     from ..obs import names as obs_names
 
-                    def run(metrics, tracer, reason):
+                    def run(metrics, tracer, signal, reason):
                         metrics.increment(obs_names.METRIC_OK)
                         metrics.increment(obs_names.METRIC_DEAD)
                         metrics.increment(obs_names.REJECTIONS[reason])
+                        signal.emit("not.a.telemetry.name")
                         with tracer.span(obs_names.SPAN_STEP):
                             return 1
                     """,
             },
         )
     )
+    # .emit is no telemetry call, so its argument is no undeclared name.
     assert findings == []
 
 
@@ -142,7 +143,6 @@ def test_cross_file_emission_satisfies_registry(findings_of):
                     METRIC_ONLY = "deep.metric"
                     CANONICAL_COUNTERS = frozenset({METRIC_ONLY})
                     SPAN_NAMES = frozenset()
-                    EVENT_NAMES = frozenset()
                     CANONICAL_HISTOGRAMS = frozenset()
                     """,
                 "repro/deep/leaf.py": """
@@ -168,7 +168,6 @@ HEALTH_REQUEST_MS = "health.request_ms"
 
 CANONICAL_COUNTERS = frozenset()
 SPAN_NAMES = frozenset()
-EVENT_NAMES = frozenset()
 CANONICAL_HISTOGRAMS = frozenset()
 HEALTH_COUNTER_SERIES = frozenset({HEALTH_REQUESTS, HEALTH_DEAD})
 HEALTH_DISTRIBUTION_SERIES = frozenset({HEALTH_REQUEST_MS})

@@ -645,22 +645,20 @@ class TestTelemetryDiscipline:
         )
         assert pairs(findings) == [("QA007", 4)]
 
-    def test_literal_span_and_event_names_flagged(self, findings_of):
+    def test_literal_span_names_flagged(self, findings_of):
         findings = findings_of(
             TelemetryDisciplineRule,
             {
                 "repro/runtime/instrumented.py": """
-                    def run(tracer, log, recording):
+                    def run(tracer, signal, recording):
                         with tracer.span("stage.bandpass"):
                             pass
-                        log.emit("batch.started", recordings=1)
+                        signal.emit("changed")
                     """
             },
         )
-        assert pairs(findings) == [
-            ("QA007", 2),  # tracer.span("literal")
-            ("QA007", 4),  # log.emit("literal")
-        ]
+        # Only .span() takes a registered name; .emit is no telemetry call.
+        assert pairs(findings) == [("QA007", 2)]
 
     def test_registered_constants_are_clean(self, findings_of):
         findings = findings_of(
@@ -669,10 +667,9 @@ class TestTelemetryDiscipline:
                 "repro/runtime/instrumented.py": """
                     from repro.obs import names
 
-                    def run(tracer, log, recording):
+                    def run(tracer, recording):
                         with tracer.span(names.SPAN_STAGE_BANDPASS):
                             pass
-                        log.emit(names.EVENT_BATCH_STARTED, recordings=1)
                     """
             },
         )
@@ -708,9 +705,9 @@ class TestTelemetryDiscipline:
     def test_serve_library_modules_follow_the_same_discipline(
         self, findings_of
     ):
-        # repro.serve emits through the structured log and the span
-        # registry like every other library package: printing request
-        # state or inventing inline span names lints the same way.
+        # repro.serve records through repro.obs and the span registry
+        # like every other library package: printing request state or
+        # inventing inline span names lints the same way.
         findings = findings_of(
             TelemetryDisciplineRule,
             {

@@ -1,10 +1,10 @@
 """Every documented serve.* telemetry name is emitted by real scenarios.
 
 Mirror of ``tests/obs/test_canonical_names.py`` for the serving layer:
-one shared registry (plus a tracer and event log) is driven through
-the scenarios that produce each serve counter, histogram, span, and
-event family — happy path, fast-reject, every rejection reason,
-crashed batches, and shutdown — then the registry
+one shared registry (plus a tracer) is driven through the scenarios
+that produce each serve counter, histogram, and span family — happy
+path, fast-reject, every rejection reason, crashed batches, and
+shutdown — then the registry
 is checked against ``SERVE_CANONICAL_COUNTERS`` /
 ``SERVE_CANONICAL_HISTOGRAMS`` so the documented vocabulary cannot
 drift from what the service actually emits.
@@ -16,7 +16,7 @@ import asyncio
 
 import pytest
 
-from repro.obs import EventLog, Tracer, names, use_event_log, use_tracer
+from repro.obs import Tracer, names, use_tracer
 from repro.quality import QualityConfig
 from repro.serve import (
     AdmissionPolicy,
@@ -33,13 +33,12 @@ from .conftest import run, ticking_runner
 
 @pytest.fixture(scope="module")
 def exercised(serve_recordings, silent_recording):
-    """(metrics, tracer, event log) after every serve scenario ran."""
+    """(metrics, tracer) after every serve scenario ran."""
     from repro.core.pipeline import EarSonarPipeline
     from repro.runtime.executor import BatchExecutor
     from repro.runtime.metrics import RuntimeMetrics
 
     tracer = Tracer()
-    log = EventLog()
     metrics = RuntimeMetrics()
 
     async def scenario():
@@ -125,14 +124,14 @@ def exercised(serve_recordings, silent_recording):
         await drive(clock, crashed)
         await crashy.stop()
 
-    with use_tracer(tracer), use_event_log(log):
+    with use_tracer(tracer):
         run(scenario())
-    return metrics, tracer, log
+    return metrics, tracer
 
 
 class TestCanonicalEmission:
     def test_every_documented_serve_counter_is_emitted(self, exercised):
-        metrics, _, _ = exercised
+        metrics, _ = exercised
         report = metrics.report()
         missing = {
             name
@@ -142,7 +141,7 @@ class TestCanonicalEmission:
         assert not missing, f"serve counters never emitted: {sorted(missing)}"
 
     def test_every_documented_serve_histogram_is_observed(self, exercised):
-        metrics, _, _ = exercised
+        metrics, _ = exercised
         report = metrics.report()
         missing = {
             name
@@ -152,7 +151,7 @@ class TestCanonicalEmission:
         assert not missing, f"serve histograms never observed: {sorted(missing)}"
 
     def test_no_undocumented_serve_counters_leak(self, exercised):
-        metrics, _, _ = exercised
+        metrics, _ = exercised
         report = metrics.report()
         serve_counters = {
             name
@@ -164,7 +163,7 @@ class TestCanonicalEmission:
         assert not unknown, f"undocumented serve counters: {sorted(unknown)}"
 
     def test_tenant_counters_follow_the_documented_pattern(self, exercised):
-        metrics, _, _ = exercised
+        metrics, _ = exercised
         report = metrics.report()
         bases = {
             names.METRIC_TENANT_SUBMITTED,
@@ -185,7 +184,7 @@ class TestCanonicalEmission:
             assert tenant, f"tenant-less tenant counter: {name}"
 
     def test_emitted_spans_are_registered(self, exercised):
-        _, tracer, _ = exercised
+        _, tracer = exercised
 
         def walk(spans):
             for span in spans:
@@ -196,16 +195,3 @@ class TestCanonicalEmission:
         serve_spans = {name for name in emitted if name.startswith("serve.")}
         assert serve_spans  # the scenarios really traced
         assert emitted <= names.SPAN_NAMES
-
-    def test_emitted_events_are_registered(self, exercised):
-        _, _, log = exercised
-        emitted = {event.name for event in log.events}
-        serve_events = {name for name in emitted if name.startswith("serve.")}
-        # Every serve event family fired at least once.
-        assert {
-            names.EVENT_SERVE_STARTED,
-            names.EVENT_SERVE_STOPPED,
-            names.EVENT_SERVE_REJECTED,
-            names.EVENT_SERVE_BATCH_DISPATCHED,
-        } <= serve_events
-        assert emitted <= names.EVENT_NAMES

@@ -11,7 +11,6 @@ from __future__ import annotations
 import asyncio
 
 from repro.obs import names as obs_names
-from repro.obs.events import EventLog, use_event_log
 from repro.obs.health import (
     BurnRule,
     HealthConfig,
@@ -68,13 +67,12 @@ def make_service(executor, clock, **kwargs) -> ScreeningService:
 
 
 def soak(executor, recordings, *, latency_threshold_ms, sink=None, interval=0.5):
-    """One deterministic six-request scenario; returns (monitor, log)."""
+    """One deterministic six-request scenario; returns the monitor."""
 
     async def scenario():
         clock = VirtualClock()
         monitor = make_monitor(clock, latency_threshold_ms=latency_threshold_ms)
-        log = EventLog()
-        with use_health(monitor), use_event_log(log):
+        with use_health(monitor):
             service = make_service(
                 executor,
                 clock,
@@ -92,14 +90,14 @@ def soak(executor, recordings, *, latency_threshold_ms, sink=None, interval=0.5)
                 lambda: all(task.done() for task in tasks), step=0.01
             )
             await service.stop()
-        return monitor, log
+        return monitor
 
     return run(scenario())
 
 
 class TestServeRollups:
     def test_requests_and_latency_series_balance(self, executor, serve_recordings):
-        monitor, _ = soak(executor, serve_recordings, latency_threshold_ms=30_000.0)
+        monitor = soak(executor, serve_recordings, latency_threshold_ms=30_000.0)
         snap = monitor.snapshot(monitor.now())
         [requests] = snap["series"][obs_names.HEALTH_REQUESTS]
         assert requests["labels"] == {"tenant": "clinic", "outcome": "ok"}
@@ -109,7 +107,7 @@ class TestServeRollups:
         assert latency["max"] > 0.0
 
     def test_availability_slo_sees_every_request(self, executor, serve_recordings):
-        monitor, _ = soak(executor, serve_recordings, latency_threshold_ms=30_000.0)
+        monitor = soak(executor, serve_recordings, latency_threshold_ms=30_000.0)
         [availability] = [
             entry
             for entry in monitor.evaluate(monitor.now())
@@ -120,34 +118,35 @@ class TestServeRollups:
 
 
 class TestPeriodicSnapshots:
-    def test_snapshot_events_and_sink_fire_on_the_interval(
-        self, executor, serve_recordings
-    ):
+    def test_snapshot_sink_fires_on_the_interval(self, executor, serve_recordings):
         snapshots: list[dict] = []
-        monitor, log = soak(
+        monitor = soak(
             executor,
             serve_recordings,
             latency_threshold_ms=30_000.0,
             sink=snapshots.append,
         )
-        emitted = [e for e in log.events if e.name == obs_names.EVENT_HEALTH_SNAPSHOT]
-        assert len(emitted) == len(snapshots) >= 1
+        assert len(snapshots) >= 2
         # Sequence numbers are contiguous and the sink got full dicts.
         assert [s["seq"] for s in snapshots] == list(
             range(1, len(snapshots) + 1)
         )
         assert all("slos" in s and "series" in s for s in snapshots)
+        # Periodic snapshots are at least one interval apart.
+        periodic = [s["at_s"] for s in snapshots[:-1]]
+        assert all(b - a >= 0.5 for a, b in zip(periodic, periodic[1:]))
         # stop() forces a closing snapshot, so the trajectory covers
         # the whole scenario.
-        assert emitted[-1].fields["seq"] == snapshots[-1]["seq"]
+        assert snapshots[-1]["at_s"] == round(monitor.now(), 6)
 
     def test_no_interval_means_no_snapshots(self, executor, serve_recordings):
+        snapshots: list[dict] = []
+
         async def scenario():
             clock = VirtualClock()
             monitor = make_monitor(clock, latency_threshold_ms=30_000.0)
-            log = EventLog()
-            with use_health(monitor), use_event_log(log):
-                service = make_service(executor, clock)
+            with use_health(monitor):
+                service = make_service(executor, clock, health_sink=snapshots.append)
                 await service.start()
                 task = asyncio.ensure_future(
                     service.submit(
@@ -156,10 +155,12 @@ class TestPeriodicSnapshots:
                 )
                 await clock.advance_until(task.done, step=0.01)
                 await service.stop()
-            return log
+            return monitor
 
-        log = run(scenario())
-        assert all(e.name != obs_names.EVENT_HEALTH_SNAPSHOT for e in log.events)
+        monitor = run(scenario())
+        assert snapshots == []
+        # The service built no snapshot of its own: this is the first.
+        assert monitor.snapshot(monitor.now())["seq"] == 1
 
 
 class TestAlertDeterminism:
@@ -169,19 +170,19 @@ class TestAlertDeterminism:
         # Every request takes >= one 20 ms batch tick of virtual time,
         # so a 1 ms threshold marks all of them bad: burn 10/1 factor 2
         # on both windows -> the page must fire.
-        tight, _ = soak(executor, serve_recordings, latency_threshold_ms=1.0)
+        tight = soak(executor, serve_recordings, latency_threshold_ms=1.0)
         fired = [t for t in tight.transitions if t["state"] == "fired"]
         assert fired and all(t["slo"] == obs_names.SLO_LATENCY for t in fired)
         assert tight.active_alerts() != []
         # The generous threshold classifies the same traffic good.
-        default, _ = soak(executor, serve_recordings, latency_threshold_ms=30_000.0)
+        default = soak(executor, serve_recordings, latency_threshold_ms=30_000.0)
         assert default.transitions == []
         assert default.active_alerts() == []
 
     def test_replay_reproduces_identical_transition_timestamps(
         self, executor, serve_recordings
     ):
-        first, _ = soak(executor, serve_recordings, latency_threshold_ms=1.0)
-        second, _ = soak(executor, serve_recordings, latency_threshold_ms=1.0)
+        first = soak(executor, serve_recordings, latency_threshold_ms=1.0)
+        second = soak(executor, serve_recordings, latency_threshold_ms=1.0)
         assert first.transitions == second.transitions
         assert first.snapshot(first.now()) == second.snapshot(second.now())
