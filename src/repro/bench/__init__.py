@@ -8,9 +8,17 @@ per-event ``segment_eardrum_echo`` loop, spectrum against per-echo
 ``BENCH_obs.json`` holds a traced batch run against the untraced one.
 Each record carries the op name, a human-readable shape string, p50/p95
 wall-clock milliseconds for the batched path and for its oracle, and
-the speedup, so successive commits can be compared file to file.  The
-two sides of every pair are timed call by call, and the speedup is the
-median of the per-pair ratios (see :func:`compare_ops`).
+the speedup.  The two sides of every pair are timed call by call, and
+the speedup is the median of the per-pair ratios (see
+:func:`compare_ops`).
+
+A report holds one run.  The regression gate (:func:`check_gate`)
+compares it with the base commit's report of the same name from the
+same host: an op fails only when its p50 rose *and* its speedup fell.
+Raw p50s follow CPU frequency scaling and noisy neighbours — on a
+2-vCPU VM a sub-millisecond op swings 1.25–1.65× between two runs of
+one commit — while a slower batched path also lowers its speedup over
+the unchanged oracle it is timed against.
 
 The harness lives outside the science subpackages on purpose: it is
 allowed to read wall clocks, while :mod:`repro.kernels` itself stays
@@ -33,17 +41,24 @@ import numpy as np
 
 __all__ = [
     "SCHEMA_VERSION",
+    "GATE_TOLERANCE",
     "BenchResult",
+    "Regression",
+    "check_gate",
     "compare_ops",
     "git_sha",
+    "load_report",
     "machine_fingerprint",
     "write_report",
 ]
 
-#: Bumped whenever the JSON layout changes shape incompatibly.
-#: v2: reports hold a ``runs`` list keyed by (git_sha, seed, quick,
-#: machine) instead of a single clobber-on-write result set.
-SCHEMA_VERSION = 2
+#: Bumped whenever the JSON layout changes shape incompatibly.  v3: a
+#: report holds one run's stamp and results, not a ``runs`` list.
+SCHEMA_VERSION = 3
+
+#: An op fails the gate when its p50 rose and its speedup fell, each by
+#: more than this fraction.
+GATE_TOLERANCE = 0.20
 
 
 @dataclass(frozen=True)
@@ -115,25 +130,20 @@ def git_sha() -> str:
     """HEAD commit of the enclosing repo, or ``"unknown"`` outside one."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10, check=True
         )
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if sha else "unknown"
+    return out.stdout.strip() or "unknown"
 
 
 def machine_fingerprint() -> str:
     """Short stable digest of the benchmarking host.
 
     Timings are only comparable on the same machine class, so every
-    run/trajectory entry is stamped with a hash of the CPU architecture,
-    OS, core count, and Python/NumPy versions; the regression gate only
-    compares entries whose fingerprints match.
+    report is stamped with a hash of the CPU architecture, OS, core
+    count, and Python/NumPy versions; the regression gate only compares
+    reports whose fingerprints match.
     """
     identity = "|".join(
         (
@@ -147,18 +157,6 @@ def machine_fingerprint() -> str:
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12]
 
 
-def _load_runs(path: Path) -> list[dict]:
-    """Existing runs in ``path`` (empty for missing/unreadable)."""
-    if not path.exists():
-        return []
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return []
-    runs = payload.get("runs", []) if isinstance(payload, dict) else []
-    return runs if isinstance(runs, list) else []
-
-
 def write_report(
     path: Path,
     results: list[BenchResult],
@@ -166,46 +164,82 @@ def write_report(
     label: str,
     quick: bool,
     seed: int,
-    sha: str | None = None,
-    machine: str | None = None,
     config_fingerprint: str | None = None,
-) -> Path:
-    """Record ``results`` in ``path`` without clobbering other commits.
+) -> dict:
+    """Write one run's ``results`` to ``path`` and return the payload.
 
-    The report is multi-run: each run is keyed by ``(git_sha, seed,
-    quick, machine)``.  Re-benchmarking the same commit on the same
-    machine replaces that run in place; a run from a *different* commit
-    is appended, never overwritten, so a report file accumulates the
-    perf trajectory across the stacked PRs instead of erasing it on
-    every invocation.
+    A report holds exactly one run, stamped with the commit, seed,
+    problem-size class, host and config it was measured under; a rerun
+    overwrites it; :func:`check_gate` compares two such reports.
     """
-    sha = sha if sha is not None else git_sha()
-    machine = machine if machine is not None else machine_fingerprint()
-    run = {
-        "git_sha": sha,
-        "seed": seed,
-        "quick": quick,
-        "machine": machine,
-        "config_fingerprint": config_fingerprint,
-        "results": [asdict(r) for r in results],
-    }
-    key = (sha, seed, quick, machine)
-    runs = _load_runs(path)
-    for i, existing in enumerate(runs):
-        if (
-            existing.get("git_sha"),
-            existing.get("seed"),
-            existing.get("quick"),
-            existing.get("machine"),
-        ) == key:
-            runs[i] = run
-            break
-    else:
-        runs.append(run)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "label": label,
-        "runs": runs,
+        "git_sha": git_sha(),
+        "seed": seed,
+        "quick": quick,
+        "machine": machine_fingerprint(),
+        "config_fingerprint": config_fingerprint,
+        "results": [asdict(r) for r in results],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    return payload
+
+
+def load_report(path: Path) -> dict | None:
+    """The payload of the report at ``path``; ``None`` if missing or unreadable."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+@dataclass(frozen=True)
+class Regression:
+    """One op that slowed past the gate tolerance on both signals."""
+
+    op: str
+    baseline_p50_ms: float
+    current_p50_ms: float
+    baseline_speedup: float
+    current_speedup: float
+
+
+def check_gate(current: dict, base: dict | None) -> tuple[list[Regression], str]:
+    """Compare a report's ops against the base commit's report of the same name.
+
+    An op regresses only when both signals cross :data:`GATE_TOLERANCE`:
+    its p50 rose by more than it *and* its in-run speedup fell by more
+    than it.  A p50 rise with a steady speedup is machine noise — both
+    sides of the pair slowed together — not a kernel regression.
+
+    Returns ``(regressions, explanation)``.  A missing base, or one with
+    another schema, machine fingerprint or ``quick`` class, compares
+    nothing and says why; ops present in only one report are skipped,
+    so adding or retiring an op is not a regression.
+    """
+    if base is None:
+        return [], "no base report: nothing compared"
+    for key, what in (
+        ("schema_version", "schema"),
+        ("machine", "machine fingerprint"),
+        ("quick", "quick class"),
+    ):
+        if base.get(key) != current.get(key):
+            return [], (
+                f"base {what} {base.get(key)!r} differs from "
+                f"{current.get(key)!r}: nothing compared"
+            )
+    base_ops = {r["op"]: r for r in base.get("results", [])}
+    shared = [(base_ops[r["op"]], r) for r in current["results"] if r["op"] in base_ops]
+    regressions = [
+        Regression(new["op"], old["p50_ms"], new["p50_ms"], old["speedup"], new["speedup"])
+        for old, new in shared
+        if new["p50_ms"] > old["p50_ms"] * (1.0 + GATE_TOLERANCE)
+        and new["speedup"] < old["speedup"] * (1.0 - GATE_TOLERANCE)
+    ]
+    sha = str(base.get("git_sha", "?"))[:12]
+    return regressions, (
+        f"compared {len(shared)} op(s) against {sha} at {GATE_TOLERANCE:.0%} tolerance"
+    )

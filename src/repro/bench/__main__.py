@@ -3,7 +3,9 @@
 Writes ``BENCH_stages.json`` (whole-capture pipeline stages against
 their oracles) and ``BENCH_obs.json`` (a traced batch run against the
 untraced one) into ``--output-dir`` and prints a summary table.
-``--quick`` shrinks the default capture from 1 s to 0.25 s and the
+``--gate BASE_DIR`` compares each report with the base commit's report
+of the same name (:func:`repro.bench.check_gate`) and exits 1 on a
+regression.  ``--quick`` shrinks the default capture from 1 s to 0.25 s and the
 traced batch with it, so the whole run fits in a CI smoke job.  The
 quick capture is not the 0.1 s serve shape: at 20 events the parity
 pair's speedup swung 2.0–3.2× between runs of one commit on a 2-vCPU
@@ -16,13 +18,11 @@ the same reason: with 7, the traced batch's near-1.0 ratio swung
 from __future__ import annotations
 
 import argparse
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from . import BenchResult, compare_ops, git_sha, machine_fingerprint, write_report
-from .trajectory import append_entry, check_gate
+from . import BenchResult, check_gate, compare_ops, load_report, write_report
 
 
 def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
@@ -204,7 +204,7 @@ def _print_table(title: str, results: list[BenchResult]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run both suites and write the BENCH_*.json reports."""
+    """Run both suites, write the BENCH_*.json reports and gate them."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Time whole-capture pipeline stages against their oracles.",
@@ -233,25 +233,12 @@ def main(argv: list[str] | None = None) -> int:
         "longer than the untraced run it is paired with (median of pairs)",
     )
     parser.add_argument(
-        "--trajectory",
+        "--gate",
         type=Path,
         default=None,
-        help="append this run's per-op numbers to the given "
-        "trajectory file (append-only perf history)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="after appending, fail if any op regressed past "
-        "--gate-tolerance on both p50 and speedup vs the previous "
-        "same-machine trajectory entry",
-    )
-    parser.add_argument(
-        "--gate-tolerance",
-        type=float,
-        default=0.20,
-        help="fractional slowdown the gate tolerates on each signal "
-        "(default 0.20)",
+        metavar="BASE_DIR",
+        help="fail if an op regressed on both p50 and speedup against the "
+        "report of the same name in BASE_DIR (the base commit's run)",
     )
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -262,61 +249,44 @@ def main(argv: list[str] | None = None) -> int:
 
     from ..core.config import EarSonarConfig
 
-    sha = git_sha()
-    machine = machine_fingerprint()
-    fingerprint = EarSonarConfig().fingerprint()
-    stamp = {
-        "quick": args.quick,
-        "seed": args.seed,
-        "sha": sha,
-        "machine": machine,
-        "config_fingerprint": fingerprint,
+    reports = {
+        "BENCH_stages.json": ("stages", stage_results),
+        "BENCH_obs.json": ("obs", obs_results),
     }
+    # Read the base reports before writing, so a base directory equal
+    # to the output directory still compares the previous run.
+    bases = {name: load_report(args.gate / name) for name in reports} if args.gate else {}
     args.output_dir.mkdir(parents=True, exist_ok=True)
-    stages_path = write_report(
-        args.output_dir / "BENCH_stages.json", stage_results, label="stages", **stamp
-    )
-    obs_path = write_report(
-        args.output_dir / "BENCH_obs.json", obs_results, label="obs", **stamp
-    )
+    fingerprint = EarSonarConfig().fingerprint()
+    written = {
+        name: write_report(
+            args.output_dir / name,
+            results,
+            label=label,
+            quick=args.quick,
+            seed=args.seed,
+            config_fingerprint=fingerprint,
+        )
+        for name, (label, results) in reports.items()
+    }
 
     _print_table("pipeline stages, whole capture (batched vs oracle)", stage_results)
     _print_table("observability overhead (traced vs disabled)", obs_results)
     overhead = overhead_pct(obs_results[0])
     print(f"\ntracing overhead: {overhead:+.2f}% (median of paired batch runs)")
-    print(f"wrote {stages_path} and {obs_path}")
+    print(f"wrote {', '.join(reports)} to {args.output_dir}")
 
     failed = False
-    if args.trajectory is not None:
-        # The obs op is namespaced so the ratchet tracks tracing
-        # overhead per entry: its speedup is untraced/traced, so a
-        # drop past tolerance (more overhead) plus a p50 rise fails the
-        # gate like any stage regression.
-        trajectory_results = stage_results + [
-            dataclasses.replace(r, op=f"obs.{r.op}") for r in obs_results
-        ]
-        append_entry(
-            args.trajectory,
-            trajectory_results,
-            seed=args.seed,
-            quick=args.quick,
-            sha=sha,
-            machine=machine,
-        )
-        print(f"appended trajectory entry ({len(trajectory_results)} ops) to {args.trajectory}")
-        if args.gate:
-            regressions, detail = check_gate(
-                args.trajectory, tolerance=args.gate_tolerance
+    for name, base in bases.items():
+        regressions, detail = check_gate(written[name], base)
+        print(f"bench-gate: {args.gate / name}: {detail}")
+        for reg in regressions:
+            print(
+                f"FAIL: {reg.op} p50 {reg.baseline_p50_ms:.3f} -> "
+                f"{reg.current_p50_ms:.3f} ms, speedup "
+                f"{reg.baseline_speedup:.2f}x -> {reg.current_speedup:.2f}x"
             )
-            print(f"bench-gate: {detail}")
-            for reg in regressions:
-                print(
-                    f"FAIL: {reg.op} regressed {reg.ratio:.2f}x "
-                    f"({reg.baseline_p50_ms:.3f} ms -> "
-                    f"{reg.current_p50_ms:.3f} ms, speedup "
-                    f"{reg.baseline_speedup:.2f}x -> {reg.current_speedup:.2f}x)"
-                )
-            failed = failed or bool(regressions)
+        failed = failed or bool(regressions)
 
     if args.fail_overhead_pct is not None and overhead > args.fail_overhead_pct:
         print(

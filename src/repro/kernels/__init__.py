@@ -9,15 +9,19 @@ chirp templates, device transfer curves) cached per
 ``(num_chirps | num_frames | num_signals, samples)`` stack instead of
 a Python loop.
 
-The serial implementations in :mod:`repro.signal`,
-:mod:`repro.features`, and :mod:`repro.simulation` survive as
-``*_reference`` functions: they are the executable specification, and
-the golden suite in ``tests/kernels`` holds every kernel to a
-``<= 1e-10`` max-abs-diff bound against them (bit-identical in the
-common case).  ``python -m repro.bench`` times the pipeline stages
-built on these kernels (parity, spectrum, rake) over a whole capture
-against their oracle loops and records the speedups in
-``BENCH_stages.json``.
+A kernel lives here only while a capture, a simulation or the quality
+gate runs it: session synthesis and device colouring
+(:mod:`~repro.kernels.session`), the matched filter and the rake
+(:mod:`~repro.kernels.chirp`), MFCC (:mod:`~repro.kernels.mfcc`) and the
+band-zoom absorption spectrum (:mod:`~repro.kernels.spectral`).  Each
+keeps the serial implementation it replaced in :mod:`repro.signal`,
+:mod:`repro.features` or :mod:`repro.simulation` as its oracle, and the
+golden suite in ``tests/kernels`` holds the pair to a ``<= 1e-10``
+max-abs-diff bound (bit-identical in the common case).  An operation
+that nothing runs in bulk, such as the Welch PSD or the chirp train,
+has one implementation and no kernel.  ``python -m repro.bench`` times
+the pipeline stages built on these kernels (parity, spectrum, rake)
+over a whole capture against their oracle loops.
 
 There is one numeric lane: every kernel computes in float64 /
 complex128.  The one kernel that is not bit-identical to its oracle is
@@ -38,56 +42,41 @@ workers build each plan once per worker process and reuse it across
 their whole batch.
 """
 
-from .chirp import chirp_train_planned, matched_filter_planned
-from .framing import frames_dropping_tail, frames_zero_padded
-from .mfcc import mfcc_batched, mfcc_planned
+from .chirp import matched_filter_planned
+from .mfcc import frames_zero_padded, mfcc_planned
 from .plan import (
     BandZoomPlan,
     MfccPlan,
-    PlanCacheInfo,
-    WelchPlan,
     band_zoom_plan,
     chirp_pulse,
     chirp_spectrum,
     clear_plan_cache,
     device_transfer,
     hamming_window,
-    hann_window,
     matched_filter_spectrum,
     mfcc_plan,
-    plan_cache_info,
     rfft_freqs,
-    welch_plan,
 )
 from .session import apply_device_planned, synthesize_train
-from .spectral import band_zoom_amplitude, batched_power_rows, welch_periodograms
+from .spectral import band_zoom_amplitude, batched_power_rows
 
 __all__ = [
-    "chirp_train_planned",
     "matched_filter_planned",
-    "frames_dropping_tail",
     "frames_zero_padded",
-    "mfcc_batched",
     "mfcc_planned",
     "BandZoomPlan",
     "MfccPlan",
-    "PlanCacheInfo",
-    "WelchPlan",
     "band_zoom_plan",
     "chirp_pulse",
     "chirp_spectrum",
     "clear_plan_cache",
     "device_transfer",
     "hamming_window",
-    "hann_window",
     "matched_filter_spectrum",
     "mfcc_plan",
-    "plan_cache_info",
     "rfft_freqs",
-    "welch_plan",
     "apply_device_planned",
     "synthesize_train",
     "band_zoom_amplitude",
     "batched_power_rows",
-    "welch_periodograms",
 ]

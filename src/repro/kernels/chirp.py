@@ -1,4 +1,4 @@
-"""Planned chirp-domain kernels: trains, matched filtering and the rake.
+"""Planned chirp-domain kernels: matched filtering and the rake.
 
 The chirp pulse and its FFT depend only on the frozen
 :class:`~repro.signal.chirp.ChirpDesign` (plus the FFT size), so both
@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..signal.chirp import ChirpDesign
 from ..signal.correlation import (
     RAKE_AIC_PENALTY,
@@ -33,42 +32,9 @@ from ..signal.correlation import (
 from .plan import chirp_pulse, matched_filter_spectrum, rake_plan
 
 __all__ = [
-    "chirp_train_planned",
     "matched_filter_planned",
     "rake_cancel_batched",
 ]
-
-
-def chirp_train_planned(
-    design: ChirpDesign, num_chirps: int, *, total_samples: int | None = None
-) -> np.ndarray:
-    """Vectorized chirp-train synthesis (one placement, no Python loop).
-
-    Because a design's pulse can never outlast its interval
-    (``interval >= duration`` is validated at construction), pulses
-    never overlap and the train is a strided placement of the cached
-    pulse into a ``(num_chirps, hop)`` buffer — exactly the samples the
-    serial per-chirp loop wrote.
-    """
-    if num_chirps <= 0:
-        raise ConfigurationError(f"num_chirps must be positive, got {num_chirps}")
-    pulse = chirp_pulse(design)
-    hop = design.samples_per_interval
-    needed = (num_chirps - 1) * hop + design.samples_per_chirp
-    default_len = num_chirps * hop
-    length = max(needed, default_len) if total_samples is None else int(total_samples)
-    if length < needed:
-        raise ConfigurationError(
-            f"total_samples={length} cannot contain {num_chirps} chirps (need >= {needed})"
-        )
-    grid = np.zeros((num_chirps, hop))
-    grid[:, : pulse.size] = pulse
-    flat = grid.ravel()
-    if length <= flat.size:
-        return flat[:length].copy()
-    train = np.zeros(length)
-    train[: flat.size] = flat
-    return train
 
 
 def matched_filter_planned(signal: np.ndarray, design: ChirpDesign) -> np.ndarray:

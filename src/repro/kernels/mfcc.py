@@ -7,24 +7,48 @@ recording and the feature bench thousands of times.  Here both come
 from the :mod:`repro.kernels.plan` cache keyed by the frozen
 :class:`~repro.signal.mfcc.MfccConfig`, and the whole pipeline —
 window, batched frame FFT, filterbank application, DCT — is four
-vectorized operations.  :func:`mfcc_batched` additionally stacks many
-equal-length segments into a single 3-D pass.
+vectorized operations.  Framing is one
+:func:`numpy.lib.stride_tricks.sliding_window_view` plus a hop slice,
+so no per-frame Python work and no index-matrix allocation happens.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigurationError
 from ..signal.mfcc import MfccConfig
-from .framing import frames_zero_padded
 from .plan import MfccPlan, mfcc_plan
 from .spectral import batched_power_rows
 
-__all__ = ["mfcc_planned", "mfcc_batched"]
+__all__ = ["mfcc_planned", "frames_zero_padded"]
 
 #: Log floor applied to filterbank energies (matches the serial path).
 _LOG_FLOOR = 1e-12
+
+
+def frames_zero_padded(signal: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
+    """Overlapping frames of ``signal`` with a zero-padded tail.
+
+    Mirrors the MFCC framing contract: a signal no longer than one
+    frame becomes a single padded frame; otherwise ``1 + ceil((n - L) /
+    hop)`` frames cover every sample.  Returns a fresh writable array
+    (frames are consumed by windowing, which needs a copy anyway).
+    """
+    signal = np.asarray(signal, dtype=float)
+    if frame_length < 1:
+        raise ValueError(f"frame_length must be >= 1, got {frame_length}")
+    if hop < 1:
+        raise ValueError(f"hop must be >= 1, got {hop}")
+    if signal.size <= frame_length:
+        padded = np.zeros(frame_length)
+        padded[: signal.size] = signal
+        return padded[None, :]
+    num_frames = 1 + int(np.ceil((signal.size - frame_length) / hop))
+    padded = np.zeros((num_frames - 1) * hop + frame_length)
+    padded[: signal.size] = signal
+    return np.ascontiguousarray(sliding_window_view(padded, frame_length)[::hop])
 
 
 def _cepstra(power: np.ndarray, plan: MfccPlan) -> np.ndarray:
@@ -48,35 +72,4 @@ def mfcc_planned(signal: np.ndarray, config: MfccConfig) -> np.ndarray:
     plan = mfcc_plan(config)
     frames = frames_zero_padded(signal, config.frame_length, config.frame_hop)
     power = batched_power_rows(frames * plan.window, config.nfft)
-    return _cepstra(power, plan)
-
-
-def mfcc_batched(segments: np.ndarray, config: MfccConfig) -> np.ndarray:
-    """MFCCs of a ``(batch, samples)`` stack of equal-length segments.
-
-    Returns ``(batch, num_frames, num_coefficients)``.  Each segment
-    must be at least one frame long so the framing is uniform; shorter
-    batches should fall back to :func:`mfcc_planned` per segment.
-    """
-    segments = np.asarray(segments, dtype=float)
-    if segments.ndim != 2:
-        raise ValueError(f"segments must be 2-D, got shape {segments.shape}")
-    batch, n = segments.shape
-    if n == 0:
-        raise ValueError("mfcc_batched requires non-empty segments")
-    plan = mfcc_plan(config)
-    length, hop = config.frame_length, config.frame_hop
-    if n <= length:
-        padded = np.zeros((batch, length))
-        padded[:, :n] = segments
-        frames = padded[:, None, :]
-    else:
-        num_frames = 1 + int(np.ceil((n - length) / hop))
-        padded = np.zeros((batch, (num_frames - 1) * hop + length))
-        padded[:, :n] = segments
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        frames = sliding_window_view(padded, length, axis=-1)[:, ::hop, :]
-    windowed = frames * plan.window
-    power = np.abs(np.fft.rfft(windowed, config.nfft, axis=-1)) ** 2
     return _cepstra(power, plan)

@@ -1,7 +1,7 @@
 """Plan layer: shape-keyed caches of everything the kernels precompute.
 
 A *plan* is the immutable, precomputable half of a DSP operation: the
-Hann/Hamming window for a frame length, the mel filterbank for an MFCC
+Hamming window for a frame length, the mel filterbank for an MFCC
 configuration, the ``rfftfreq`` grid for an FFT size, the chirp pulse
 and its spectrum for a :class:`~repro.signal.chirp.ChirpDesign`, the
 device transfer curve for an earphone.  Building these per call is what
@@ -38,18 +38,13 @@ if TYPE_CHECKING:  # imported for annotations only; avoids import cycles
     from ..simulation.earphone import EarphoneModel
 
 __all__ = [
-    "PlanCacheInfo",
-    "plan_cache_info",
     "clear_plan_cache",
     "cached_plan",
     "rfft_freqs",
-    "hann_window",
     "hamming_window",
     "chirp_pulse",
     "chirp_spectrum",
     "matched_filter_spectrum",
-    "WelchPlan",
-    "welch_plan",
     "MfccPlan",
     "mfcc_plan",
     "device_transfer",
@@ -66,30 +61,11 @@ __all__ = [
 _MAX_ENTRIES = 512
 
 _CACHE: dict[tuple[Hashable, ...], Any] = {}
-_HITS = 0
-_MISSES = 0
-
-
-@dataclass(frozen=True)
-class PlanCacheInfo:
-    """Snapshot of plan-cache effectiveness counters."""
-
-    hits: int
-    misses: int
-    size: int
-
-
-def plan_cache_info() -> PlanCacheInfo:
-    """Current hit/miss/size counters of the module-level plan cache."""
-    return PlanCacheInfo(hits=_HITS, misses=_MISSES, size=len(_CACHE))
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the counters (test isolation)."""
-    global _HITS, _MISSES
+    """Drop every cached plan (test isolation, cold-start benchmarks)."""
     _CACHE.clear()
-    _HITS = 0
-    _MISSES = 0
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -105,12 +81,9 @@ def cached_plan(key: tuple[Hashable, ...], build: Callable[[], Any]) -> Any:
     races under free-threading); arrays inside the built plan should
     already be read-only.
     """
-    global _HITS, _MISSES
     plan = _CACHE.get(key)
     if plan is not None:
-        _HITS += 1  # qa: ignore[QA009]  intentional per-process cache stats
         return plan
-    _MISSES += 1  # qa: ignore[QA009]  intentional per-process cache stats
     plan = build()
     if len(_CACHE) >= _MAX_ENTRIES:
         _CACHE.pop(next(iter(_CACHE)))
@@ -130,17 +103,6 @@ def rfft_freqs(nfft: int, sample_rate: float) -> np.ndarray:
         return _freeze(np.fft.rfftfreq(nfft, d=1.0 / sample_rate))
 
     return cached_plan(("rfftfreq", int(nfft), float(sample_rate)), build)
-
-
-def hann_window(length: int, *, periodic: bool = False) -> np.ndarray:
-    """Cached Hann window (see :func:`repro.signal.windows.hann`)."""
-
-    def build() -> np.ndarray:
-        from ..signal.windows import hann
-
-        return _freeze(hann(length, periodic=periodic))
-
-    return cached_plan(("hann", int(length), bool(periodic)), build)
 
 
 def hamming_window(length: int, *, periodic: bool = False) -> np.ndarray:
@@ -186,45 +148,6 @@ def matched_filter_spectrum(design: "ChirpDesign", nfft: int) -> np.ndarray:
         return _freeze(np.conj(np.fft.rfft(chirp_pulse(design), nfft)))
 
     return cached_plan(("matched_filter_spectrum", design, int(nfft)), build)
-
-
-# ---------------------------------------------------------------------------
-# Welch / spectral plans
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WelchPlan:
-    """Precomputed state of a Welch PSD at one ``(segment, rate)`` shape.
-
-    Attributes
-    ----------
-    window:
-        Periodic Hann window of the segment length.
-    scale:
-        Density normalisation ``1 / (rate * sum(window**2))``.
-    frequencies:
-        One-sided frequency grid of the segment FFT.
-    """
-
-    window: np.ndarray
-    scale: float
-    frequencies: np.ndarray
-
-
-def welch_plan(segment_length: int, sample_rate: float) -> WelchPlan:
-    """Cached :class:`WelchPlan` for the given segment length and rate."""
-
-    def build() -> WelchPlan:
-        window = hann_window(segment_length, periodic=True)
-        scale = 1.0 / (sample_rate * np.sum(window**2))
-        return WelchPlan(
-            window=window,
-            scale=float(scale),
-            frequencies=rfft_freqs(segment_length, sample_rate),
-        )
-
-    return cached_plan(("welch", int(segment_length), float(sample_rate)), build)
 
 
 # ---------------------------------------------------------------------------

@@ -1,66 +1,27 @@
-"""Batch-first spectral kernels: Welch PSD and band-zoom amplitude spectra.
+"""Batch-first spectral kernels: band-zoom amplitude spectra and frame power.
 
-The serial :mod:`repro.signal.spectral` implementations loop over
-segments (Welch) or are called once per echo (amplitude spectra).  The
-Welch kernel frames with a strided view and runs **one** batched
-``rfft`` over a ``(num_frames, samples)`` stack; the band-zoom kernel
-evaluates a ``(num_signals, samples)`` stack's spectrum only at the FFT
-bins inside the probe band, with one matrix product.  All
-shape-dependent state (window, density scale, frequency grid, zoom
-matrix) comes from the :mod:`repro.kernels.plan` cache.
+The serial :func:`repro.signal.spectral.amplitude_spectrum` is called
+once per echo.  The band-zoom kernel evaluates a
+``(num_signals, samples)`` stack's spectrum only at the FFT bins inside
+the probe band, with one matrix product; its zoom matrix and
+interpolation weights come from the :mod:`repro.kernels.plan` cache.
+:func:`batched_power_rows` is the MFCC frame power spectrum.
 
-Numerical contract: the golden suite in ``tests/kernels`` holds every
-kernel here to a ``<= 1e-10`` max-abs-diff bound against the serial
-reference across randomized shapes.  Welch and the frame power spectra
-run the reference's own expressions and match it bit-for-bit; the
-band-zoom DFT is an equivalent but different transform, so it matches
-the full-FFT oracle to rounding (~1e-15) rather than bit-for-bit.
+Numerical contract: the golden suite in ``tests/kernels`` holds the
+band-zoom DFT to a ``<= 1e-10`` max-abs-diff bound against the per-row
+full-FFT oracle across randomized shapes.  It is an equivalent but
+different transform, so it matches to rounding (~1e-15) rather than
+bit-for-bit; the frame power spectra run the MFCC reference's own
+expression and match it bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .framing import frames_dropping_tail
-from .plan import BandZoomPlan, welch_plan
+from .plan import BandZoomPlan
 
-__all__ = ["welch_periodograms", "band_zoom_amplitude", "batched_power_rows"]
-
-
-def welch_periodograms(
-    signal: np.ndarray,
-    sample_rate: float,
-    *,
-    segment_length: int,
-    overlap: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All Welch segment periodograms of ``signal`` in one batched FFT.
-
-    Returns ``(frequencies, periodograms)`` where ``periodograms`` has
-    shape ``(num_segments, segment_length // 2 + 1)``; the caller
-    averages over axis 0 (this split keeps the kernel reusable for
-    spectrogram-style consumers).  Validation mirrors
-    :func:`repro.signal.spectral.welch_psd`.
-    """
-    signal = np.asarray(signal, dtype=float)
-    if signal.size == 0:
-        raise ValueError("welch_psd requires a non-empty signal")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    segment_length = int(segment_length)
-    if segment_length <= 0:
-        raise ValueError(f"segment_length must be positive, got {segment_length}")
-    if signal.size < segment_length:
-        segment_length = signal.size
-    plan = welch_plan(segment_length, float(sample_rate))
-    hop = max(1, int(round(segment_length * (1.0 - overlap))))
-    frames = frames_dropping_tail(signal, segment_length, hop) * plan.window
-    periodograms = (np.abs(np.fft.rfft(frames, axis=-1)) ** 2) * plan.scale
-    if periodograms.shape[1] > 1:
-        periodograms[:, 1:] *= 2.0
-        if segment_length % 2 == 0:
-            periodograms[:, -1] /= 2.0
-    return plan.frequencies, periodograms
+__all__ = ["band_zoom_amplitude", "batched_power_rows"]
 
 
 def band_zoom_amplitude(signals: np.ndarray, plan: BandZoomPlan) -> np.ndarray:

@@ -37,7 +37,6 @@ so counts, rates and means never pay the quantization error.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 __all__ = ["GROWTH", "MIN_VALUE", "MAX_INDEX", "QuantileSketch"]
 
@@ -126,7 +125,7 @@ class QuantileSketch:
         """Exact mean of the observed values; NaN when empty."""
         return self.total / self.count if self.count else math.nan
 
-    # -- merge / serialization ------------------------------------------
+    # -- merge ------------------------------------------------------------
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold ``other`` into this sketch (bucket-wise integer add)."""
@@ -136,16 +135,6 @@ class QuantileSketch:
         self.vmax = max(self.vmax, other.vmax)
         for index, weight in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + weight
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe state (bucket keys become strings)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "vmin": None if self.count == 0 else self.vmin,
-            "vmax": None if self.count == 0 else self.vmax,
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
 
     def __repr__(self) -> str:
         return (

@@ -35,6 +35,7 @@ callers, which run a few large batches, fork a pool per run.
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing
 import time
 import weakref
@@ -272,9 +273,11 @@ class BatchExecutor:
             raise ConfigurationError(
                 f"chunk_size must be >= 1 or None, got {chunk_size}"
             )
-        if task_timeout_s is not None and task_timeout_s <= 0:
+        if task_timeout_s is not None and not (
+            math.isfinite(task_timeout_s) and task_timeout_s > 0
+        ):
             raise ConfigurationError(
-                f"task_timeout_s must be positive or None, got {task_timeout_s}"
+                f"task_timeout_s must be positive and finite or None, got {task_timeout_s}"
             )
         self._open = False
         self._pool: ProcessPoolExecutor | None = None

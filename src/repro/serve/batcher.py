@@ -23,6 +23,7 @@ each batch while any other tenant has work queued.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -54,9 +55,9 @@ class BatchPolicy:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_delay_s < 0:
+        if not (math.isfinite(self.max_delay_s) and self.max_delay_s >= 0):
             raise ConfigurationError(
-                f"max_delay_s must be >= 0, got {self.max_delay_s}"
+                f"max_delay_s must be finite and >= 0, got {self.max_delay_s}"
             )
 
 

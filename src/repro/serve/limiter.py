@@ -20,6 +20,7 @@ so both mechanisms are exactly simulatable in tests.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generic, Mapping, TypeVar
@@ -35,6 +36,16 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+
+
+def _check_rate(rate_per_s: float) -> None:
+    if not (math.isfinite(rate_per_s) and rate_per_s > 0):
+        raise ConfigurationError(f"rate_per_s must be positive and finite, got {rate_per_s}")
+
+
+def _check_burst(burst: float) -> None:
+    if not (math.isfinite(burst) and burst >= 1):
+        raise ConfigurationError(f"burst must be finite and >= 1, got {burst}")
 
 
 @dataclass(frozen=True)
@@ -55,12 +66,9 @@ class TenantPolicy:
     burst: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.rate_per_s is not None and self.rate_per_s <= 0:
-            raise ConfigurationError(
-                f"rate_per_s must be positive or None, got {self.rate_per_s}"
-            )
-        if self.burst < 1:
-            raise ConfigurationError(f"burst must be >= 1, got {self.burst}")
+        if self.rate_per_s is not None:
+            _check_rate(self.rate_per_s)
+        _check_burst(self.burst)
 
 
 @dataclass(frozen=True)
@@ -85,10 +93,8 @@ class TokenBucket:
     """
 
     def __init__(self, rate_per_s: float, burst: float, clock: Clock) -> None:
-        if rate_per_s <= 0:
-            raise ConfigurationError(f"rate_per_s must be positive, got {rate_per_s}")
-        if burst < 1:
-            raise ConfigurationError(f"burst must be >= 1, got {burst}")
+        _check_rate(rate_per_s)
+        _check_burst(burst)
         self._rate = float(rate_per_s)
         self._burst = float(burst)
         self._clock = clock

@@ -19,6 +19,7 @@ Two gates, checked in order:
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,9 +78,10 @@ class AdmissionPolicy:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.retry_after_floor_s < 0:
+        floor = self.retry_after_floor_s
+        if not (math.isfinite(floor) and floor >= 0):
             raise ConfigurationError(
-                f"retry_after_floor_s must be >= 0, got {self.retry_after_floor_s}"
+                f"retry_after_floor_s must be finite and >= 0, got {floor}"
             )
 
 

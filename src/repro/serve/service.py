@@ -41,7 +41,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import AdmissionRejected, QualityRejectedError, ServiceStoppedError
+from ..errors import (
+    AdmissionRejected,
+    ConfigurationError,
+    QualityRejectedError,
+    ServiceStoppedError,
+)
 from ..obs import names as obs_names
 from ..obs.health import current_health
 from ..obs.tracer import current_tracer
@@ -159,6 +164,13 @@ class ScreeningService:
         health_interval_s: float | None = None,
         health_sink: Callable[[dict], None] | None = None,
     ) -> None:
+        if health_interval_s is not None and not (
+            math.isfinite(health_interval_s) and health_interval_s > 0
+        ):
+            raise ConfigurationError(
+                f"health_interval_s must be positive and finite or None, "
+                f"got {health_interval_s}"
+            )
         self.executor = executor
         self.metrics = executor.metrics
         self.clock: Clock = clock if clock is not None else MonotonicClock()

@@ -29,7 +29,6 @@ __all__ = [
     "ChirpDesign",
     "linear_chirp",
     "chirp_train",
-    "chirp_train_reference",
     "matched_filter",
     "matched_filter_reference",
     "cross_correlate",
@@ -166,6 +165,11 @@ def chirp_train(
 ) -> np.ndarray:
     """Synthesise a train of ``num_chirps`` chirps separated by the interval.
 
+    Because a design's pulse can never outlast its interval
+    (``interval >= duration`` is validated at construction), pulses
+    never overlap and the train is a strided placement of the
+    plan-cached pulse into a ``(num_chirps, hop)`` buffer.
+
     Parameters
     ----------
     design:
@@ -176,22 +180,11 @@ def chirp_train(
         Optional explicit output length.  Defaults to exactly enough
         samples to contain every pulse plus one trailing listen window.
     """
-    from ..kernels.chirp import chirp_train_planned
+    from ..kernels.plan import chirp_pulse
 
-    return chirp_train_planned(design, num_chirps, total_samples=total_samples)
-
-
-def chirp_train_reference(
-    design: ChirpDesign, num_chirps: int, *, total_samples: int | None = None
-) -> np.ndarray:
-    """Serial per-chirp train synthesis: the correctness oracle.
-
-    The pre-kernel placement loop, kept as the executable
-    specification; prefer :func:`chirp_train` in hot paths.
-    """
     if num_chirps <= 0:
         raise ConfigurationError(f"num_chirps must be positive, got {num_chirps}")
-    pulse = linear_chirp(design)
+    pulse = chirp_pulse(design)
     hop = design.samples_per_interval
     needed = (num_chirps - 1) * hop + design.samples_per_chirp
     default_len = num_chirps * hop
@@ -200,10 +193,13 @@ def chirp_train_reference(
         raise ConfigurationError(
             f"total_samples={length} cannot contain {num_chirps} chirps (need >= {needed})"
         )
+    grid = np.zeros((num_chirps, hop))
+    grid[:, : pulse.size] = pulse
+    flat = grid.ravel()
+    if length <= flat.size:
+        return flat[:length].copy()
     train = np.zeros(length)
-    for k in range(num_chirps):
-        start = k * hop
-        train[start : start + pulse.size] += pulse
+    train[: flat.size] = flat
     return train
 
 
@@ -230,8 +226,9 @@ def matched_filter(signal: np.ndarray, design: ChirpDesign) -> np.ndarray:
     """Matched-filter ``signal`` against the design's chirp pulse.
 
     Returns the correlation magnitude, same length as ``signal``, with
-    peaks at pulse arrival times.  Used by the simulator's sanity checks
-    and by the Chan-et-al. baseline to locate echo onsets.
+    peaks at pulse arrival times.  The capture quality gate
+    (:mod:`repro.quality.assess`) runs the same kernel to score chirp
+    presence and echo spread.
 
     Executes on the planned kernel: the pulse and its conjugate
     spectrum come from the plan cache instead of being re-synthesised

@@ -2,8 +2,8 @@
 
 EarSonar's absorption analysis (paper Sec. IV-C1) FFTs a fixed window
 centred on the eardrum-echo peak and inspects the 16-20 kHz power
-spectral density.  These helpers implement that analysis plus the
-Welch-averaged PSD used for the consistency figures (Fig. 9).
+spectral density.  These helpers implement that analysis plus a
+Welch-averaged PSD of a whole signal.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "amplitude_spectrum",
     "power_spectrum",
     "welch_psd",
-    "welch_psd_reference",
     "band_slice",
     "band_energy",
     "normalize_spectrum",
@@ -97,32 +96,8 @@ def welch_psd(
     Segments of ``segment_length`` samples overlapping by ``overlap``
     (fraction) are windowed, periodogrammed, and averaged.  Density is
     normalised per Hz so that integrating over frequency approximates
-    the signal's mean-square value.
-
-    Executes on the batched kernel (one strided framing + one 2-D FFT,
-    window and scale from the plan cache); output matches
-    :func:`welch_psd_reference` bit-for-bit.
-    """
-    from ..kernels.spectral import welch_periodograms
-
-    freqs, periodograms = welch_periodograms(
-        signal, sample_rate, segment_length=segment_length, overlap=overlap
-    )
-    return Spectrum(freqs.copy(), np.mean(periodograms, axis=0))
-
-
-def welch_psd_reference(
-    signal: np.ndarray,
-    sample_rate: float,
-    *,
-    segment_length: int = 256,
-    overlap: float = 0.5,
-) -> Spectrum:
-    """Serial per-segment Welch loop: the correctness oracle.
-
-    This is the executable specification :func:`welch_psd` is tested
-    against (same pattern as ``sosfilt_reference``); prefer
-    :func:`welch_psd` in hot paths.
+    the signal's mean-square value.  A signal shorter than one segment
+    is analysed as a single segment of its own length.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
@@ -146,8 +121,6 @@ def welch_psd_reference(
             if segment_length % 2 == 0:
                 p[-1] /= 2.0
         periodograms.append(p)
-    if not periodograms:
-        raise ValueError("signal too short to form a single Welch segment")
     psd = np.mean(periodograms, axis=0)
     freqs = np.fft.rfftfreq(segment_length, d=1.0 / sample_rate)
     return Spectrum(freqs, psd)

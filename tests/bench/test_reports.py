@@ -1,10 +1,8 @@
-"""Bench report persistence: multi-run reports and the perf trajectory.
+"""Bench reports and the report-to-report regression gate.
 
-The report schema exists to make the perf history *append-only across
-commits*: re-benchmarking the same commit replaces its own run,
-benchmarking a new commit appends, and nothing ever silently clobbers
-another commit's numbers.  The trajectory file is stricter still —
-every invocation appends — and feeds the CI regression gate.
+A report holds one run, and a rerun overwrites it.  The gate compares a
+head report with the base commit's report of the same name: an op fails
+only when its p50 rose and its speedup fell, each by more than 20%.
 """
 
 from __future__ import annotations
@@ -16,10 +14,11 @@ import pytest
 from repro.bench import (
     SCHEMA_VERSION,
     BenchResult,
+    check_gate,
+    load_report,
     machine_fingerprint,
     write_report,
 )
-from repro.bench.trajectory import append_entry, check_gate, load_entries
 
 
 def _result(op: str, p50: float, speedup: float = 2.0) -> BenchResult:
@@ -35,119 +34,93 @@ def _result(op: str, p50: float, speedup: float = 2.0) -> BenchResult:
     )
 
 
+def _report(tmp_path, name: str, results: list[BenchResult]) -> dict:
+    return write_report(tmp_path / name, results, label="x", quick=True, seed=0)
+
+
 class TestWriteReport:
-    def test_same_key_replaces_in_place(self, tmp_path):
+    def test_rerun_overwrites_the_one_run(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
-        stamp = dict(label="x", quick=False, seed=0, sha="aaa", machine="m1")
-        write_report(path, [_result("op", 1.0)], **stamp)
-        write_report(path, [_result("op", 2.0)], **stamp)
+        write_report(path, [_result("op", 1.0)], label="x", quick=True, seed=0)
+        written = write_report(
+            path, [_result("op", 2.0)], label="x", quick=False, seed=5, config_fingerprint="c"
+        )
         payload = json.loads(path.read_text())
+        assert payload == written == load_report(path)
         assert payload["schema_version"] == SCHEMA_VERSION
-        assert len(payload["runs"]) == 1
-        assert payload["runs"][0]["results"][0]["p50_ms"] == 2.0
-
-    def test_different_sha_appends_instead_of_clobbering(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        write_report(
-            path, [_result("op", 1.0)], label="x", quick=False, seed=0, sha="aaa"
+        assert "runs" not in payload
+        assert (payload["quick"], payload["seed"], payload["config_fingerprint"]) == (
+            False,
+            5,
+            "c",
         )
-        write_report(
-            path, [_result("op", 2.0)], label="x", quick=False, seed=0, sha="bbb"
-        )
-        runs = json.loads(path.read_text())["runs"]
-        assert [r["git_sha"] for r in runs] == ["aaa", "bbb"]
-        assert runs[0]["results"][0]["p50_ms"] == 1.0  # aaa's numbers survive
-
-    def test_quick_and_full_runs_coexist(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        write_report(
-            path, [_result("op", 1.0)], label="x", quick=True, seed=0, sha="aaa"
-        )
-        write_report(
-            path, [_result("op", 9.0)], label="x", quick=False, seed=0, sha="aaa"
-        )
-        assert len(json.loads(path.read_text())["runs"]) == 2
+        assert payload["machine"] == machine_fingerprint()
+        assert [r["p50_ms"] for r in payload["results"]] == [2.0]
 
     def test_machine_fingerprint_is_short_and_stable(self):
         assert machine_fingerprint() == machine_fingerprint()
         assert len(machine_fingerprint()) == 12
 
+    def test_missing_or_unreadable_report_loads_as_none(self, tmp_path):
+        assert load_report(tmp_path / "missing.json") is None
+        (tmp_path / "bad.json").write_text("{not json")
+        assert load_report(tmp_path / "bad.json") is None
 
-class TestTrajectory:
-    def test_every_invocation_appends(self, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        for p50 in (1.0, 1.1):
-            append_entry(
-                path,
-                [_result("op", p50)],
-                seed=0,
-                quick=True,
-                sha="aaa",
-                machine="m1",
-            )
-        entries = load_entries(path)
-        assert len(entries) == 2
-        assert entries[1]["ops"]["op"]["p50_ms"] == 1.1
 
-    def test_gate_passes_inside_tolerance(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_entry(path, [_result("op", 1.0)], seed=0, quick=True, machine="m1")
-        append_entry(path, [_result("op", 1.15)], seed=0, quick=True, machine="m1")
-        regressions, _ = check_gate(path, tolerance=0.20)
+class TestGate:
+    def test_passes_inside_tolerance(self, tmp_path):
+        base = _report(tmp_path, "a.json", [_result("op", 1.0, speedup=2.0)])
+        head = _report(tmp_path, "b.json", [_result("op", 1.15, speedup=1.7)])
+        regressions, message = check_gate(head, base)
         assert regressions == []
+        assert "compared 1 op(s)" in message
 
-    def test_gate_fails_when_both_signals_regress(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_entry(
-            path, [_result("op", 1.0, speedup=2.0)], seed=0, quick=True, machine="m1"
-        )
-        append_entry(
-            path, [_result("op", 1.5, speedup=1.2)], seed=0, quick=True, machine="m1"
-        )
-        regressions, _ = check_gate(path, tolerance=0.20)
-        assert [r.op for r in regressions] == ["op"]
-        assert regressions[0].ratio == pytest.approx(1.5)
-        assert regressions[0].baseline_speedup == pytest.approx(2.0)
-        assert regressions[0].current_speedup == pytest.approx(1.2)
+    def test_fails_when_both_signals_regress(self, tmp_path):
+        base = _report(tmp_path, "a.json", [_result("op", 1.0, speedup=2.0)])
+        head = _report(tmp_path, "b.json", [_result("op", 1.5, speedup=1.2)])
+        (regression,) = check_gate(head, base)[0]
+        assert regression.op == "op"
+        assert regression.baseline_p50_ms == pytest.approx(1.0)
+        assert regression.current_p50_ms == pytest.approx(1.5)
+        assert regression.baseline_speedup == pytest.approx(2.0)
+        assert regression.current_speedup == pytest.approx(1.2)
 
-    def test_gate_absorbs_p50_noise_when_speedup_holds(self, tmp_path):
-        # Both lanes of the pair slowed together (frequency scaling, a
+    def test_absorbs_p50_noise_when_speedup_holds(self, tmp_path):
+        # Both sides of the pair slowed together (frequency scaling, a
         # noisy neighbour): p50 is 1.5x worse but the in-run speedup is
         # unchanged, so this is machine noise, not a kernel regression.
-        path = tmp_path / "t.json"
-        append_entry(
-            path, [_result("op", 1.0, speedup=2.0)], seed=0, quick=True, machine="m1"
+        base = _report(tmp_path, "a.json", [_result("op", 1.0, speedup=2.0)])
+        head = _report(tmp_path, "b.json", [_result("op", 1.5, speedup=2.0)])
+        assert check_gate(head, base)[0] == []
+
+    @pytest.mark.parametrize(
+        "key,value,why",
+        [
+            ("machine", "another-host", "machine fingerprint"),
+            ("quick", False, "quick class"),
+            ("schema_version", 2, "schema"),
+        ],
+        ids=["machine", "quick", "schema"],
+    )
+    def test_incomparable_base_compares_nothing(self, tmp_path, key, value, why):
+        base = _report(tmp_path, "a.json", [_result("op", 1.0, speedup=9.0)])
+        head = _report(tmp_path, "b.json", [_result("op", 9.0, speedup=1.0)])
+        base[key] = value
+        regressions, message = check_gate(head, base)
+        assert regressions == []
+        assert why in message and "nothing compared" in message
+
+    def test_skips_added_and_retired_ops(self, tmp_path):
+        base = _report(tmp_path, "a.json", [_result("old", 1.0), _result("kept", 1.0)])
+        head = _report(
+            tmp_path, "b.json", [_result("new", 9.0, speedup=0.5), _result("kept", 1.0)]
         )
-        append_entry(
-            path, [_result("op", 1.5, speedup=2.0)], seed=0, quick=True, machine="m1"
-        )
-        regressions, _ = check_gate(path, tolerance=0.20)
+        regressions, message = check_gate(head, base)
         assert regressions == []
+        assert "compared 1 op(s)" in message
 
-    def test_gate_never_compares_across_machines(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_entry(path, [_result("op", 1.0)], seed=0, quick=True, machine="m1")
-        append_entry(path, [_result("op", 9.0)], seed=0, quick=True, machine="m2")
-        regressions, message = check_gate(path, tolerance=0.20)
+    def test_missing_base_report_compares_nothing(self, tmp_path):
+        head = _report(tmp_path, "b.json", [_result("op", 9.0, speedup=1.0)])
+        regressions, message = check_gate(head, load_report(tmp_path / "missing.json"))
         assert regressions == []
-        assert "no prior same-machine entry" in message
-
-    def test_gate_never_compares_quick_against_full(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_entry(path, [_result("op", 1.0)], seed=0, quick=False, machine="m1")
-        append_entry(path, [_result("op", 9.0)], seed=0, quick=True, machine="m1")
-        regressions, _ = check_gate(path, tolerance=0.20)
-        assert regressions == []
-
-    def test_gate_skips_added_and_retired_ops(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_entry(path, [_result("old", 1.0)], seed=0, quick=True, machine="m1")
-        append_entry(path, [_result("new", 9.0)], seed=0, quick=True, machine="m1")
-        regressions, message = check_gate(path, tolerance=0.20)
-        assert regressions == []
-        assert "compared 0 op(s)" in message
-
-    def test_gate_on_empty_file_is_vacuously_green(self, tmp_path):
-        regressions, message = check_gate(tmp_path / "missing.json")
-        assert regressions == []
-        assert "no trajectory entries" in message
+        assert "no base report" in message

@@ -10,6 +10,16 @@ import repro.bench as bench
 from repro.bench import SCHEMA_VERSION, BenchResult, compare_ops, write_report
 from repro.bench.__main__ import main, overhead_pct
 
+_REPORT_KEYS = {
+    "schema_version",
+    "label",
+    "git_sha",
+    "seed",
+    "quick",
+    "machine",
+    "config_fingerprint",
+    "results",
+}
 _RESULT_KEYS = {
     "op",
     "shape",
@@ -62,14 +72,15 @@ def test_speedup_is_the_median_of_per_round_ratios(monkeypatch):
 
 def test_write_report_schema(tmp_path):
     result = compare_ops("toy", "n=100", lambda: 1, lambda: 2, repeats=2)
-    path = write_report(tmp_path / "BENCH_toy.json", [result], label="toy", quick=True, seed=0)
+    path = tmp_path / "BENCH_toy.json"
+    write_report(path, [result], label="toy", quick=True, seed=0)
     payload = json.loads(path.read_text())
+    assert set(payload) == _REPORT_KEYS
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["label"] == "toy"
-    (run,) = payload["runs"]
-    assert run["quick"] is True and run["seed"] == 0
-    assert run["git_sha"] and run["machine"]
-    assert set(run["results"][0]) == _RESULT_KEYS
+    assert payload["quick"] is True and payload["seed"] == 0
+    assert payload["git_sha"] and payload["machine"]
+    assert set(payload["results"][0]) == _RESULT_KEYS
 
 
 def test_cli_quick_run_writes_both_reports(tmp_path):
@@ -82,11 +93,12 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
         ("BENCH_obs.json", {"batch_screening_traced"}),
     ]:
         payload = json.loads((tmp_path / name).read_text())
+        assert set(payload) == _REPORT_KEYS
         assert payload["schema_version"] == SCHEMA_VERSION
-        (run,) = payload["runs"]
-        assert run["quick"] is True and run["seed"] == 1
-        assert {r["op"] for r in run["results"]} == expected_ops
-        for record in run["results"]:
+        assert payload["quick"] is True and payload["seed"] == 1
+        assert payload["config_fingerprint"]
+        assert {r["op"] for r in payload["results"]} == expected_ops
+        for record in payload["results"]:
             assert set(record) == _RESULT_KEYS
             assert record["p50_ms"] > 0.0
             assert record["repeats"] == 1
@@ -96,6 +108,23 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
         "BENCH_obs.json",
         "BENCH_stages.json",
     ]
+
+
+def test_cli_gates_each_report_against_its_base(tmp_path, capsys):
+    run = ["--quick", "--repeats", "1", "--seed", "1", "--output-dir"]
+    assert main(run + [str(tmp_path / "a"), "--gate", str(tmp_path / "missing")]) == 0
+    assert capsys.readouterr().out.count("no base report: nothing compared") == 2
+    # A doctored base in which every op was 10x faster against its oracle.
+    for path in (tmp_path / "a").glob("BENCH_*.json"):
+        payload = json.loads(path.read_text())
+        for record in payload["results"]:
+            record["p50_ms"] /= 10.0
+            record["speedup"] *= 10.0
+        path.write_text(json.dumps(payload))
+    assert main(run + [str(tmp_path / "b"), "--gate", str(tmp_path / "a")]) == 1
+    out = capsys.readouterr().out
+    assert "compared 3 op(s)" in out and "compared 1 op(s)" in out
+    assert out.count("FAIL:") == 4
 
 
 def test_cli_rejects_repeats_below_one(tmp_path, capsys):

@@ -1,19 +1,12 @@
-"""Golden equivalence: correlation, Laplacian, chirp, pipeline kernels."""
+"""Golden equivalence: correlation, Laplacian, matched-filter, pipeline kernels."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.features.laplacian import laplacian_scores, laplacian_scores_reference
-from repro.signal.chirp import (
-    ChirpDesign,
-    chirp_train,
-    chirp_train_reference,
-    matched_filter,
-    matched_filter_reference,
-)
+from repro.signal.chirp import ChirpDesign, matched_filter, matched_filter_reference
 from repro.signal.correlation import correlation_matrix, correlation_matrix_reference
 
 TOL = 1e-10
@@ -69,24 +62,6 @@ def test_laplacian_scores_constant_feature_is_inf_in_both():
     mask = np.isfinite(slow)
     assert np.array_equal(np.isfinite(fast), mask)
     assert np.max(np.abs(fast[mask] - slow[mask])) <= TOL
-
-
-@pytest.mark.parametrize("num_chirps", [1, 7, 50])
-@pytest.mark.parametrize("total_samples", [None, 20_000])
-def test_chirp_train_matches_reference(num_chirps, total_samples):
-    design = ChirpDesign()
-    fast = chirp_train(design, num_chirps, total_samples=total_samples)
-    slow = chirp_train_reference(design, num_chirps, total_samples=total_samples)
-    assert fast.shape == slow.shape
-    assert np.max(np.abs(fast - slow)) <= TOL
-
-
-def test_chirp_train_rejects_what_reference_rejects():
-    design = ChirpDesign()
-    with pytest.raises(ConfigurationError):
-        chirp_train(design, 0)
-    with pytest.raises(ConfigurationError):
-        chirp_train(design, 10, total_samples=5)
 
 
 @pytest.mark.parametrize("seed,n", [(8, 100), (9, 4096), (10, 48_000)])

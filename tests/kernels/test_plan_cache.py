@@ -9,11 +9,8 @@ from repro.kernels.plan import (
     chirp_pulse,
     chirp_spectrum,
     clear_plan_cache,
-    hann_window,
     mfcc_plan,
-    plan_cache_info,
     rfft_freqs,
-    welch_plan,
 )
 from repro.signal.chirp import ChirpDesign, linear_chirp
 from repro.signal.mfcc import MfccConfig
@@ -26,13 +23,11 @@ def fresh_cache():
     clear_plan_cache()
 
 
-def test_miss_then_hit_counters():
-    rfft_freqs(1024, 48_000.0)
-    info = plan_cache_info()
-    assert info.misses == 1 and info.hits == 0 and info.size == 1
-    rfft_freqs(1024, 48_000.0)
-    info = plan_cache_info()
-    assert info.misses == 1 and info.hits == 1 and info.size == 1
+def test_miss_builds_then_hit_returns_the_cached_plan():
+    first = rfft_freqs(1024, 48_000.0)
+    assert len(plan_module._CACHE) == 1
+    assert rfft_freqs(1024, 48_000.0) is first
+    assert len(plan_module._CACHE) == 1
 
 
 def test_distinct_keys_distinct_plans():
@@ -41,7 +36,7 @@ def test_distinct_keys_distinct_plans():
     c = rfft_freqs(1024, 44_100.0)
     assert a.size != b.size
     assert not np.array_equal(a, c)
-    assert plan_cache_info().size == 3
+    assert len(plan_module._CACHE) == 3
 
 
 def test_equal_configs_share_a_plan():
@@ -51,13 +46,13 @@ def test_equal_configs_share_a_plan():
 
 
 def test_cached_arrays_are_read_only():
-    window = hann_window(64)
-    assert not window.flags.writeable
+    freqs = rfft_freqs(256, 48_000.0)
+    assert not freqs.flags.writeable
     with pytest.raises(ValueError):
-        window[0] = 1.0
-    plan = welch_plan(256, 48_000.0)
-    assert not plan.window.flags.writeable
-    assert not plan.frequencies.flags.writeable
+        freqs[0] = 1.0
+    plan = mfcc_plan(MfccConfig())
+    for array in (plan.window, plan.filterbank, plan.dct_basis, plan.dct_scale):
+        assert not array.flags.writeable
 
 
 def test_chirp_plans_match_direct_synthesis():
@@ -70,19 +65,20 @@ def test_chirp_plans_match_direct_synthesis():
 
 def test_eviction_at_capacity():
     for i in range(plan_module._MAX_ENTRIES):
-        cached_plan(("synthetic", i), lambda: i)
-    assert plan_cache_info().size == plan_module._MAX_ENTRIES
+        cached_plan(("synthetic", i), lambda i=i: i)
+    assert len(plan_module._CACHE) == plan_module._MAX_ENTRIES
     cached_plan(("synthetic", plan_module._MAX_ENTRIES), lambda: -1)
-    assert plan_cache_info().size == plan_module._MAX_ENTRIES
-    # The oldest key was evicted, so re-requesting it is a miss.
-    before = plan_cache_info().misses
-    cached_plan(("synthetic", 0), lambda: 0)
-    assert plan_cache_info().misses == before + 1
+    assert len(plan_module._CACHE) == plan_module._MAX_ENTRIES
+    # The oldest key was evicted, so re-requesting it rebuilds its value;
+    # a key still cached keeps the value it was built with.
+    assert cached_plan(("synthetic", 0), lambda: "rebuilt") == "rebuilt"
+    assert cached_plan(("synthetic", 2), lambda: "rebuilt") == 2
 
 
 def test_clear_resets_everything():
-    rfft_freqs(512, 48_000.0)
-    rfft_freqs(512, 48_000.0)
+    first = rfft_freqs(512, 48_000.0)
     clear_plan_cache()
-    info = plan_cache_info()
-    assert info.hits == 0 and info.misses == 0 and info.size == 0
+    assert len(plan_module._CACHE) == 0
+    rebuilt = rfft_freqs(512, 48_000.0)
+    assert rebuilt is not first
+    np.testing.assert_array_equal(rebuilt, first)

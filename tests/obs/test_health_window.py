@@ -39,6 +39,11 @@ def fill(sketch: QuantileSketch, values) -> QuantileSketch:
     return sketch
 
 
+def state(sketch: QuantileSketch) -> tuple:
+    """Everything a sketch holds, for exact equality checks."""
+    return (sketch.count, sketch.total, sketch.vmin, sketch.vmax, sketch.buckets)
+
+
 class TestSketchMergeAlgebra:
     def test_merge_is_commutative(self):
         a_values, b_values = dyadic_stream(1, 300), dyadic_stream(2, 171)
@@ -46,7 +51,7 @@ class TestSketchMergeAlgebra:
         ab.merge(fill(QuantileSketch(), b_values))
         ba = fill(QuantileSketch(), b_values)
         ba.merge(fill(QuantileSketch(), a_values))
-        assert ab.to_dict() == ba.to_dict()
+        assert state(ab) == state(ba)
         for q in (0.0, 0.5, 0.95, 0.99, 1.0):
             assert ab.quantile(q) == ba.quantile(q)
 
@@ -59,7 +64,7 @@ class TestSketchMergeAlgebra:
         bc.merge(fill(QuantileSketch(), streams[2]))
         right = fill(QuantileSketch(), streams[0])
         right.merge(bc)
-        assert left.to_dict() == right.to_dict()
+        assert state(left) == state(right)
 
     def test_split_equals_single_over_randomized_splits(self):
         values = dyadic_stream(6, 400)
@@ -69,7 +74,7 @@ class TestSketchMergeAlgebra:
             cut = rng.randrange(1, len(values) - 1)
             merged = fill(QuantileSketch(), values[:cut])
             merged.merge(fill(QuantileSketch(), values[cut:]))
-            assert merged.to_dict() == whole.to_dict()
+            assert state(merged) == state(whole)
 
     def test_quantile_relative_error_is_bounded_by_the_growth_factor(self):
         values = sorted(dyadic_stream(8, 1000))

@@ -5,6 +5,8 @@ byte-identical to serial (features *and* quarantine, in input order),
 and a warm cache serves a whole study with zero pipeline calls.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ class TestValidation:
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             BatchExecutor(chunk_size=0)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_task_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ConfigurationError):
+            BatchExecutor(task_timeout_s=timeout)
 
 
 class TestSerialExecution:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -25,6 +26,11 @@ class TestBatchPolicy:
             BatchPolicy(max_batch_size=0)
         with pytest.raises(ConfigurationError):
             BatchPolicy(max_delay_s=-0.01)
+        with pytest.raises(ConfigurationError):
+            BatchPolicy(max_delay_s=math.nan)
+        with pytest.raises(ConfigurationError):
+            BatchPolicy(max_delay_s=math.inf)
+        assert BatchPolicy(max_delay_s=0.0).max_delay_s == 0.0
 
 
 class TestMicroBatcher:

@@ -9,7 +9,11 @@ the replay test demand *equality* of transition lists, not similarity.
 from __future__ import annotations
 
 import asyncio
+import math
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.obs import names as obs_names
 from repro.obs.health import (
     BurnRule,
@@ -93,6 +97,13 @@ def soak(executor, recordings, *, latency_threshold_ms, sink=None, interval=0.5)
         return monitor
 
     return run(scenario())
+
+
+class TestValidation:
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_health_interval_must_be_positive_and_finite(self, executor, interval):
+        with pytest.raises(ConfigurationError):
+            ScreeningService(executor, health_interval_s=interval)
 
 
 class TestServeRollups:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -55,6 +57,11 @@ class TestTokenBucket:
             TokenBucket(rate_per_s=0.0, burst=2.0, clock=clock)
         with pytest.raises(ConfigurationError):
             TokenBucket(rate_per_s=1.0, burst=0.5, clock=clock)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                TokenBucket(rate_per_s=value, burst=2.0, clock=clock)
+            with pytest.raises(ConfigurationError):
+                TokenBucket(rate_per_s=1.0, burst=value, clock=clock)
 
 
 class TestTenantPolicy:
@@ -63,6 +70,12 @@ class TestTenantPolicy:
             TenantPolicy(rate_per_s=-1.0)
         with pytest.raises(ConfigurationError):
             TenantPolicy(burst=0.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                TenantPolicy(rate_per_s=value)
+            with pytest.raises(ConfigurationError):
+                TenantPolicy(burst=value)
+        assert TenantPolicy(rate_per_s=None).rate_per_s is None
 
     def test_overrides_fall_back_to_default(self):
         tenancy = TenancyConfig(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import (
@@ -20,6 +22,10 @@ class TestPolicyValidation:
             AdmissionPolicy(max_queue_depth=0)
         with pytest.raises(ConfigurationError):
             AdmissionPolicy(retry_after_floor_s=-0.1)
+        with pytest.raises(ConfigurationError):
+            AdmissionPolicy(retry_after_floor_s=math.nan)
+        with pytest.raises(ConfigurationError):
+            AdmissionPolicy(retry_after_floor_s=math.inf)
 
 
 class TestErrorTaxonomy:

@@ -80,6 +80,10 @@ class TestWelch:
         with pytest.raises(ValueError):
             welch_psd(np.ones(100), FS, overlap=1.0)
 
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValueError):
+            welch_psd(np.array([]), FS)
+
     def test_short_signal_uses_full_length(self):
         psd = welch_psd(np.ones(64), FS, segment_length=256)
         assert psd.frequencies.size == 33
