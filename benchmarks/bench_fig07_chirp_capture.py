@@ -1,14 +1,17 @@
 """Bench for Fig. 7 — chirp train synthesis and capture.
 
-Times FMCW chirp-train generation plus in-ear propagation (the signal
-collection front end) and verifies the captured train's structure.
+Times the capture of one seeded default session, ``record_session``:
+the simulator's signal collection front end, which synthesizes the
+received chirp train through ``kernels.session.synthesize_train``.
+Then it verifies the captured train's structure.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments import fig07_08_signals
-from repro.signal.chirp import ChirpDesign, chirp_train
+from repro.simulation.participant import sample_participant
+from repro.simulation.session import SessionConfig, record_session
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +22,14 @@ def result():
 @pytest.mark.experiment
 def test_fig07_chirp_capture(benchmark, report, result):
     benchmark.group = "fig07"
-    design = ChirpDesign()
-    benchmark(chirp_train, design, 100)
+    figure = fig07_08_signals.SignalFigureConfig()
+    participant = sample_participant(np.random.default_rng(figure.seed), "FIG7")
+    session = SessionConfig()
+    benchmark(
+        lambda: record_session(
+            participant, figure.day, session, np.random.default_rng(figure.seed)
+        )
+    )
 
     print()
     print(result.render())

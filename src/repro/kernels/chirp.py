@@ -40,10 +40,10 @@ __all__ = [
 def matched_filter_planned(signal: np.ndarray, design: ChirpDesign) -> np.ndarray:
     """Matched-filter magnitude of ``signal`` against the cached pulse.
 
-    Bit-identical to the serial
-    :func:`repro.signal.chirp.matched_filter` (same FFT size, same
-    roll/slice alignment) but the template synthesis and its FFT are
-    plan-cache hits after the first call per ``(design, nfft)``.
+    Bit-identical to the oracle
+    :func:`repro.signal.chirp.matched_filter_reference` (same FFT size,
+    same roll/slice alignment) but the template synthesis and its FFT
+    are plan-cache hits after the first call per ``(design, nfft)``.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:

@@ -71,6 +71,7 @@ __all__ = [
     "METRIC_SERVE_ADMITTED",
     "METRIC_SERVE_COMPLETED",
     "METRIC_SERVE_FAST_REJECTED",
+    "METRIC_SERVE_GATE_MEMO_HITS",
     "METRIC_SERVE_REJECTED_RATE_LIMITED",
     "METRIC_SERVE_REJECTED_QUEUE_FULL",
     "METRIC_SERVE_REJECTED_SHUTDOWN",
@@ -268,6 +269,9 @@ METRIC_SERVE_ADMITTED = "serve.requests.admitted"
 METRIC_SERVE_COMPLETED = "serve.requests.completed"
 #: Requests answered by the pre-enqueue quality gate without queueing.
 METRIC_SERVE_FAST_REJECTED = "serve.requests.fast_rejected"
+#: Quality-gate verdicts answered from the service's memo of earlier
+#: identical captures, without running the gate's DSP.
+METRIC_SERVE_GATE_MEMO_HITS = "serve.gate_memo.hits"
 #: Rejections: the tenant's token bucket was empty.
 METRIC_SERVE_REJECTED_RATE_LIMITED = "serve.rejected.rate_limited"
 #: Rejections: the bounded request queue was at capacity.
@@ -302,6 +306,7 @@ SERVE_CANONICAL_COUNTERS = frozenset(
         METRIC_SERVE_ADMITTED,
         METRIC_SERVE_COMPLETED,
         METRIC_SERVE_FAST_REJECTED,
+        METRIC_SERVE_GATE_MEMO_HITS,
         METRIC_SERVE_REJECTED_RATE_LIMITED,
         METRIC_SERVE_REJECTED_QUEUE_FULL,
         METRIC_SERVE_REJECTED_SHUTDOWN,

@@ -9,7 +9,8 @@ protects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,11 +62,16 @@ class QualityConfig:
     reject_echo_spread: float = 0.65
 
     def __post_init__(self) -> None:
+        # A NaN threshold fails every comparison, so its check silently
+        # never fires; an infinite one switches its check off on purpose.
+        for field in fields(self):
+            if math.isnan(getattr(self, field.name)):
+                raise ConfigurationError(f"{field.name} must not be NaN")
         if not 0.0 < self.clip_band <= 1.0:
             raise ConfigurationError(f"clip_band must be in (0, 1], got {self.clip_band}")
-        if self.dropout_min_ms <= 0:
+        if not (math.isfinite(self.dropout_min_ms) and self.dropout_min_ms > 0):
             raise ConfigurationError(
-                f"dropout_min_ms must be positive, got {self.dropout_min_ms}"
+                f"dropout_min_ms must be positive and finite, got {self.dropout_min_ms}"
             )
         pairs = [
             (self.degrade_clipping_ratio, self.reject_clipping_ratio),
@@ -321,11 +327,19 @@ def assess_recording(
     The expected duration comes from the recording's own session
     config, so interrupted captures earn a ``truncated`` reason.
     """
-    expected = getattr(getattr(recording, "config", None), "duration_s", None)
     return assess_waveform(
         recording.waveform,
         recording.sample_rate,
         chirp,
         config,
-        expected_duration_s=expected,
+        expected_duration_s=_expected_duration_s(recording),
     )
+
+
+def _expected_duration_s(recording: "Recording") -> float | None:
+    """The duration the gate expects of ``recording``, or ``None``.
+
+    The serving layer keys its memo of gate verdicts on this value, so
+    it must read the duration exactly as :func:`assess_recording` does.
+    """
+    return getattr(getattr(recording, "config", None), "duration_s", None)

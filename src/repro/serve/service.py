@@ -8,7 +8,9 @@ batch runtime.  A caller submits one
 1. **fast-rejects** hopeless captures — when a quality config is set,
    the gate runs *before* admission, so a flat-line or clipped
    recording is answered immediately and never spends queue capacity
-   or a rate-limit token on DSP it would fail anyway;
+   or a rate-limit token on DSP it would fail anyway.  The gate's
+   report is memoized, so a resubmitted capture is answered without
+   the gate's DSP (see *The gate memo* below);
 2. **admits or refuses** via :class:`~repro.serve.queue.AdmissionController`
    (tenant token bucket, then queue depth), raising a typed
    :class:`~repro.errors.AdmissionRejected` with an honest retry-after;
@@ -28,6 +30,22 @@ so the whole service — backpressure, fairness, deadlines — runs
 unmodified and deterministically under
 :class:`~repro.serve.clock.VirtualClock` in tests.
 
+**The gate memo.**  The gate is a pure function of the capture's
+waveform and sample rate, its expected duration (the session config's
+``duration_s``), the gate's :class:`QualityConfig` and the pipeline's
+chirp design.  The service keys each report by
+:func:`~repro.runtime.cache.recording_key` over all of them, the same
+content hash the feature cache uses, so the memo is exact.  The
+duration is in the key because a capture relabelled with a longer
+session is truncated where the original is not.  The content is hashed
+on every request, never keyed by object identity, so a waveform changed
+in place is gated again.  REJECT verdicts are memoized like any other:
+the feature cache can hold captures the gate rejects, so a cache hit
+says nothing about the gate.  The memo is a least-recently-used map of
+at most :data:`GATE_MEMO_CAPACITY` reports, and every hit is counted
+under ``serve.gate_memo.hits``; the ``quality.gate`` span is still
+opened on a hit, with the memoized verdict and ``memo_hit=True``.
+
 This module is a *boundary*: the dispatch path catches ``Exception``
 (QA006-sanctioned, like the executor's quarantine path) because a
 crashed batch must fail its own requests' futures with typed
@@ -38,6 +56,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,10 +66,13 @@ from ..errors import (
     QualityRejectedError,
     ServiceStoppedError,
 )
+from ..core.config import config_fingerprint
 from ..obs import names as obs_names
 from ..obs.health import current_health
 from ..obs.tracer import current_tracer
-from ..quality import QualityConfig, assess_recording
+from ..quality import QualityConfig, QualityReport, assess_recording
+from ..quality.assess import _expected_duration_s
+from ..runtime.cache import recording_key
 from ..runtime.executor import BatchExecutor, BatchResult
 from ..runtime.faults import FailedRecording
 from ..core.results import ProcessedRecording
@@ -65,6 +87,10 @@ __all__ = ["ScreeningResponse", "ScreeningService"]
 #: Batch index assigned to responses answered before batching (the
 #: pre-admission quality fast-reject path).
 FAST_REJECT_BATCH = -1
+
+#: Most gate reports the service remembers, as many entries as the
+#: feature cache's default capacity; the least recently used goes first.
+GATE_MEMO_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -137,7 +163,8 @@ class ScreeningService:
         ``max_queue_depth`` and tenant buckets deliberately).
     fast_reject:
         Optional :class:`QualityConfig`; when set, REJECT-verdict
-        captures are answered pre-admission without queueing.
+        captures are answered pre-admission without queueing, and a
+        resubmitted capture's verdict comes from the gate memo.
     runner:
         Override for the batch-dispatch callable (testing seam).
     health_interval_s:
@@ -180,7 +207,16 @@ class ScreeningService:
             tenancy or TenancyConfig(), self.clock
         )
         self.batcher = MicroBatcher(self.scheduler, self.batch_policy, self.clock)
-        self.fast_reject = fast_reject
+        self._fast_reject = fast_reject
+        # The gate's inputs besides the capture are fixed for the
+        # service's life, so their fingerprints are taken once.
+        self._gate_chirp = executor.pipeline.config.chirp
+        self._gate_namespace = (
+            ""
+            if fast_reject is None
+            else config_fingerprint(fast_reject) + config_fingerprint(self._gate_chirp)
+        )
+        self._gate_memo: OrderedDict[str, QualityReport] = OrderedDict()
         self._runner: BatchRunner = runner if runner is not None else executor.run
         self._dispatch_task: asyncio.Task | None = None
         self._running = False
@@ -201,6 +237,11 @@ class ScreeningService:
     def queue_depth(self) -> int:
         """Admitted-but-undispatched requests across all tenants."""
         return self.scheduler.depth
+
+    @property
+    def fast_reject(self) -> QualityConfig | None:
+        """The pre-admission gate's thresholds, fixed at construction."""
+        return self._fast_reject
 
     @property
     def workers(self) -> int:
@@ -343,18 +384,15 @@ class ScreeningService:
         self, request: ScreeningRequest
     ) -> ScreeningResponse | None:
         """Pre-admission quality gate: answer REJECT captures in place."""
-        if self.fast_reject is None:
+        if self._fast_reject is None:
             return None
         with current_tracer().span(
             obs_names.SPAN_SERVE_ADMISSION, tenant=request.tenant
         ):
             with current_tracer().span(obs_names.SPAN_QUALITY_GATE) as gate:
-                report = assess_recording(
-                    request.recording,
-                    self.executor.pipeline.config.chirp,
-                    self.fast_reject,
-                )
+                report, memo_hit = self._gate(request.recording)
                 gate.set("verdict", report.verdict.value)
+                gate.set("memo_hit", memo_hit)
                 if report.reasons:
                     gate.set("reasons", report.reason_string)
         if not report.rejected:
@@ -372,6 +410,26 @@ class ScreeningService:
             tenant=request.tenant,
             outcome=failure,
         )
+
+    def _gate(self, recording: Recording) -> tuple[QualityReport, bool]:
+        """The gate's report on ``recording``, and whether the memo held it.
+
+        The key hashes the waveform on every call and covers every
+        other input the gate reads (see the module docstring), so a hit
+        is the report :func:`assess_recording` would return.
+        """
+        namespace = f"{self._gate_namespace}:{_expected_duration_s(recording)!r}"
+        key = recording_key(recording, namespace)
+        report = self._gate_memo.get(key)
+        if report is not None:
+            self._gate_memo.move_to_end(key)
+            self.metrics.increment(obs_names.METRIC_SERVE_GATE_MEMO_HITS)
+            return report, True
+        report = assess_recording(recording, self._gate_chirp, self._fast_reject)
+        self._gate_memo[key] = report
+        while len(self._gate_memo) > GATE_MEMO_CAPACITY:
+            self._gate_memo.popitem(last=False)
+        return report, False
 
     def _admit(self, request: ScreeningRequest) -> None:
         """Run admission control; record and re-raise rejections.

@@ -29,7 +29,6 @@ __all__ = [
     "ChirpDesign",
     "linear_chirp",
     "chirp_train",
-    "matched_filter",
     "matched_filter_reference",
     "cross_correlate",
 ]
@@ -222,30 +221,14 @@ def cross_correlate(signal: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.roll(corr, template.size - 1)[:n]
 
 
-def matched_filter(signal: np.ndarray, design: ChirpDesign) -> np.ndarray:
-    """Matched-filter ``signal`` against the design's chirp pulse.
-
-    Returns the correlation magnitude, same length as ``signal``, with
-    peaks at pulse arrival times.  The capture quality gate
-    (:mod:`repro.quality.assess`) runs the same kernel to score chirp
-    presence and echo spread.
-
-    Executes on the planned kernel: the pulse and its conjugate
-    spectrum come from the plan cache instead of being re-synthesised
-    and re-transformed per call; bit-identical to
-    :func:`matched_filter_reference`.
-    """
-    from ..kernels.chirp import matched_filter_planned
-
-    return matched_filter_planned(signal, design)
-
-
 def matched_filter_reference(signal: np.ndarray, design: ChirpDesign) -> np.ndarray:
     """Plan-free matched filter: the correctness oracle.
 
-    Re-synthesises the pulse and runs the generic
-    :func:`cross_correlate` exactly as the pre-kernel implementation
-    did; prefer :func:`matched_filter` in hot paths.
+    Returns the correlation magnitude, same length as ``signal``, with
+    peaks at pulse arrival times.  Re-synthesises the pulse and runs the
+    generic :func:`cross_correlate`; hot paths, such as the capture
+    quality gate, run
+    :func:`repro.kernels.chirp.matched_filter_planned` instead.
     """
     pulse = linear_chirp(design)
     corr = cross_correlate(np.asarray(signal, dtype=float), pulse)

@@ -146,6 +146,33 @@ class TestQualityConfig:
         with pytest.raises(ConfigurationError):
             QualityConfig(degrade_snr_db=-10.0, reject_snr_db=0.0)
 
+    # clip_band is left out: its range check already refuses NaN.
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in dataclasses.fields(QualityConfig)
+            if f.name != "clip_band"
+        ],
+    )
+    def test_nan_field_refused(self, name):
+        # A NaN threshold fails every comparison, so its check never fires.
+        with pytest.raises(ConfigurationError, match=name):
+            QualityConfig(**{name: float("nan")})
+
+    def test_dropout_min_ms_must_be_finite(self):
+        with pytest.raises(ConfigurationError, match="dropout_min_ms"):
+            QualityConfig(dropout_min_ms=float("inf"))
+
+    def test_infinite_threshold_switches_its_check_off(self, recording, chirp):
+        peak = float(np.max(np.abs(recording.waveform)))
+        clipped = np.clip(recording.waveform, -0.3 * peak, 0.3 * peak)
+        off = QualityConfig(
+            degrade_clipping_ratio=float("inf"), reject_clipping_ratio=float("inf")
+        )
+        report = assess_waveform(clipped, recording.sample_rate, chirp, off)
+        assert ReasonCode.CLIPPING not in report.reasons
+
 
 class TestReport:
     def _report(self, reasons=(ReasonCode.CLIPPING, ReasonCode.DROPOUT)):

@@ -15,6 +15,11 @@ included).
 Clean captures must all process: the direct pipeline raises otherwise,
 and since every path must return the same outcome type, each of their
 serve responses is ok and each second run is all cache hits.
+
+A service gating admission with ``fast_reject`` answers every capture
+twice, in process and on the pool, the second time from its memo of
+gate verdicts.  Both answers must equal the gated direct outcome: the
+gate's quarantine where it rejects, the direct outcome elsewhere.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from repro.acoustics.reverb import ReverbConfig
 from repro.core.config import CalibrationConfig, EarSonarConfig, RobustnessConfig
 from repro.core.pipeline import EarSonarPipeline
 from repro.core.results import ProcessedRecording
-from repro.errors import SignalProcessingError
+from repro.errors import QualityRejectedError, SignalProcessingError
 from repro.faultlab import apply_to_recording, fault_catalog
 from repro.obs import names as obs_names
+from repro.quality import QualityConfig, assess_recording
 from repro.runtime import BatchExecutor, FeatureCache, RuntimeMetrics
 from repro.runtime.executor import Outcome
 from repro.runtime.faults import FailedRecording
@@ -241,6 +247,58 @@ PATHS = {
 }
 
 
+#: The admission gate of the gated service paths.
+GATE = QualityConfig()
+
+
+def _gated_direct(pipeline, capture, direct: Outcome) -> Outcome:
+    """The quarantine the gate makes of ``capture``, else ``direct``."""
+    report = assess_recording(capture, pipeline.config.chirp, GATE)
+    if not report.rejected:
+        return direct
+    return FailedRecording(
+        participant_id=capture.participant_id,
+        day=capture.day,
+        error_type=QualityRejectedError.__name__,
+        message=f"quality gate rejected capture: {report.reason_string}",
+        true_state=capture.state,
+    )
+
+
+def _serve_gated(pipeline, captures, workers):
+    """The gated service's first and second answers to every capture;
+    each capture is resubmitted after its first answer."""
+    metrics = RuntimeMetrics()
+
+    async def scenario():
+        clock = VirtualClock()
+        service = ScreeningService(
+            BatchExecutor(pipeline, workers=workers, metrics=metrics),
+            clock=clock,
+            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+            fast_reject=GATE,
+        )
+        await service.start()
+        rounds = []
+        for attempt in ("first", "second"):
+            tasks = [
+                asyncio.ensure_future(
+                    service.submit(
+                        ScreeningRequest(f"{attempt}-{i}", "clinic", capture)
+                    )
+                )
+                for i, capture in enumerate(captures)
+            ]
+            await clock.advance_until(lambda: all(task.done() for task in tasks))
+            rounds.append([task.result().outcome for task in tasks])
+        await service.stop()
+        return rounds
+
+    rounds = asyncio.run(scenario())
+    assert metrics.counter(obs_names.METRIC_SERVE_GATE_MEMO_HITS) == len(captures)
+    return rounds
+
+
 def assert_same_result(actual: Outcome, expected: Outcome):
     assert type(actual) is type(expected)
     for f in dataclasses.fields(expected):
@@ -261,6 +319,16 @@ def test_path_matches_the_direct_pipeline(case, path, tmp_path):
         assert_same_result(actual, expected)
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+def test_gated_resubmission_matches_the_gated_direct_path(case, workers):
+    pipeline, captures, direct = case
+    expected = [_gated_direct(pipeline, c, d) for c, d in zip(captures, direct)]
+    for answers in _serve_gated(pipeline, captures, workers):
+        assert len(answers) == len(expected)
+        for actual, gated in zip(answers, expected):
+            assert_same_result(actual, gated)
+
+
 @pytest.mark.parametrize("case", ["reverb_calibration"], indirect=True)
 def test_reverb_calibration_case_is_not_vacuous(case):
     _, _, direct = case
@@ -270,7 +338,7 @@ def test_reverb_calibration_case_is_not_vacuous(case):
 
 @pytest.mark.parametrize("case", ["robustness"], indirect=True)
 def test_robustness_case_is_not_vacuous(case):
-    _, _, direct = case
+    pipeline, captures, direct = case
     quarantined = [o for o in direct if isinstance(o, FailedRecording)]
     sanitized = [
         o
@@ -279,3 +347,8 @@ def test_robustness_case_is_not_vacuous(case):
     ]
     assert [o.error_type for o in quarantined] == ["NoEchoFoundError"]
     assert len(sanitized) == 1 and sanitized[0].confidence < 1.0
+    # The gated paths resubmit both verdicts: the gate rejects clipping
+    # and truncation, and every other capture processes.
+    gated = [_gated_direct(pipeline, c, d) for c, d in zip(captures, direct)]
+    rejected = [o for o in gated if isinstance(o, FailedRecording)]
+    assert [o.error_type for o in rejected] == ["QualityRejectedError"] * 2

@@ -3,8 +3,8 @@
 Mirror of ``tests/obs/test_canonical_names.py`` for the serving layer:
 one shared registry (plus a tracer) is driven through the scenarios
 that produce each serve counter, histogram, and span family — happy
-path, fast-reject, every rejection reason, crashed batches, and
-shutdown — then the registry
+path, fast-reject and its resubmission, every rejection reason, crashed
+batches, and shutdown — then the registry
 is checked against ``SERVE_CANONICAL_COUNTERS`` /
 ``SERVE_CANONICAL_HISTOGRAMS`` so the documented vocabulary cannot
 drift from what the service actually emits.
@@ -56,7 +56,7 @@ def exercised(serve_recordings, silent_recording):
 
         executor = BatchExecutor(EarSonarPipeline(), metrics=metrics)
 
-        # Scenario 1: happy path + fast reject.
+        # Scenario 1: happy path + fast reject, resubmitted.
         service = ScreeningService(
             executor,
             clock=clock,
@@ -77,6 +77,11 @@ def exercised(serve_recordings, silent_recording):
             ScreeningRequest("silent", "clinic", silent_recording)
         )
         assert fast.batch == -1
+        # The resubmission is answered from the gate's memo.
+        again = await service.submit(
+            ScreeningRequest("silent-again", "clinic", silent_recording)
+        )
+        assert again.batch == -1
         await service.stop()
 
         # Scenario 2: rate-limit and hard queue-cap rejections.

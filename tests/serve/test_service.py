@@ -9,12 +9,15 @@ holds on exact virtual timestamps.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.errors import AdmissionRejected, ServiceStoppedError
 from repro.obs import names as obs_names
-from repro.quality import QualityConfig
+from repro.quality import QualityConfig, assess_recording
+from repro.runtime.cache import recording_key
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
@@ -47,6 +50,19 @@ async def drive(clock, tasks, step=0.01):
         lambda: all(task.done() for task in tasks), step=step
     )
     return tasks
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Recordings the service's quality gate ran on."""
+    calls = []
+
+    def counting(recording, *args, **kwargs):
+        calls.append(recording)
+        return assess_recording(recording, *args, **kwargs)
+
+    monkeypatch.setattr("repro.serve.service.assess_recording", counting)
+    return calls
 
 
 class TestHappyPath:
@@ -347,6 +363,106 @@ class TestFastReject:
         response = run(scenario())
         assert response.ok
         assert response.batch >= 0
+
+    def resubmit(self, executor, recordings, *, mutate=None, **kwargs):
+        """Answer ``recordings`` in turn, each after the previous answer;
+        ``mutate(i)`` runs before the ``i``-th submission."""
+
+        async def scenario():
+            clock = VirtualClock()
+            service = make_service(
+                executor, clock, fast_reject=QualityConfig(), **kwargs
+            )
+            await service.start()
+            responses = []
+            for i, recording in enumerate(recordings):
+                if mutate is not None:
+                    mutate(i)
+                task = asyncio.ensure_future(
+                    service.submit(ScreeningRequest(f"r{i}", "clinic", recording))
+                )
+                await drive(clock, [task])
+                responses.append(task.result())
+            await service.stop()
+            return responses, service
+
+        return run(scenario())
+
+    def test_clean_resubmission_is_gated_once(
+        self, executor, serve_recordings, gate_calls
+    ):
+        capture = serve_recordings[0]
+        # The real executor, so both answers come from the pipeline.
+        (first, second), service = self.resubmit(
+            executor, [capture, capture], runner=None
+        )
+        assert len(gate_calls) == 1
+        assert first.ok and second.ok
+        np.testing.assert_equal(
+            dataclasses.asdict(second.outcome), dataclasses.asdict(first.outcome)
+        )
+        assert service.metrics.counter(obs_names.METRIC_SERVE_GATE_MEMO_HITS) == 1
+
+    def test_rejected_resubmission_is_gated_once(
+        self, executor, silent_recording, gate_calls
+    ):
+        (first, second), service = self.resubmit(
+            executor, [silent_recording, silent_recording]
+        )
+        assert len(gate_calls) == 1
+        for response in (first, second):
+            assert response.batch == -1
+            assert response.outcome.error_type == "QualityRejectedError"
+        assert second.outcome == first.outcome
+        metrics = service.metrics
+        assert metrics.counter(obs_names.METRIC_SERVE_FAST_REJECTED) == 2
+        assert metrics.counter(obs_names.METRIC_SERVE_GATE_MEMO_HITS) == 1
+
+    def test_relabelled_duration_is_gated_again(
+        self, executor, serve_recordings, gate_calls
+    ):
+        capture = serve_recordings[0]
+        relabelled = dataclasses.replace(
+            capture, config=dataclasses.replace(capture.config, duration_s=1.0)
+        )
+        # Same content, so only the expected duration tells them apart.
+        assert recording_key(relabelled, "") == recording_key(capture, "")
+        (first, second), service = self.resubmit(executor, [capture, relabelled])
+        assert len(gate_calls) == 2
+        assert first.ok
+        assert second.batch == -1
+        assert second.outcome.message.endswith("truncated")
+        assert service.metrics.counter(obs_names.METRIC_SERVE_GATE_MEMO_HITS) == 0
+
+    def test_waveform_changed_in_place_is_gated_again(
+        self, executor, serve_recordings, gate_calls
+    ):
+        template = serve_recordings[0]
+        capture = dataclasses.replace(template, waveform=template.waveform.copy())
+
+        def zero_second(i):
+            if i == 1:
+                capture.waveform[:] = 0.0
+
+        (first, second), service = self.resubmit(
+            executor, [capture, capture], mutate=zero_second
+        )
+        assert len(gate_calls) == 2
+        assert first.ok
+        assert second.batch == -1
+        assert "no_signal" in second.outcome.message
+        assert service.metrics.counter(obs_names.METRIC_SERVE_GATE_MEMO_HITS) == 0
+
+    def test_least_recently_used_verdict_is_evicted_at_the_bound(
+        self, executor, serve_recordings, gate_calls, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.service.GATE_MEMO_CAPACITY", 2)
+        a, b, c = serve_recordings[:3]
+        _, service = self.resubmit(executor, [a, b, c, a, c])
+        # ``c`` evicted ``a``, which is gated again; ``c`` is still held.
+        assert list(map(id, gate_calls)) == list(map(id, [a, b, c, a]))
+        assert len(service._gate_memo) == 2
+        assert service.metrics.counter(obs_names.METRIC_SERVE_GATE_MEMO_HITS) == 1
 
 
 class TestLifecycle:
