@@ -96,8 +96,8 @@ class MultipathChannel:
             raise ConfigurationError(f"sample_rate must be positive, got {sample_rate}")
         if not self.paths:
             return np.zeros_like(signal)
-        max_delay = max(p.delay_s for p in self.paths)
-        pad = extra_samples if extra_samples is not None else int(np.ceil(max_delay * sample_rate)) + 1
+        longest_delay = max(p.delay_s for p in self.paths)
+        pad = extra_samples if extra_samples is not None else int(np.ceil(longest_delay * sample_rate)) + 1
         n = signal.size + pad
         nfft = 1 << (max(n, 2) - 1).bit_length()
         freqs = np.fft.rfftfreq(nfft, d=1.0 / sample_rate)

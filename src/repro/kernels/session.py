@@ -94,8 +94,8 @@ def synthesize_train(
     # jittered delay; group chirps sharing a pad so each group repeats
     # the serial arithmetic exactly (one group in practice — the jitter
     # is microseconds).
-    max_delay = delays.max(axis=1)
-    pads = (np.ceil(max_delay * fs).astype(int) + 1).astype(int)
+    longest_delay = delays.max(axis=1)
+    pads = (np.ceil(longest_delay * fs).astype(int) + 1).astype(int)
     for pad in np.unique(pads):
         rows = np.flatnonzero(pads == pad)
         n = pulse.size + int(pad)

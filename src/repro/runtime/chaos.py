@@ -12,7 +12,9 @@ Injection is honored only on the executor's pool path.  A crash or a
 hang in the serial path would take down (or freeze) the caller's own
 process, which is the opposite of what a chaos harness wants; the pool
 path is also where the recovery machinery under test — deadlines,
-chunk quarantine, pool replacement — actually lives.
+chunk quarantine, pool replacement — actually lives.  So a
+multi-worker executor holding an injector dispatches to its pool even
+a run with a single cache miss.
 """
 
 from __future__ import annotations

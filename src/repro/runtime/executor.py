@@ -404,6 +404,10 @@ class BatchExecutor:
             # fork children; degrade gracefully instead of crashing.
             self.metrics.increment(obs_names.METRIC_SERIAL_FALLBACK)
             return 1
+        if self.fault_injector is not None:
+            # Injection arms only on the pool, so a chaos run takes it
+            # even for a lone miss.
+            return self.workers
         return min(self.workers, num_misses)
 
     def _record_outcome(

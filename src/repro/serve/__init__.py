@@ -6,12 +6,12 @@ multi-tenant ingestion service:
 
 - :mod:`~repro.serve.clock` — the injectable time source
   (:class:`MonotonicClock` in production, :class:`VirtualClock` in
-  tests) behind every deadline and latency measurement;
+  tests) behind every wait and latency measurement;
 - :mod:`~repro.serve.queue` — bounded admission with typed
   backpressure (:class:`~repro.errors.AdmissionRejected`);
 - :mod:`~repro.serve.limiter` — per-tenant token buckets and a
   round-robin ring of tenant lanes;
-- :mod:`~repro.serve.batcher` — deadline/size micro-batching;
+- :mod:`~repro.serve.batcher` — work-conserving, size-capped micro-batching;
 - :mod:`~repro.serve.service` — :class:`ScreeningService`, tying the
   above together;
 - ``python -m repro.serve`` — a JSONL serving front end and a seeded

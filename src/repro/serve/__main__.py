@@ -26,9 +26,13 @@ The load generator runs on a :class:`~repro.serve.clock.VirtualClock`
 by default — the full arrival schedule, batching, backpressure, and
 fairness play out deterministically in simulated time, so CI soak runs
 are reproducible and fast; ``--real-clock`` switches to wall time for
-measuring actual service latencies.  Recordings are synthesized from
-the seeded simulation layer; every stochastic choice flows from
-``--seed``.
+measuring actual service latencies.  On the virtual clock each batch
+is charged a modelled compute cost (:func:`_modeled_runner`), so
+virtual latencies include the DSP a batch would take.  Recordings are
+synthesized from the seeded simulation layer; every stochastic choice
+flows from ``--seed``.  A non-finite or non-positive ``--rate``, or a
+``--requests``, ``--pool`` or ``--tenants`` below 1, is refused with a
+:class:`~repro.errors.ConfigurationError` before the service is built.
 
 The report counts every request exactly once: ``responded`` (answered
 with a screening outcome, processed or quarantined), ``rejected``
@@ -43,6 +47,7 @@ import asyncio
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -50,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.pipeline import EarSonarPipeline
-from ..errors import AdmissionRejected, EarSonarError, ServiceError
+from ..errors import AdmissionRejected, ConfigurationError, EarSonarError, ServiceError
 from ..obs import names as obs_names
 from ..obs.health import (
     DEFAULT_SERIES,
@@ -62,7 +67,7 @@ from ..obs.health import (
 from ..quality import QualityConfig
 from ..runtime.cache import FeatureCache
 from ..runtime.chaos import FaultInjector
-from ..runtime.executor import BatchExecutor
+from ..runtime.executor import BatchExecutor, BatchResult
 from ..runtime.metrics import RuntimeMetrics
 from ..simulation.participant import sample_participant
 from ..simulation.session import Recording, SessionConfig, record_session
@@ -70,7 +75,15 @@ from .batcher import BatchPolicy
 from .clock import Clock, MonotonicClock, VirtualClock
 from .limiter import TenancyConfig, TenantPolicy
 from .queue import AdmissionPolicy, ScreeningRequest
-from .service import ScreeningResponse, ScreeningService
+from .service import BatchRunner, ScreeningResponse, ScreeningService
+
+#: Modelled cost of one batch on the virtual clock:
+#: ``VIRTUAL_BATCH_FIXED_S + VIRTUAL_CAPTURE_S * ceil(n / workers)``.
+#: Least squares over open-pool batch timings of the load generator's
+#: 0.1 s captures (1, 2, 4 and 8 captures on 1 and 2 workers, 2-vCPU
+#: host) read 3.0–8.2 ms fixed and 5.4–5.6 ms per capture.
+VIRTUAL_BATCH_FIXED_S = 0.005
+VIRTUAL_CAPTURE_S = 0.0055
 
 
 def _synthesize(
@@ -127,6 +140,25 @@ def _build_health(
     return monitor, sink
 
 
+def _modeled_runner(executor: BatchExecutor, clock: VirtualClock) -> BatchRunner:
+    """``executor.run``, then a :meth:`VirtualClock.tick` of the batch's
+    modelled cost, so virtual latencies carry compute time.
+
+    The cost depends only on the batch size and the worker count, never
+    on wall time, so a virtual-clock soak stays a pure function of its
+    seed.
+    """
+
+    def run(recordings: list[Recording]) -> BatchResult:
+        try:
+            return executor.run(recordings)
+        finally:
+            rounds = math.ceil(len(recordings) / executor.workers)
+            clock.tick(VIRTUAL_BATCH_FIXED_S + VIRTUAL_CAPTURE_S * rounds)
+
+    return run
+
+
 def _build_service(
     args: argparse.Namespace,
     clock: Clock,
@@ -157,11 +189,13 @@ def _build_service(
         clock=clock,
         admission=AdmissionPolicy(max_queue_depth=args.max_queue_depth),
         tenancy=tenancy,
-        batching=BatchPolicy(
-            max_batch_size=args.max_batch_size,
-            max_delay_s=args.max_delay_ms / 1e3,
-        ),
+        batching=BatchPolicy(max_batch_size=args.max_batch_size),
         fast_reject=QualityConfig() if args.fast_reject else None,
+        runner=(
+            _modeled_runner(executor, clock)
+            if isinstance(clock, VirtualClock)
+            else None
+        ),
         health_interval_s=args.health_interval_s,
         health_sink=health_sink,
     )
@@ -294,6 +328,12 @@ async def _serve_watch(service: ScreeningService, args: argparse.Namespace) -> i
 
 
 async def _run_loadgen(args: argparse.Namespace) -> dict:
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        raise ConfigurationError(f"--rate must be positive and finite, got {args.rate}")
+    for flag, count in (("--requests", args.requests), ("--pool", args.pool),
+                        ("--tenants", args.tenants)):
+        if count < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {count}")
     clock: Clock = MonotonicClock() if args.real_clock else VirtualClock()
     health, file_sink = _build_health(args, clock)
     snapshots_written = 0
@@ -367,7 +407,7 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
         tasks = [asyncio.ensure_future(one(i)) for i in range(args.requests)]
         if isinstance(clock, VirtualClock):
             horizon = offsets[-1] + 60.0
-            step = max(args.max_delay_ms / 1e3, 1.0 / args.rate)
+            step = 1.0 / args.rate
             await clock.advance_until(
                 lambda: all(task.done() for task in tasks),
                 step=step,
@@ -430,12 +470,6 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--workers", type=int, default=1, help="worker processes")
         cmd.add_argument(
             "--max-batch-size", type=int, default=8, help="micro-batch size cap"
-        )
-        cmd.add_argument(
-            "--max-delay-ms",
-            type=float,
-            default=50.0,
-            help="micro-batch coalescing deadline",
         )
         cmd.add_argument(
             "--max-queue-depth", type=int, default=256, help="admission queue cap"

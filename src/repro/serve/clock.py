@@ -1,13 +1,12 @@
 """Deterministic time: the single clock boundary of :mod:`repro.serve`.
 
-Everything time-shaped in the online service — batching deadlines,
-token-bucket refill, admission retry-after estimates, latency
-measurement — flows through one :class:`Clock` object, never through
-``time``/``asyncio`` directly.  That buys the property the whole
-serving test suite is built on: with a :class:`VirtualClock` the entire
-service (queues, batcher, limiter, controller) is simulatable — a
-thousand seconds of traffic run in milliseconds of wall time, in a
-deterministic order, with no real sleeps anywhere.
+Everything time-shaped in the online service — token-bucket refill,
+admission retry-after estimates, latency measurement — flows through
+one :class:`Clock` object, never through ``time``/``asyncio`` directly.
+That buys the property the whole serving test suite is built on: with
+a :class:`VirtualClock` the entire service (queues, batcher, limiter)
+is simulatable — a thousand seconds of traffic run in milliseconds of
+wall time, in a deterministic order, with no real sleeps anywhere.
 
 This module is the *only* place in the package allowed to touch
 ``time.monotonic`` / ``asyncio.sleep`` (the QA001 lint extension
@@ -136,7 +135,9 @@ class VirtualClock:
         Sleepers are woken one deadline at a time with a :meth:`settle`
         between wakes, so a task woken mid-window can schedule an
         earlier follow-up sleep and still be honoured within this same
-        ``advance`` call.
+        ``advance`` call.  When a task meanwhile :meth:`tick`-s past the
+        target (a batch runner charging its modelled cost), time stays
+        where the tick left it: the clock never moves backwards.
         """
         if dt < 0:
             raise ValueError(f"cannot move time backwards (dt={dt})")
@@ -148,7 +149,7 @@ class VirtualClock:
             if not future.done():
                 future.set_result(None)
             await self.settle()
-        self._now = target
+        self._now = max(self._now, target)
         await self.settle()
 
     async def advance_until(

@@ -15,9 +15,10 @@ batch runtime.  A caller submits one
    (tenant token bucket, then queue depth), raising a typed
    :class:`~repro.errors.AdmissionRejected` with an honest retry-after;
    a refusal after the rate gate refunds the tenant's token;
-3. **coalesces** admitted requests into micro-batches
+3. **batches** whatever is queued whenever the dispatch loop is free
    (:class:`~repro.serve.batcher.MicroBatcher` over the round-robin
-   :class:`~repro.serve.limiter.TenantScheduler`);
+   :class:`~repro.serve.limiter.TenantScheduler`): requests that arrive
+   while a batch runs leave together as the next batch;
 4. **dispatches** each micro-batch through the shared
    :class:`~repro.runtime.executor.BatchExecutor` — the *same* runtime
    the offline path uses, so a served feature vector is bit-identical
@@ -26,7 +27,7 @@ batch runtime.  A caller submits one
    so every micro-batch runs on one pool of warm workers.
 
 Every timed decision reads the injected :class:`~repro.serve.clock.Clock`,
-so the whole service — backpressure, fairness, deadlines — runs
+so the whole service — backpressure, fairness, latency — runs
 unmodified and deterministically under
 :class:`~repro.serve.clock.VirtualClock` in tests.
 
@@ -138,8 +139,9 @@ class ScreeningResponse:
 
 
 #: A batch runner: recordings in, per-recording outcomes out.  Defaults
-#: to the shared executor's ``run``; tests substitute stubs that tick a
-#: virtual clock to model batch cost.
+#: to the shared executor's ``run``; tests and the virtual-clock load
+#: generator substitute runners that tick a virtual clock to model batch
+#: cost.
 BatchRunner = Callable[[list[Recording]], BatchResult]
 
 
@@ -158,7 +160,7 @@ class ScreeningService:
         Defaults to :class:`MonotonicClock`; tests pass
         :class:`~repro.serve.clock.VirtualClock`.
     admission / tenancy / batching:
-        Backpressure, fairness, and coalescing policies (defaults are
+        Backpressure, fairness, and batch-size policies (defaults are
         reasonable for tests; real deployments should size
         ``max_queue_depth`` and tenant buckets deliberately).
     fast_reject:
@@ -206,7 +208,7 @@ class ScreeningService:
         self.scheduler: TenantScheduler[PendingRequest] = TenantScheduler(
             tenancy or TenancyConfig(), self.clock
         )
-        self.batcher = MicroBatcher(self.scheduler, self.batch_policy, self.clock)
+        self.batcher = MicroBatcher(self.scheduler, self.batch_policy)
         self._fast_reject = fast_reject
         # The gate's inputs besides the capture are fixed for the
         # service's life, so their fingerprints are taken once.
@@ -220,7 +222,6 @@ class ScreeningService:
         self._runner: BatchRunner = runner if runner is not None else executor.run
         self._dispatch_task: asyncio.Task | None = None
         self._running = False
-        self._abandoned = False
         self._batch_seq = 0
         self.health_interval_s = health_interval_s
         self.health_sink = health_sink
@@ -257,8 +258,7 @@ class ScreeningService:
         if self._running:
             return
         if self.batcher.closed:
-            self.batcher = MicroBatcher(self.scheduler, self.batch_policy, self.clock)
-        self._abandoned = False
+            self.batcher = MicroBatcher(self.scheduler, self.batch_policy)
         self._running = True
         self.executor.open()
         self._dispatch_task = asyncio.ensure_future(self._dispatch_loop())
@@ -277,10 +277,8 @@ class ScreeningService:
             return
         self._running = False
         if not drain:
-            # Cover both queued requests and any the batcher has
-            # already pulled into a partial batch: the abandoned flag
-            # makes the dispatch loop fail those instead of running.
-            self._abandoned = True
+            # The batcher never holds requests across a suspension, so
+            # everything undispatched is still in the scheduler.
             for pending in self.scheduler.drain():
                 if not pending.future.done():
                     pending.future.set_exception(
@@ -485,19 +483,8 @@ class ScreeningService:
 
     async def _dispatch_loop(self) -> None:
         """Pull micro-batches until the batcher closes and drains."""
-        while True:
-            batch = await self.batcher.collect()
-            if batch is None:
-                return
-            if self._abandoned:
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            ServiceStoppedError("service stopped before dispatch")
-                        )
-                continue
-            if batch:
-                self._dispatch(batch)
+        while (batch := await self.batcher.collect()) is not None:
+            self._dispatch(batch)
 
     def _dispatch(self, batch: list[PendingRequest]) -> None:
         """Run one micro-batch and resolve its futures."""

@@ -48,6 +48,19 @@ class TestInjectedError:
         )
         assert executor.metrics.counter("executor.worker_failures") == 1
 
+    def test_a_lone_miss_still_takes_the_pool_and_trips(self, pipeline, chaos_batch):
+        # One miss would run in-process, where injection never arms.
+        with BatchExecutor(
+            pipeline,
+            workers=2,
+            fault_injector=FaultInjector(mode="error", indices=(0,)),
+        ) as executor:
+            result = executor.run(chaos_batch[:1])
+
+        assert isinstance(result.outcomes[0], FailedRecording)
+        assert result.outcomes[0].error_type == "InjectedFaultError"
+        assert executor.metrics.counter("chunks.dispatched") == 1
+
     def test_injection_is_deterministic(self, pipeline, chaos_batch):
         def run_once():
             executor = BatchExecutor(

@@ -141,7 +141,7 @@ class TestServiceLifetime:
             service = ScreeningService(
                 executor,
                 clock=clock,
-                batching=BatchPolicy(max_batch_size=4, max_delay_s=0.01),
+                batching=BatchPolicy(max_batch_size=4),
             )
             await service.start()
             tasks = [

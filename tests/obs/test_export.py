@@ -72,7 +72,7 @@ def served_tenants(obs_pipeline, obs_recordings):
         service = ScreeningService(
             BatchExecutor(obs_pipeline, metrics=metrics),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=len(AWKWARD_TENANTS), max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=len(AWKWARD_TENANTS)),
         )
         await service.start()
         tasks = [

@@ -160,7 +160,7 @@ def _serve(pipeline, captures, tmp_path):
         service = ScreeningService(
             BatchExecutor(pipeline),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=2),
         )
         await service.start()
         tasks = [
@@ -185,7 +185,7 @@ def _serve_singles(pipeline, captures, tmp_path):
         service = ScreeningService(
             BatchExecutor(pipeline),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=1, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=1),
         )
         await service.start()
         tasks = [
@@ -213,7 +213,7 @@ def _serve_pool(pipeline, captures, tmp_path):
         service = ScreeningService(
             BatchExecutor(pipeline, workers=2, metrics=metrics),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=2),
         )
         await service.start()
         tasks = [
@@ -275,7 +275,7 @@ def _serve_gated(pipeline, captures, workers):
         service = ScreeningService(
             BatchExecutor(pipeline, workers=workers, metrics=metrics),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=2),
             fast_reject=GATE,
         )
         await service.start()

@@ -1,9 +1,8 @@
-"""Micro-batching: size-triggered, deadline-triggered, drain on close."""
+"""Micro-batching: whatever is queued leaves at once, size-capped; drain on close."""
 
 from __future__ import annotations
 
 import asyncio
-import math
 
 import pytest
 
@@ -17,29 +16,21 @@ from .conftest import run
 def make_batcher(clock, **policy_kwargs):
     scheduler = TenantScheduler(TenancyConfig(), clock)
     policy = BatchPolicy(**policy_kwargs)
-    return MicroBatcher(scheduler, policy, clock), scheduler
+    return MicroBatcher(scheduler, policy), scheduler
 
 
 class TestBatchPolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BatchPolicy(max_batch_size=0)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(max_delay_s=-0.01)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(max_delay_s=math.nan)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(max_delay_s=math.inf)
-        assert BatchPolicy(max_delay_s=0.0).max_delay_s == 0.0
+        assert BatchPolicy(max_batch_size=1).max_batch_size == 1
 
 
 class TestMicroBatcher:
     def test_full_batch_dispatches_without_waiting(self):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(
-                clock, max_batch_size=3, max_delay_s=10.0
-            )
+            batcher, scheduler = make_batcher(clock, max_batch_size=3)
             for i in range(3):
                 scheduler.enqueue("t", i)
             batcher.notify()
@@ -51,50 +42,43 @@ class TestMicroBatcher:
         assert batch == [0, 1, 2]
         assert now == 0.0
 
-    def test_partial_batch_waits_out_the_deadline(self):
+    def test_lone_request_leaves_at_once(self):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(
-                clock, max_batch_size=8, max_delay_s=0.05
-            )
+            batcher, scheduler = make_batcher(clock, max_batch_size=8)
             scheduler.enqueue("t", "only")
             batcher.notify()
-            task = asyncio.ensure_future(batcher.collect())
-            await clock.advance(0.01)
-            assert not task.done()  # deadline not yet reached
-            await clock.advance(0.05)
-            return task.result(), clock.now()
+            # No clock advance: a partial batch waits for nobody.
+            batch = await batcher.collect()
+            return batch, clock.now()
 
         batch, now = run(scenario())
         assert batch == ["only"]
-        assert now == pytest.approx(0.06)
+        assert now == 0.0
 
-    def test_late_arrivals_join_until_size_cap(self):
+    def test_takes_everything_queued_up_to_the_size_cap(self):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(
-                clock, max_batch_size=2, max_delay_s=1.0
-            )
-            scheduler.enqueue("t", "first")
+            batcher, scheduler = make_batcher(clock, max_batch_size=2)
+            for item in ("first", "second", "third"):
+                scheduler.enqueue("t", item)
             batcher.notify()
-            task = asyncio.ensure_future(batcher.collect())
-            await clock.advance(0.1)
-            assert not task.done()
-            scheduler.enqueue("t", "second")
+            full = await batcher.collect()
+            rest = await batcher.collect()
+            # Work queued after a collect returned forms the next batch.
+            scheduler.enqueue("t", "late")
             batcher.notify()
-            await clock.settle()
-            return task.result(), clock.now()
+            late = await batcher.collect()
+            return full, rest, late, clock.now()
 
-        batch, now = run(scenario())
-        assert batch == ["first", "second"]
-        assert now == pytest.approx(0.1)  # size cap fired, not deadline
+        full, rest, late, now = run(scenario())
+        assert (full, rest, late) == (["first", "second"], ["third"], ["late"])
+        assert now == 0.0
 
     def test_collect_blocks_until_work_arrives(self):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(
-                clock, max_batch_size=1, max_delay_s=0.05
-            )
+            batcher, scheduler = make_batcher(clock, max_batch_size=1)
             task = asyncio.ensure_future(batcher.collect())
             await clock.advance(5.0)  # plenty of empty time
             assert not task.done()
@@ -108,9 +92,7 @@ class TestMicroBatcher:
     def test_close_drains_partial_then_returns_none(self):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(
-                clock, max_batch_size=8, max_delay_s=60.0
-            )
+            batcher, scheduler = make_batcher(clock, max_batch_size=8)
             scheduler.enqueue("t", "queued")
             batcher.notify()
             batcher.close()
@@ -126,7 +108,7 @@ class TestMicroBatcher:
     def test_close_wakes_a_blocked_collect(self):
         async def scenario():
             clock = VirtualClock()
-            batcher, _ = make_batcher(clock, max_batch_size=4, max_delay_s=0.05)
+            batcher, _ = make_batcher(clock, max_batch_size=4)
             task = asyncio.ensure_future(batcher.collect())
             await clock.settle()
             batcher.close()

@@ -60,7 +60,7 @@ def exercised(serve_recordings, silent_recording):
         service = ScreeningService(
             executor,
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=2),
             fast_reject=QualityConfig(),
             runner=ticking_runner(clock, 0.4),
         )
@@ -89,7 +89,7 @@ def exercised(serve_recordings, silent_recording):
             executor,
             clock=clock,
             admission=AdmissionPolicy(max_queue_depth=1),
-            batching=BatchPolicy(max_batch_size=1, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=1),
             tenancy=TenancyConfig(
                 overrides={"hot": TenantPolicy(rate_per_s=1.0, burst=1.0)}
             ),
@@ -119,7 +119,7 @@ def exercised(serve_recordings, silent_recording):
         crashy = ScreeningService(
             executor,
             clock=clock,
-            batching=BatchPolicy(max_batch_size=1, max_delay_s=0.01),
+            batching=BatchPolicy(max_batch_size=1),
             runner=exploding,
         )
         await crashy.start()

@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.obs.__main__ import main as obs_main
 from repro.serve.__main__ import main
 
 #: Specs that parse as JSON but are not a screenable request.
@@ -123,6 +125,52 @@ class TestLoadgen:
             ]
         )
         assert exit_code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rate", "0"),
+            ("--rate", "-5"),
+            ("--rate", "nan"),
+            ("--rate", "inf"),
+            ("--requests", "0"),
+            ("--pool", "0"),
+            ("--tenants", "0"),
+        ],
+    )
+    def test_bad_traffic_flag_is_refused_before_any_request(
+        self, tmp_path, flag, value
+    ):
+        report_path = tmp_path / "refused.json"
+        with pytest.raises(ConfigurationError, match=flag):
+            main(["loadgen", flag, value, "--report", str(report_path)])
+        assert not report_path.exists()
+
+    def test_virtual_latency_charges_modeled_compute(self, tmp_path):
+        # The CI health-gate's tight soak in small: with a 1 ms latency
+        # SLO the page must fire, which needs virtual latencies above
+        # zero, i.e. batches that charge their modelled compute.
+        report_path = tmp_path / "tight.json"
+        health_path = tmp_path / "tight.jsonl"
+        exit_code = main(
+            [
+                "loadgen",
+                "--requests", "16",
+                "--workers", "1",
+                "--rate", "100",
+                "--seed", "2023",
+                "--pool", "2",
+                "--duration", "0.05",
+                "--health-interval-s", "1",
+                "--slo-latency-ms", "1",
+                "--health-out", str(health_path),
+                "--report", str(report_path),
+            ]
+        )
+        assert exit_code == 0
+        report = json.loads(report_path.read_text())
+        assert report["latency_ms"]["p50"] > 0.0
+        assert obs_main(["health", str(health_path), "--fail-on-fired"]) == 3
 
 
 class TestServeStdin:

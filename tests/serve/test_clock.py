@@ -79,6 +79,21 @@ class TestVirtualClock:
 
         assert run(scenario()) == pytest.approx([0.1, 0.2, 0.3])
 
+    def test_tick_past_the_target_is_not_undone(self):
+        async def scenario():
+            clock = VirtualClock()
+
+            async def batch():
+                await clock.sleep(0.005)
+                clock.tick(0.02)  # a batch runner charging its cost
+
+            task = asyncio.ensure_future(batch())
+            await clock.advance(0.01)
+            assert task.done()
+            return clock.now()
+
+        assert run(scenario()) == pytest.approx(0.025)
+
     def test_advance_until_returns_first_holding_time(self):
         async def scenario():
             clock = VirtualClock()

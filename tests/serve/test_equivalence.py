@@ -49,7 +49,7 @@ class TestResultEquivalence:
             service = ScreeningService(
                 fresh_executor(),
                 clock=clock,
-                batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+                batching=BatchPolicy(max_batch_size=2),
             )
             return await serve_all(service, clock, serve_recordings)
 
@@ -80,7 +80,7 @@ class TestResultEquivalence:
                 service = ScreeningService(
                     fresh_executor(cache=cache),
                     clock=clock,
-                    batching=BatchPolicy(max_batch_size=3, max_delay_s=0.01),
+                    batching=BatchPolicy(max_batch_size=3),
                 )
                 responses = await serve_all(service, clock, serve_recordings)
                 return responses, service.metrics

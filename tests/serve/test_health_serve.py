@@ -65,7 +65,7 @@ def make_monitor(clock: VirtualClock, *, latency_threshold_ms: float) -> HealthM
 
 
 def make_service(executor, clock, **kwargs) -> ScreeningService:
-    kwargs.setdefault("batching", BatchPolicy(max_batch_size=4, max_delay_s=0.05))
+    kwargs.setdefault("batching", BatchPolicy(max_batch_size=4))
     kwargs.setdefault("runner", ticking_runner(clock, 0.02))
     return ScreeningService(executor, clock=clock, **kwargs)
 

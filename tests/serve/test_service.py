@@ -32,9 +32,7 @@ from .conftest import run, ticking_runner
 
 
 def make_service(executor, clock, **kwargs) -> ScreeningService:
-    kwargs.setdefault(
-        "batching", BatchPolicy(max_batch_size=4, max_delay_s=0.05)
-    )
+    kwargs.setdefault("batching", BatchPolicy(max_batch_size=4))
     kwargs.setdefault("runner", ticking_runner(clock, 0.02))
     return ScreeningService(executor, clock=clock, **kwargs)
 
@@ -118,15 +116,13 @@ class TestHappyPath:
         assert metrics.histogram(obs_names.HIST_SERVE_REQUEST_MS).count == 3
         assert metrics.histogram(obs_names.HIST_SERVE_BATCH_MS).count >= 1
 
-    def test_partial_batch_pays_exactly_the_coalescing_deadline(
-        self, executor, serve_recordings
-    ):
+    def test_lone_request_leaves_at_once(self, executor, serve_recordings):
         async def scenario():
             clock = VirtualClock()
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=8, max_delay_s=0.05),
+                batching=BatchPolicy(max_batch_size=8),
                 runner=ticking_runner(clock, 0.0),
             )
             await service.start()
@@ -139,7 +135,43 @@ class TestHappyPath:
             return tasks[0].result()
 
         response = run(scenario())
-        assert response.queue_ms == pytest.approx(50.0)
+        assert response.queue_ms == 0.0
+
+    def test_arrivals_during_a_batch_leave_together_next(
+        self, executor, serve_recordings
+    ):
+        async def scenario():
+            clock = VirtualClock()
+            service = make_service(
+                executor,
+                clock,
+                batching=BatchPolicy(max_batch_size=8),
+                runner=ticking_runner(clock, 0.1),
+            )
+            await service.start()
+
+            async def arrive(delay, request):
+                await clock.sleep(delay)
+                return await service.submit(request)
+
+            # The first request's batch runs from t=0 to t=0.1; the
+            # other three arrive while it runs.
+            tasks = [
+                asyncio.ensure_future(
+                    arrive(delay, ScreeningRequest(f"r{i}", "clinic", recording))
+                )
+                for i, (delay, recording) in enumerate(
+                    zip((0.0, 0.03, 0.05, 0.07), serve_recordings)
+                )
+            ]
+            await drive(clock, tasks)
+            await service.stop()
+            return [task.result() for task in tasks]
+
+        first, *rest = run(scenario())
+        assert first.batch == 0
+        assert [r.batch for r in rest] == [1, 1, 1]
+        assert all(r.batch_ms == pytest.approx(100.0) for r in rest)
 
 
 class TestBackpressure:
@@ -152,7 +184,7 @@ class TestBackpressure:
                 executor,
                 clock,
                 admission=AdmissionPolicy(max_queue_depth=2),
-                batching=BatchPolicy(max_batch_size=2, max_delay_s=0.05),
+                batching=BatchPolicy(max_batch_size=2),
             )
             await service.start()
             requests = [
@@ -290,7 +322,7 @@ class TestTenantFairness:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=2, max_delay_s=0.05),
+                batching=BatchPolicy(max_batch_size=2),
             )
             await service.start()
             # 8 hot requests enqueue first, then 2 light ones.
@@ -484,60 +516,61 @@ class TestLifecycle:
         metrics = run(scenario())
         assert metrics.counter(obs_names.METRIC_SERVE_REJECTED_SHUTDOWN) == 2
 
+    @staticmethod
+    async def queue_then_stop(service, recordings, *, drain):
+        """Queue one request per recording and stop before any is dispatched."""
+        await service.start()
+        tasks = submit_all(
+            service,
+            [
+                ScreeningRequest(f"r{i}", "clinic", recording)
+                for i, recording in enumerate(recordings)
+            ],
+        )
+        # One yield runs every submission, and each enqueues; the
+        # dispatch loop wakes only after this coroutine's next step.
+        await asyncio.sleep(0)
+        queued = service.queue_depth
+        await service.stop(drain=drain)
+        return tasks, queued
+
     def test_drain_stop_answers_all_queued_work(
         self, executor, serve_recordings
     ):
         async def scenario():
             clock = VirtualClock()
             service = make_service(
-                executor,
-                clock,
-                batching=BatchPolicy(max_batch_size=2, max_delay_s=10.0),
+                executor, clock, batching=BatchPolicy(max_batch_size=2)
             )
-            await service.start()
-            tasks = submit_all(
-                service,
-                [
-                    ScreeningRequest(f"r{i}", "clinic", serve_recordings[0])
-                    for i in range(5)
-                ],
+            tasks, queued = await self.queue_then_stop(
+                service, serve_recordings[:5], drain=True
             )
-            await clock.settle()
-            # Stop with a huge coalescing deadline outstanding: drain
-            # must flush the partial batch immediately, no advance.
-            await service.stop(drain=True)
-            return tasks
+            # Drain ran every batch with no clock advance.
+            return tasks, queued, service.metrics
 
-        tasks = run(scenario())
+        tasks, queued, metrics = run(scenario())
+        assert queued == 5
         assert all(task.done() and task.exception() is None for task in tasks)
+        assert metrics.counter(obs_names.METRIC_SERVE_BATCHES_DISPATCHED) == 3
 
     def test_abandon_stop_fails_pending_futures(
         self, executor, serve_recordings
     ):
         async def scenario():
             clock = VirtualClock()
-            service = make_service(
-                executor,
-                clock,
-                batching=BatchPolicy(max_batch_size=100, max_delay_s=10.0),
-            )
-            await service.start()
-            tasks = submit_all(
-                service,
-                [
-                    ScreeningRequest(f"r{i}", "clinic", serve_recordings[0])
-                    for i in range(3)
-                ],
+            service = make_service(executor, clock)
+            tasks, queued = await self.queue_then_stop(
+                service, serve_recordings[:3], drain=False
             )
             await clock.settle()
-            await service.stop(drain=False)
-            await clock.settle()
-            return tasks
+            return tasks, queued, service.metrics
 
-        tasks = run(scenario())
+        tasks, queued, metrics = run(scenario())
+        assert queued == 3
         assert all(
             isinstance(task.exception(), ServiceStoppedError) for task in tasks
         )
+        assert metrics.counter(obs_names.METRIC_SERVE_BATCHES_DISPATCHED) == 0
 
     @pytest.mark.parametrize("drain", [True, False])
     def test_restarted_service_answers(self, executor, serve_recordings, drain):
@@ -612,7 +645,7 @@ class TestDispatchFaults:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=2, max_delay_s=0.01),
+                batching=BatchPolicy(max_batch_size=2),
                 runner=flaky_runner,
             )
             await service.start()
