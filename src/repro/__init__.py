@@ -33,7 +33,6 @@ from . import (
     core,
     experiments,
     features,
-    io,
     learning,
     qa,
     runtime,
@@ -116,7 +115,6 @@ __all__ = [
     "core",
     "experiments",
     "features",
-    "io",
     "learning",
     "qa",
     "runtime",

@@ -1,30 +1,17 @@
-"""Acoustic physics substrate: media, impedance, absorption, propagation.
+"""Acoustic physics substrate: media, absorption, ear canal, propagation.
 
-Implements the paper's theoretical model (Sec. II-A): characteristic
-impedance, boundary reflectance, the thickness-impedance layer relation,
-the resonant eardrum absorption dip, ear-canal geometry, and the
-multipath speaker-to-microphone channel.
+Implements the paper's theoretical model (Sec. II-A) as the simulator
+uses it: media and their characteristic impedance, the resonant eardrum
+absorption dip whose depth follows the fluid/air impedance ratio,
+ear-canal geometry, early reflections and the multipath
+speaker-to-microphone channel.
 """
 
 from .absorption import EardrumReflectanceModel, EffusionLoad
 from .ear import CANAL_SOUND_SPEED, EarCanalGeometry, InsertionState, build_ear_channel
-from .impedance import (
-    absorbed_fraction,
-    characteristic_impedance,
-    effusion_reflectance,
-    layer_impedance,
-    reflection_coefficient,
-    transmission_coefficient,
-)
 from .media import AIR, MUCOID_FLUID, PURULENT_FLUID, SEROUS_FLUID, WATER, Medium
 from .propagation import MultipathChannel, PropagationPath
-from .reverb import (
-    ReflectionTap,
-    ReverbConfig,
-    reverb_impulse_response,
-    reverb_paths,
-    reverb_taps,
-)
+from .reverb import ReflectionTap, ReverbConfig, reverb_paths, reverb_taps
 
 __all__ = [
     "EardrumReflectanceModel",
@@ -33,12 +20,6 @@ __all__ = [
     "EarCanalGeometry",
     "InsertionState",
     "build_ear_channel",
-    "absorbed_fraction",
-    "characteristic_impedance",
-    "effusion_reflectance",
-    "layer_impedance",
-    "reflection_coefficient",
-    "transmission_coefficient",
     "AIR",
     "MUCOID_FLUID",
     "PURULENT_FLUID",
@@ -49,7 +30,6 @@ __all__ = [
     "PropagationPath",
     "ReflectionTap",
     "ReverbConfig",
-    "reverb_impulse_response",
     "reverb_paths",
     "reverb_taps",
 ]

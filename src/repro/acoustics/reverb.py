@@ -35,14 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .propagation import MultipathChannel, PropagationPath
+from .propagation import PropagationPath
 
 __all__ = [
     "ReverbConfig",
     "ReflectionTap",
     "reverb_taps",
     "reverb_paths",
-    "reverb_impulse_response",
 ]
 
 
@@ -181,26 +180,3 @@ def reverb_paths(
             )
         )
     ]
-
-
-def reverb_impulse_response(
-    config: ReverbConfig,
-    free_length_m: float,
-    wall_reflectivity: float,
-    sample_rate: float,
-    length: int,
-    *,
-    sound_speed: float,
-) -> np.ndarray:
-    """Discrete impulse response of the reflection comb alone.
-
-    The fingerprint-facing view of the model: tests assert this is
-    bit-reproducible under a fixed config and identically zero when the
-    config is disabled.
-    """
-    paths = reverb_paths(
-        config, free_length_m, wall_reflectivity, sound_speed=sound_speed
-    )
-    if not paths:
-        return np.zeros(length)
-    return MultipathChannel(paths).impulse_response(sample_rate, length)

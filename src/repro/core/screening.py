@@ -19,7 +19,7 @@ from .config import EarSonarConfig
 from .detector import MeeDetector
 from .evaluation import FeatureTable, extract_features
 from .pipeline import EarSonarPipeline
-from .results import ScreeningResult, state_to_index
+from .results import ScreeningResult
 
 __all__ = ["EarSonarScreener"]
 
@@ -96,19 +96,3 @@ class EarSonarScreener:
     def screen_course(self, recordings: list[Recording]) -> list[ScreeningResult]:
         """Screen a chronological series (recovery tracking use case)."""
         return [self.screen(r) for r in recordings]
-
-    def effusion_score(self, recording: Recording) -> float:
-        """Continuous fluid-presence score for ROC-style evaluation.
-
-        Defined as the distance to the CLEAR centre minus the distance
-        to the nearest fluid-state centre: positive values indicate
-        effusion, and larger magnitudes indicate a clearer margin.
-        Thresholding at 0 recovers :attr:`ScreeningResult.has_effusion`.
-        """
-        if not self.is_fitted:
-            raise NotFittedError("EarSonarScreener.effusion_score called before fit")
-        processed = self.pipeline.process(recording)
-        distances = self.detector.decision_distances(processed.features)[0]
-        clear_idx = state_to_index(MeeState.CLEAR)
-        fluid = [d for i, d in enumerate(distances) if i != clear_idx]
-        return float(distances[clear_idx] - min(fluid))

@@ -78,11 +78,15 @@ class SystemResult:
         return values[0] < values[1] < values[2]
 
     def render(self) -> str:
+        ours, paper = self.latencies, PAPER_LATENCIES
         latency_rows = [
-            ["Band-pass Filter", f"{self.latencies.bandpass_ms:.2f}", "1.32"],
-            ["Feature Extract", f"{self.latencies.feature_extract_ms:.2f}", "35.89"],
-            ["Inference", f"{self.latencies.inference_ms:.2f}", "1.20"],
-            ["Total", f"{self.latencies.total_ms:.2f}", "38.41"],
+            [operation, f"{measured:.2f}", f"{reported:.2f}"]
+            for operation, measured, reported in (
+                ("Band-pass Filter", ours.bandpass_ms, paper.bandpass_ms),
+                ("Feature Extract", ours.feature_extract_ms, paper.feature_extract_ms),
+                ("Inference", ours.inference_ms, paper.inference_ms),
+                ("Total", ours.total_ms, paper.total_ms),
+            )
         ]
         latency = format_table(
             ["operation", "measured (ms)", "paper (ms)"],

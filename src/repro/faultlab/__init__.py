@@ -1,4 +1,4 @@
-"""Acquisition-fault laboratory: composable models of capture failure.
+"""Acquisition-fault laboratory: seeded models of capture failure.
 
 Home screening is hostile territory for a precision acoustic
 measurement: earbuds half-out of small ears, clipping microphones,
@@ -35,7 +35,6 @@ from .models import (
     Clipping,
     DCClockDrift,
     DropoutBursts,
-    FaultChain,
     FaultModel,
     NonFiniteCorruption,
     ReverbTailFault,
@@ -57,7 +56,6 @@ __all__ = [
     "NonFiniteCorruption",
     "ReverbTailFault",
     "CalibrationDriftFault",
-    "FaultChain",
     "fault_catalog",
     "apply_to_recording",
 ]

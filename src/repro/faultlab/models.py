@@ -40,7 +40,6 @@ __all__ = [
     "NonFiniteCorruption",
     "ReverbTailFault",
     "CalibrationDriftFault",
-    "FaultChain",
     "fault_catalog",
     "apply_to_recording",
 ]
@@ -434,7 +433,7 @@ class CalibrationDriftFault(FaultModel):
         if out.size == 0 or (self.gain_db == 0.0 and self.tilt_db == 0.0):
             return out
         # Signs are drawn unconditionally so the RNG stream, and hence
-        # any chained fault, is stable across severity settings.
+        # any fault applied after it, is stable across severity settings.
         gain_sign = 1.0 if rng.random() < 0.5 else -1.0
         tilt_sign = 1.0 if rng.random() < 0.5 else -1.0
         freqs = np.fft.rfftfreq(out.size, d=1.0 / sample_rate)
@@ -444,45 +443,6 @@ class CalibrationDriftFault(FaultModel):
         level_db = gain_sign * self.gain_db + tilt_sign * self.tilt_db * shape
         response = 10.0 ** (level_db / 20.0)
         return np.fft.irfft(np.fft.rfft(out) * response, n=out.size)
-
-
-@dataclass(frozen=True)
-class FaultChain(FaultModel):
-    """Sequential composition of fault models (applied left to right).
-
-    Lets studies model compound failures — e.g. a leaking seal *and* a
-    noisy room — while keeping the composite fingerprintable and
-    severity-sweepable as one unit.
-    """
-
-    models: tuple[FaultModel, ...] = ()
-
-    def __post_init__(self) -> None:
-        for model in self.models:
-            if not isinstance(model, FaultModel):
-                raise ConfigurationError(
-                    f"FaultChain members must be FaultModel, got {type(model).__name__}"
-                )
-
-    def apply(
-        self, waveform: np.ndarray, sample_rate: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Apply every member model in order to a copy of ``waveform``."""
-        out = self._as_array(waveform)
-        for model in self.models:
-            out = model.apply(out, sample_rate, rng)
-        return out
-
-    def at_severity(self, severity: float) -> "FaultChain":
-        """Rescale every member model to ``severity``."""
-        if severity < 0.0:
-            raise ConfigurationError(f"severity must be >= 0, got {severity}")
-        return FaultChain(tuple(m.at_severity(severity) for m in self.models))
-
-    @property
-    def name(self) -> str:
-        """Composite name, e.g. ``chain(SealLeak+Clipping)``."""
-        return "chain(" + "+".join(m.name for m in self.models) + ")"
 
 
 def fault_catalog(severity: float = 1.0) -> "dict[str, FaultModel]":

@@ -7,7 +7,6 @@ selection that keeps the 25 most important features.
 
 from .laplacian import LaplacianScoreSelector, laplacian_scores, laplacian_scores_reference
 from .statistics import (
-    STATISTIC_NAMES,
     curve_statistics,
     kurtosis,
     maximum,
@@ -17,13 +16,12 @@ from .statistics import (
     spectral_centroid,
     standard_deviation,
 )
-from .vector import FeatureVectorBuilder, FeatureVectorConfig, feature_names
+from .vector import FeatureVectorBuilder, FeatureVectorConfig
 
 __all__ = [
     "LaplacianScoreSelector",
     "laplacian_scores",
     "laplacian_scores_reference",
-    "STATISTIC_NAMES",
     "curve_statistics",
     "kurtosis",
     "maximum",
@@ -34,5 +32,4 @@ __all__ = [
     "standard_deviation",
     "FeatureVectorBuilder",
     "FeatureVectorConfig",
-    "feature_names",
 ]

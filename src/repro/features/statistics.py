@@ -20,19 +20,7 @@ __all__ = [
     "kurtosis",
     "spectral_centroid",
     "curve_statistics",
-    "STATISTIC_NAMES",
 ]
-
-#: Order of the statistics emitted by :func:`curve_statistics`.
-STATISTIC_NAMES = (
-    "mean",
-    "std",
-    "max",
-    "min",
-    "skewness",
-    "kurtosis",
-    "centroid",
-)
 
 
 def _validated(values: np.ndarray) -> np.ndarray:
@@ -106,7 +94,11 @@ def spectral_centroid(values: np.ndarray, frequencies: np.ndarray | None = None)
 
 
 def curve_statistics(values: np.ndarray, frequencies: np.ndarray | None = None) -> np.ndarray:
-    """The 7 statistics of a spectral curve, in :data:`STATISTIC_NAMES` order."""
+    """The 7 statistics of a spectral curve.
+
+    In order: mean, standard deviation, maximum, minimum, skewness,
+    kurtosis and spectral centroid.
+    """
     arr = _validated(values)
     return np.array(
         [

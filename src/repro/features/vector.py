@@ -28,7 +28,7 @@ from ..obs.tracer import current_tracer
 from ..signal.mfcc import MfccConfig, mfcc
 from .statistics import curve_statistics
 
-__all__ = ["FeatureVectorConfig", "FeatureVectorBuilder", "feature_names"]
+__all__ = ["FeatureVectorConfig", "FeatureVectorBuilder"]
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,6 @@ class FeatureVectorConfig:
     def frequency_grid(self) -> np.ndarray:
         """The uniform band grid the absorption curve lives on."""
         return np.linspace(self.band_low_hz, self.band_high_hz, self.num_curve_bins)
-
-
-def feature_names(config: FeatureVectorConfig) -> list[str]:
-    """Human-readable name of every feature vector element, in order."""
-    grid = config.frequency_grid()
-    names = [f"curve_{f:.0f}Hz" for f in grid]
-    names += [f"stat_{n}" for n in ("mean", "std", "max", "min", "skew", "kurt", "centroid")]
-    names += [f"mfcc{j}_mean" for j in range(config.mfcc.num_coefficients)]
-    names += [f"mfcc{j}_std" for j in range(config.mfcc.num_coefficients)]
-    return names
 
 
 @dataclass

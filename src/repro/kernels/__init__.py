@@ -18,8 +18,8 @@ keeps the serial implementation it replaced in :mod:`repro.signal`,
 :mod:`repro.features` or :mod:`repro.simulation` as its oracle, and the
 golden suite in ``tests/kernels`` holds the pair to a ``<= 1e-10``
 max-abs-diff bound (bit-identical in the common case).  An operation
-that nothing runs in bulk, such as the Welch PSD or the chirp train,
-has one implementation and no kernel.  ``python -m repro.bench`` times
+that nothing runs in bulk has one implementation and no kernel, and
+one that nothing runs at all is deleted.  ``python -m repro.bench`` times
 the pipeline stages built on these kernels (parity, spectrum, rake)
 over a whole capture against their oracle loops.
 

@@ -2,8 +2,8 @@
 
 All components are implemented from scratch (SciPy serves only as a
 test oracle): k-means with k-means++ restarts, the Hungarian algorithm
-for cluster-to-state mapping, outlier strategies, classification
-metrics including FAR/FRR, and group-aware cross-validation splitters.
+for cluster-to-state mapping, the outlier rule, classification
+metrics including FAR, and group-aware cross-validation splitters.
 """
 
 from .crossval import GroupFold, leave_one_group_out, train_fraction_split
@@ -15,11 +15,9 @@ from .metrics import (
     classification_report,
     confusion_matrix,
     false_acceptance_rate,
-    false_rejection_rate,
     normalize_confusion,
 )
-from .outliers import distance_outliers, random_sample_fit, remove_outliers_multiloop
-from .roc import RocCurve, auc, equal_error_rate, roc_curve
+from .outliers import distance_outliers, remove_outliers_multiloop
 from .scaling import StandardScaler
 
 __all__ = [
@@ -37,14 +35,8 @@ __all__ = [
     "classification_report",
     "confusion_matrix",
     "false_acceptance_rate",
-    "false_rejection_rate",
     "normalize_confusion",
-    "RocCurve",
-    "auc",
-    "equal_error_rate",
-    "roc_curve",
     "distance_outliers",
-    "random_sample_fit",
     "remove_outliers_multiloop",
     "StandardScaler",
 ]

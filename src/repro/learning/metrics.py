@@ -2,7 +2,7 @@
 
 The paper scores EarSonar with per-class precision, recall, F1, a
 row-normalised confusion matrix (Fig. 13d), and — for the robustness
-studies — false acceptance and false rejection rates (Fig. 14).
+studies — false acceptance rates (Fig. 14).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "classification_report",
     "accuracy",
     "false_acceptance_rate",
-    "false_rejection_rate",
 ]
 
 
@@ -155,15 +154,3 @@ def false_acceptance_rate(
     if other_total == 0:
         return 0.0
     return float(falsely_accepted / other_total)
-
-
-def false_rejection_rate(
-    true_labels: np.ndarray, predicted_labels: np.ndarray, target_class: int, num_classes: int
-) -> float:
-    """FRR of ``target_class``: fraction of its samples classified as others."""
-    matrix = confusion_matrix(true_labels, predicted_labels, num_classes)
-    class_total = matrix[target_class].sum()
-    if class_total == 0:
-        return 0.0
-    rejected = class_total - matrix[target_class, target_class]
-    return float(rejected / class_total)

@@ -1,24 +1,20 @@
 """Outlier handling for k-means (paper Sec. IV-C4).
 
-The paper applies two strategies around clustering:
-
-1. **distance rule** — points much farther from their cluster centre
-   than the bulk are removed, with a multi-loop confirmation so a point
-   is only dropped if it is an outlier in several independent
-   clustering runs;
-2. **random-sample consensus** — fit the clustering on a random subset
-   (outliers are unlikely to be drawn), then extend the model to the
-   full data.
+The paper's distance rule: points much farther from their cluster
+centre than the bulk are removed, with a multi-loop confirmation so a
+point is only dropped if it is an outlier in several independent
+clustering runs.  (The paper's second strategy, fitting on a random
+subset, is not implemented: the detector never used it.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, ModelError
+from ..errors import ConfigurationError
 from .kmeans import KMeans, euclidean_distances
 
-__all__ = ["distance_outliers", "remove_outliers_multiloop", "random_sample_fit"]
+__all__ = ["distance_outliers", "remove_outliers_multiloop"]
 
 
 def distance_outliers(
@@ -91,33 +87,3 @@ def remove_outliers_multiloop(
         )
     needed = (num_loops // 2 + 1) if min_votes is None else min_votes
     return votes < needed
-
-
-def random_sample_fit(
-    data: np.ndarray,
-    *,
-    num_clusters: int = 4,
-    sample_fraction: float = 0.6,
-    seed: int = 0,
-) -> tuple[KMeans, np.ndarray]:
-    """Fit k-means on a random subsample, then label the full data.
-
-    The paper's second strategy: rare outliers are unlikely to enter
-    the sample, so the centres are clean; the model then extends to the
-    remaining points.  Returns ``(fitted model, full-data labels)``.
-    """
-    data = np.asarray(data, dtype=float)
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ConfigurationError(
-            f"sample_fraction must be in (0, 1], got {sample_fraction}"
-        )
-    n = data.shape[0]
-    sample_size = max(num_clusters, int(round(n * sample_fraction)))
-    if sample_size > n:
-        raise ModelError(f"sample_size {sample_size} exceeds data size {n}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=sample_size, replace=False)
-    model = KMeans(num_clusters=num_clusters, seed=seed)
-    model.fit(data[idx])
-    labels = model.predict(data)
-    return model, labels

@@ -55,7 +55,7 @@ CLOCK_BOUNDARY_MODULES = frozenset({"serve.clock"})
 #: reads and sleeps (deterministic tests would hang or flake), and the
 #: asyncio timeout helpers that hard-wire the real event-loop clock
 #: (``wait_for``/``timeout`` time out on the wall even under a
-#: VirtualClock — use :func:`repro.serve.clock.wait_for_event`).
+#: VirtualClock — race the awaited work against the clock's ``sleep``).
 _SERVE_CLOCK_CALLS = frozenset(
     {
         "time.monotonic",
@@ -200,8 +200,8 @@ class DeterminismRule(Rule):
                 node.lineno,
                 f"direct time source '{name}' in repro.serve bypasses the "
                 "injected Clock, breaking virtual-time determinism",
-                "read/sleep via the injected repro.serve.clock.Clock (or "
-                "wait_for_event for timeouts)",
+                "read/sleep via the injected repro.serve.clock.Clock (race "
+                "clock.sleep for timeouts)",
             )
 
     def _check_rng_creation(

@@ -28,7 +28,7 @@ Quick use::
 """
 
 from .batcher import BatchPolicy, MicroBatcher
-from .clock import Clock, MonotonicClock, VirtualClock, wait_for_event
+from .clock import Clock, MonotonicClock, VirtualClock
 from .limiter import TenancyConfig, TenantPolicy, TenantScheduler, TokenBucket
 from .queue import AdmissionController, AdmissionPolicy, PendingRequest, ScreeningRequest
 from .service import ScreeningResponse, ScreeningService
@@ -37,7 +37,6 @@ __all__ = [
     "Clock",
     "MonotonicClock",
     "VirtualClock",
-    "wait_for_event",
     "AdmissionPolicy",
     "AdmissionController",
     "ScreeningRequest",

@@ -30,8 +30,11 @@ measuring actual service latencies.  On the virtual clock each batch
 is charged a modelled compute cost (:func:`_modeled_runner`), so
 virtual latencies include the DSP a batch would take.  Recordings are
 synthesized from the seeded simulation layer; every stochastic choice
-flows from ``--seed``.  A non-finite or non-positive ``--rate``, or a
-``--requests``, ``--pool`` or ``--tenants`` below 1, is refused with a
+flows from ``--seed``.  Each request's latency runs from its scheduled
+arrival, so time an arrival spends waiting for the event loop counts.
+A non-finite or non-positive ``--rate`` or ``--duration``, a
+``--min-completion`` outside [0, 1], a ``--requests``, ``--pool`` or
+``--tenants`` below 1, or a negative ``--seed`` is refused with a
 :class:`~repro.errors.ConfigurationError` before the service is built.
 
 The report counts every request exactly once: ``responded`` (answered
@@ -328,12 +331,19 @@ async def _serve_watch(service: ScreeningService, args: argparse.Namespace) -> i
 
 
 async def _run_loadgen(args: argparse.Namespace) -> dict:
-    if not (math.isfinite(args.rate) and args.rate > 0):
-        raise ConfigurationError(f"--rate must be positive and finite, got {args.rate}")
+    for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
+    if not 0.0 <= args.min_completion <= 1.0:
+        raise ConfigurationError(
+            f"--min-completion must be within [0, 1], got {args.min_completion}"
+        )
     for flag, count in (("--requests", args.requests), ("--pool", args.pool),
                         ("--tenants", args.tenants)):
         if count < 1:
             raise ConfigurationError(f"{flag} must be >= 1, got {count}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     clock: Clock = MonotonicClock() if args.real_clock else VirtualClock()
     health, file_sink = _build_health(args, clock)
     snapshots_written = 0
@@ -377,10 +387,13 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
     }
 
     async def one(index: int) -> None:
-        await clock.sleep(offsets[index])
+        # Latency runs from the scheduled arrival, not from when this
+        # coroutine resumes: an arrival due while a batch holds the
+        # event loop waits for it too (no coordinated omission).
+        due = t0 + offsets[index]
+        await clock.sleep(due - clock.now())
         tenant, pick = choices[index]
         per_tenant[tenant]["submitted"] += 1
-        started = clock.now()
         try:
             response = await service.submit(
                 ScreeningRequest(f"req-{index:05d}", tenant, pool[pick])
@@ -394,7 +407,7 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
             per_tenant[tenant]["rejected"] += 1
             return
         responded.append(response)
-        latencies_ms.append((clock.now() - started) * 1e3)
+        latencies_ms.append((clock.now() - due) * 1e3)
         per_tenant[tenant]["responded"] += 1
 
     # The monitor must be ambient before the dispatch task and the
@@ -404,6 +417,7 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
     )
     with health_scope:
         await service.start()
+        t0 = clock.now()
         tasks = [asyncio.ensure_future(one(i)) for i in range(args.requests)]
         if isinstance(clock, VirtualClock):
             horizon = offsets[-1] + 60.0

@@ -10,7 +10,8 @@ waiting for co-travellers.
 The service dispatches each batch synchronously on the event loop, so
 requests that arrive while a batch runs queue up and leave together as
 the next batch: under load batches fill by themselves, and a lone
-request never pays a coalescing wait.
+request never pays a coalescing wait.  The service yields once after
+each batch, so that batch's callers resume before the next one runs.
 
 Requests are pulled from the :class:`~repro.serve.limiter.TenantScheduler`
 in round-robin order, which is where per-tenant fairness becomes

@@ -22,16 +22,14 @@ tasks run between virtual-time steps without consuming wall time.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import heapq
 import time
-from typing import Awaitable, Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 __all__ = [
     "Clock",
     "MonotonicClock",
     "VirtualClock",
-    "wait_for_event",
 ]
 
 
@@ -174,36 +172,3 @@ class VirtualClock:
             f"predicate still false after {max_steps} virtual steps "
             f"({max_steps * step:.3f}s simulated)"
         )
-
-
-async def wait_for_event(
-    clock: Clock, event: asyncio.Event, timeout: float | None
-) -> bool:
-    """Wait for ``event`` or a clock-driven timeout, whichever first.
-
-    The clock-portable replacement for ``asyncio.wait_for``: timeouts
-    are measured on ``clock``, so under a :class:`VirtualClock` they
-    fire exactly when a test advances past them.  Returns ``True`` if
-    the event was set, ``False`` on timeout.
-    """
-    if event.is_set():
-        return True
-    if timeout is not None and timeout <= 0:
-        return False
-    waiter = asyncio.ensure_future(event.wait())
-    races: list[Awaitable] = [waiter]
-    sleeper: asyncio.Future | None = None
-    if timeout is not None:
-        sleeper = asyncio.ensure_future(clock.sleep(timeout))
-        races.append(sleeper)
-    try:
-        done, _ = await asyncio.wait(races, return_when=asyncio.FIRST_COMPLETED)
-    finally:
-        for task in (waiter, sleeper):
-            if task is not None and not task.done():
-                task.cancel()
-    for task in (waiter, sleeper):
-        if task is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-    return waiter in done and not waiter.cancelled()

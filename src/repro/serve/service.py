@@ -485,6 +485,10 @@ class ScreeningService:
         """Pull micro-batches until the batcher closes and drains."""
         while (batch := await self.batcher.collect()) is not None:
             self._dispatch(batch)
+            # collect() does not suspend while work is queued, so yield
+            # once: the callers this batch answered resume now, at its
+            # end, not after the whole backlog has been dispatched.
+            await self.clock.sleep(0)
 
     def _dispatch(self, batch: list[PendingRequest]) -> None:
         """Run one micro-batch and resolve its futures."""

@@ -9,7 +9,6 @@ utilities — every DSP stage the paper's pipeline relies on.
 from .chirp import (
     SPEED_OF_SOUND,
     ChirpDesign,
-    chirp_train,
     cross_correlate,
     linear_chirp,
     matched_filter_reference,
@@ -17,16 +16,12 @@ from .chirp import (
 from .correlation import (
     correlation_matrix,
     correlation_matrix_reference,
-    max_correlation_lag,
-    normalized_cross_correlation,
     pearson,
 )
 from .events import Event, EventDetectorConfig, detect_events, sliding_power
 from .filters import (
     ButterworthDesign,
     butterworth_bandpass,
-    butterworth_highpass,
-    butterworth_lowpass,
     sos_frequency_response,
     sosfilt,
     sosfilt_reference,
@@ -47,46 +42,24 @@ from .parity import (
     EchoSegmenterConfig,
     SymmetryCandidate,
     autoconvolution,
-    best_symmetry_point,
     find_symmetry_candidates,
     parity_decompose,
     parity_energies,
     segment_eardrum_echo,
     segment_eardrum_echoes,
 )
-from .resample import downsample, resample_to, upsample
-from .spectral import (
-    Spectrum,
-    amplitude_spectrum,
-    band_energy,
-    band_slice,
-    normalize_spectrum,
-    power_spectrum,
-    spectral_correlation,
-    welch_psd,
-)
-from .windows import (
-    apply_window,
-    blackman,
-    coherent_gain,
-    equivalent_noise_bandwidth,
-    hamming,
-    hann,
-    rectangular,
-    tukey,
-)
+from .resample import upsample
+from .spectral import Spectrum, amplitude_spectrum
+from .windows import hamming, hann
 
 __all__ = [
     "SPEED_OF_SOUND",
     "ChirpDesign",
-    "chirp_train",
     "cross_correlate",
     "linear_chirp",
     "matched_filter_reference",
     "correlation_matrix",
     "correlation_matrix_reference",
-    "max_correlation_lag",
-    "normalized_cross_correlation",
     "pearson",
     "Event",
     "EventDetectorConfig",
@@ -94,8 +67,6 @@ __all__ = [
     "sliding_power",
     "ButterworthDesign",
     "butterworth_bandpass",
-    "butterworth_highpass",
-    "butterworth_lowpass",
     "sos_frequency_response",
     "sosfilt",
     "sosfilt_reference",
@@ -112,29 +83,14 @@ __all__ = [
     "EchoSegmenterConfig",
     "SymmetryCandidate",
     "autoconvolution",
-    "best_symmetry_point",
     "find_symmetry_candidates",
     "parity_decompose",
     "parity_energies",
     "segment_eardrum_echo",
     "segment_eardrum_echoes",
-    "downsample",
-    "resample_to",
     "upsample",
     "Spectrum",
     "amplitude_spectrum",
-    "band_energy",
-    "band_slice",
-    "normalize_spectrum",
-    "power_spectrum",
-    "spectral_correlation",
-    "welch_psd",
-    "apply_window",
-    "blackman",
-    "coherent_gain",
-    "equivalent_noise_bandwidth",
     "hamming",
     "hann",
-    "rectangular",
-    "tukey",
 ]

@@ -28,7 +28,6 @@ from .windows import hann
 __all__ = [
     "ChirpDesign",
     "linear_chirp",
-    "chirp_train",
     "matched_filter_reference",
     "cross_correlate",
 ]
@@ -157,49 +156,6 @@ def linear_chirp(design: ChirpDesign) -> np.ndarray:
     if design.windowed:
         pulse = pulse * hann(n)
     return pulse
-
-
-def chirp_train(
-    design: ChirpDesign, num_chirps: int, *, total_samples: int | None = None
-) -> np.ndarray:
-    """Synthesise a train of ``num_chirps`` chirps separated by the interval.
-
-    Because a design's pulse can never outlast its interval
-    (``interval >= duration`` is validated at construction), pulses
-    never overlap and the train is a strided placement of the
-    plan-cached pulse into a ``(num_chirps, hop)`` buffer.
-
-    Parameters
-    ----------
-    design:
-        The chirp design.
-    num_chirps:
-        Number of pulses to emit; must be positive.
-    total_samples:
-        Optional explicit output length.  Defaults to exactly enough
-        samples to contain every pulse plus one trailing listen window.
-    """
-    from ..kernels.plan import chirp_pulse
-
-    if num_chirps <= 0:
-        raise ConfigurationError(f"num_chirps must be positive, got {num_chirps}")
-    pulse = chirp_pulse(design)
-    hop = design.samples_per_interval
-    needed = (num_chirps - 1) * hop + design.samples_per_chirp
-    default_len = num_chirps * hop
-    length = max(needed, default_len) if total_samples is None else int(total_samples)
-    if length < needed:
-        raise ConfigurationError(
-            f"total_samples={length} cannot contain {num_chirps} chirps (need >= {needed})"
-        )
-    grid = np.zeros((num_chirps, hop))
-    grid[:, : pulse.size] = pulse
-    flat = grid.ravel()
-    if length <= flat.size:
-        return flat[:length].copy()
-    train = np.zeros(length)
-    train[: flat.size] = flat
-    return train
 
 
 def cross_correlate(signal: np.ndarray, template: np.ndarray) -> np.ndarray:

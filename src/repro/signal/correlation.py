@@ -2,9 +2,9 @@
 
 EarSonar uses correlation coefficients both to separate echoes from
 different in-ear reflectors and to quantify session-to-session PSD
-consistency (Fig. 9).  These helpers provide Pearson correlation,
-normalised cross-correlation with lag search, and a pairwise session
-correlation matrix.
+consistency (Fig. 9).  These helpers provide Pearson correlation, a
+pairwise session correlation matrix, and the rake that cancels early
+reflections.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 
 __all__ = [
     "pearson",
-    "normalized_cross_correlation",
-    "max_correlation_lag",
     "correlation_matrix",
     "correlation_matrix_reference",
     "quadrature_pulse",
@@ -64,41 +62,6 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.clip(np.sum(a_c * b_c) / denom, -1.0, 1.0))
-
-
-def normalized_cross_correlation(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalised cross-correlation of ``a`` against ``b`` over lags.
-
-    Returns an array of ``2 * max_lag + 1`` Pearson coefficients, one
-    per lag in ``[-max_lag, max_lag]`` (positive lag means ``b`` shifted
-    right relative to ``a``).  Lags that would leave fewer than two
-    overlapping samples get coefficient 0.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    out = np.zeros(2 * max_lag + 1)
-    for i, lag in enumerate(range(-max_lag, max_lag + 1)):
-        if lag >= 0:
-            left, right = a[lag:], b[: b.size - lag]
-        else:
-            left, right = a[: a.size + lag], b[-lag:]
-        n = min(left.size, right.size)
-        if n < 2:
-            continue
-        out[i] = pearson(left[:n], right[:n])
-    return out
-
-
-def max_correlation_lag(a: np.ndarray, b: np.ndarray, max_lag: int) -> tuple[int, float]:
-    """Lag (within ``[-max_lag, max_lag]``) maximising correlation.
-
-    Returns ``(lag, coefficient)``.
-    """
-    coeffs = normalized_cross_correlation(a, b, max_lag)
-    idx = int(np.argmax(coeffs))
-    return idx - max_lag, float(coeffs[idx])
 
 
 def correlation_matrix(curves: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ first principles:
 
 1. analog Butterworth low-pass prototype (poles on the unit circle's
    left half, Butterworth angles),
-2. low-pass -> low/high/band-pass analog frequency transformation with
-   bilinear pre-warping,
+2. low-pass -> band-pass analog frequency transformation with bilinear
+   pre-warping,
 3. bilinear transform to the digital domain,
 4. decomposition into second-order sections (SOS) for numerical
    stability.
@@ -30,8 +30,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "ButterworthDesign",
-    "butterworth_lowpass",
-    "butterworth_highpass",
     "butterworth_bandpass",
     "sosfilt",
     "sosfilt_reference",
@@ -52,8 +50,7 @@ class ButterworthDesign:
     sample_rate:
         Sample rate the design targets, in Hz.
     band:
-        The passband edges ``(low_hz, high_hz)``; for low/high-pass one
-        edge is 0 or Nyquist respectively.
+        The passband edges ``(low_hz, high_hz)``.
     order:
         Prototype order (a band-pass of prototype order ``n`` has ``2n``
         poles).
@@ -184,32 +181,6 @@ def _zpk_to_sos(zeros: np.ndarray, poles: np.ndarray, gain: float) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Public designers
 # ---------------------------------------------------------------------------
-
-
-def butterworth_lowpass(order: int, cutoff_hz: float, sample_rate: float) -> ButterworthDesign:
-    """Design a digital Butterworth low-pass filter."""
-    _validate_edges(sample_rate, cutoff_hz)
-    warped = _prewarp(cutoff_hz, sample_rate)
-    poles = _butterworth_prototype(order) * warped
-    gain = warped**order
-    z, p, k = _bilinear_zpk(np.zeros(0), poles, float(np.real(gain)), sample_rate)
-    sos = _zpk_to_sos(z, p, k)
-    return ButterworthDesign(sos, sample_rate, (0.0, cutoff_hz), order)
-
-
-def butterworth_highpass(order: int, cutoff_hz: float, sample_rate: float) -> ButterworthDesign:
-    """Design a digital Butterworth high-pass filter."""
-    _validate_edges(sample_rate, cutoff_hz)
-    warped = _prewarp(cutoff_hz, sample_rate)
-    prototype = _butterworth_prototype(order)
-    poles = warped / prototype
-    zeros = np.zeros(order, dtype=complex)
-    # lp2hp gain: k * prod(-z_lp)/prod(-p_lp) with no prototype zeros ->
-    # 1 / prod(-p); Butterworth prototype has prod(-p) == 1.
-    gain = 1.0
-    z, p, k = _bilinear_zpk(zeros, poles, gain, sample_rate)
-    sos = _zpk_to_sos(z, p, k)
-    return ButterworthDesign(sos, sample_rate, (cutoff_hz, sample_rate / 2.0), order)
 
 
 def butterworth_bandpass(

@@ -40,7 +40,6 @@ __all__ = [
     "parity_decompose",
     "autoconvolution",
     "parity_energies",
-    "best_symmetry_point",
     "SymmetryCandidate",
     "find_symmetry_candidates",
     "EchoSegmenterConfig",
@@ -98,12 +97,6 @@ def parity_energies(signal: np.ndarray, fold: float) -> tuple[float, float]:
     """Even and odd energies of ``signal`` about ``fold`` (paper Eq. (10))."""
     even, odd = parity_decompose(signal, fold)
     return float(np.sum(even**2)), float(np.sum(odd**2))
-
-
-def best_symmetry_point(signal: np.ndarray) -> float:
-    """Fold point maximising |autoconvolution|, i.e. strongest parity."""
-    conv = autoconvolution(signal)
-    return float(np.argmax(np.abs(conv))) / 2.0
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "hann",
-    "hamming",
-    "blackman",
-    "rectangular",
-    "tukey",
-    "apply_window",
-    "coherent_gain",
-    "equivalent_noise_bandwidth",
-]
+__all__ = ["hann", "hamming"]
 
 
 def _cosine_sum(length: int, coefficients: tuple[float, ...], *, periodic: bool) -> np.ndarray:
@@ -59,68 +50,3 @@ def hann(length: int, *, periodic: bool = False) -> np.ndarray:
 def hamming(length: int, *, periodic: bool = False) -> np.ndarray:
     """Hamming window (25/46 coefficient variant, as in the classic papers)."""
     return _cosine_sum(length, (25.0 / 46.0, 21.0 / 46.0), periodic=periodic)
-
-
-def blackman(length: int, *, periodic: bool = False) -> np.ndarray:
-    """Classic three-term Blackman window."""
-    return _cosine_sum(length, (0.42, 0.5, 0.08), periodic=periodic)
-
-
-def rectangular(length: int) -> np.ndarray:
-    """Rectangular (boxcar) window."""
-    if length < 0:
-        raise ValueError(f"window length must be non-negative, got {length}")
-    return np.ones(length)
-
-
-def tukey(length: int, alpha: float = 0.5) -> np.ndarray:
-    """Tukey (tapered cosine) window.
-
-    ``alpha`` is the fraction of the window inside the cosine tapers;
-    ``alpha=0`` degenerates to rectangular and ``alpha=1`` to Hann.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be within [0, 1], got {alpha}")
-    if length < 0:
-        raise ValueError(f"window length must be non-negative, got {length}")
-    if length == 0:
-        return np.zeros(0)
-    if length == 1 or alpha == 0.0:
-        return np.ones(length)
-    window = np.ones(length)
-    n = np.arange(length)
-    taper_len = alpha * (length - 1) / 2.0
-    left = n < taper_len
-    right = n > (length - 1) - taper_len
-    window[left] = 0.5 * (1.0 + np.cos(np.pi * (n[left] / taper_len - 1.0)))
-    window[right] = 0.5 * (1.0 + np.cos(np.pi * ((n[right] - (length - 1)) / taper_len + 1.0)))
-    return window
-
-
-def apply_window(signal: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Multiply ``signal`` by ``window``, validating matching lengths."""
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape[-1] != window.shape[-1]:
-        raise ValueError(
-            f"signal length {signal.shape[-1]} does not match window length {window.shape[-1]}"
-        )
-    return signal * window
-
-
-def coherent_gain(window: np.ndarray) -> float:
-    """Coherent (DC) gain of a window: mean of its samples."""
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise ValueError("window must be non-empty")
-    return float(np.mean(window))
-
-
-def equivalent_noise_bandwidth(window: np.ndarray) -> float:
-    """Equivalent noise bandwidth (ENBW) of a window in bins."""
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise ValueError("window must be non-empty")
-    denom = np.sum(window) ** 2
-    if denom == 0.0:
-        raise ValueError("window sums to zero; ENBW undefined")
-    return float(window.size * np.sum(window**2) / denom)

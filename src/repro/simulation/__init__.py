@@ -15,7 +15,6 @@ from .calibration import (
     DeviceProfile,
     apply_calibration,
     calibration_state,
-    device_fleet,
 )
 from .cohort import StudyDataset, StudyDesign, build_cohort, simulate_study
 from .earphone import (
@@ -26,10 +25,9 @@ from .earphone import (
     IE100PRO,
     PROTOTYPE,
     EarphoneModel,
-    earphone_by_name,
 )
 from .effusion import FILL_RANGES, STATE_FLUIDS, MeeState, RecoveryTrajectory
-from .groundtruth import OtoscopistModel, label_agreement, relabel_states
+from .groundtruth import OtoscopistModel, relabel_states
 from .hardware import (
     SMARTPHONE_PROFILES,
     SmartphoneProfile,
@@ -39,7 +37,6 @@ from .hardware import (
 from .motion import MOVEMENT_PROFILES, Movement, MovementProfile, motion_artifact
 from .noise import QUIET_ROOM_SPL_DB, ambient_noise, pink_noise, spl_to_amplitude
 from .participant import Participant, sample_participant
-from .waveio import read_wav, write_wav
 from .session import Recording, SessionConfig, record_session
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "DeviceProfile",
     "apply_calibration",
     "calibration_state",
-    "device_fleet",
     "StudyDataset",
     "StudyDesign",
     "build_cohort",
@@ -60,16 +56,12 @@ __all__ = [
     "IE100PRO",
     "PROTOTYPE",
     "EarphoneModel",
-    "earphone_by_name",
     "FILL_RANGES",
     "STATE_FLUIDS",
     "MeeState",
     "RecoveryTrajectory",
     "OtoscopistModel",
-    "label_agreement",
     "relabel_states",
-    "read_wav",
-    "write_wav",
     "SMARTPHONE_PROFILES",
     "SmartphoneProfile",
     "StageLatencies",

@@ -43,7 +43,6 @@ __all__ = [
     "CalibrationState",
     "calibration_state",
     "apply_calibration",
-    "device_fleet",
 ]
 
 #: Hard clamp on the drift walk, in multiples of the configured RMS
@@ -206,12 +205,3 @@ def apply_calibration(
     spectrum = np.fft.rfft(waveform, nfft)
     coloured = np.fft.irfft(spectrum * state.response(freqs, chirp), nfft)
     return coloured[: waveform.size]
-
-
-def device_fleet(
-    model: EarphoneModel, num_units: int
-) -> tuple[DeviceProfile, ...]:
-    """``num_units`` physical units of one SKU, ids 0..n-1."""
-    if num_units < 1:
-        raise ConfigurationError(f"num_units must be >= 1, got {num_units}")
-    return tuple(DeviceProfile(model=model, unit_id=k) for k in range(num_units))

@@ -25,7 +25,6 @@ __all__ = [
     "IE100PRO",
     "BOSE_QC20",
     "COMMERCIAL_EARPHONES",
-    "earphone_by_name",
 ]
 
 
@@ -124,15 +123,3 @@ BOSE_QC20 = EarphoneModel(
 
 #: The four commercial devices of Fig. 15(a), in the paper's order.
 COMMERCIAL_EARPHONES = (CK35051, ATH_CKS550XIS, IE100PRO, BOSE_QC20)
-
-_ALL = {m.name: m for m in (PROTOTYPE,) + COMMERCIAL_EARPHONES}
-
-
-def earphone_by_name(name: str) -> EarphoneModel:
-    """Look up a built-in earphone model by its exact name."""
-    try:
-        return _ALL[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown earphone {name!r}; available: {sorted(_ALL)}"
-        ) from None

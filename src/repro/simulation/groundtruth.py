@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from .effusion import MeeState
 
-__all__ = ["OtoscopistModel", "relabel_states", "label_agreement"]
+__all__ = ["OtoscopistModel", "relabel_states"]
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,3 @@ def relabel_states(
     """Replace true states with one otoscopist's noisy gradings."""
     model = model or OtoscopistModel()
     return [model.observe(s, rng) for s in states]
-
-
-def label_agreement(a: list[MeeState], b: list[MeeState]) -> float:
-    """Fraction of identical labels between two grading passes."""
-    if len(a) != len(b):
-        raise ConfigurationError(f"label lists differ in length: {len(a)} vs {len(b)}")
-    if not a:
-        raise ConfigurationError("label_agreement requires at least one label")
-    return float(np.mean([x is y for x, y in zip(a, b)]))

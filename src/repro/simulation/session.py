@@ -14,6 +14,7 @@ clinical data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,17 +76,19 @@ class SessionConfig:
     device_unit: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError(f"duration_s must be positive, got {self.duration_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigurationError(
+                f"duration_s must be positive and finite, got {self.duration_s}"
+            )
         if self.duration_s < 2 * self.chirp.interval:
             raise ConfigurationError(
                 "duration_s must cover at least two chirp intervals"
             )
         if not 0.0 <= self.angle_deg <= 60.0:
             raise ConfigurationError(f"angle_deg must be in [0, 60], got {self.angle_deg}")
-        if self.path_jitter_s < 0:
+        if not (math.isfinite(self.path_jitter_s) and self.path_jitter_s >= 0):
             raise ConfigurationError(
-                f"path_jitter_s must be >= 0, got {self.path_jitter_s}"
+                f"path_jitter_s must be finite and >= 0, got {self.path_jitter_s}"
             )
         if self.device_unit < 0:
             raise ConfigurationError(

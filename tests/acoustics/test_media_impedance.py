@@ -1,16 +1,7 @@
-"""Tests for acoustic media and the impedance relations of Sec. II-A."""
+"""Tests for acoustic media and their characteristic impedance (Sec. II-A)."""
 
-import numpy as np
 import pytest
 
-from repro.acoustics.impedance import (
-    absorbed_fraction,
-    characteristic_impedance,
-    effusion_reflectance,
-    layer_impedance,
-    reflection_coefficient,
-    transmission_coefficient,
-)
 from repro.acoustics.media import (
     AIR,
     MUCOID_FLUID,
@@ -54,75 +45,3 @@ class TestMedium:
     def test_invalid_wavelength_frequency(self):
         with pytest.raises(ConfigurationError):
             AIR.wavelength(0.0)
-
-
-class TestBoundaryRelations:
-    def test_reflection_matched_impedance_is_zero(self):
-        assert reflection_coefficient(400.0, 400.0) == 0.0
-
-    def test_reflection_air_to_water_near_one(self):
-        r = reflection_coefficient(AIR.impedance, WATER.impedance)
-        assert r == pytest.approx(1.0, abs=1e-3)
-
-    def test_reflection_antisymmetry(self):
-        r_ab = reflection_coefficient(400.0, 1.5e6)
-        r_ba = reflection_coefficient(1.5e6, 400.0)
-        assert r_ab == pytest.approx(-r_ba)
-
-    def test_transmission_plus_reflection_pressure_continuity(self):
-        # 1 + R = T at a pressure boundary.
-        z1, z2 = 400.0, 1.5e6
-        assert 1.0 + reflection_coefficient(z1, z2) == pytest.approx(
-            transmission_coefficient(z1, z2)
-        )
-
-    def test_absorbed_fraction_bounds(self):
-        assert absorbed_fraction(400.0, 400.0) == pytest.approx(1.0)
-        assert 0.0 <= absorbed_fraction(AIR.impedance, WATER.impedance) < 0.01
-
-    def test_invalid_impedances(self):
-        with pytest.raises(ConfigurationError):
-            reflection_coefficient(-1.0, 400.0)
-        with pytest.raises(ConfigurationError):
-            transmission_coefficient(400.0, 0.0)
-
-
-class TestLayerImpedance:
-    def test_zero_thickness_is_zero(self):
-        assert layer_impedance(0.0, 1000.0, 1e-9, 0.08) == 0.0
-
-    def test_monotone_in_thickness(self):
-        thicknesses = np.linspace(0.0, 0.01, 20)
-        values = [layer_impedance(d, 1000.0, 4.4e-10, 0.085) for d in thicknesses]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_saturates_at_characteristic_impedance(self):
-        # tanh -> 1: Z -> sqrt(mu/xi).
-        mu, xi = 1000.0, 4.4e-10
-        z_inf = layer_impedance(100.0, mu, xi, 0.085)
-        assert z_inf == pytest.approx(np.sqrt(mu / xi), rel=1e-3)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ConfigurationError):
-            layer_impedance(-0.001, 1000.0, 1e-9, 0.08)
-        with pytest.raises(ConfigurationError):
-            layer_impedance(0.001, 0.0, 1e-9, 0.08)
-
-
-class TestEffusionReflectance:
-    def test_empty_cavity_absorbs_nothing(self):
-        assert effusion_reflectance(SEROUS_FLUID, AIR, 0.0) == 0.0
-
-    def test_monotone_in_fill(self):
-        fills = np.linspace(0.0, 1.0, 11)
-        values = [effusion_reflectance(PURULENT_FLUID, AIR, f) for f in fills]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_bounded(self):
-        for fluid in (SEROUS_FLUID, MUCOID_FLUID, PURULENT_FLUID):
-            v = effusion_reflectance(fluid, AIR, 1.0)
-            assert 0.0 <= v < 1.0
-
-    def test_invalid_fill(self):
-        with pytest.raises(ConfigurationError):
-            effusion_reflectance(SEROUS_FLUID, AIR, 1.5)

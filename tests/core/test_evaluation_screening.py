@@ -1,6 +1,5 @@
 """Tests for study evaluation, LOOCV wiring, and the screening API."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig, EarSonarConfig
@@ -111,41 +110,3 @@ class TestScreener:
         early = fitted_screener.screen(record_session(participant, 0.5, cfg, rng))
         late = fitted_screener.screen(record_session(participant, 19.5, cfg, rng))
         assert early.severity >= late.severity
-
-
-class TestEffusionScore:
-    def test_score_separates_classes(self, small_feature_table, small_study):
-        from repro.core.config import DetectorConfig, EarSonarConfig
-        from repro.core.screening import EarSonarScreener
-        from repro.learning.roc import auc
-
-        screener = EarSonarScreener(
-            EarSonarConfig(detector=DetectorConfig(clusters_per_state=2))
-        )
-        screener.fit_from_table(small_feature_table)
-        # Score a subset of the study's recordings (resubstitution:
-        # plumbing check, not a validation claim).
-        recordings = small_study.recordings[::3]
-        scores = np.array([screener.effusion_score(r) for r in recordings])
-        labels = np.array([1 if r.state.is_effusion else 0 for r in recordings])
-        assert auc(labels, scores) > 0.9
-
-    def test_score_sign_matches_binary_outcome(self, small_feature_table, small_study):
-        from repro.core.config import DetectorConfig, EarSonarConfig
-        from repro.core.screening import EarSonarScreener
-
-        screener = EarSonarScreener(
-            EarSonarConfig(detector=DetectorConfig(clusters_per_state=2))
-        )
-        screener.fit_from_table(small_feature_table)
-        recording = small_study.recordings[0]
-        score = screener.effusion_score(recording)
-        result = screener.screen(recording)
-        assert (score > 0) == result.has_effusion
-
-    def test_unfitted_raises(self, small_study):
-        from repro.core.screening import EarSonarScreener
-        from repro.errors import NotFittedError
-
-        with pytest.raises(NotFittedError):
-            EarSonarScreener().effusion_score(small_study.recordings[0])

@@ -15,7 +15,6 @@ from repro.faultlab import (
     Clipping,
     DCClockDrift,
     DropoutBursts,
-    FaultChain,
     FaultModel,
     NonFiniteCorruption,
     SealLeak,
@@ -181,33 +180,8 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Composition and catalog
+# Catalog
 # ---------------------------------------------------------------------------
-
-
-class TestFaultChain:
-    def test_applies_members_in_order(self, waveform):
-        chain = FaultChain((SealLeak(noise_ratio=0.0), Clipping(level=0.5)))
-        out = chain.apply(waveform, SAMPLE_RATE, np.random.default_rng(7))
-        step = SealLeak(noise_ratio=0.0).apply(
-            waveform, SAMPLE_RATE, np.random.default_rng(7)
-        )
-        step = Clipping(level=0.5).apply(step, SAMPLE_RATE, np.random.default_rng(7))
-        np.testing.assert_array_equal(out, step)
-
-    def test_at_severity_rescales_every_member(self):
-        chain = FaultChain((SealLeak(attenuation_db=12.0), Clipping(level=0.5)))
-        scaled = chain.at_severity(0.5)
-        assert scaled.models[0].attenuation_db == pytest.approx(6.0)
-        assert scaled.models[1].level == pytest.approx(0.75)
-
-    def test_name_is_composite(self):
-        chain = FaultChain((SealLeak(), Clipping()))
-        assert chain.name == "chain(SealLeak+Clipping)"
-
-    def test_non_model_member_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultChain(("not a model",))  # type: ignore[arg-type]
 
 
 class TestCatalog:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.features.vector import FeatureVectorBuilder, FeatureVectorConfig, feature_names
+from repro.features.vector import FeatureVectorBuilder, FeatureVectorConfig
 
 
 class TestConfig:
@@ -22,20 +22,6 @@ class TestConfig:
             FeatureVectorConfig(num_curve_bins=4)
         with pytest.raises(ConfigurationError):
             FeatureVectorConfig(band_low_hz=20_000.0, band_high_hz=16_000.0)
-
-
-class TestFeatureNames:
-    def test_one_name_per_feature(self):
-        config = FeatureVectorConfig()
-        names = feature_names(config)
-        assert len(names) == config.vector_length
-        assert len(set(names)) == len(names)
-
-    def test_name_families(self):
-        names = feature_names(FeatureVectorConfig())
-        assert sum(1 for n in names if n.startswith("curve_")) == 64
-        assert sum(1 for n in names if n.startswith("stat_")) == 7
-        assert sum(1 for n in names if n.startswith("mfcc")) == 34
 
 
 class TestBuilder:

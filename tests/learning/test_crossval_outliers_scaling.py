@@ -6,11 +6,7 @@ import pytest
 from repro.errors import ConfigurationError, ModelError, NotFittedError
 from repro.learning.crossval import leave_one_group_out, train_fraction_split
 from repro.learning.kmeans import KMeans
-from repro.learning.outliers import (
-    distance_outliers,
-    random_sample_fit,
-    remove_outliers_multiloop,
-)
+from repro.learning.outliers import distance_outliers, remove_outliers_multiloop
 from repro.learning.scaling import StandardScaler
 
 
@@ -86,16 +82,6 @@ class TestOutliers:
         data = rng.normal(size=(3, 2))
         keep = remove_outliers_multiloop(data, num_clusters=4)
         assert keep.all()
-
-    def test_random_sample_fit_labels_everyone(self, rng):
-        data = np.vstack([rng.normal(0, 0.3, (30, 2)), rng.normal(6, 0.3, (30, 2))])
-        model, labels = random_sample_fit(data, num_clusters=2, seed=1)
-        assert labels.shape == (60,)
-        assert model.cluster_centers_ is not None
-
-    def test_random_sample_fraction_validation(self, rng):
-        with pytest.raises(ConfigurationError):
-            random_sample_fit(rng.normal(size=(10, 2)), sample_fraction=0.0)
 
     def test_threshold_scale_validation(self, rng):
         data = rng.normal(size=(10, 2))

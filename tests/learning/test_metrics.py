@@ -9,7 +9,6 @@ from repro.learning.metrics import (
     classification_report,
     confusion_matrix,
     false_acceptance_rate,
-    false_rejection_rate,
     normalize_confusion,
 )
 
@@ -93,29 +92,7 @@ class TestFarFrr:
         pred = np.array([0, 0, 0, 0, 1, 1])
         assert false_acceptance_rate(true, pred, 0, 2) == pytest.approx(0.5)
 
-    def test_frr_counts_own_class_rejections(self):
-        true = np.array([0, 0, 0, 0, 1, 1])
-        pred = np.array([0, 0, 1, 1, 1, 1])
-        assert false_rejection_rate(true, pred, 0, 2) == pytest.approx(0.5)
-
     def test_perfect_prediction_zero_rates(self):
         true = np.array([0, 1, 2, 3] * 3)
         for c in range(4):
             assert false_acceptance_rate(true, true, c, 4) == 0.0
-            assert false_rejection_rate(true, true, c, 4) == 0.0
-
-    def test_absent_class_rates_are_zero(self):
-        true = np.array([0, 0])
-        pred = np.array([0, 0])
-        assert false_rejection_rate(true, pred, 1, 2) == 0.0
-
-    def test_far_complements_recall_relationship(self):
-        """FRR of class c equals 1 - recall of class c."""
-        rng = np.random.default_rng(0)
-        true = rng.integers(0, 4, 100)
-        pred = rng.integers(0, 4, 100)
-        report = classification_report(true, pred, 4)
-        for c in range(4):
-            assert false_rejection_rate(true, pred, c, 4) == pytest.approx(
-                1.0 - report.recall[c]
-            )

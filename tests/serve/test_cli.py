@@ -111,20 +111,22 @@ class TestLoadgen:
         assert "cache.misses" not in second["counters"]
 
     def test_min_completion_gate_fails_the_run(self, tmp_path):
-        # An impossible bar (>100%) must exit non-zero: this is the
-        # same gate the CI soak job relies on.
-        exit_code = main(
-            [
-                "loadgen",
-                "--requests", "4",
-                "--rate", "50",
-                "--pool", "2",
-                "--duration", "0.05",
-                "--min-completion", "1.01",
-                "--report", str(tmp_path / "gate.json"),
-            ]
-        )
-        assert exit_code == 1
+        # An impossible bar (>100%) fails the run before any request:
+        # the gate the CI soak job relies on only takes a rate in [0, 1].
+        report_path = tmp_path / "gate.json"
+        with pytest.raises(ConfigurationError, match="--min-completion"):
+            main(
+                [
+                    "loadgen",
+                    "--requests", "4",
+                    "--rate", "50",
+                    "--pool", "2",
+                    "--duration", "0.05",
+                    "--min-completion", "1.01",
+                    "--report", str(report_path),
+                ]
+            )
+        assert not report_path.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -136,6 +138,12 @@ class TestLoadgen:
             ("--requests", "0"),
             ("--pool", "0"),
             ("--tenants", "0"),
+            ("--duration", "nan"),
+            ("--duration", "inf"),
+            ("--duration", "0"),
+            ("--min-completion", "nan"),
+            ("--min-completion", "-0.5"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_traffic_flag_is_refused_before_any_request(
@@ -171,6 +179,31 @@ class TestLoadgen:
         report = json.loads(report_path.read_text())
         assert report["latency_ms"]["p50"] > 0.0
         assert obs_main(["health", str(health_path), "--fail-on-fired"]) == 3
+
+    def test_backlog_latency_runs_from_arrival_to_own_batch(self, tmp_path):
+        # Eight near-simultaneous arrivals, one capture per batch: each
+        # modelled batch costs 10.5 ms, so the last caller waits ~84 ms
+        # from its scheduled arrival while the first is answered after
+        # its own batch.  max falls short if latency is timed from when
+        # the arrival coroutine resumes; p50 climbs to max if answers
+        # wait for the whole backlog to be dispatched.
+        report_path = tmp_path / "backlog.json"
+        exit_code = main(
+            [
+                "loadgen",
+                "--requests", "8",
+                "--workers", "1",
+                "--max-batch-size", "1",
+                "--rate", "10000",
+                "--pool", "2",
+                "--duration", "0.05",
+                "--report", str(report_path),
+            ]
+        )
+        assert exit_code == 0
+        latency = json.loads(report_path.read_text())["latency_ms"]
+        assert latency["max"] >= 82.0
+        assert latency["p50"] < latency["max"] - 20.0
 
 
 class TestServeStdin:
@@ -230,6 +263,17 @@ class TestServeStdin:
         ]
         assert first["verdict"] == last["verdict"] == "processed"
         assert set(middle) == {"error", "message"}
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_is_a_configuration_error(
+        self, monkeypatch, capsys, duration
+    ):
+        spec = json.dumps({"tenant": "clinic", "seed": 5, "duration_s": duration})
+        monkeypatch.setattr("sys.stdin", io.StringIO(spec + "\n"))
+        assert main(["serve", "--duration", "0.05"]) == 1
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["error"] == "ConfigurationError"
+        assert "duration_s" in answer["message"]
 
 
 class TestServeWatch:

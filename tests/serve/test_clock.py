@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.serve import Clock, MonotonicClock, VirtualClock, wait_for_event
+from repro.serve import Clock, MonotonicClock, VirtualClock
 
 from .conftest import run
 
@@ -128,53 +128,14 @@ class TestVirtualClock:
 
         assert run(scenario()) == (3, 0, True)
 
-
-class TestWaitForEvent:
-    def test_event_set_wins_over_timeout(self):
+    def test_cancelled_sleeper_is_not_counted(self):
         async def scenario():
             clock = VirtualClock()
-            event = asyncio.Event()
+            task = asyncio.ensure_future(clock.sleep(1.0))
+            await clock.settle()
+            parked = clock.pending_sleepers
+            task.cancel()
+            await clock.settle()
+            return parked, clock.pending_sleepers
 
-            async def setter():
-                await clock.sleep(0.1)
-                event.set()
-
-            asyncio.ensure_future(setter())
-
-            async def waiter():
-                return await wait_for_event(clock, event, timeout=5.0)
-
-            task = asyncio.ensure_future(waiter())
-            await clock.advance(0.2)
-            return task.result(), clock.pending_sleepers
-
-        got, parked = run(scenario())
-        assert got is True
-        # The losing timeout sleeper was cancelled, not left parked.
-        assert parked == 0
-
-    def test_timeout_fires_without_event(self):
-        async def scenario():
-            clock = VirtualClock()
-            event = asyncio.Event()
-            task = asyncio.ensure_future(wait_for_event(clock, event, timeout=0.3))
-            await clock.advance(0.5)
-            return task.result()
-
-        assert run(scenario()) is False
-
-    def test_preset_event_returns_immediately(self):
-        async def scenario():
-            clock = VirtualClock()
-            event = asyncio.Event()
-            event.set()
-            return await wait_for_event(clock, event, timeout=10.0)
-
-        assert run(scenario()) is True
-
-    def test_nonpositive_timeout_is_an_immediate_miss(self):
-        async def scenario():
-            clock = VirtualClock()
-            return await wait_for_event(clock, asyncio.Event(), timeout=0.0)
-
-        assert run(scenario()) is False
+        assert run(scenario()) == (1, 0)

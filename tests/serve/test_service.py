@@ -173,6 +173,43 @@ class TestHappyPath:
         assert [r.batch for r in rest] == [1, 1, 1]
         assert all(r.batch_ms == pytest.approx(100.0) for r in rest)
 
+    def test_each_caller_resumes_at_its_own_batch_end(
+        self, executor, serve_recordings
+    ):
+        async def scenario():
+            clock = VirtualClock()
+            service = make_service(
+                executor,
+                clock,
+                batching=BatchPolicy(max_batch_size=1),
+                runner=ticking_runner(clock, 0.1),
+            )
+            await service.start()
+            returned_at: dict[str, float] = {}
+
+            async def call(request):
+                response = await service.submit(request)
+                returned_at[request.request_id] = clock.now()
+                return response
+
+            # Three requests queue before the dispatch loop wakes; under
+            # a cap of 1 they leave as three 0.1 s batches.
+            tasks = [
+                asyncio.ensure_future(
+                    call(ScreeningRequest(f"r{i}", "clinic", recording))
+                )
+                for i, recording in enumerate(serve_recordings[:3])
+            ]
+            await drive(clock, tasks)
+            await service.stop()
+            return returned_at, [task.result().batch for task in tasks]
+
+        returned_at, batches = run(scenario())
+        assert batches == [0, 1, 2]
+        assert [returned_at[f"r{i}"] for i in range(3)] == pytest.approx(
+            [0.1, 0.2, 0.3]
+        )
+
 
 class TestBackpressure:
     def test_queue_full_rejects_with_typed_reason(

@@ -8,7 +8,6 @@ from repro.kernels.chirp import matched_filter_planned
 from repro.signal.chirp import (
     SPEED_OF_SOUND,
     ChirpDesign,
-    chirp_train,
     cross_correlate,
     linear_chirp,
 )
@@ -94,41 +93,11 @@ class TestLinearChirp:
         assert abs(pulse[-1]) < 0.15  # Hann end sample is near zero
 
 
-class TestChirpTrain:
-    def test_default_length(self):
-        design = ChirpDesign()
-        train = chirp_train(design, 10)
-        assert train.size == 10 * design.samples_per_interval
-
-    def test_pulse_positions(self):
-        design = ChirpDesign()
-        train = chirp_train(design, 5)
-        hop = design.samples_per_interval
-        pulse_len = design.samples_per_chirp
-        for k in range(5):
-            seg = train[k * hop : k * hop + pulse_len]
-            assert np.max(np.abs(seg)) > 0.1
-            gap = train[k * hop + pulse_len + 10 : (k + 1) * hop - 10]
-            if gap.size:
-                assert np.max(np.abs(gap)) < 1e-9
-
-    def test_zero_chirps_rejected(self):
-        with pytest.raises(ConfigurationError):
-            chirp_train(ChirpDesign(), 0)
-
-    def test_total_samples_too_small_rejected(self):
-        with pytest.raises(ConfigurationError):
-            chirp_train(ChirpDesign(), 10, total_samples=100)
-
-    def test_explicit_total_samples(self):
-        train = chirp_train(ChirpDesign(), 2, total_samples=1000)
-        assert train.size == 1000
-
-
 class TestMatchedFilter:
     def test_peaks_at_pulse_onsets(self):
         design = ChirpDesign()
-        train = chirp_train(design, 4)
+        pulse = linear_chirp(design)
+        train = np.tile(np.pad(pulse, (0, design.samples_per_interval - pulse.size)), 4)
         response = matched_filter_planned(train, design)
         hop = design.samples_per_interval
         for k in range(4):

@@ -5,8 +5,6 @@ import pytest
 
 from repro.signal.correlation import (
     correlation_matrix,
-    max_correlation_lag,
-    normalized_cross_correlation,
     pearson,
 )
 
@@ -39,29 +37,6 @@ class TestPearson:
     def test_too_short(self):
         with pytest.raises(ValueError):
             pearson(np.ones(1), np.ones(1))
-
-
-class TestLagSearch:
-    def test_finds_known_shift(self, rng):
-        x = rng.standard_normal(256)
-        shifted = np.roll(x, 7)
-        lag, coeff = max_correlation_lag(shifted, x, max_lag=15)
-        assert lag == 7
-        assert coeff > 0.9
-
-    def test_zero_lag_for_identical(self, rng):
-        x = rng.standard_normal(128)
-        lag, coeff = max_correlation_lag(x, x, max_lag=10)
-        assert lag == 0
-        assert coeff == pytest.approx(1.0)
-
-    def test_output_length(self, rng):
-        x = rng.standard_normal(64)
-        assert normalized_cross_correlation(x, x, 5).size == 11
-
-    def test_negative_max_lag(self):
-        with pytest.raises(ValueError):
-            normalized_cross_correlation(np.ones(8), np.ones(8), -1)
 
 
 class TestCorrelationMatrix:

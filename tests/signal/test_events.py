@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SignalProcessingError
-from repro.signal.chirp import ChirpDesign, chirp_train
+from repro.signal.chirp import ChirpDesign, linear_chirp
 from repro.signal.events import Event, EventDetectorConfig, detect_events, sliding_power
+
+
+def _pulse_train(design: ChirpDesign, count: int) -> np.ndarray:
+    """``count`` pulses, one at the start of each chirp interval."""
+    pulse = linear_chirp(design)
+    return np.tile(np.pad(pulse, (0, design.samples_per_interval - pulse.size)), count)
 
 
 class TestEvent:
@@ -75,14 +81,14 @@ class TestDetectEvents:
 
     def test_counts_chirps_in_train(self, rng):
         design = ChirpDesign()
-        train = chirp_train(design, 20)
+        train = _pulse_train(design, 20)
         noisy = train + 0.001 * rng.standard_normal(train.size)
         events = detect_events(noisy)
         assert len(events) == 20
 
     def test_event_spacing_matches_interval(self, rng):
         design = ChirpDesign()
-        train = chirp_train(design, 10) + 0.001 * rng.standard_normal(2400)
+        train = _pulse_train(design, 10) + 0.001 * rng.standard_normal(2400)
         events = detect_events(train)
         spacings = np.diff([e.start for e in events])
         np.testing.assert_allclose(spacings, design.samples_per_interval, atol=5)

@@ -7,8 +7,6 @@ from scipy import signal as scipy_signal
 from repro.errors import ConfigurationError
 from repro.signal.filters import (
     butterworth_bandpass,
-    butterworth_highpass,
-    butterworth_lowpass,
     sos_frequency_response,
     sosfilt,
     sosfilt_reference,
@@ -19,28 +17,6 @@ FS = 48_000.0
 
 
 class TestDesignAgainstScipy:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
-    def test_lowpass_response_matches(self, order):
-        mine = butterworth_lowpass(order, 8_000.0, FS)
-        ref = scipy_signal.butter(order, 8_000.0, btype="low", fs=FS, output="sos")
-        freqs = np.linspace(100.0, 23_000.0, 400)
-        np.testing.assert_allclose(
-            np.abs(mine.response(freqs)),
-            np.abs(sos_frequency_response(ref, freqs, FS)),
-            atol=1e-10,
-        )
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 5])
-    def test_highpass_response_matches(self, order):
-        mine = butterworth_highpass(order, 12_000.0, FS)
-        ref = scipy_signal.butter(order, 12_000.0, btype="high", fs=FS, output="sos")
-        freqs = np.linspace(100.0, 23_000.0, 400)
-        np.testing.assert_allclose(
-            np.abs(mine.response(freqs)),
-            np.abs(sos_frequency_response(ref, freqs, FS)),
-            atol=1e-10,
-        )
-
     @pytest.mark.parametrize("order", [1, 2, 4, 5])
     def test_bandpass_response_matches(self, order):
         mine = butterworth_bandpass(order, 15_000.0, 21_000.0, FS)
@@ -79,9 +55,9 @@ class TestDesignProperties:
 
     def test_invalid_orders_and_edges(self):
         with pytest.raises(ConfigurationError):
-            butterworth_lowpass(0, 8_000.0, FS)
+            butterworth_bandpass(0, 15_000.0, 21_000.0, FS)
         with pytest.raises(ConfigurationError):
-            butterworth_lowpass(4, 25_000.0, FS)  # above Nyquist
+            butterworth_bandpass(4, 15_000.0, 25_000.0, FS)  # above Nyquist
         with pytest.raises(ConfigurationError):
             butterworth_bandpass(4, 21_000.0, 15_000.0, FS)  # inverted
         with pytest.raises(ConfigurationError):
@@ -120,7 +96,7 @@ class TestFiltering:
         )
 
     def test_empty_signal(self):
-        design = butterworth_lowpass(2, 8_000.0, FS)
+        design = butterworth_bandpass(2, 15_000.0, 21_000.0, FS)
         assert sosfilt(design.sos, np.array([])).size == 0
         assert sosfiltfilt(design.sos, np.array([])).size == 0
 

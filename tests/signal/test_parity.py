@@ -19,7 +19,6 @@ from repro.signal.chirp import ChirpDesign, linear_chirp
 from repro.signal.parity import (
     EchoSegmenterConfig,
     autoconvolution,
-    best_symmetry_point,
     find_symmetry_candidates,
     parity_decompose,
     parity_energies,
@@ -107,9 +106,9 @@ class TestAutoconvolution:
         for row, expected in zip(conv, stack):
             np.testing.assert_array_equal(row, autoconvolution(expected))
 
-    def test_best_symmetry_point_of_symmetric_pulse(self):
+    def test_symmetric_pulse_peaks_at_twice_its_fold(self):
         pulse = np.sin(np.linspace(0, np.pi, 41))  # even about sample 20
-        assert best_symmetry_point(pulse) == pytest.approx(20.0, abs=0.5)
+        assert np.argmax(np.abs(autoconvolution(pulse))) / 2.0 == pytest.approx(20.0, abs=0.5)
 
 
 class TestCandidates:

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import windows as scipy_windows
 
-from repro.signal.windows import (
-    apply_window,
-    blackman,
-    coherent_gain,
-    equivalent_noise_bandwidth,
-    hamming,
-    hann,
-    rectangular,
-    tukey,
-)
+from repro.signal.windows import hamming, hann
 
 
 class TestAgainstScipy:
@@ -38,18 +29,6 @@ class TestAgainstScipy:
             hamming(length),
             scipy_windows.general_hamming(length, 25.0 / 46.0, sym=True),
             atol=1e-12,
-        )
-
-    @pytest.mark.parametrize("length", [3, 16, 64])
-    def test_blackman_matches_scipy(self, length):
-        np.testing.assert_allclose(
-            blackman(length), scipy_windows.blackman(length, sym=True), atol=1e-12
-        )
-
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-    def test_tukey_matches_scipy(self, alpha):
-        np.testing.assert_allclose(
-            tukey(64, alpha), scipy_windows.tukey(64, alpha, sym=True), atol=1e-12
         )
 
 
@@ -78,48 +57,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             hann(-1)
 
-    def test_rectangular_is_ones(self):
-        np.testing.assert_allclose(rectangular(5), np.ones(5))
-
-    def test_tukey_alpha_zero_is_rectangular(self):
-        np.testing.assert_allclose(tukey(32, 0.0), np.ones(32))
-
-    def test_tukey_alpha_one_is_hann(self):
-        np.testing.assert_allclose(tukey(32, 1.0), hann(32), atol=1e-12)
-
-    def test_tukey_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            tukey(16, 1.5)
-
 
 class TestHelpers:
-    def test_apply_window_multiplies(self):
-        sig = np.ones(8)
-        w = hann(8)
-        np.testing.assert_allclose(apply_window(sig, w), w)
-
-    def test_apply_window_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_window(np.ones(8), hann(9))
-
-    def test_coherent_gain_rectangular_is_one(self):
-        assert coherent_gain(rectangular(16)) == pytest.approx(1.0)
-
     def test_coherent_gain_hann_is_half(self):
-        assert coherent_gain(hann(4096, periodic=True)) == pytest.approx(0.5, rel=1e-3)
-
-    def test_enbw_rectangular_is_one(self):
-        assert equivalent_noise_bandwidth(rectangular(64)) == pytest.approx(1.0)
+        assert np.mean(hann(4096, periodic=True)) == pytest.approx(0.5, rel=1e-3)
 
     def test_enbw_hann_is_1_5(self):
-        assert equivalent_noise_bandwidth(hann(4096, periodic=True)) == pytest.approx(
-            1.5, rel=1e-3
-        )
-
-    def test_enbw_empty_raises(self):
-        with pytest.raises(ValueError):
-            equivalent_noise_bandwidth(np.array([]))
-
-    def test_enbw_zero_sum_raises(self):
-        with pytest.raises(ValueError):
-            equivalent_noise_bandwidth(np.array([1.0, -1.0]))
+        w = hann(4096, periodic=True)
+        assert w.size * np.sum(w**2) / np.sum(w) ** 2 == pytest.approx(1.5, rel=1e-3)

@@ -20,7 +20,6 @@ from repro.simulation.calibration import (
     DeviceProfile,
     apply_calibration,
     calibration_state,
-    device_fleet,
 )
 from repro.simulation.earphone import BOSE_QC20, PROTOTYPE
 
@@ -39,7 +38,6 @@ class TestConfigValidation:
             lambda: CalibrationDriftConfig(tilt_drift_db=-0.5),
             lambda: CalibrationDriftConfig(horizon_sessions=0),
             lambda: DeviceProfile(unit_id=-1),
-            lambda: device_fleet(PROTOTYPE, 0),
         ],
     )
     def test_out_of_range_parameters_rejected(self, build):
@@ -75,7 +73,7 @@ class TestDriftWalk:
         assert early != late_first
 
     def test_units_of_one_sku_drift_independently(self):
-        fleet = device_fleet(PROTOTYPE, 3)
+        fleet = [DeviceProfile(model=PROTOTYPE, unit_id=i) for i in range(3)]
         states = [calibration_state(unit, ENABLED, 15) for unit in fleet]
         gains = {state.gain_db for state in states}
         assert len(gains) == 3
@@ -98,7 +96,7 @@ class TestDriftWalk:
         # Over a fleet of units the RMS gain at the horizon session
         # should approximate gain_drift_db (clamping trims the tail).
         config = CalibrationDriftConfig(enabled=True, gain_drift_db=2.0)
-        fleet = device_fleet(PROTOTYPE, 200)
+        fleet = [DeviceProfile(model=PROTOTYPE, unit_id=i) for i in range(200)]
         gains = np.array(
             [
                 calibration_state(unit, config, config.horizon_sessions).gain_db

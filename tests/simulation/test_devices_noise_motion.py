@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation.earphone import (
-    COMMERCIAL_EARPHONES,
-    PROTOTYPE,
-    EarphoneModel,
-    earphone_by_name,
-)
+from repro.simulation.earphone import COMMERCIAL_EARPHONES, PROTOTYPE, EarphoneModel
 from repro.simulation.hardware import (
     SMARTPHONE_PROFILES,
     SmartphoneProfile,
@@ -49,11 +44,6 @@ class TestEarphones:
         assert PROTOTYPE.mic_noise_sigma(1.0) == pytest.approx(
             10 ** (-PROTOTYPE.mic_snr_db / 20.0)
         )
-
-    def test_lookup(self):
-        assert earphone_by_name("BOSE QC20").name == "BOSE QC20"
-        with pytest.raises(ConfigurationError):
-            earphone_by_name("AirPods")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,18 +1,11 @@
-"""Tests for the otoscopist label-noise model and WAV I/O."""
-
-import wave as stdlib_wave
+"""Tests for the otoscopist label-noise model."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.simulation.effusion import MeeState
-from repro.simulation.groundtruth import (
-    OtoscopistModel,
-    label_agreement,
-    relabel_states,
-)
-from repro.simulation.waveio import read_wav, write_wav
+from repro.simulation.groundtruth import OtoscopistModel, relabel_states
 
 
 class TestOtoscopistModel:
@@ -50,13 +43,6 @@ class TestOtoscopistModel:
         with pytest.raises(ConfigurationError):
             OtoscopistModel(type_error=-0.1)
 
-    def test_label_agreement(self):
-        a = [MeeState.CLEAR, MeeState.SEROUS]
-        b = [MeeState.CLEAR, MeeState.MUCOID]
-        assert label_agreement(a, b) == pytest.approx(0.5)
-        with pytest.raises(ConfigurationError):
-            label_agreement(a, [MeeState.CLEAR])
-
 
 class TestDetectionUnderLabelNoise:
     def test_accuracy_degrades_gracefully(self, small_feature_table):
@@ -75,45 +61,3 @@ class TestDetectionUnderLabelNoise:
         # Scored against the *true* states: the clustering is label-free,
         # so modest label noise mostly perturbs cluster naming.
         assert np.mean(predicted == truth) > 0.6
-
-
-class TestWavIO:
-    def test_roundtrip(self, tmp_path, rng):
-        waveform = 0.5 * np.sin(np.arange(4800) * 0.3)
-        path = write_wav(tmp_path / "tone", waveform, 48_000.0)
-        loaded, rate = read_wav(path)
-        assert rate == 48_000.0
-        np.testing.assert_allclose(loaded, waveform, atol=1.0 / 32000.0)
-
-    def test_stdlib_wave_can_read_our_files(self, tmp_path):
-        waveform = 0.25 * np.sin(np.arange(960) * 0.5)
-        path = write_wav(tmp_path / "check.wav", waveform, 48_000.0)
-        with stdlib_wave.open(str(path), "rb") as handle:
-            assert handle.getnchannels() == 1
-            assert handle.getsampwidth() == 2
-            assert handle.getframerate() == 48_000
-            assert handle.getnframes() == 960
-
-    def test_clipping_inputs_normalised(self, tmp_path):
-        waveform = 3.0 * np.sin(np.arange(480) * 0.3)
-        path = write_wav(tmp_path / "loud", waveform, 48_000.0)
-        loaded, _ = read_wav(path)
-        assert np.max(np.abs(loaded)) <= 1.0
-
-    def test_recording_export(self, tmp_path, recording):
-        path = write_wav(tmp_path / "session", recording.waveform, recording.sample_rate)
-        loaded, rate = read_wav(path)
-        assert loaded.size == recording.waveform.size
-        assert rate == recording.sample_rate
-
-    def test_invalid_inputs(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            write_wav(tmp_path / "bad", np.zeros(0), 48_000.0)
-        with pytest.raises(ConfigurationError):
-            write_wav(tmp_path / "bad", np.zeros(10), 0.0)
-
-    def test_read_rejects_non_wav(self, tmp_path):
-        path = tmp_path / "not.wav"
-        path.write_bytes(b"hello world, definitely not RIFF")
-        with pytest.raises(ConfigurationError):
-            read_wav(path)

@@ -19,14 +19,16 @@ class TestSessionConfig:
         assert cfg.movement is Movement.SIT
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SessionConfig(duration_s=0.0)
+        for duration_s in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                SessionConfig(duration_s=duration_s)
         with pytest.raises(ConfigurationError):
             SessionConfig(duration_s=0.006)  # below two chirp intervals
         with pytest.raises(ConfigurationError):
             SessionConfig(angle_deg=75.0)
-        with pytest.raises(ConfigurationError):
-            SessionConfig(path_jitter_s=-1e-6)
+        for path_jitter_s in (-1e-6, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                SessionConfig(path_jitter_s=path_jitter_s)
 
 
 class TestRecordSession:
