@@ -14,7 +14,7 @@ sample delays exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,19 +104,3 @@ class MultipathChannel:
         spectrum = np.fft.rfft(signal, nfft)
         received = np.fft.irfft(spectrum * self.transfer_function(freqs), nfft)
         return received[:n]
-
-    def impulse_response(self, sample_rate: float, length: int) -> np.ndarray:
-        """Channel impulse response sampled at ``sample_rate``."""
-        impulse = np.zeros(length)
-        impulse[0] = 1.0
-        return self.apply(impulse, sample_rate, extra_samples=0)
-
-    @property
-    def path_labels(self) -> list[str]:
-        """Labels of all paths, for diagnostics."""
-        return [p.label for p in self.paths]
-
-    @classmethod
-    def from_paths(cls, paths: Sequence[PropagationPath]) -> "MultipathChannel":
-        """Build a channel from an iterable of paths."""
-        return cls(list(paths))

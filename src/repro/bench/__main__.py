@@ -29,11 +29,11 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
     """Whole-capture pipeline stages, each timed against its oracle.
 
     Every op calls the pipeline's own stage method on the output of the
-    stages before it, built once and untimed.  Parity and spectrum run
-    on a seeded default capture (the study-batch shape); the rake runs
-    on a seeded reverberant 0.1 s capture from a drifting device unit
-    (the fleet-closed shape).  Ops are named after the stage spans, so
-    a trace and the ratchet use the same words.
+    stages before it, built once and untimed.  Events, parity and
+    spectrum run on a seeded default capture (the study-batch shape);
+    the rake runs on a seeded reverberant 0.1 s capture from a drifting
+    device unit (the fleet-closed shape).  Ops are named after the stage
+    spans, so a trace and the ratchet use the same words.
     """
     from ..acoustics.reverb import ReverbConfig
     from ..core.config import EarSonarConfig
@@ -42,6 +42,7 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
     from ..kernels.plan import rake_plan
     from ..obs import names as obs_names
     from ..signal.correlation import cancel_early_reflections
+    from ..signal.events import detect_events_reference
     from ..signal.parity import segment_eardrum_echo
     from ..simulation import SessionConfig, record_session, sample_participant
     from ..simulation.calibration import CalibrationDriftConfig
@@ -97,6 +98,13 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
         return cleaned, removed_total
 
     return [
+        compare_ops(
+            obs_names.SPAN_STAGE_EVENTS,
+            f"duration_s={duration},events={len(events)}",
+            lambda: pipeline.detect_chirp_events(filtered),
+            lambda: detect_events_reference(filtered, pipeline.config.events),
+            repeats=repeats,
+        ),
         compare_ops(
             obs_names.SPAN_STAGE_PARITY,
             f"duration_s={duration},events={len(events)}",

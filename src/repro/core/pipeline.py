@@ -286,15 +286,22 @@ class EarSonarPipeline:
         calibration_offset_db = 0.0
         calibration_stable = True
         reasons: list[str] = []
+        # Segments are uniformly 2 * segment_half_length long; one stack
+        # serves the corrupt-chirp screen and the mean segment, and its
+        # rows are dropped alongside ``echoes``.
+        segments = (
+            np.stack([e.segment for e in echoes])
+            if echoes
+            else np.empty((0, 2 * self.config.segmenter.segment_half_length))
+        )
         if rb.drop_corrupted_chirps:
-            survivors = [
-                e for e in echoes
-                if np.isfinite(e.segment).all() and np.any(e.segment)
-            ]
-            dropped = len(echoes) - len(survivors)
+            keep = np.isfinite(segments).all(axis=1) & segments.any(axis=1)
+            idx = np.flatnonzero(keep)
+            dropped = len(echoes) - idx.size
             if dropped:
                 reasons.append("corrupt_chirps")
-                echoes = survivors
+                echoes = [echoes[i] for i in idx]
+                segments = segments[idx]
         if len(echoes) < self.config.min_echoes:
             raise NoEchoFoundError(
                 f"only {len(echoes)} of {len(events)} events produced usable "
@@ -319,6 +326,7 @@ class EarSonarPipeline:
                     reasons.append("corrupt_chirps")
                 curves = curves[idx]
                 echoes = [echoes[i] for i in idx]
+                segments = segments[idx]
             if self.config.calibration.enabled:
                 with tracer.span(obs_names.SPAN_STAGE_CALIBRATION) as span:
                     curves, calibration_offset_db, calibration_stable = (
@@ -333,7 +341,6 @@ class EarSonarPipeline:
             if peak <= 0.0:
                 raise SignalProcessingError("absorption curve is identically zero")
             curve = mean_curve / peak
-        segments = np.stack([e.segment for e in echoes])
         mean_segment = segments.mean(axis=0)
         rate = echoes[0].sample_rate
         with tracer.span(obs_names.SPAN_STAGE_FEATURES):

@@ -18,7 +18,13 @@ from .correlation import (
     correlation_matrix_reference,
     pearson,
 )
-from .events import Event, EventDetectorConfig, detect_events, sliding_power
+from .events import (
+    Event,
+    EventDetectorConfig,
+    detect_events,
+    detect_events_reference,
+    sliding_power,
+)
 from .filters import (
     ButterworthDesign,
     butterworth_bandpass,
@@ -64,6 +70,7 @@ __all__ = [
     "Event",
     "EventDetectorConfig",
     "detect_events",
+    "detect_events_reference",
     "sliding_power",
     "ButterworthDesign",
     "butterworth_bandpass",

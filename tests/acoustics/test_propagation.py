@@ -17,6 +17,13 @@ from repro.errors import ConfigurationError
 FS = 48_000.0
 
 
+def _impulse(length: int) -> np.ndarray:
+    """A unit impulse at sample 0."""
+    impulse = np.zeros(length)
+    impulse[0] = 1.0
+    return impulse
+
+
 class TestPropagationPath:
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -27,7 +34,7 @@ class TestMultipathChannel:
     def test_single_path_delays_impulse(self):
         delay_samples = 16
         channel = MultipathChannel([PropagationPath(delay_samples / FS, 0.5)])
-        h = channel.impulse_response(FS, 64)
+        h = channel.apply(_impulse(64), FS, extra_samples=0)
         assert np.argmax(np.abs(h)) == delay_samples
         assert h[delay_samples] == pytest.approx(0.5, abs=1e-6)
 
@@ -35,7 +42,7 @@ class TestMultipathChannel:
         channel = MultipathChannel(
             [PropagationPath(0.0, 1.0), PropagationPath(10 / FS, 0.25)]
         )
-        h = channel.impulse_response(FS, 32)
+        h = channel.apply(_impulse(32), FS, extra_samples=0)
         assert h[0] == pytest.approx(1.0, abs=1e-6)
         assert h[10] == pytest.approx(0.25, abs=1e-6)
 
@@ -83,10 +90,6 @@ class TestMultipathChannel:
         with pytest.raises(ConfigurationError):
             MultipathChannel([PropagationPath(0.0, 1.0)]).apply(np.array([]), FS)
 
-    def test_from_paths(self):
-        paths = [PropagationPath(0.0, 1.0, label="a")]
-        assert MultipathChannel.from_paths(paths).path_labels == ["a"]
-
 
 class TestEarChannel:
     def _channel(self, angle=0.0, load=None, length=0.026):
@@ -96,7 +99,7 @@ class TestEarChannel:
         return build_ear_channel(geometry, model, load, insertion)
 
     def test_has_expected_paths(self):
-        labels = self._channel().path_labels
+        labels = [p.label for p in self._channel().paths]
         assert "direct" in labels
         assert "eardrum" in labels
         assert any(l.startswith("canal-wall") for l in labels)

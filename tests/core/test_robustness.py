@@ -69,6 +69,30 @@ class TestDegradedPath:
             robust_pipeline().process(empty)
 
 
+class TestCorruptChirpDrop:
+    def test_zero_and_nan_echoes_are_dropped(self, recording):
+        clean = EarSonarPipeline(EarSonarConfig()).process(recording)
+        pipe = EarSonarPipeline(EarSonarConfig())
+        extract = pipe.extract_echoes
+
+        def with_corrupt_echoes(filtered, events=None):
+            echoes = extract(filtered, events)
+            zero = dataclasses.replace(echoes[0], segment=np.zeros_like(echoes[0].segment))
+            nan = dataclasses.replace(echoes[0], segment=np.full_like(echoes[0].segment, np.nan))
+            return [zero, *echoes[:3], nan, *echoes[3:]]
+
+        pipe.extract_echoes = with_corrupt_echoes
+        out = pipe.process(recording)
+        assert clean.num_echoes == 20
+        assert out.num_echoes == 20
+        assert out.num_chirps_dropped == 2
+        assert out.quality_reasons == ("corrupt_chirps",)
+        assert out.confidence == 20 / 22
+        np.testing.assert_array_equal(out.features, clean.features)
+        np.testing.assert_array_equal(out.curve, clean.curve)
+        np.testing.assert_array_equal(out.mean_segment, clean.mean_segment)
+
+
 class TestRobustnessConfig:
     def test_fraction_budget_validated(self):
         with pytest.raises(ConfigurationError):

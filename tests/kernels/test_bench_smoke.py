@@ -89,7 +89,10 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
     )
     assert rc == 0
     for name, expected_ops in [
-        ("BENCH_stages.json", {"stage.parity", "stage.spectrum", "stage.rake"}),
+        (
+            "BENCH_stages.json",
+            {"stage.events", "stage.parity", "stage.spectrum", "stage.rake"},
+        ),
         ("BENCH_obs.json", {"batch_screening_traced"}),
     ]:
         payload = json.loads((tmp_path / name).read_text())
@@ -123,8 +126,8 @@ def test_cli_gates_each_report_against_its_base(tmp_path, capsys):
         path.write_text(json.dumps(payload))
     assert main(run + [str(tmp_path / "b"), "--gate", str(tmp_path / "a")]) == 1
     out = capsys.readouterr().out
-    assert "compared 3 op(s)" in out and "compared 1 op(s)" in out
-    assert out.count("FAIL:") == 4
+    assert "compared 4 op(s)" in out and "compared 1 op(s)" in out
+    assert out.count("FAIL:") == 5
 
 
 def test_cli_rejects_repeats_below_one(tmp_path, capsys):

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter, lfiltic
 
+from repro.acoustics.reverb import ReverbConfig
+from repro.core.pipeline import EarSonarPipeline
 from repro.errors import SignalProcessingError
 from repro.signal.chirp import ChirpDesign, linear_chirp
-from repro.signal.events import Event, EventDetectorConfig, detect_events, sliding_power
+from repro.signal.events import (
+    Event,
+    EventDetectorConfig,
+    detect_events,
+    detect_events_reference,
+    sliding_power,
+)
+from repro.simulation import SessionConfig, record_session, sample_participant
+from repro.simulation.calibration import CalibrationDriftConfig
 
 
 def _pulse_train(design: ChirpDesign, count: int) -> np.ndarray:
@@ -110,3 +121,90 @@ class TestDetectEvents:
         x = np.sin(np.arange(5000) * 2.0)  # persistent tone
         events = detect_events(x, EventDetectorConfig(max_event_length=100))
         assert all(e.length <= 101 for e in events)
+
+
+#: The shapes the event-by-event search must reproduce: the default, a
+#: hangover of 0 (closes like 1), events force-closed after 3 samples
+#: on a 5-sample window, and long statistics with a long hangover.
+ORACLE_CONFIGS = (
+    EventDetectorConfig(),
+    EventDetectorConfig(hangover=0),
+    EventDetectorConfig(window=5, min_event_length=1, max_event_length=3),
+    EventDetectorConfig(window=200, hangover=60),
+)
+
+
+def _gather_sliding_power(signal, window):
+    """``sliding_power`` as four fancy-index gathers, the expression it replaced."""
+    power = signal**2
+    w = int(window)
+    csum = np.concatenate([[0.0], np.cumsum(power)])
+    csum2 = np.concatenate([[0.0], np.cumsum(power**2)])
+    idx = np.arange(signal.size)
+    lo = np.maximum(0, idx - w + 1)
+    counts = idx - lo + 1
+    a = (csum[idx + 1] - csum[lo]) / counts
+    var = np.maximum(0.0, (csum2[idx + 1] - csum2[lo]) / counts - a**2)
+    b = np.sqrt(var)
+    alpha = 1.0 / w
+    den = [1.0, -(1.0 - alpha)]
+    mu, _ = lfilter([alpha], den, a, zi=lfiltic([alpha], den, y=[a[0]]))
+    sigma, _ = lfilter([alpha], den, b, zi=lfiltic([alpha], den, y=[b[0]]))
+    return mu, sigma
+
+
+@pytest.fixture(scope="module")
+def event_corpus():
+    """Band-passed seeded captures, their short prefixes and white noise.
+
+    Plain 1 s captures (the study-batch shape) and reverberant 0.1 and
+    0.25 s captures from drifting device units (the served shape), each
+    also cut to 30, 5 and 1 samples; one capture is cut inside an event
+    so that its last event runs into the end of the signal.
+    """
+    rng = np.random.default_rng(2029)
+    pipeline = EarSonarPipeline()
+    captures = []
+    for i in range(9):
+        participant = sample_participant(rng, f"E{i}", total_days=30)
+        if i < 3:
+            session = SessionConfig(duration_s=1.0)
+        else:
+            session = SessionConfig(
+                duration_s=(0.1, 0.25)[i % 2],
+                reverb=ReverbConfig(enabled=True),
+                calibration=CalibrationDriftConfig(enabled=True),
+                device_unit=int(rng.integers(8)),
+            )
+        recording = record_session(participant, float(rng.uniform(0.0, 30.0)), session, rng)
+        captures.append(pipeline.preprocess(recording.waveform))
+    signals = [cut for x in captures for cut in (x, x[:30], x[:5], x[:1])]
+    inside = detect_events_reference(captures[0])[3]
+    signals.append(captures[0][: inside.start + inside.length // 2])
+    signals.append(rng.standard_normal(3000))
+    return signals
+
+
+class TestDetectEventsOracle:
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS)
+    def test_equals_per_sample_loop(self, event_corpus, config):
+        for signal in event_corpus + [event_corpus[0][: config.window]]:
+            got = [(e.start, e.end) for e in detect_events(signal, config)]
+            want = [(e.start, e.end) for e in detect_events_reference(signal, config)]
+            assert got == want
+
+    def test_corpus_covers_the_edge_shapes(self, event_corpus):
+        default = EventDetectorConfig()
+        lengths = {signal.size for signal in event_corpus}
+        assert min(lengths) < default.window
+        cut = event_corpus[-2]
+        assert detect_events_reference(cut)[-1].end == cut.size
+        assert sum(len(detect_events_reference(s)) for s in event_corpus) > 500
+
+    @pytest.mark.parametrize("window", [1, 5, 48, 200, 5000])
+    def test_sliding_power_matches_gathers(self, event_corpus, window):
+        for signal in event_corpus:
+            mu, sigma = sliding_power(signal, window)
+            want_mu, want_sigma = _gather_sliding_power(signal, window)
+            assert mu.tobytes() == want_mu.tobytes()
+            assert sigma.tobytes() == want_sigma.tobytes()
