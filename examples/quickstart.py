@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import EarSonarScreener
+from repro.core import EarSonarScreener
 from repro.simulation import (
     SessionConfig,
     StudyDesign,

@@ -7,10 +7,13 @@ absorption-spectrum features, k-means effusion grading, a physics-based
 virtual clinic standing in for the unavailable clinical dataset, the
 Chan-et-al.-2019 baseline, and the paper's full evaluation suite.
 
+Importing ``repro`` loads no subpackage; import what a path runs from
+its subpackage (``repro.core``, ``repro.simulation``, ``repro.qa`` …).
+
 Quick start (``smoke`` below is this, packaged)::
 
     import numpy as np
-    from repro import EarSonarScreener
+    from repro.core import EarSonarScreener
     from repro.simulation import (
         StudyDesign, build_cohort, simulate_study, record_session,
         SessionConfig, sample_participant,
@@ -27,37 +30,12 @@ Quick start (``smoke`` below is this, packaged)::
     print(result.state, result.confidence)
 """
 
-from . import (
-    acoustics,
-    baselines,
-    core,
-    experiments,
-    features,
-    learning,
-    qa,
-    runtime,
-    signal,
-    simulation,
-)
-from .core import (
-    EarSonarConfig,
-    EarSonarPipeline,
-    EarSonarScreener,
-    MeeDetector,
-    evaluate_loocv,
-    extract_features,
-)
-from .errors import (
-    ConfigurationError,
-    EarSonarError,
-    ModelError,
-    NoEchoFoundError,
-    NotFittedError,
-    SignalProcessingError,
-    SimulationError,
-)
-from .core.results import ScreeningResult
-from .simulation import MeeState
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .core.results import ScreeningResult
 
 __version__ = "1.0.0"
 
@@ -91,6 +69,7 @@ def smoke(
     """
     import numpy as np
 
+    from .core import EarSonarScreener
     from .simulation import (
         SessionConfig,
         StudyDesign,
@@ -109,32 +88,5 @@ def smoke(
     recording = record_session(patient, 0.5, SessionConfig(duration_s=duration_s), rng)
     return screener.screen(recording)
 
-__all__ = [
-    "acoustics",
-    "baselines",
-    "core",
-    "experiments",
-    "features",
-    "learning",
-    "qa",
-    "runtime",
-    "signal",
-    "simulation",
-    "smoke",
-    "EarSonarConfig",
-    "EarSonarPipeline",
-    "EarSonarScreener",
-    "MeeDetector",
-    "evaluate_loocv",
-    "extract_features",
-    "ConfigurationError",
-    "EarSonarError",
-    "ModelError",
-    "NoEchoFoundError",
-    "NotFittedError",
-    "SignalProcessingError",
-    "SimulationError",
-    "MeeState",
-    "ScreeningResult",
-    "__version__",
-]
+
+__all__ = ["smoke", "__version__"]

@@ -124,9 +124,9 @@ class AdmissionRejected(ServiceError):
     Carries machine-readable backpressure metadata so callers can implement
     polite retry:
 
-    - ``reason`` — one of ``"rate_limited"`` (the tenant's token bucket
-      is empty), ``"queue_full"`` (the bounded request queue is at
-      capacity), or ``"shutdown"`` (the service is stopping);
+    - ``reason`` — ``"queue_full"``: the bounded request queue is at
+      capacity.  A stopped service raises :class:`ServiceStoppedError`
+      instead;
     - ``retry_after_s`` — the earliest time, in seconds, at which a
       retry has a chance of being admitted.
     """

@@ -72,7 +72,6 @@ __all__ = [
     "METRIC_SERVE_COMPLETED",
     "METRIC_SERVE_FAST_REJECTED",
     "METRIC_SERVE_GATE_MEMO_HITS",
-    "METRIC_SERVE_REJECTED_RATE_LIMITED",
     "METRIC_SERVE_REJECTED_QUEUE_FULL",
     "METRIC_SERVE_REJECTED_SHUTDOWN",
     "METRIC_SERVE_BATCHES_DISPATCHED",
@@ -195,7 +194,7 @@ METRIC_TIMEOUTS = "executor.timeouts"
 #: Chunks lost to worker crashes or injected faults.
 METRIC_WORKER_FAILURES = "executor.worker_failures"
 #: Worker pools created: one per pooled run of an unopened executor,
-#: one per worker count (plus one per fault) while it is open.
+#: one (plus one per fault) while it is open.
 METRIC_POOL_STARTS = "executor.pool_starts"
 #: Results the pipeline tagged with quality reasons (``corrupt_chirps``,
 #: ``calibration_unstable``, ``non_finite``): screened, but degraded.
@@ -272,11 +271,10 @@ METRIC_SERVE_FAST_REJECTED = "serve.requests.fast_rejected"
 #: Quality-gate verdicts answered from the service's memo of earlier
 #: identical captures, without running the gate's DSP.
 METRIC_SERVE_GATE_MEMO_HITS = "serve.gate_memo.hits"
-#: Rejections: the tenant's token bucket was empty.
-METRIC_SERVE_REJECTED_RATE_LIMITED = "serve.rejected.rate_limited"
 #: Rejections: the bounded request queue was at capacity.
 METRIC_SERVE_REJECTED_QUEUE_FULL = "serve.rejected.queue_full"
-#: Rejections: the service was stopping.
+#: Submissions refused because the service was not running (before
+#: start or after stop).
 METRIC_SERVE_REJECTED_SHUTDOWN = "serve.rejected.shutdown"
 #: Micro-batches handed to the batch executor.
 METRIC_SERVE_BATCHES_DISPATCHED = "serve.batches.dispatched"
@@ -290,10 +288,10 @@ HIST_SERVE_QUEUE_MS = "serve.queue_ms"
 #: Executor wall time per dispatched micro-batch.
 HIST_SERVE_BATCH_MS = "serve.batch_ms"
 
-#: Rejection counter for each :class:`~repro.errors.AdmissionRejected`
-#: reason the service can emit.
+#: Rejection counter for each refusal the service can emit: the one
+#: :class:`~repro.errors.AdmissionRejected` reason, ``queue_full``, and
+#: ``shutdown`` for a :class:`~repro.errors.ServiceStoppedError`.
 SERVE_REJECTION_COUNTERS = {
-    "rate_limited": METRIC_SERVE_REJECTED_RATE_LIMITED,
     "queue_full": METRIC_SERVE_REJECTED_QUEUE_FULL,
     "shutdown": METRIC_SERVE_REJECTED_SHUTDOWN,
 }
@@ -307,7 +305,6 @@ SERVE_CANONICAL_COUNTERS = frozenset(
         METRIC_SERVE_COMPLETED,
         METRIC_SERVE_FAST_REJECTED,
         METRIC_SERVE_GATE_MEMO_HITS,
-        METRIC_SERVE_REJECTED_RATE_LIMITED,
         METRIC_SERVE_REJECTED_QUEUE_FULL,
         METRIC_SERVE_REJECTED_SHUTDOWN,
         METRIC_SERVE_BATCHES_DISPATCHED,

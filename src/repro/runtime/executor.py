@@ -226,9 +226,8 @@ class BatchExecutor:
         keeps single-study experiments deterministic-by-construction
         and avoids pool startup for small batches.  A run with fewer
         cache misses than workers forks only as many; an open
-        executor's pool always has ``workers`` processes.  May be
-        changed between runs; an open pool is then replaced at the next
-        pooled run.
+        executor's pool always has ``workers`` processes.  Fixed at
+        construction.
     chunk_size:
         Recordings per pool task.  ``None`` auto-sizes to about four
         chunks per worker, balancing pickling overhead against
@@ -269,6 +268,8 @@ class BatchExecutor:
         task_timeout_s: float | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1 or None, got {chunk_size}"
@@ -287,7 +288,7 @@ class BatchExecutor:
         self._forked: weakref.WeakSet[multiprocessing.process.BaseProcess] = (
             weakref.WeakSet()
         )
-        self.workers = workers
+        self._workers = workers
         self.pipeline = pipeline or EarSonarPipeline(EarSonarConfig())
         self.chunk_size = chunk_size
         self.cache = cache
@@ -303,14 +304,6 @@ class BatchExecutor:
     def workers(self) -> int:
         """Process count (see the class docstring); at least 1."""
         return self._workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        if value < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {value}")
-        if self._pool is not None and value != self._workers:
-            self._retire(self._pool)
-        self._workers = value
 
     # -- pool lifetime -------------------------------------------------
 

@@ -107,8 +107,8 @@ class RuntimeMetrics:
     - ``executor.serial_fallback`` — parallel run degraded to serial
     - ``executor.timeouts`` — pool tasks that missed their deadline
     - ``executor.worker_failures`` — chunks lost to crashes/injected faults
-    - ``executor.pool_starts`` — worker pools created (per run, or per
-      worker count and fault while the executor is open)
+    - ``executor.pool_starts`` — worker pools created (per run, or one
+      plus one per fault while the executor is open)
     - ``quality.degraded`` — results the pipeline tagged with quality
       reasons (``corrupt_chirps``, ``calibration_unstable``,
       ``non_finite``)

@@ -7,13 +7,11 @@ multi-tenant ingestion service:
 - :mod:`~repro.serve.clock` — the injectable time source
   (:class:`MonotonicClock` in production, :class:`VirtualClock` in
   tests) behind every wait and latency measurement;
-- :mod:`~repro.serve.queue` — bounded admission with typed
-  backpressure (:class:`~repro.errors.AdmissionRejected`);
-- :mod:`~repro.serve.limiter` — per-tenant token buckets and a
-  round-robin ring of tenant lanes;
-- :mod:`~repro.serve.batcher` — work-conserving, size-capped micro-batching;
-- :mod:`~repro.serve.service` — :class:`ScreeningService`, tying the
-  above together;
+- :mod:`~repro.serve.service` — :class:`ScreeningService`: the
+  pre-admission quality gate, a bounded queue with typed backpressure
+  (:class:`~repro.errors.AdmissionRejected`), a round-robin ring of
+  per-tenant lanes, and work-conserving, size-capped micro-batches
+  dispatched to the executor;
 - ``python -m repro.serve`` — a JSONL serving front end and a seeded
   load generator (see :mod:`repro.serve.__main__`).
 
@@ -27,26 +25,14 @@ Quick use::
     await service.stop()
 """
 
-from .batcher import BatchPolicy, MicroBatcher
 from .clock import Clock, MonotonicClock, VirtualClock
-from .limiter import TenancyConfig, TenantPolicy, TenantScheduler, TokenBucket
-from .queue import AdmissionController, AdmissionPolicy, PendingRequest, ScreeningRequest
-from .service import ScreeningResponse, ScreeningService
+from .service import ScreeningRequest, ScreeningResponse, ScreeningService
 
 __all__ = [
     "Clock",
     "MonotonicClock",
     "VirtualClock",
-    "AdmissionPolicy",
-    "AdmissionController",
     "ScreeningRequest",
-    "PendingRequest",
-    "TenantPolicy",
-    "TenancyConfig",
-    "TokenBucket",
-    "TenantScheduler",
-    "BatchPolicy",
-    "MicroBatcher",
     "ScreeningResponse",
     "ScreeningService",
 ]

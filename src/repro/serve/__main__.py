@@ -33,9 +33,10 @@ synthesized from the seeded simulation layer; every stochastic choice
 flows from ``--seed``.  Each request's latency runs from its scheduled
 arrival, so time an arrival spends waiting for the event loop counts.
 A non-finite or non-positive ``--rate`` or ``--duration``, a
-``--min-completion`` outside [0, 1], a ``--requests``, ``--pool`` or
-``--tenants`` below 1, or a negative ``--seed`` is refused with a
-:class:`~repro.errors.ConfigurationError` before the service is built.
+``--requests``, ``--pool`` or ``--tenants`` below 1, or a negative
+``--seed`` is refused with a :class:`~repro.errors.ConfigurationError`
+before the service is built, and so is a non-finite or non-positive
+``serve --poll-s``.
 
 The report counts every request exactly once: ``responded`` (answered
 with a screening outcome, processed or quarantined), ``rejected``
@@ -74,11 +75,8 @@ from ..runtime.executor import BatchExecutor, BatchResult
 from ..runtime.metrics import RuntimeMetrics
 from ..simulation.participant import sample_participant
 from ..simulation.session import Recording, SessionConfig, record_session
-from .batcher import BatchPolicy
 from .clock import Clock, MonotonicClock, VirtualClock
-from .limiter import TenancyConfig, TenantPolicy
-from .queue import AdmissionPolicy, ScreeningRequest
-from .service import BatchRunner, ScreeningResponse, ScreeningService
+from .service import BatchRunner, ScreeningRequest, ScreeningResponse, ScreeningService
 
 #: Modelled cost of one batch on the virtual clock:
 #: ``VIRTUAL_BATCH_FIXED_S + VIRTUAL_CAPTURE_S * ceil(n / workers)``.
@@ -182,17 +180,11 @@ def _build_service(
         metrics=metrics,
         fault_injector=fault_injector,
     )
-    tenancy = TenancyConfig(
-        default=TenantPolicy(rate_per_s=args.tenant_rate, burst=args.tenant_burst)
-        if args.tenant_rate is not None
-        else TenantPolicy()
-    )
     return ScreeningService(
         executor,
         clock=clock,
-        admission=AdmissionPolicy(max_queue_depth=args.max_queue_depth),
-        tenancy=tenancy,
-        batching=BatchPolicy(max_batch_size=args.max_batch_size),
+        max_queue_depth=args.max_queue_depth,
+        max_batch_size=args.max_batch_size,
         fast_reject=QualityConfig() if args.fast_reject else None,
         runner=(
             _modeled_runner(executor, clock)
@@ -334,10 +326,6 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
     for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
-    if not 0.0 <= args.min_completion <= 1.0:
-        raise ConfigurationError(
-            f"--min-completion must be within [0, 1], got {args.min_completion}"
-        )
     for flag, count in (("--requests", args.requests), ("--pool", args.pool),
                         ("--tenants", args.tenants)):
         if count < 1:
@@ -436,7 +424,6 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
 
     total_rejected = sum(rejected.values())
     lost = args.requests - len(responded) - total_rejected
-    answerable = args.requests - total_rejected
     quarantined = sum(1 for r in responded if not r.ok)
     latency = {}
     if latencies_ms:
@@ -464,10 +451,9 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
         "quarantined": quarantined,
         "rejected": rejected,
         "lost": lost,
-        "completion_rate": (len(responded) / answerable) if answerable else 1.0,
         "latency_ms": latency,
         "per_tenant": per_tenant,
-        "workers_final": service.workers,
+        "workers_final": service.executor.workers,
         "batches": metrics["counters"].get("serve.batches.dispatched", 0),
         "counters": metrics["counters"],
     }
@@ -487,15 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         cmd.add_argument(
             "--max-queue-depth", type=int, default=256, help="admission queue cap"
-        )
-        cmd.add_argument(
-            "--tenant-rate",
-            type=float,
-            default=None,
-            help="per-tenant sustained admission rate (req/s)",
-        )
-        cmd.add_argument(
-            "--tenant-burst", type=float, default=8.0, help="per-tenant burst size"
         )
         cmd.add_argument(
             "--fast-reject",
@@ -581,16 +558,14 @@ def main(argv: list[str] | None = None) -> int:
     load_cmd.add_argument(
         "--report", default=None, help="write the JSON report to this path"
     )
-    load_cmd.add_argument(
-        "--min-completion",
-        type=float,
-        default=0.99,
-        help="fail (exit 1) below this completion rate",
-    )
 
     args = parser.parse_args(argv)
 
     if args.command == "serve":
+        if not (math.isfinite(args.poll_s) and args.poll_s > 0):
+            raise ConfigurationError(
+                f"--poll-s must be positive and finite, got {args.poll_s}"
+            )
         clock = MonotonicClock()
         health, health_sink = _build_health(args, clock)
         service = _build_service(args, clock, health_sink)
@@ -608,13 +583,6 @@ def main(argv: list[str] | None = None) -> int:
     print(rendered)
     if report["lost"] > 0:
         print(f"FAIL: {report['lost']} requests lost", file=sys.stderr)
-        return 1
-    if report["completion_rate"] < args.min_completion:
-        print(
-            f"FAIL: completion rate {report['completion_rate']:.3f} < "
-            f"{args.min_completion}",
-            file=sys.stderr,
-        )
         return 1
     return 0
 

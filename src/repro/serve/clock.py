@@ -1,12 +1,13 @@
 """Deterministic time: the single clock boundary of :mod:`repro.serve`.
 
-Everything time-shaped in the online service — token-bucket refill,
-admission retry-after estimates, latency measurement — flows through
-one :class:`Clock` object, never through ``time``/``asyncio`` directly.
-That buys the property the whole serving test suite is built on: with
-a :class:`VirtualClock` the entire service (queues, batcher, limiter)
-is simulatable — a thousand seconds of traffic run in milliseconds of
-wall time, in a deterministic order, with no real sleeps anywhere.
+Everything time-shaped in the online service — queue waits, batch
+timings, latency measurement — flows through one :class:`Clock`
+object, never through ``time``/``asyncio`` directly.  That buys the
+property the whole serving test suite is built on: with a
+:class:`VirtualClock` the entire service (admission, tenant lanes,
+batching) is simulatable — a thousand seconds of traffic run in
+milliseconds of wall time, in a deterministic order, with no real
+sleeps anywhere.
 
 This module is the *only* place in the package allowed to touch
 ``time.monotonic`` / ``asyncio.sleep`` (the QA001 lint extension

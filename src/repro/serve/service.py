@@ -1,25 +1,31 @@
 """The online screening service: admission → batching → dispatch.
 
 :class:`ScreeningService` is the long-lived asyncio front end over the
-batch runtime.  A caller submits one
-:class:`~repro.serve.queue.ScreeningRequest` and awaits one
-:class:`ScreeningResponse`; between the two, the service
+batch runtime.  A caller submits one :class:`ScreeningRequest` and
+awaits one :class:`ScreeningResponse`; between the two, the service
 
 1. **fast-rejects** hopeless captures — when a quality config is set,
    the gate runs *before* admission, so a flat-line or clipped
    recording is answered immediately and never spends queue capacity
-   or a rate-limit token on DSP it would fail anyway.  The gate's
-   report is memoized, so a resubmitted capture is answered without
-   the gate's DSP (see *The gate memo* below);
-2. **admits or refuses** via :class:`~repro.serve.queue.AdmissionController`
-   (tenant token bucket, then queue depth), raising a typed
-   :class:`~repro.errors.AdmissionRejected` with an honest retry-after;
-   a refusal after the rate gate refunds the tenant's token;
-3. **batches** whatever is queued whenever the dispatch loop is free
-   (:class:`~repro.serve.batcher.MicroBatcher` over the round-robin
-   :class:`~repro.serve.limiter.TenantScheduler`): requests that arrive
-   while a batch runs leave together as the next batch;
-4. **dispatches** each micro-batch through the shared
+   on DSP it would fail anyway.  The gate's report is memoized, so a
+   resubmitted capture is answered without the gate's DSP (see *The
+   gate memo* below);
+2. **admits or refuses** against a hard cap on admitted-but-undispatched
+   requests: a full queue raises a typed
+   :class:`~repro.errors.AdmissionRejected` (``reason="queue_full"``)
+   whose retry-after is the time the backlog takes to drain, never less
+   than :data:`RETRY_AFTER_FLOOR_S`;
+3. **queues** each admitted request in its tenant's FIFO lane.  The
+   lanes that hold work form a round-robin ring, in the order each last
+   became non-empty, and a batch takes one request per lane per turn,
+   so a backlogged tenant fills at most its turn of each batch while
+   another tenant has work queued, and an idle tenant banks nothing;
+4. **batches** whatever is queued, up to ``max_batch_size``, whenever
+   the dispatch loop is free.  The loop waits only while the queue is
+   empty, and dispatches each batch synchronously on the event loop,
+   so requests that arrive while a batch runs leave together as the
+   next batch and a lone request never waits for co-travellers;
+5. **dispatches** each micro-batch through the shared
    :class:`~repro.runtime.executor.BatchExecutor` — the *same* runtime
    the offline path uses, so a served feature vector is bit-identical
    to the batch one.  The service holds the executor open from
@@ -57,8 +63,8 @@ from __future__ import annotations
 
 import asyncio
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import (
@@ -78,12 +84,9 @@ from ..runtime.executor import BatchExecutor, BatchResult
 from ..runtime.faults import FailedRecording
 from ..core.results import ProcessedRecording
 from ..simulation.session import Recording
-from .batcher import BatchPolicy, MicroBatcher
 from .clock import Clock, MonotonicClock
-from .limiter import TenancyConfig, TenantScheduler
-from .queue import AdmissionController, AdmissionPolicy, PendingRequest, ScreeningRequest
 
-__all__ = ["ScreeningResponse", "ScreeningService"]
+__all__ = ["ScreeningRequest", "ScreeningResponse", "ScreeningService"]
 
 #: Batch index assigned to responses answered before batching (the
 #: pre-admission quality fast-reject path).
@@ -92,6 +95,32 @@ FAST_REJECT_BATCH = -1
 #: Most gate reports the service remembers, as many entries as the
 #: feature cache's default capacity; the least recently used goes first.
 GATE_MEMO_CAPACITY = 4096
+
+#: Least retry-after a ``queue_full`` refusal carries, so a refused
+#: caller never busy-loops on a zero hint.
+RETRY_AFTER_FLOOR_S = 0.05
+
+
+@dataclass(frozen=True)
+class ScreeningRequest:
+    """One screening job: a recording, its tenant, and a caller id."""
+
+    request_id: str
+    tenant: str
+    recording: Recording
+
+
+@dataclass
+class _Pending:
+    """An admitted request waiting in its tenant's lane.
+
+    ``future`` resolves to the service's response; ``admitted_at`` is
+    clock time at admission, the start of the queue-wait measurement.
+    """
+
+    request: ScreeningRequest
+    future: asyncio.Future = field(repr=False)
+    admitted_at: float
 
 
 @dataclass(frozen=True)
@@ -156,13 +185,15 @@ class ScreeningService:
         counters land next to the executor's own telemetry.
         :meth:`start` opens it and :meth:`stop` closes it.
     clock:
-        Time source for every deadline, wait, and latency measurement.
-        Defaults to :class:`MonotonicClock`; tests pass
+        Time source for every wait and latency measurement.  Defaults
+        to :class:`MonotonicClock`; tests pass
         :class:`~repro.serve.clock.VirtualClock`.
-    admission / tenancy / batching:
-        Backpressure, fairness, and batch-size policies (defaults are
-        reasonable for tests; real deployments should size
-        ``max_queue_depth`` and tenant buckets deliberately).
+    max_queue_depth:
+        Hard cap on admitted-but-undispatched requests across all
+        tenants; a request that finds the queue full is refused.
+    max_batch_size:
+        Most requests one micro-batch carries; the rest wait for the
+        next.
     fast_reject:
         Optional :class:`QualityConfig`; when set, REJECT-verdict
         captures are answered pre-admission without queueing, and a
@@ -185,14 +216,19 @@ class ScreeningService:
         executor: BatchExecutor,
         *,
         clock: Clock | None = None,
-        admission: AdmissionPolicy | None = None,
-        tenancy: TenancyConfig | None = None,
-        batching: BatchPolicy | None = None,
+        max_queue_depth: int = 256,
+        max_batch_size: int = 8,
         fast_reject: QualityConfig | None = None,
         runner: BatchRunner | None = None,
         health_interval_s: float | None = None,
         health_sink: Callable[[dict], None] | None = None,
     ) -> None:
+        for name, value in (
+            ("max_queue_depth", max_queue_depth),
+            ("max_batch_size", max_batch_size),
+        ):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if health_interval_s is not None and not (
             math.isfinite(health_interval_s) and health_interval_s > 0
         ):
@@ -203,12 +239,17 @@ class ScreeningService:
         self.executor = executor
         self.metrics = executor.metrics
         self.clock: Clock = clock if clock is not None else MonotonicClock()
-        self.admission = AdmissionController(admission or AdmissionPolicy())
-        self.batch_policy = batching or BatchPolicy()
-        self.scheduler: TenantScheduler[PendingRequest] = TenantScheduler(
-            tenancy or TenancyConfig(), self.clock
-        )
-        self.batcher = MicroBatcher(self.scheduler, self.batch_policy)
+        self._max_queue_depth = max_queue_depth
+        self._max_batch_size = max_batch_size
+        # The round-robin ring: one FIFO lane per tenant with queued
+        # work, in the order each lane last became non-empty.  A lane
+        # leaves the ring when it empties, so an idle tenant banks no
+        # turns.
+        self._lanes: OrderedDict[str, deque[_Pending]] = OrderedDict()
+        self._depth = 0
+        # Set on every enqueue and at stop; the dispatch loop waits on
+        # it only while the queue is empty.
+        self._wake = asyncio.Event()
         self._fast_reject = fast_reject
         # The gate's inputs besides the capture are fixed for the
         # service's life, so their fingerprints are taken once.
@@ -229,26 +270,6 @@ class ScreeningService:
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        """True between :meth:`start` and :meth:`stop`."""
-        return self._running
-
-    @property
-    def queue_depth(self) -> int:
-        """Admitted-but-undispatched requests across all tenants."""
-        return self.scheduler.depth
-
-    @property
-    def fast_reject(self) -> QualityConfig | None:
-        """The pre-admission gate's thresholds, fixed at construction."""
-        return self._fast_reject
-
-    @property
-    def workers(self) -> int:
-        """The executor's current worker-pool size."""
-        return self.executor.workers
-
     async def start(self) -> None:
         """Begin accepting requests and start the dispatch loop.
 
@@ -257,34 +278,22 @@ class ScreeningService:
         """
         if self._running:
             return
-        if self.batcher.closed:
-            self.batcher = MicroBatcher(self.scheduler, self.batch_policy)
         self._running = True
         self.executor.open()
         self._dispatch_task = asyncio.ensure_future(self._dispatch_loop())
 
-    async def stop(self, drain: bool = True) -> None:
-        """Stop the service.
+    async def stop(self) -> None:
+        """Stop accepting requests, answer every admitted one, then close.
 
-        With ``drain=True`` (the default) every admitted request is
-        still batched and answered before the loop exits — shutdown
-        never strands accepted work.  With ``drain=False`` queued
-        requests are failed immediately with
-        :class:`ServiceStoppedError` on their futures.  Either way the
-        executor's pool is closed last, once no batch can still need it.
+        Every admitted request is still batched and answered before the
+        dispatch loop exits, so shutdown never strands accepted work.
+        The executor's pool is closed last, once no batch can still
+        need it.
         """
         if not self._running:
             return
         self._running = False
-        if not drain:
-            # The batcher never holds requests across a suspension, so
-            # everything undispatched is still in the scheduler.
-            for pending in self.scheduler.drain():
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        ServiceStoppedError("service stopped before dispatch")
-                    )
-        self.batcher.close()
+        self._wake.set()
         if self._dispatch_task is not None:
             await self._dispatch_task
             self._dispatch_task = None
@@ -303,8 +312,8 @@ class ScreeningService:
         ServiceStoppedError
             If the service is not accepting (before start / after stop).
         AdmissionRejected
-            Typed backpressure verdict (rate limit or full queue) with a
-            machine-readable reason and retry-after.
+            The queue is at ``max_queue_depth`` (``reason="queue_full"``,
+            with a retry-after).
         """
         self.metrics.increment(obs_names.METRIC_SERVE_SUBMITTED)
         self.metrics.increment(
@@ -342,14 +351,12 @@ class ScreeningService:
 
         self._admit(request)
         self.metrics.increment(obs_names.METRIC_SERVE_ADMITTED)
-        loop = asyncio.get_running_loop()
-        pending = PendingRequest(
+        pending = _Pending(
             request=request,
-            future=loop.create_future(),
+            future=asyncio.get_running_loop().create_future(),
             admitted_at=self.clock.now(),
         )
-        self.scheduler.enqueue(request.tenant, pending)
-        self.batcher.notify()
+        self._enqueue(pending)
         response: ScreeningResponse = await pending.future
         request_ms = (self.clock.now() - pending.admitted_at) * 1e3
         self.metrics.observe(obs_names.HIST_SERVE_REQUEST_MS, request_ms)
@@ -430,67 +437,91 @@ class ScreeningService:
         return report, False
 
     def _admit(self, request: ScreeningRequest) -> None:
-        """Run admission control; record and re-raise rejections.
+        """Refuse the request if the queue is at ``max_queue_depth``.
 
-        A request refused after its token was taken gets the token
-        back: only admitted requests spend the tenant's rate.
+        The refusal is counted and recorded in fleet health before the
+        typed :class:`AdmissionRejected` is raised.
         """
-        rate_wait = self.scheduler.acquire_slot(request.tenant)
-        try:
-            self.admission.check(
-                depth=self.scheduler.depth,
-                rate_wait_s=rate_wait,
-                drain_ms=self.estimated_wait_ms,
+        depth = self._depth
+        if depth < self._max_queue_depth:
+            return
+        rejection = AdmissionRejected(
+            f"request queue at capacity ({depth}/{self._max_queue_depth})",
+            reason="queue_full",
+            retry_after_s=max(RETRY_AFTER_FLOOR_S, self._estimated_wait_ms() / 1e3),
+        )
+        self.metrics.increment(obs_names.SERVE_REJECTION_COUNTERS[rejection.reason])
+        self.metrics.increment(
+            obs_names.tenant_counter(obs_names.METRIC_TENANT_REJECTED, request.tenant)
+        )
+        health = current_health()
+        if health.enabled:
+            now = self.clock.now()
+            health.increment(
+                obs_names.HEALTH_REQUESTS,
+                labels={"tenant": request.tenant, "outcome": "rejected"},
+                now=now,
             )
-        except AdmissionRejected as rejection:
-            if rate_wait == 0.0:
-                self.scheduler.refund_slot(request.tenant)
-            self.metrics.increment(
-                obs_names.SERVE_REJECTION_COUNTERS[rejection.reason]
-            )
-            self.metrics.increment(
-                obs_names.tenant_counter(
-                    obs_names.METRIC_TENANT_REJECTED, request.tenant
-                )
-            )
-            health = current_health()
-            if health.enabled:
-                now = self.clock.now()
-                health.increment(
-                    obs_names.HEALTH_REQUESTS,
-                    labels={"tenant": request.tenant, "outcome": "rejected"},
-                    now=now,
-                )
-                health.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=now)
-            raise
+            health.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=now)
+        raise rejection
 
-    def estimated_wait_ms(self) -> float:
-        """Expected queue wait for a request admitted right now.
+    def _estimated_wait_ms(self) -> float:
+        """Time the queued backlog takes to drain, in milliseconds.
 
         Backlog expressed in whole micro-batches, each costing the
         observed p95 batch latency; zero until the first batch has been
-        timed.  Admission reads it only to size a full queue's
-        retry-after.
+        timed.  Read only to size a full queue's retry-after.
         """
-        depth = self.scheduler.depth
-        if depth == 0:
-            return 0.0
         p95 = self.metrics.histogram(obs_names.HIST_SERVE_BATCH_MS).percentile(95.0)
-        batches_ahead = math.ceil(depth / self.batch_policy.max_batch_size)
-        return batches_ahead * p95
+        return math.ceil(self._depth / self._max_batch_size) * p95
+
+    def _enqueue(self, pending: _Pending) -> None:
+        """Append an admitted request to its tenant's lane; wake the loop."""
+        tenant = pending.request.tenant
+        lane = self._lanes.get(tenant)
+        if lane is None:
+            # The lane was empty: it joins the ring at the tail.
+            lane = self._lanes[tenant] = deque()
+        lane.append(pending)
+        self._depth += 1
+        self._wake.set()
+
+    def _take_batch(self) -> list[_Pending]:
+        """Up to ``max_batch_size`` queued requests in round-robin order.
+
+        Each turn serves the lane at the head of the ring once and moves
+        it to the tail if it still has work.
+        """
+        batch: list[_Pending] = []
+        while self._lanes and len(batch) < self._max_batch_size:
+            tenant, lane = self._lanes.popitem(last=False)
+            batch.append(lane.popleft())
+            if lane:
+                self._lanes[tenant] = lane
+        self._depth -= len(batch)
+        return batch
 
     # -- dispatch ------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Pull micro-batches until the batcher closes and drains."""
-        while (batch := await self.batcher.collect()) is not None:
-            self._dispatch(batch)
-            # collect() does not suspend while work is queued, so yield
-            # once: the callers this batch answered resume now, at its
-            # end, not after the whole backlog has been dispatched.
+        """Dispatch micro-batches until the service is stopped and drained.
+
+        Waits only while the queue is empty; otherwise takes whatever
+        is queued, up to ``max_batch_size``, without suspending.
+        """
+        while True:
+            while not self._lanes:
+                if not self._running:
+                    return
+                self._wake.clear()
+                await self._wake.wait()
+            self._dispatch(self._take_batch())
+            # Taking a batch does not suspend while work is queued, so
+            # yield once: the callers this batch answered resume now, at
+            # its end, not after the whole backlog has been dispatched.
             await self.clock.sleep(0)
 
-    def _dispatch(self, batch: list[PendingRequest]) -> None:
+    def _dispatch(self, batch: list[_Pending]) -> None:
         """Run one micro-batch and resolve its futures."""
         seq = self._batch_seq
         self._batch_seq += 1
@@ -552,7 +583,7 @@ class ScreeningService:
             self.health_sink(snapshot)
 
     def _fail_batch(
-        self, batch: list[PendingRequest], seq: int, batch_ms: float, message: str
+        self, batch: list[_Pending], seq: int, batch_ms: float, message: str
     ) -> None:
         """Answer every request of a crashed batch with a quarantine record."""
         for pending in batch:
@@ -572,7 +603,7 @@ class ScreeningService:
 
     def _resolve(
         self,
-        pending: PendingRequest,
+        pending: _Pending,
         outcome: ProcessedRecording | FailedRecording,
         seq: int,
         batch_ms: float,

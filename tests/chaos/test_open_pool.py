@@ -23,7 +23,7 @@ from repro.obs import names as obs_names
 from repro.obs.health import HealthMonitor, current_health, use_health
 from repro.obs.tracer import Tracer, current_tracer, use_tracer
 from repro.runtime import BatchExecutor, FaultInjector
-from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 pytestmark = pytest.mark.chaos
 
@@ -102,19 +102,6 @@ class TestFaultedPoolIsReplaced:
             assert pool_starts(executor) == 2
         assert not multiprocessing.active_children()
 
-    def test_resize_rebuilds_the_pool_once(self, pipeline, chaos_batch):
-        with BatchExecutor(pipeline, workers=2, chunk_size=4) as executor:
-            executor.run(chaos_batch)
-            executor.run(chaos_batch)
-            executor.workers = 2  # unchanged: the pool stays
-            executor.run(chaos_batch)
-            assert pool_starts(executor) == 1
-            executor.workers = 3
-            executor.run(chaos_batch)
-            executor.run(chaos_batch)
-            assert pool_starts(executor) == 2
-        assert not multiprocessing.active_children()
-
 
 class TestWorkerHygiene:
     def test_workers_forked_under_telemetry_keep_none(self, pipeline, chaos_batch):
@@ -141,7 +128,7 @@ class TestServiceLifetime:
             service = ScreeningService(
                 executor,
                 clock=clock,
-                batching=BatchPolicy(max_batch_size=4),
+                max_batch_size=4,
             )
             await service.start()
             tasks = [

@@ -28,7 +28,7 @@ from repro.obs import (
 )
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import RuntimeMetrics
-from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .prometheus_format import validate_prometheus
 
@@ -72,7 +72,7 @@ def served_tenants(obs_pipeline, obs_recordings):
         service = ScreeningService(
             BatchExecutor(obs_pipeline, metrics=metrics),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=len(AWKWARD_TENANTS)),
+            max_batch_size=len(AWKWARD_TENANTS),
         )
         await service.start()
         tasks = [

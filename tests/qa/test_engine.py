@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.qa import QAEngine, all_rules, parse_pragmas
 from repro.qa.__main__ import main as qa_main
@@ -172,3 +175,16 @@ def test_cli_writes_no_files(tmp_path, make_project, monkeypatch, capsys):
         assert capsys.readouterr().out
         assert list(workdir.iterdir()) == [], fmt
     assert _tree_snapshot(project.root) == before
+
+
+def test_importing_the_lint_loads_no_numpy(repo_src_root):
+    """The lint reads source only, so importing it pulls in no numeric stack."""
+    probe = "import sys, repro.qa; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(repo_src_root)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

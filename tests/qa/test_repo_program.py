@@ -43,21 +43,21 @@ def test_repo_is_strict_clean(repo_src_root):
 
 
 def test_seeded_sleep_in_serve_callee_caught_by_qa008(mutable_src):
-    # TenantScheduler._lane is a transitive callee of the async
+    # ScreeningService._enqueue is a synchronous callee of the async
     # ScreeningService.submit; a blocking sleep seeded there must be
-    # flagged even though _lane itself is synchronous.
-    limiter = mutable_src / "repro" / "serve" / "limiter.py"
-    source = limiter.read_text()
-    anchor = "            policy = self._tenancy.policy_for(tenant)"
+    # flagged even though _enqueue itself is synchronous.
+    service = mutable_src / "repro" / "serve" / "service.py"
+    source = service.read_text()
+    anchor = "        lane = self._lanes.get(tenant)"
     assert source.count(anchor) == 1, "anchor line is no longer unique"
-    source = source.replace(
-        anchor, "            time.sleep(0.001)\n" + anchor, 1
-    )
+    # Indented like the anchor, or the mutant does not parse and QA008
+    # has nothing to report.
+    source = source.replace(anchor, "        time.sleep(0.001)\n" + anchor, 1)
     # The import must land *after* the __future__ import to keep the
     # module parseable.
     future = "from __future__ import annotations\n"
     assert future in source
-    limiter.write_text(source.replace(future, future + "import time\n", 1))
+    service.write_text(source.replace(future, future + "import time\n", 1))
 
     findings = QAEngine(rules=[AsyncBlockingRule()]).collect(
         Project.scan(mutable_src)
@@ -66,12 +66,12 @@ def test_seeded_sleep_in_serve_callee_caught_by_qa008(mutable_src):
     assert qa008, "seeded blocking sleep was not detected"
     sites = {(f.path, f.line) for f in qa008}
     assert (
-        "repro/serve/limiter.py",
-        _line_of(limiter, "time.sleep(0.001)"),
+        "repro/serve/service.py",
+        _line_of(service, "time.sleep(0.001)"),
     ) in sites
     assert any("time.sleep" in f.message for f in qa008)
     # The finding explains *how* the event loop reaches the sink.
-    assert any("_lane" in f.message for f in qa008)
+    assert any("_enqueue" in f.message for f in qa008)
 
 
 def test_seeded_unregistered_metric_caught_by_qa010(mutable_src):

@@ -41,7 +41,7 @@ from repro.quality import QualityConfig, assess_recording
 from repro.runtime import BatchExecutor, FeatureCache, RuntimeMetrics
 from repro.runtime.executor import Outcome
 from repro.runtime.faults import FailedRecording
-from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 from repro.simulation import sample_participant
 from repro.simulation.calibration import CalibrationDriftConfig
 from repro.simulation.session import SessionConfig, record_session
@@ -160,7 +160,7 @@ def _serve(pipeline, captures, tmp_path):
         service = ScreeningService(
             BatchExecutor(pipeline),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2),
+            max_batch_size=2,
         )
         await service.start()
         tasks = [
@@ -185,7 +185,7 @@ def _serve_singles(pipeline, captures, tmp_path):
         service = ScreeningService(
             BatchExecutor(pipeline),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=1),
+            max_batch_size=1,
         )
         await service.start()
         tasks = [
@@ -213,7 +213,7 @@ def _serve_pool(pipeline, captures, tmp_path):
         service = ScreeningService(
             BatchExecutor(pipeline, workers=2, metrics=metrics),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2),
+            max_batch_size=2,
         )
         await service.start()
         tasks = [
@@ -275,7 +275,7 @@ def _serve_gated(pipeline, captures, workers):
         service = ScreeningService(
             BatchExecutor(pipeline, workers=workers, metrics=metrics),
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2),
+            max_batch_size=2,
             fast_reject=GATE,
         )
         await service.start()

@@ -28,13 +28,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BatchExecutor(workers=0)
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_stay_positive_when_reassigned(self, runtime_pipeline, workers):
-        executor = BatchExecutor(runtime_pipeline, workers=2)
-        with pytest.raises(ConfigurationError):
-            executor.workers = workers
-        assert executor.workers == 2
-
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             BatchExecutor(chunk_size=0)

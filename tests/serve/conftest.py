@@ -10,7 +10,8 @@ test's coroutine directly (no async test plugin needed).
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, TypeVar
+import dataclasses
+from typing import Awaitable, Callable, Sequence, TypeVar
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.core.pipeline import EarSonarPipeline
 from repro.core.results import ProcessedRecording
 from repro.runtime.executor import BatchExecutor, BatchResult
 from repro.runtime.metrics import RuntimeMetrics
-from repro.serve import VirtualClock
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 from repro.simulation.participant import sample_participant
 from repro.simulation.session import Recording, SessionConfig, record_session
 
@@ -100,3 +101,67 @@ def ticking_runner(
         return BatchResult(outcomes=[fake_processed(r) for r in recordings])
 
     return _run
+
+
+def logging_runner(
+    clock: VirtualClock, cost_s: float, log: list[tuple[float, list[str]]]
+) -> Callable[[list[Recording]], BatchResult]:
+    """:func:`ticking_runner` that also logs each batch as it starts.
+
+    Each entry is ``(clock time, participant ids in batch order)``, so a
+    test that gives every request its own participant id reads batch
+    composition and dispatch time straight off ``log``.
+    """
+    run_batch = ticking_runner(clock, cost_s)
+
+    def _run(recordings: list[Recording]) -> BatchResult:
+        log.append((clock.now(), [r.participant_id for r in recordings]))
+        return run_batch(recordings)
+
+    return _run
+
+
+def batch_log(
+    executor: BatchExecutor,
+    template: Recording,
+    phases: Sequence[Sequence[tuple[str, str]]],
+    **service_kwargs,
+) -> list[tuple[float, list[str]]]:
+    """Serve ``(tenant, name)`` arrivals and return the batch log.
+
+    Each phase's requests are submitted together, once every earlier
+    phase is answered; request ``name`` carries ``template`` relabelled
+    with participant id ``name``.  The service runs on a fresh
+    :class:`VirtualClock` with a zero-cost :func:`logging_runner`.
+    """
+    log: list[tuple[float, list[str]]] = []
+
+    async def scenario():
+        clock = VirtualClock()
+        service = ScreeningService(
+            executor,
+            clock=clock,
+            runner=logging_runner(clock, 0.0, log),
+            **service_kwargs,
+        )
+        await service.start()
+        for arrivals in phases:
+            tasks = [
+                asyncio.ensure_future(
+                    service.submit(
+                        ScreeningRequest(
+                            name,
+                            tenant,
+                            dataclasses.replace(template, participant_id=name),
+                        )
+                    )
+                )
+                for tenant, name in arrivals
+            ]
+            await clock.advance_until(lambda: all(task.done() for task in tasks))
+            for task in tasks:
+                task.result()
+        await service.stop()
+
+    run(scenario())
+    return log

@@ -1,4 +1,5 @@
-"""Micro-batching: whatever is queued leaves at once, size-capped; drain on close."""
+"""Micro-batching: whatever is queued leaves at once, size-capped; the
+dispatch loop waits only while the queue is empty."""
 
 from __future__ import annotations
 
@@ -7,112 +8,72 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve import BatchPolicy, MicroBatcher, TenancyConfig, TenantScheduler
-from repro.serve import VirtualClock
+from repro.obs import names as obs_names
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
-from .conftest import run
-
-
-def make_batcher(clock, **policy_kwargs):
-    scheduler = TenantScheduler(TenancyConfig(), clock)
-    policy = BatchPolicy(**policy_kwargs)
-    return MicroBatcher(scheduler, policy), scheduler
+from .conftest import batch_log, logging_runner, run
 
 
 class TestBatchPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(max_batch_size=0)
-        assert BatchPolicy(max_batch_size=1).max_batch_size == 1
+    def test_validation(self, executor):
+        for size in (0, -1):
+            with pytest.raises(ConfigurationError, match="max_batch_size"):
+                ScreeningService(executor, max_batch_size=size)
+        ScreeningService(executor, max_batch_size=1)
 
 
 class TestMicroBatcher:
-    def test_full_batch_dispatches_without_waiting(self):
+    def test_full_batch_dispatches_without_waiting(
+        self, executor, serve_recordings
+    ):
+        # No clock advance at all: the size cap alone closes the batch.
+        log = batch_log(
+            executor,
+            serve_recordings[0],
+            [[("t", "r0"), ("t", "r1"), ("t", "r2")]],
+            max_batch_size=3,
+        )
+        assert log == [(0.0, ["r0", "r1", "r2"])]
+
+    def test_collect_blocks_until_work_arrives(self, executor, serve_recordings):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(clock, max_batch_size=3)
-            for i in range(3):
-                scheduler.enqueue("t", i)
-            batcher.notify()
-            # No clock advance at all: the size trigger must fire alone.
-            batch = await batcher.collect()
-            return batch, clock.now()
-
-        batch, now = run(scenario())
-        assert batch == [0, 1, 2]
-        assert now == 0.0
-
-    def test_lone_request_leaves_at_once(self):
-        async def scenario():
-            clock = VirtualClock()
-            batcher, scheduler = make_batcher(clock, max_batch_size=8)
-            scheduler.enqueue("t", "only")
-            batcher.notify()
-            # No clock advance: a partial batch waits for nobody.
-            batch = await batcher.collect()
-            return batch, clock.now()
-
-        batch, now = run(scenario())
-        assert batch == ["only"]
-        assert now == 0.0
-
-    def test_takes_everything_queued_up_to_the_size_cap(self):
-        async def scenario():
-            clock = VirtualClock()
-            batcher, scheduler = make_batcher(clock, max_batch_size=2)
-            for item in ("first", "second", "third"):
-                scheduler.enqueue("t", item)
-            batcher.notify()
-            full = await batcher.collect()
-            rest = await batcher.collect()
-            # Work queued after a collect returned forms the next batch.
-            scheduler.enqueue("t", "late")
-            batcher.notify()
-            late = await batcher.collect()
-            return full, rest, late, clock.now()
-
-        full, rest, late, now = run(scenario())
-        assert (full, rest, late) == (["first", "second"], ["third"], ["late"])
-        assert now == 0.0
-
-    def test_collect_blocks_until_work_arrives(self):
-        async def scenario():
-            clock = VirtualClock()
-            batcher, scheduler = make_batcher(clock, max_batch_size=1)
-            task = asyncio.ensure_future(batcher.collect())
+            log: list = []
+            service = ScreeningService(
+                executor,
+                clock=clock,
+                max_batch_size=1,
+                runner=logging_runner(clock, 0.0, log),
+            )
+            await service.start()
             await clock.advance(5.0)  # plenty of empty time
-            assert not task.done()
-            scheduler.enqueue("t", "late")
-            batcher.notify()
+            assert not service._dispatch_task.done()
+            assert log == []
+            late = asyncio.ensure_future(
+                service.submit(
+                    ScreeningRequest("late", "t", serve_recordings[0])
+                )
+            )
             await clock.settle()
-            return task.result()
+            await service.stop()
+            return late.result(), log
 
-        assert run(scenario()) == ["late"]
+        response, log = run(scenario())
+        assert [(at, len(batch)) for at, batch in log] == [(5.0, 1)]
+        assert response.request_id == "late"
 
-    def test_close_drains_partial_then_returns_none(self):
+    def test_close_wakes_a_blocked_collect(self, executor):
         async def scenario():
             clock = VirtualClock()
-            batcher, scheduler = make_batcher(clock, max_batch_size=8)
-            scheduler.enqueue("t", "queued")
-            batcher.notify()
-            batcher.close()
-            first = await batcher.collect()
-            second = await batcher.collect()
-            return first, second, batcher.closed
-
-        first, second, closed = run(scenario())
-        assert first == ["queued"]
-        assert second is None
-        assert closed
-
-    def test_close_wakes_a_blocked_collect(self):
-        async def scenario():
-            clock = VirtualClock()
-            batcher, _ = make_batcher(clock, max_batch_size=4)
-            task = asyncio.ensure_future(batcher.collect())
+            service = ScreeningService(executor, clock=clock, max_batch_size=4)
+            await service.start()
+            loop_task = service._dispatch_task
             await clock.settle()
-            batcher.close()
+            assert not loop_task.done()  # idle: waiting for work
+            stopping = asyncio.ensure_future(service.stop())
             await clock.settle()
-            return task.result()
+            return stopping.done(), loop_task.done(), service.metrics
 
-        assert run(scenario()) is None
+        stopped, loop_done, metrics = run(scenario())
+        assert stopped and loop_done
+        assert metrics.counter(obs_names.METRIC_SERVE_BATCHES_DISPATCHED) == 0

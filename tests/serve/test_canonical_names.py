@@ -18,15 +18,7 @@ import pytest
 
 from repro.obs import Tracer, names, use_tracer
 from repro.quality import QualityConfig
-from repro.serve import (
-    AdmissionPolicy,
-    BatchPolicy,
-    ScreeningRequest,
-    ScreeningService,
-    TenancyConfig,
-    TenantPolicy,
-    VirtualClock,
-)
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run, ticking_runner
 
@@ -60,7 +52,7 @@ def exercised(serve_recordings, silent_recording):
         service = ScreeningService(
             executor,
             clock=clock,
-            batching=BatchPolicy(max_batch_size=2),
+            max_batch_size=2,
             fast_reject=QualityConfig(),
             runner=ticking_runner(clock, 0.4),
         )
@@ -84,15 +76,12 @@ def exercised(serve_recordings, silent_recording):
         assert again.batch == -1
         await service.stop()
 
-        # Scenario 2: rate-limit and hard queue-cap rejections.
+        # Scenario 2: hard queue-cap rejections.
         tight = ScreeningService(
             executor,
             clock=clock,
-            admission=AdmissionPolicy(max_queue_depth=1),
-            batching=BatchPolicy(max_batch_size=1),
-            tenancy=TenancyConfig(
-                overrides={"hot": TenantPolicy(rate_per_s=1.0, burst=1.0)}
-            ),
+            max_queue_depth=1,
+            max_batch_size=1,
             runner=ticking_runner(clock, 0.05),
         )
         await tight.start()
@@ -100,7 +89,7 @@ def exercised(serve_recordings, silent_recording):
             tight,
             [
                 ScreeningRequest("h-0", "hot", serve_recordings[0]),
-                ScreeningRequest("h-1", "hot", serve_recordings[0]),  # rate
+                ScreeningRequest("h-1", "hot", serve_recordings[0]),  # full
                 ScreeningRequest("q-0", "calm", serve_recordings[0]),  # full
             ],
         )
@@ -119,7 +108,7 @@ def exercised(serve_recordings, silent_recording):
         crashy = ScreeningService(
             executor,
             clock=clock,
-            batching=BatchPolicy(max_batch_size=1),
+            max_batch_size=1,
             runner=exploding,
         )
         await crashy.start()

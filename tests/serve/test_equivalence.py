@@ -18,7 +18,7 @@ from repro.obs.names import METRIC_CACHE_HITS
 from repro.runtime.cache import FeatureCache
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import RuntimeMetrics
-from repro.serve import BatchPolicy, ScreeningRequest, ScreeningService, VirtualClock
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run
 
@@ -49,7 +49,7 @@ class TestResultEquivalence:
             service = ScreeningService(
                 fresh_executor(),
                 clock=clock,
-                batching=BatchPolicy(max_batch_size=2),
+                max_batch_size=2,
             )
             return await serve_all(service, clock, serve_recordings)
 
@@ -80,7 +80,7 @@ class TestResultEquivalence:
                 service = ScreeningService(
                     fresh_executor(cache=cache),
                     clock=clock,
-                    batching=BatchPolicy(max_batch_size=3),
+                    max_batch_size=3,
                 )
                 responses = await serve_all(service, clock, serve_recordings)
                 return responses, service.metrics

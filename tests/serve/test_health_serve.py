@@ -23,12 +23,7 @@ from repro.obs.health import (
     SloConfig,
     use_health,
 )
-from repro.serve import (
-    BatchPolicy,
-    ScreeningRequest,
-    ScreeningService,
-    VirtualClock,
-)
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run, ticking_runner
 
@@ -65,7 +60,7 @@ def make_monitor(clock: VirtualClock, *, latency_threshold_ms: float) -> HealthM
 
 
 def make_service(executor, clock, **kwargs) -> ScreeningService:
-    kwargs.setdefault("batching", BatchPolicy(max_batch_size=4))
+    kwargs.setdefault("max_batch_size", 4)
     kwargs.setdefault("runner", ticking_runner(clock, 0.02))
     return ScreeningService(executor, clock=clock, **kwargs)
 

@@ -1,8 +1,8 @@
-"""Admission control: typed rejections, ordering, retry-after honesty."""
+"""Admission control: typed rejections, the queue cap, retry-after honesty."""
 
 from __future__ import annotations
 
-import math
+import asyncio
 
 import pytest
 
@@ -13,29 +13,27 @@ from repro.errors import (
     ServiceError,
     ServiceStoppedError,
 )
-from repro.serve import AdmissionController, AdmissionPolicy
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
+from repro.serve.service import RETRY_AFTER_FLOOR_S
+
+from .conftest import run, ticking_runner
 
 
 class TestPolicyValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            AdmissionPolicy(max_queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            AdmissionPolicy(retry_after_floor_s=-0.1)
-        with pytest.raises(ConfigurationError):
-            AdmissionPolicy(retry_after_floor_s=math.nan)
-        with pytest.raises(ConfigurationError):
-            AdmissionPolicy(retry_after_floor_s=math.inf)
+    def test_rejects_bad_values(self, executor):
+        for depth in (0, -1):
+            with pytest.raises(ConfigurationError, match="max_queue_depth"):
+                ScreeningService(executor, max_queue_depth=depth)
 
 
 class TestErrorTaxonomy:
     def test_service_errors_slot_into_the_hierarchy(self):
         rejection = AdmissionRejected(
-            "too busy", reason="rate_limited", retry_after_s=1.5
+            "too busy", reason="queue_full", retry_after_s=1.5
         )
         assert isinstance(rejection, ServiceError)
         assert isinstance(rejection, EarSonarError)
-        assert rejection.reason == "rate_limited"
+        assert rejection.reason == "queue_full"
         assert rejection.retry_after_s == 1.5
         assert isinstance(ServiceStoppedError("stopped"), ServiceError)
 
@@ -46,49 +44,98 @@ class TestErrorTaxonomy:
         assert AdmissionRejected("boom").retry_after_s == 0.0
 
 
-def check(controller, *, depth=0, est_wait_ms=0.0, rate_wait_s=0.0):
-    controller.check(
-        depth=depth, rate_wait_s=rate_wait_s, drain_ms=lambda: est_wait_ms
-    )
+def submit_together(service, recording, count, prefix):
+    """Submit ``count`` requests at once; their tasks."""
+    return [
+        asyncio.ensure_future(
+            service.submit(ScreeningRequest(f"{prefix}{i}", "clinic", recording))
+        )
+        for i in range(count)
+    ]
 
 
 class TestAdmissionController:
-    def test_clean_request_is_admitted(self):
-        controller = AdmissionController(AdmissionPolicy())
-        check(controller)  # no exception
+    def test_clean_request_is_admitted(self, executor, serve_recordings):
+        async def scenario():
+            clock = VirtualClock()
+            service = ScreeningService(
+                executor,
+                clock=clock,
+                max_queue_depth=1,
+                runner=ticking_runner(clock, 0.0),
+            )
+            await service.start()
+            (task,) = submit_together(service, serve_recordings[0], 1, "r")
+            await clock.settle()
+            await service.stop()
+            return task.result()
 
-    def test_rate_limit_rejects_with_bucket_wait(self):
-        controller = AdmissionController(AdmissionPolicy())
-        with pytest.raises(AdmissionRejected) as excinfo:
-            check(controller, rate_wait_s=0.4)
-        assert excinfo.value.reason == "rate_limited"
-        assert excinfo.value.retry_after_s == pytest.approx(0.4)
+        assert run(scenario()).ok  # no exception under a cap of one
 
-    def test_queue_full_rejects_at_capacity(self):
-        controller = AdmissionController(AdmissionPolicy(max_queue_depth=4))
-        check(controller, depth=3)
-        with pytest.raises(AdmissionRejected) as excinfo:
-            check(controller, depth=4, est_wait_ms=800.0)
-        assert excinfo.value.reason == "queue_full"
-        assert excinfo.value.retry_after_s == pytest.approx(0.8)
+    def test_queue_full_rejects_at_capacity(self, executor, serve_recordings):
+        async def scenario():
+            clock = VirtualClock()
+            service = ScreeningService(
+                executor,
+                clock=clock,
+                max_queue_depth=2,
+                max_batch_size=1,
+                runner=ticking_runner(clock, 0.4),
+            )
+            await service.start()
+            # One timed 400 ms batch, then three arrivals at once.
+            await service.submit(ScreeningRequest("w", "clinic", serve_recordings[0]))
+            tasks = submit_together(service, serve_recordings[0], 3, "r")
+            await clock.advance_until(lambda: all(t.done() for t in tasks))
+            await service.stop()
+            return tasks
 
-    def test_admission_never_reads_the_wait_estimate(self):
+        tasks = run(scenario())
+        assert [task.exception() is None for task in tasks] == [True, True, False]
+        refused = tasks[2].exception()
+        assert refused.reason == "queue_full"
+        # Two batches of one ahead, each at the observed p95 of 400 ms.
+        assert refused.retry_after_s == pytest.approx(0.8)
+
+    def test_admission_never_reads_the_wait_estimate(
+        self, executor, serve_recordings
+    ):
         def unreachable() -> float:
             raise AssertionError("estimate read for an admitted request")
 
-        controller = AdmissionController(AdmissionPolicy(max_queue_depth=2))
-        controller.check(depth=1, rate_wait_s=0.0, drain_ms=unreachable)
+        async def scenario():
+            clock = VirtualClock()
+            service = ScreeningService(
+                executor,
+                clock=clock,
+                max_queue_depth=2,
+                runner=ticking_runner(clock, 0.0),
+            )
+            service._estimated_wait_ms = unreachable
+            await service.start()
+            tasks = submit_together(service, serve_recordings[0], 2, "r")
+            await clock.settle()
+            await service.stop()
+            return [task.result() for task in tasks]
 
-    def test_rate_limit_outranks_queue_full(self):
-        controller = AdmissionController(AdmissionPolicy(max_queue_depth=1))
-        with pytest.raises(AdmissionRejected) as excinfo:
-            check(controller, depth=99, est_wait_ms=1e6, rate_wait_s=2.0)
-        assert excinfo.value.reason == "rate_limited"
+        assert all(response.ok for response in run(scenario()))
 
-    def test_retry_after_is_floored(self):
-        controller = AdmissionController(
-            AdmissionPolicy(retry_after_floor_s=0.25)
-        )
-        with pytest.raises(AdmissionRejected) as excinfo:
-            check(controller, rate_wait_s=0.001)
-        assert excinfo.value.retry_after_s == 0.25
+    def test_retry_after_is_floored(self, executor, serve_recordings):
+        async def scenario():
+            clock = VirtualClock()
+            service = ScreeningService(
+                executor,
+                clock=clock,
+                max_queue_depth=1,
+                runner=ticking_runner(clock, 0.4),
+            )
+            await service.start()
+            # No batch timed yet: the drain estimate is zero.
+            tasks = submit_together(service, serve_recordings[0], 2, "r")
+            await clock.advance_until(lambda: all(t.done() for t in tasks))
+            await service.stop()
+            return tasks[1].exception()
+
+        refused = run(scenario())
+        assert isinstance(refused, AdmissionRejected)
+        assert refused.retry_after_s == RETRY_AFTER_FLOOR_S

@@ -18,21 +18,13 @@ from repro.errors import AdmissionRejected, ServiceStoppedError
 from repro.obs import names as obs_names
 from repro.quality import QualityConfig, assess_recording
 from repro.runtime.cache import recording_key
-from repro.serve import (
-    AdmissionPolicy,
-    BatchPolicy,
-    ScreeningRequest,
-    ScreeningService,
-    TenancyConfig,
-    TenantPolicy,
-    VirtualClock,
-)
+from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run, ticking_runner
 
 
 def make_service(executor, clock, **kwargs) -> ScreeningService:
-    kwargs.setdefault("batching", BatchPolicy(max_batch_size=4))
+    kwargs.setdefault("max_batch_size", 4)
     kwargs.setdefault("runner", ticking_runner(clock, 0.02))
     return ScreeningService(executor, clock=clock, **kwargs)
 
@@ -122,7 +114,7 @@ class TestHappyPath:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=8),
+                max_batch_size=8,
                 runner=ticking_runner(clock, 0.0),
             )
             await service.start()
@@ -145,7 +137,7 @@ class TestHappyPath:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=8),
+                max_batch_size=8,
                 runner=ticking_runner(clock, 0.1),
             )
             await service.start()
@@ -181,7 +173,7 @@ class TestHappyPath:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=1),
+                max_batch_size=1,
                 runner=ticking_runner(clock, 0.1),
             )
             await service.start()
@@ -220,8 +212,8 @@ class TestBackpressure:
             service = make_service(
                 executor,
                 clock,
-                admission=AdmissionPolicy(max_queue_depth=2),
-                batching=BatchPolicy(max_batch_size=2),
+                max_queue_depth=2,
+                max_batch_size=2,
             )
             await service.start()
             requests = [
@@ -251,106 +243,7 @@ class TestBackpressure:
             metrics.counter(obs_names.METRIC_SERVE_REJECTED_QUEUE_FULL) == 3
         )
 
-    def test_queue_full_refusal_refunds_the_rate_token(
-        self, executor, serve_recordings
-    ):
-        async def scenario():
-            clock = VirtualClock()
-            service = make_service(
-                executor,
-                clock,
-                admission=AdmissionPolicy(max_queue_depth=1),
-                tenancy=TenancyConfig(
-                    overrides={"slow": TenantPolicy(rate_per_s=0.1, burst=1.0)}
-                ),
-                runner=ticking_runner(clock, 0.0),
-            )
-            await service.start()
-            # Another tenant's request fills the queue; the slow
-            # tenant's first request is refused for the full queue.
-            tasks = submit_all(
-                service,
-                [
-                    ScreeningRequest("other", "clinic", serve_recordings[0]),
-                    ScreeningRequest("first", "slow", serve_recordings[1]),
-                ],
-            )
-            await drive(clock, tasks)
-            # Its retry finds the queue empty and a token unspent.
-            await clock.advance(0.5)
-            retry = submit_all(
-                service, [ScreeningRequest("retry", "slow", serve_recordings[1])]
-            )
-            await drive(clock, retry)
-            await service.stop()
-            return tasks[1].exception(), retry[0]
-
-        refused, retry = run(scenario())
-        assert isinstance(refused, AdmissionRejected)
-        assert refused.reason == "queue_full"
-        assert refused.retry_after_s == pytest.approx(0.05)
-        assert retry.exception() is None
-        assert retry.result().ok
-
-
 class TestTenantFairness:
-    def test_hot_tenant_is_rate_limited_others_unaffected(
-        self, executor, serve_recordings
-    ):
-        async def scenario():
-            clock = VirtualClock()
-            service = make_service(
-                executor,
-                clock,
-                tenancy=TenancyConfig(
-                    default=TenantPolicy(),
-                    overrides={
-                        "hot": TenantPolicy(rate_per_s=10.0, burst=2.0)
-                    },
-                ),
-            )
-            await service.start()
-            hot = submit_all(
-                service,
-                [
-                    ScreeningRequest(f"h{i}", "hot", serve_recordings[0])
-                    for i in range(6)
-                ],
-            )
-            calm = submit_all(
-                service,
-                [
-                    ScreeningRequest(f"c{i}", "calm", serve_recordings[1])
-                    for i in range(6)
-                ],
-            )
-            await drive(clock, hot + calm)
-            await service.stop()
-            return hot, calm, service.metrics
-
-        hot, calm, metrics = run(scenario())
-        hot_rejected = [t for t in hot if t.exception() is not None]
-        assert len(hot_rejected) == 4  # burst of 2 admitted, rest limited
-        assert all(
-            isinstance(t.exception(), AdmissionRejected)
-            and t.exception().reason == "rate_limited"
-            for t in hot_rejected
-        )
-        # The calm tenant is untouched by its neighbour's limit.
-        assert all(t.exception() is None for t in calm)
-        assert (
-            metrics.counter(obs_names.tenant_counter(
-                obs_names.METRIC_TENANT_REJECTED, "hot"
-            ))
-            == 4
-        )
-        assert (
-            metrics.counter(obs_names.tenant_counter(
-                obs_names.METRIC_TENANT_REJECTED, "calm"
-            ))
-            == 0
-        )
-
     def test_backlogged_tenant_cannot_starve_the_light_one(
         self, executor, serve_recordings
     ):
@@ -359,7 +252,7 @@ class TestTenantFairness:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=2),
+                max_batch_size=2,
             )
             await service.start()
             # 8 hot requests enqueue first, then 2 light ones.
@@ -383,7 +276,7 @@ class TestTenantFairness:
 
         hot, light = run(scenario())
         light_batches = [task.result().batch for task in light]
-        # Weighted round-robin interleaves: the light tenant rides the
+        # Round-robin interleaves: the light tenant rides the
         # first batches instead of waiting behind the whole hot backlog.
         assert max(light_batches) <= 1
 
@@ -554,7 +447,7 @@ class TestLifecycle:
         assert metrics.counter(obs_names.METRIC_SERVE_REJECTED_SHUTDOWN) == 2
 
     @staticmethod
-    async def queue_then_stop(service, recordings, *, drain):
+    async def queue_then_stop(service, recordings):
         """Queue one request per recording and stop before any is dispatched."""
         await service.start()
         tasks = submit_all(
@@ -567,8 +460,8 @@ class TestLifecycle:
         # One yield runs every submission, and each enqueues; the
         # dispatch loop wakes only after this coroutine's next step.
         await asyncio.sleep(0)
-        queued = service.queue_depth
-        await service.stop(drain=drain)
+        queued = service._depth
+        await service.stop()
         return tasks, queued
 
     def test_drain_stop_answers_all_queued_work(
@@ -577,10 +470,10 @@ class TestLifecycle:
         async def scenario():
             clock = VirtualClock()
             service = make_service(
-                executor, clock, batching=BatchPolicy(max_batch_size=2)
+                executor, clock, max_batch_size=2
             )
             tasks, queued = await self.queue_then_stop(
-                service, serve_recordings[:5], drain=True
+                service, serve_recordings[:5]
             )
             # Drain ran every batch with no clock advance.
             return tasks, queued, service.metrics
@@ -590,27 +483,7 @@ class TestLifecycle:
         assert all(task.done() and task.exception() is None for task in tasks)
         assert metrics.counter(obs_names.METRIC_SERVE_BATCHES_DISPATCHED) == 3
 
-    def test_abandon_stop_fails_pending_futures(
-        self, executor, serve_recordings
-    ):
-        async def scenario():
-            clock = VirtualClock()
-            service = make_service(executor, clock)
-            tasks, queued = await self.queue_then_stop(
-                service, serve_recordings[:3], drain=False
-            )
-            await clock.settle()
-            return tasks, queued, service.metrics
-
-        tasks, queued, metrics = run(scenario())
-        assert queued == 3
-        assert all(
-            isinstance(task.exception(), ServiceStoppedError) for task in tasks
-        )
-        assert metrics.counter(obs_names.METRIC_SERVE_BATCHES_DISPATCHED) == 0
-
-    @pytest.mark.parametrize("drain", [True, False])
-    def test_restarted_service_answers(self, executor, serve_recordings, drain):
+    def test_restarted_service_answers(self, executor, serve_recordings):
         async def scenario():
             clock = VirtualClock()
             service = make_service(executor, clock)
@@ -623,40 +496,12 @@ class TestLifecycle:
                 )
                 await drive(clock, tasks)
                 answers.append(tasks[0].result())
-                await service.stop(drain=drain)
+                await service.stop()
             return answers
 
         first, second = run(scenario())
         assert first.ok and second.ok
         assert (first.batch, second.batch) == (0, 1)
-
-
-class TestController:
-    """The service never resizes the executor's worker pool."""
-
-    def test_without_controller_workers_are_untouched(
-        self, executor, serve_recordings
-    ):
-        async def scenario():
-            clock = VirtualClock()
-            before = executor.workers
-            service = make_service(
-                executor, clock, runner=ticking_runner(clock, 0.9)
-            )
-            await service.start()
-            tasks = submit_all(
-                service,
-                [
-                    ScreeningRequest(f"r{i}", "clinic", serve_recordings[0])
-                    for i in range(4)
-                ],
-            )
-            await drive(clock, tasks, step=0.1)
-            await service.stop()
-            return before, executor.workers
-
-        before, after = run(scenario())
-        assert after == before
 
 
 class TestDispatchFaults:
@@ -682,7 +527,7 @@ class TestDispatchFaults:
             service = make_service(
                 executor,
                 clock,
-                batching=BatchPolicy(max_batch_size=2),
+                max_batch_size=2,
                 runner=flaky_runner,
             )
             await service.start()
