@@ -1,7 +1,8 @@
 """Perf harness: whole-capture pipeline stages against their oracles.
 
 ``python -m repro.bench`` times each batched pipeline stage over one
-seeded capture against the loop it replaced (events against the
+seeded capture against the loop it replaced (the band-pass against the
+pure-Python ``sosfilt_reference`` recurrence, events against the
 per-sample ``detect_events_reference`` loop, parity against the
 per-event ``segment_eardrum_echo`` loop, spectrum against per-echo
 ``absorption_curve``, the rake against the dense

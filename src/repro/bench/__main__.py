@@ -32,8 +32,10 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
     stages before it, built once and untimed.  Events, parity and
     spectrum run on a seeded default capture (the study-batch shape);
     the rake runs on a seeded reverberant 0.1 s capture from a drifting
-    device unit (the fleet-closed shape).  Ops are named after the stage
-    spans, so a trace and the ratchet use the same words.
+    device unit (the fleet-closed shape).  The band-pass runs on the
+    default capture's raw waveform against the pure-Python SOS
+    recurrence.  Ops are named after the stage spans, so a trace and the
+    ratchet use the same words.
     """
     from ..acoustics.reverb import ReverbConfig
     from ..core.config import EarSonarConfig
@@ -43,6 +45,7 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
     from ..obs import names as obs_names
     from ..signal.correlation import cancel_early_reflections
     from ..signal.events import detect_events_reference
+    from ..signal.filters import butterworth_bandpass, sosfilt_reference
     from ..signal.parity import segment_eardrum_echo
     from ..simulation import SessionConfig, record_session, sample_participant
     from ..simulation.calibration import CalibrationDriftConfig
@@ -53,6 +56,10 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
     participant = sample_participant(rng, "bench-stages", total_days=30)
     capture = record_session(
         participant, float(rng.uniform(0.0, 30.0)), SessionConfig(duration_s=duration), rng
+    )
+    bandpass = pipeline.config.bandpass
+    design = butterworth_bandpass(
+        bandpass.order, bandpass.low_hz, bandpass.high_hz, pipeline.config.chirp.sample_rate
     )
     filtered = pipeline.preprocess(capture.waveform)
     events = pipeline.detect_chirp_events(filtered)
@@ -98,6 +105,13 @@ def _stage_suite(seed: int, quick: bool, repeats: int) -> list[BenchResult]:
         return cleaned, removed_total
 
     return [
+        compare_ops(
+            obs_names.SPAN_STAGE_BANDPASS,
+            f"duration_s={duration},samples={capture.waveform.size}",
+            lambda: pipeline.preprocess(capture.waveform),
+            lambda: sosfilt_reference(design.sos, capture.waveform),
+            repeats=repeats,
+        ),
         compare_ops(
             obs_names.SPAN_STAGE_EVENTS,
             f"duration_s={duration},events={len(events)}",

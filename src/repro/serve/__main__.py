@@ -36,7 +36,9 @@ A non-finite or non-positive ``--rate`` or ``--duration``, a
 ``--requests``, ``--pool`` or ``--tenants`` below 1, or a negative
 ``--seed`` is refused with a :class:`~repro.errors.ConfigurationError`
 before the service is built, and so is a non-finite or non-positive
-``serve --poll-s``.
+``serve --poll-s``.  Either command refuses a ``--workers``,
+``--max-batch-size`` or ``--max-queue-depth`` below 1 before it makes
+the ``--cache-dir`` directory or any health file.
 
 The report counts every request exactly once: ``responded`` (answered
 with a screening outcome, processed or quarantined), ``rejected``
@@ -158,6 +160,14 @@ def _modeled_runner(executor: BatchExecutor, clock: VirtualClock) -> BatchRunner
             clock.tick(VIRTUAL_BATCH_FIXED_S + VIRTUAL_CAPTURE_S * rounds)
 
     return run
+
+
+def _refuse_counts_below_one(args: argparse.Namespace, *flags: str) -> None:
+    """Raise :class:`ConfigurationError` for the first of ``flags`` below 1."""
+    for flag in flags:
+        count = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if count < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {count}")
 
 
 def _build_service(
@@ -326,10 +336,7 @@ async def _run_loadgen(args: argparse.Namespace) -> dict:
     for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
-    for flag, count in (("--requests", args.requests), ("--pool", args.pool),
-                        ("--tenants", args.tenants)):
-        if count < 1:
-            raise ConfigurationError(f"{flag} must be >= 1, got {count}")
+    _refuse_counts_below_one(args, "--requests", "--pool", "--tenants")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     clock: Clock = MonotonicClock() if args.real_clock else VirtualClock()
@@ -560,6 +567,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    # Before --cache-dir or a health file is made, for either command.
+    _refuse_counts_below_one(args, "--workers", "--max-batch-size", "--max-queue-depth")
 
     if args.command == "serve":
         if not (math.isfinite(args.poll_s) and args.poll_s > 0):

@@ -28,10 +28,10 @@ from .events import (
 from .filters import (
     ButterworthDesign,
     butterworth_bandpass,
+    first_order_iir,
     sos_frequency_response,
     sosfilt,
     sosfilt_reference,
-    sosfiltfilt,
 )
 from .mfcc import (
     MfccConfig,
@@ -74,10 +74,10 @@ __all__ = [
     "sliding_power",
     "ButterworthDesign",
     "butterworth_bandpass",
+    "first_order_iir",
     "sos_frequency_response",
     "sosfilt",
     "sosfilt_reference",
-    "sosfiltfilt",
     "MfccConfig",
     "dct_basis",
     "dct_ii",

@@ -5,7 +5,9 @@ After band-pass filtering, EarSonar segments the stream into per-chirp
 smoothed estimates of the windowed signal power mean ``mu(i)`` and
 standard deviation ``sigma(i)``; a sample opens an event when its
 instantaneous power exceeds ``mu(i) + sigma(i)`` and the event closes
-when power falls back below the running average.
+when power falls back below the running average.  The smoothing is
+:func:`~repro.signal.filters.first_order_iir`, numpy's own blocked form
+of the one-pole recursion, so detection needs no ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
 from ..errors import InvalidWaveformError, SignalProcessingError
+from .filters import first_order_iir
 
 __all__ = [
     "Event",
@@ -125,9 +127,9 @@ def sliding_power(signal: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarr
     # Exponential blending, Eq. (6): a first-order linear recursion
     # mu(i) = alpha * A(i) + (1 - alpha) * mu(i-1), seeded with A(0).
     alpha = 1.0 / w
-    mu = _first_order_smooth(a, alpha, seed=float(a[0]))
+    mu = first_order_iir(a, alpha, 1.0 - alpha, initial=float(a[0]))
     del a
-    sigma = _first_order_smooth(b, alpha, seed=float(b[0]))
+    sigma = first_order_iir(b, alpha, 1.0 - alpha, initial=float(b[0]))
     return mu, sigma
 
 
@@ -148,17 +150,6 @@ def _windowed_mean(
     np.subtract(csum[m + 1 :], csum[1 : csum.size - m], out=out[m:])
     out[m:] /= w
     return out
-
-
-def _first_order_smooth(values: np.ndarray, alpha: float, *, seed: float) -> np.ndarray:
-    """Evaluate ``y[i] = alpha x[i] + (1 - alpha) y[i-1]`` with ``y[-1] = seed``.
-
-    The recursion is exactly a first-order IIR filter, so
-    ``scipy.signal.lfilter`` evaluates it.
-    """
-    zi = lfiltic([alpha], [1.0, -(1.0 - alpha)], y=[seed])
-    smoothed, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], values, zi=zi)
-    return smoothed
 
 
 def detect_events(

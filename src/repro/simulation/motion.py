@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import ConfigurationError
+from ..signal.filters import first_order_iir
 
 __all__ = ["Movement", "MovementProfile", "MOVEMENT_PROFILES", "motion_artifact"]
 
@@ -108,7 +108,7 @@ def motion_artifact(
         raw = rng.standard_normal(num_samples)
         # Single-pole smoothing confines the rumble to low frequencies.
         pole = np.exp(-2.0 * np.pi * 150.0 / sample_rate)
-        rumble = lfilter([1.0 - pole], [1.0, -pole], raw)
+        rumble = first_order_iir(raw, 1.0 - pole, pole)
         rms = np.sqrt(np.mean(rumble**2))
         if rms > 0:
             artifact += profile.rumble_rms / rms * rumble

@@ -91,7 +91,8 @@ def test_cli_quick_run_writes_both_reports(tmp_path):
     for name, expected_ops in [
         (
             "BENCH_stages.json",
-            {"stage.events", "stage.parity", "stage.spectrum", "stage.rake"},
+            {"stage.bandpass", "stage.events", "stage.parity", "stage.spectrum",
+             "stage.rake"},
         ),
         ("BENCH_obs.json", {"batch_screening_traced"}),
     ]:
@@ -126,8 +127,8 @@ def test_cli_gates_each_report_against_its_base(tmp_path, capsys):
         path.write_text(json.dumps(payload))
     assert main(run + [str(tmp_path / "b"), "--gate", str(tmp_path / "a")]) == 1
     out = capsys.readouterr().out
-    assert "compared 4 op(s)" in out and "compared 1 op(s)" in out
-    assert out.count("FAIL:") == 5
+    assert "compared 5 op(s)" in out and "compared 1 op(s)" in out
+    assert out.count("FAIL:") == 6
 
 
 def test_cli_rejects_repeats_below_one(tmp_path, capsys):

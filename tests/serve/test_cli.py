@@ -185,6 +185,24 @@ class TestLoadgen:
         assert latency["p50"] < latency["max"] - 20.0
 
 
+class TestServiceFlags:
+    @pytest.mark.parametrize("command", ["loadgen", "serve"])
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--max-batch-size", "--max-queue-depth"]
+    )
+    def test_bad_service_count_makes_no_directory(self, tmp_path, command, flag):
+        cache_dir = tmp_path / "X"
+        health_out = tmp_path / "health" / "h.jsonl"
+        argv = [command, flag, "0", "--cache-dir", str(cache_dir),
+                "--health-interval-s", "1", "--health-out", str(health_out)]
+        if command == "loadgen":
+            argv += ["--requests", "2"]
+        with pytest.raises(ConfigurationError, match=flag):
+            main(argv)
+        assert not cache_dir.exists()
+        assert not health_out.parent.exists()
+
+
 class TestServeStdin:
     def test_jsonl_in_jsonl_out(self, monkeypatch, capsys):
         specs = [

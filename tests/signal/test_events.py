@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter, lfiltic
 
+import repro.signal.events as events_module
 from repro.acoustics.reverb import ReverbConfig
 from repro.core.pipeline import EarSonarPipeline
 from repro.errors import SignalProcessingError
@@ -15,6 +16,7 @@ from repro.signal.events import (
     detect_events_reference,
     sliding_power,
 )
+from repro.signal.filters import first_order_iir
 from repro.simulation import SessionConfig, record_session, sample_participant
 from repro.simulation.calibration import CalibrationDriftConfig
 
@@ -147,10 +149,15 @@ def _gather_sliding_power(signal, window):
     var = np.maximum(0.0, (csum2[idx + 1] - csum2[lo]) / counts - a**2)
     b = np.sqrt(var)
     alpha = 1.0 / w
-    den = [1.0, -(1.0 - alpha)]
-    mu, _ = lfilter([alpha], den, a, zi=lfiltic([alpha], den, y=[a[0]]))
-    sigma, _ = lfilter([alpha], den, b, zi=lfiltic([alpha], den, y=[b[0]]))
+    mu = first_order_iir(a, alpha, 1.0 - alpha, initial=float(a[0]))
+    sigma = first_order_iir(b, alpha, 1.0 - alpha, initial=float(b[0]))
     return mu, sigma
+
+
+def _scipy_first_order(values, gain, pole, *, initial=0.0):
+    """The smoothing as ``scipy.signal.lfilter`` evaluates it."""
+    zi = lfiltic([gain], [1.0, -pole], y=[initial])
+    return lfilter([gain], [1.0, -pole], values, zi=zi)[0]
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +215,16 @@ class TestDetectEventsOracle:
             want_mu, want_sigma = _gather_sliding_power(signal, window)
             assert mu.tobytes() == want_mu.tobytes()
             assert sigma.tobytes() == want_sigma.tobytes()
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS)
+    def test_events_equal_the_scipy_smoothed_path(self, event_corpus, config, monkeypatch):
+        ours = [
+            [(e.start, e.end) for e in detect_events(signal, config)]
+            for signal in event_corpus
+        ]
+        monkeypatch.setattr(events_module, "first_order_iir", _scipy_first_order)
+        theirs = [
+            [(e.start, e.end) for e in detect_events(signal, config)]
+            for signal in event_corpus
+        ]
+        assert ours == theirs

@@ -7,11 +7,12 @@ from scipy import signal as scipy_signal
 from repro.errors import ConfigurationError
 from repro.signal.filters import (
     butterworth_bandpass,
+    first_order_iir,
     sos_frequency_response,
     sosfilt,
     sosfilt_reference,
-    sosfiltfilt,
 )
+from repro.simulation import SessionConfig, record_session, sample_participant
 
 FS = 48_000.0
 
@@ -98,26 +99,79 @@ class TestFiltering:
     def test_empty_signal(self):
         design = butterworth_bandpass(2, 15_000.0, 21_000.0, FS)
         assert sosfilt(design.sos, np.array([])).size == 0
-        assert sosfiltfilt(design.sos, np.array([])).size == 0
 
-    def test_zero_phase_has_no_delay(self):
+
+@pytest.fixture(scope="module")
+def captures():
+    """Seeded raw 0.1 s and 1 s captures, and white noise."""
+    rng = np.random.default_rng(3131)
+    waveforms = []
+    for duration_s in (0.1, 1.0):
+        participant = sample_participant(rng, f"F{duration_s}", total_days=30)
+        session = SessionConfig(duration_s=duration_s)
+        waveforms.append(record_session(participant, 4.0, session, rng).waveform)
+    waveforms.append(rng.standard_normal(20_000))
+    return waveforms
+
+
+def _peak_relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestOverlapSaveAgainstScipy:
+    """The overlap-save ``sosfilt`` within 1e-13 of the output's peak."""
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
+    def test_matches_scipy_sosfilt(self, captures, order):
+        design = butterworth_bandpass(order, 15_000.0, 21_000.0, FS)
+        for x in captures:
+            want = scipy_signal.sosfilt(design.sos, x)
+            assert _peak_relative_error(sosfilt(design.sos, x), want) <= 1e-13
+
+    def test_inputs_shorter_than_one_block(self, captures):
         design = butterworth_bandpass(4, 15_000.0, 21_000.0, FS)
-        t = np.arange(2400) / FS
-        tone = np.sin(2 * np.pi * 18_000.0 * t)
-        zero_phase = design.apply_zero_phase(tone)
-        # Zero-phase output stays aligned: correlation at zero lag is
-        # near the maximum over nearby lags.
-        interior = slice(600, 1800)
-        zero_lag = float(np.dot(tone[interior], zero_phase[interior]))
-        shifted = float(np.dot(tone[interior], np.roll(zero_phase, 3)[interior]))
-        assert zero_lag > shifted
+        for x in (captures[0][:1], captures[0][:497], captures[0][:1551], captures[0][:1552]):
+            want = scipy_signal.sosfilt(design.sos, x)
+            assert _peak_relative_error(sosfilt(design.sos, x), want) <= 1e-13
 
-    def test_zero_phase_squares_magnitude(self):
-        design = butterworth_bandpass(2, 15_000.0, 21_000.0, FS)
-        t = np.arange(9600) / FS
-        tone = np.sin(2 * np.pi * 15_500.0 * t)
-        once = design.apply(tone)
-        twice = design.apply_zero_phase(tone)
-        gain_once = np.sqrt(np.mean(once[2000:-2000] ** 2)) / np.sqrt(0.5)
-        gain_twice = np.sqrt(np.mean(twice[2000:-2000] ** 2)) / np.sqrt(0.5)
-        assert gain_twice == pytest.approx(gain_once**2, rel=0.05)
+    def test_unstable_cascade_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            sosfilt(np.array([[1.0, 0.0, 0.0, 1.0, -1.0, 0.0]]), np.ones(8))
+
+
+def _lfilter(x, gain, pole, initial):
+    zi = scipy_signal.lfiltic([gain], [1.0, -pole], y=[initial])
+    return scipy_signal.lfilter([gain], [1.0, -pole], x, zi=zi)[0]
+
+
+class TestFirstOrderAgainstScipy:
+    """The blocked one-pole kernel against ``lfilter`` seeded by ``lfiltic``."""
+
+    @pytest.mark.parametrize("window", [1, 5, 48, 200, 5000])
+    def test_non_negative_input_within_rtol(self, captures, window):
+        alpha = 1.0 / window
+        for raw in captures:
+            for x in (np.square(raw), np.square(raw[:1]), np.square(raw[:700])):
+                got = first_order_iir(x, alpha, 1.0 - alpha, initial=float(x[0]))
+                want = _lfilter(x, alpha, 1.0 - alpha, float(x[0]))
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("window", [1, 5, 48, 200, 5000])
+    def test_signed_input_within_peak_bound(self, captures, window):
+        alpha = 1.0 / window
+        for raw in captures:
+            for x in (raw, raw[:1], raw[:700]):
+                got = first_order_iir(x, alpha, 1.0 - alpha, initial=0.25)
+                want = _lfilter(x, alpha, 1.0 - alpha, 0.25)
+                assert _peak_relative_error(got, want) <= 1e-13
+
+    def test_motion_rumble_pole(self, captures):
+        pole = np.exp(-2.0 * np.pi * 150.0 / FS)
+        x = captures[2]
+        got = first_order_iir(x, 1.0 - pole, pole)
+        assert _peak_relative_error(got, _lfilter(x, 1.0 - pole, pole, 0.0)) <= 1e-13
+
+    @pytest.mark.parametrize("pole", [-0.5, 1.0, 1.5])
+    def test_pole_outside_unit_interval_is_refused(self, pole):
+        with pytest.raises(ValueError):
+            first_order_iir(np.ones(4), 1.0, pole)
