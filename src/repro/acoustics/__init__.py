@@ -9,7 +9,7 @@ speaker-to-microphone channel.
 
 from .absorption import EardrumReflectanceModel, EffusionLoad
 from .ear import CANAL_SOUND_SPEED, EarCanalGeometry, InsertionState, build_ear_channel
-from .media import AIR, MUCOID_FLUID, PURULENT_FLUID, SEROUS_FLUID, WATER, Medium
+from .media import MUCOID_FLUID, PURULENT_FLUID, SEROUS_FLUID, WATER, Medium
 from .propagation import MultipathChannel, PropagationPath
 from .reverb import ReflectionTap, ReverbConfig, reverb_paths, reverb_taps
 
@@ -20,7 +20,6 @@ __all__ = [
     "EarCanalGeometry",
     "InsertionState",
     "build_ear_channel",
-    "AIR",
     "MUCOID_FLUID",
     "PURULENT_FLUID",
     "SEROUS_FLUID",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .media import AIR, WATER, Medium
+from .media import WATER, Medium
 
 __all__ = ["EffusionLoad", "EardrumReflectanceModel"]
 
@@ -162,13 +162,3 @@ class EardrumReflectanceModel:
         r = self.base_reflectance * (1.0 - depth * lorentz)
         return np.clip(r, 0.02, 1.0)
 
-    def absorbed_energy_fraction(
-        self, frequencies_hz: np.ndarray, load: EffusionLoad | None = None
-    ) -> np.ndarray:
-        """Fraction of incident energy absorbed, ``1 - r(f)^2``."""
-        r = self.reflectance(frequencies_hz, load)
-        return 1.0 - r**2
-
-    def air_reference(self) -> Medium:
-        """The canal-side medium used for impedance comparisons."""
-        return AIR

@@ -6,7 +6,7 @@ eardrum controls how much probe energy is absorbed rather than
 reflected.  This module defines the media involved and literature-based
 property values:
 
-* air in the ear canal,
+* water, the reference the effusions sit close to,
 * the three clinical effusion fluids the paper distinguishes —
   *serous* (thin, watery), *mucoid* (thick, glue-ear), *purulent*
   (pus-laden) — whose density, sound speed and especially viscosity
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-__all__ = ["Medium", "AIR", "WATER", "SEROUS_FLUID", "MUCOID_FLUID", "PURULENT_FLUID"]
+__all__ = ["Medium", "WATER", "SEROUS_FLUID", "MUCOID_FLUID", "PURULENT_FLUID"]
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ class Medium:
         """Characteristic acoustic impedance ``Z0 = rho0 * c0`` (rayl)."""
         return self.density * self.sound_speed
 
-    def wavelength(self, frequency_hz: float) -> float:
-        """Wavelength of a ``frequency_hz`` tone in this medium (m)."""
-        if frequency_hz <= 0:
-            raise ConfigurationError(f"frequency must be positive, got {frequency_hz}")
-        return self.sound_speed / frequency_hz
-
-
-#: Air at ~35 degC inside the ear canal.
-AIR = Medium("air", density=1.15, sound_speed=350.0, viscosity=1.9e-5)
 
 #: Pure water reference (Ludwig 1950 gives soft tissue close to this).
 WATER = Medium("water", density=998.0, sound_speed=1482.0, viscosity=1.0e-3)

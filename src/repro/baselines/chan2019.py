@@ -128,13 +128,6 @@ class Chan2019Detector:
         matrix = self.feature_matrix(recordings)
         return self._logistic.predict(self._scaler.transform(matrix))
 
-    def predict_fluid_proba(self, recordings: list[Recording]) -> np.ndarray:
-        """Binary fluid probabilities."""
-        if self._logistic is None or self._scaler is None:
-            raise NotFittedError("fit_binary must run before predict_fluid_proba")
-        matrix = self.feature_matrix(recordings)
-        return self._logistic.predict_proba(self._scaler.transform(matrix))
-
     # ------------------------------------------------------------------
     # Four-state task (head-to-head with EarSonar)
     # ------------------------------------------------------------------

@@ -33,13 +33,14 @@ import hashlib
 import json
 import os
 import platform
-import subprocess
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+
+from ..obs.manifest import git_revision
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -48,7 +49,6 @@ __all__ = [
     "Regression",
     "check_gate",
     "compare_ops",
-    "git_sha",
     "load_report",
     "machine_fingerprint",
     "write_report",
@@ -128,17 +128,6 @@ def compare_ops(
     )
 
 
-def git_sha() -> str:
-    """HEAD commit of the enclosing repo, or ``"unknown"`` outside one."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10, check=True
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() or "unknown"
-
-
 def machine_fingerprint() -> str:
     """Short stable digest of the benchmarking host.
 
@@ -177,7 +166,7 @@ def write_report(
     payload = {
         "schema_version": SCHEMA_VERSION,
         "label": label,
-        "git_sha": git_sha(),
+        "git_sha": git_revision() or "unknown",
         "seed": seed,
         "quick": quick,
         "machine": machine_fingerprint(),

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ModelError, NotFittedError
+from ..errors import NotFittedError
 from ..simulation.cohort import StudyDataset
 from ..simulation.effusion import MeeState
 from ..simulation.session import Recording
 from .config import EarSonarConfig
 from .detector import MeeDetector
-from .evaluation import FeatureTable, extract_features
+from .evaluation import extract_features
 from .pipeline import EarSonarPipeline
 from .results import ScreeningResult
 
@@ -31,7 +31,6 @@ class EarSonarScreener:
         self.config = config or EarSonarConfig()
         self.pipeline = EarSonarPipeline(self.config)
         self.detector = MeeDetector(self.config.detector)
-        self._feature_table: FeatureTable | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -57,15 +56,6 @@ class EarSonarScreener:
             dataset, self.pipeline, workers=workers, cache=cache, metrics=metrics
         )
         self.detector.fit(table.features, table.states)
-        self._feature_table = table
-        return self
-
-    def fit_from_table(self, table: FeatureTable) -> "EarSonarScreener":
-        """Calibrate from pre-extracted features (skips signal processing)."""
-        if len(table) == 0:
-            raise ModelError("feature table is empty")
-        self.detector.fit(table.features, table.states)
-        self._feature_table = table
         return self
 
     def screen(self, recording: Recording) -> ScreeningResult:
@@ -92,7 +82,3 @@ class EarSonarScreener:
             cluster_distances=distances,
             processed=processed,
         )
-
-    def screen_course(self, recordings: list[Recording]) -> list[ScreeningResult]:
-        """Screen a chronological series (recovery tracking use case)."""
-        return [self.screen(r) for r in recordings]

@@ -123,11 +123,6 @@ class CalibrationDriftResult:
                 return c
         raise KeyError(f"no cell at ({reverb_strength}, {drift_scale})")
 
-    @property
-    def clean_cell(self) -> GridCell:
-        """The undamaged corner of the grid (both axes at zero)."""
-        return self.cell(0.0, 0.0)
-
     def artifact(self) -> dict:
         """Full JSON artifact payload."""
         return {

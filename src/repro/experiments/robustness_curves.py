@@ -135,16 +135,6 @@ class FaultCurve:
     fault: str
     points: list[CurvePoint]
 
-    @property
-    def clean_f1(self) -> float:
-        """F1 at the lowest swept severity (0 = untouched waveforms)."""
-        return self.points[0].f1
-
-    @property
-    def monotone_burden(self) -> float:
-        """Largest F1 drop from the clean baseline across the sweep."""
-        return max(self.clean_f1 - p.f1 for p in self.points)
-
     def artifact(self) -> dict:
         """Full JSON artifact payload for this fault model."""
         return {

@@ -88,11 +88,6 @@ class ClassificationReport:
         return float(np.mean(self.recall))
 
     @property
-    def macro_f1(self) -> float:
-        """Unweighted mean of per-class F1."""
-        return float(np.mean(self.f1))
-
-    @property
     def median_precision(self) -> float:
         """Median per-class precision (the paper reports medians)."""
         return float(np.median(self.precision))

@@ -48,8 +48,3 @@ class StandardScaler:
         """Fit on ``data`` and return its z-scored version."""
         return self.fit(data).transform(data)
 
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        """Map z-scored values back to the original feature space."""
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError("StandardScaler.inverse_transform called before fit")
-        return np.asarray(data, dtype=float) * self.scale_ + self.mean_

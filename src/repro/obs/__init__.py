@@ -20,8 +20,12 @@ other layer but owned here:
   and run-to-run diffs.
 - :mod:`~repro.obs.health` — fleet-health aggregation in the parent
   process: sliding windows, bounded-label rollups, and SLO burn-rate
-  alerting over the injected clock (``python -m repro.obs health``
-  renders the dashboard).
+  alerting over the injected clock, with the window grid, label budget,
+  SLO targets and burn rules as module constants (``python -m
+  repro.obs health`` renders the dashboard).
+- :mod:`~repro.obs.sketch` — the mergeable :class:`QuantileSketch`
+  behind every streaming distribution (runtime histograms and health
+  windows).
 
 Quick use::
 
@@ -40,15 +44,7 @@ then ``python -m repro.obs summarize runs/today/trace.json``.
 
 from . import names
 from .export import RunRecord, chrome_trace, load_run_record, prometheus_text, write_run_record
-from .health import (
-    NULL_HEALTH,
-    HealthConfig,
-    HealthMonitor,
-    NullHealthMonitor,
-    SloConfig,
-    current_health,
-    use_health,
-)
+from .health import NULL_HEALTH, HealthMonitor, NullHealthMonitor, current_health, use_health
 from .manifest import RunManifest, capture_manifest, git_revision
 from .summary import StageStats, critical_path, diff_stages, slowest_recordings, stage_stats
 from .tracer import (
@@ -90,8 +86,6 @@ __all__ = [
     "HealthMonitor",
     "NullHealthMonitor",
     "NULL_HEALTH",
-    "HealthConfig",
-    "SloConfig",
     "current_health",
     "use_health",
 ]

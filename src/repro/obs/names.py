@@ -370,8 +370,8 @@ HEALTH_DISTRIBUTION_SERIES = frozenset(
     }
 )
 
-#: SLO objective ids: the declarative objectives a
-#: :class:`~repro.obs.health.SloConfig` may carry and the hooks feed.
+#: SLO objective ids: the objectives :mod:`repro.obs.health` tracks
+#: (its ``SLO_TARGETS``) and the hooks feed.
 SLO_AVAILABILITY = "slo.availability"
 SLO_LATENCY = "slo.latency"
 SLO_QUALITY = "slo.quality_acceptance"

@@ -16,9 +16,9 @@ Three properties are load-bearing:
   compiled into the pipeline and runtime.
 - **Deterministic structure.**  Span *names, attributes, and
   parent/child shape* are pure functions of the input data; only the
-  timing fields vary between runs.  :meth:`Span.structure` projects a
-  tree onto exactly the deterministic part, which is what the
-  serial-vs-parallel equivalence test compares.
+  timing fields vary between runs.  The serial-vs-parallel
+  equivalence test compares trees projected onto exactly that
+  deterministic part.
 - **Worker propagation.**  Process-pool workers cannot share the
   parent's tracer object; instead the parent ships a
   :class:`TraceContext`, the worker records into a local tracer, and
@@ -112,19 +112,6 @@ class Span:
         span.duration_ms = float(data.get("duration_ms", 0.0))
         span.children = [cls.from_dict(child) for child in data.get("children", ())]
         return span
-
-    def structure(self) -> tuple:
-        """Deterministic projection: names + attrs + shape, no timings.
-
-        Two runs of the same input produce equal structures regardless
-        of execution mode (serial vs pool) or machine speed; the
-        equivalence tests compare exactly this.
-        """
-        return (
-            self.name,
-            tuple(sorted(self.attrs.items())),
-            tuple(child.structure() for child in self.children),
-        )
 
     def walk(self) -> Iterator["Span"]:
         """Yield this span and every descendant, depth-first."""

@@ -128,24 +128,3 @@ class ImportGraph:
             edges[module.name] = frozenset(targets)
         return cls(edges)
 
-    def imports_of(self, module_name: str) -> frozenset[str]:
-        """Project modules directly imported by ``module_name``."""
-        return self.edges.get(module_name, frozenset())
-
-    def importers_of(self, module_name: str) -> frozenset[str]:
-        """Project modules that directly import ``module_name``."""
-        return frozenset(
-            source for source, targets in self.edges.items() if module_name in targets
-        )
-
-    def transitive_imports(self, module_name: str) -> frozenset[str]:
-        """Every project module reachable through the import edges."""
-        seen: set[str] = set()
-        frontier = [module_name]
-        while frontier:
-            current = frontier.pop()
-            for target in self.edges.get(current, frozenset()):
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return frozenset(seen)

@@ -106,17 +106,13 @@ def _zero_runs(waveform: np.ndarray, min_length: int) -> tuple[tuple[int, int], 
     return tuple(spans)
 
 
-def _chirp_presence(waveform: np.ndarray, chirp: ChirpDesign) -> float:
+def _chirp_presence(envelope: np.ndarray) -> float:
     """Matched-filter peak-to-background ratio of the probe signature.
 
     A capture containing the chirp train produces one sharp correlation
-    peak per interval; the high percentile of the envelope then towers
-    over its median.  Uses the plan-cached template spectrum, so the
-    per-call cost is one FFT round trip of the waveform.
+    peak per interval; the high percentile of the ``envelope`` then
+    towers over its median.
     """
-    from ..kernels.chirp import matched_filter_planned
-
-    envelope = matched_filter_planned(waveform, chirp)
     background = float(np.median(envelope))
     peak = float(np.percentile(envelope, 99.5))
     if peak <= 0.0:
@@ -126,7 +122,7 @@ def _chirp_presence(waveform: np.ndarray, chirp: ChirpDesign) -> float:
     return peak / background
 
 
-def _echo_spread(waveform: np.ndarray, chirp: ChirpDesign) -> float:
+def _echo_spread(envelope: np.ndarray, chirp: ChirpDesign) -> float:
     """Fraction of matched-filter energy outside the per-interval peak.
 
     The envelope is cut into chirp-interval frames; within each frame
@@ -137,14 +133,12 @@ def _echo_spread(waveform: np.ndarray, chirp: ChirpDesign) -> float:
     filling the inter-chirp gap — so the mean outside-fraction rises
     from ~0.35 on clean captures toward ~0.7 under dense reverberation.
     """
-    from ..kernels.chirp import matched_filter_planned
-
-    envelope = matched_filter_planned(waveform, chirp) ** 2
+    energy = envelope**2
     hop = chirp.samples_per_interval
-    num_frames = envelope.size // hop
+    num_frames = energy.size // hop
     if num_frames == 0:
         return 0.0
-    frames = envelope[: num_frames * hop].reshape(num_frames, hop)
+    frames = energy[: num_frames * hop].reshape(num_frames, hop)
     cumulative = np.concatenate(
         [np.zeros((num_frames, 1)), np.cumsum(frames, axis=1)], axis=1
     )
@@ -240,10 +234,15 @@ def assess_waveform(
         )
 
     clipping_ratio = float(np.mean(np.abs(waveform) >= config.clip_band * peak))
-    chirp_presence = _chirp_presence(waveform, chirp)
+    # One matched filter (plan-cached template, one FFT round trip of
+    # the waveform) feeds both the presence and the spread metric.
+    from ..kernels.chirp import matched_filter_planned
+
+    envelope = matched_filter_planned(waveform, chirp)
+    chirp_presence = _chirp_presence(envelope)
     snr_db = _inband_snr_db(waveform, sample_rate, chirp)
     duration_ratio = _duration_ratio(waveform, sample_rate, expected_duration_s)
-    echo_spread = _echo_spread(waveform, chirp)
+    echo_spread = _echo_spread(envelope, chirp)
 
     def grade(value: float, degrade_at: float, reject_at: float, code: ReasonCode,
               *, low_is_bad: bool) -> None:

@@ -15,7 +15,7 @@ lock around its sketch — so both ``metrics.observe(name, v)`` and the
 direct ``metrics.histogram(name).observe(v)`` path mutate under a lock.
 
 Memory and accuracy: a histogram is one
-:class:`~repro.obs.health.sketch.QuantileSketch`, the same mergeable
+:class:`~repro.obs.sketch.QuantileSketch`, the same mergeable
 distribution the fleet-health windows use, so its memory is bounded by
 the bucket grid (at most ``2 * MAX_INDEX + 1`` buckets) however long
 the run.  ``count``, ``total``, ``mean`` and ``max`` are exact; p50 /
@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from ..obs.health.sketch import QuantileSketch
+from ..obs.sketch import QuantileSketch
 
 __all__ = ["Histogram", "RuntimeMetrics"]
 

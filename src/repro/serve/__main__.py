@@ -37,8 +37,10 @@ A non-finite or non-positive ``--rate`` or ``--duration``, a
 ``--seed`` is refused with a :class:`~repro.errors.ConfigurationError`
 before the service is built, and so is a non-finite or non-positive
 ``serve --poll-s``.  Either command refuses a ``--workers``,
-``--max-batch-size`` or ``--max-queue-depth`` below 1 before it makes
-the ``--cache-dir`` directory or any health file.
+``--max-batch-size`` or ``--max-queue-depth`` below 1, a non-finite or
+non-positive ``--health-interval-s`` and, with health on, such a
+``--slo-latency-ms`` before it makes the ``--cache-dir`` directory or
+any health file.
 
 The report counts every request exactly once: ``responded`` (answered
 with a screening outcome, processed or quarantined), ``rejected``
@@ -51,25 +53,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from ..core.pipeline import EarSonarPipeline
 from ..errors import AdmissionRejected, ConfigurationError, EarSonarError, ServiceError
 from ..obs import names as obs_names
-from ..obs.health import (
-    DEFAULT_SERIES,
-    DEFAULT_SLOS,
-    HealthConfig,
-    HealthMonitor,
-    use_health,
-)
+from ..obs.health import LATENCY_SLO_MS, SERIES_LABELS, HealthMonitor, use_health
 from ..quality import QualityConfig
 from ..runtime.cache import FeatureCache
 from ..runtime.chaos import FaultInjector
@@ -111,24 +106,15 @@ def _build_health(
     """
     if args.health_interval_s is None:
         return None, None
-    slos = []
-    for slo in DEFAULT_SLOS:
-        if (
-            slo.objective == obs_names.SLO_LATENCY
-            and args.slo_latency_ms is not None
-        ):
-            slo = dataclasses.replace(slo, threshold_ms=args.slo_latency_ms)
-        slos.append(slo)
-    series = DEFAULT_SERIES
+    series = tuple(SERIES_LABELS)
     if isinstance(clock, VirtualClock):
         # Stage latencies are wall-clock measurements; dropping that
         # series keeps virtual-clock trajectories bit-identical across
         # replays.  Every other series is a function of the seed.
-        series = tuple(
-            spec for spec in series if spec.name != obs_names.HEALTH_RECORDING_MS
-        )
+        series = tuple(name for name in series if name != obs_names.HEALTH_RECORDING_MS)
+    # Built before the file is made: the monitor refuses a bad threshold.
     monitor = HealthMonitor(
-        HealthConfig(series=series, slos=tuple(slos)), now=clock.now
+        now=clock.now, latency_slo_ms=args.slo_latency_ms, series=series
     )
     sink = None
     if args.health_out is not None:
@@ -162,12 +148,25 @@ def _modeled_runner(executor: BatchExecutor, clock: VirtualClock) -> BatchRunner
     return run
 
 
+def _flag_value(args: argparse.Namespace, flag: str) -> Any:
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
 def _refuse_counts_below_one(args: argparse.Namespace, *flags: str) -> None:
     """Raise :class:`ConfigurationError` for the first of ``flags`` below 1."""
     for flag in flags:
-        count = getattr(args, flag.lstrip("-").replace("-", "_"))
+        count = _flag_value(args, flag)
         if count < 1:
             raise ConfigurationError(f"{flag} must be >= 1, got {count}")
+
+
+def _refuse_non_positive(args: argparse.Namespace, *flags: str) -> None:
+    """Raise :class:`ConfigurationError` for the first of ``flags`` that is
+    set but not positive and finite."""
+    for flag in flags:
+        value = _flag_value(args, flag)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
 
 
 def _build_service(
@@ -333,9 +332,7 @@ async def _serve_watch(service: ScreeningService, args: argparse.Namespace) -> i
 
 
 async def _run_loadgen(args: argparse.Namespace) -> dict:
-    for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigurationError(f"{flag} must be positive and finite, got {value}")
+    _refuse_non_positive(args, "--rate", "--duration")
     _refuse_counts_below_one(args, "--requests", "--pool", "--tenants")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
@@ -519,8 +516,8 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument(
             "--slo-latency-ms",
             type=float,
-            default=None,
-            help="override the latency SLO threshold (default 30000 ms)",
+            default=LATENCY_SLO_MS,
+            help=f"latency SLO threshold (default {LATENCY_SLO_MS:g} ms)",
         )
 
     serve_cmd = sub.add_parser("serve", help="answer screening requests")
@@ -569,12 +566,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # Before --cache-dir or a health file is made, for either command.
     _refuse_counts_below_one(args, "--workers", "--max-batch-size", "--max-queue-depth")
+    _refuse_non_positive(args, "--health-interval-s")
 
     if args.command == "serve":
-        if not (math.isfinite(args.poll_s) and args.poll_s > 0):
-            raise ConfigurationError(
-                f"--poll-s must be positive and finite, got {args.poll_s}"
-            )
+        _refuse_non_positive(args, "--poll-s")
         clock = MonotonicClock()
         health, health_sink = _build_health(args, clock)
         service = _build_service(args, clock, health_sink)

@@ -102,11 +102,6 @@ class VirtualClock:
         heapq.heappush(self._sleepers, (self._now + delay, self._seq, future))
         await future
 
-    @property
-    def pending_sleepers(self) -> int:
-        """Number of tasks currently parked on the deadline heap."""
-        return sum(1 for _, _, future in self._sleepers if not future.done())
-
     def tick(self, dt: float) -> None:
         """Synchronously move time forward by ``dt`` seconds.
 

@@ -124,20 +124,6 @@ class ChirpDesign:
         """Frequency sweep rate ``B / T`` in Hz per second."""
         return self.bandwidth / self.duration
 
-    def max_unambiguous_range(self, speed_of_sound: float = SPEED_OF_SOUND) -> float:
-        """Largest one-way echo distance observable between chirps (m).
-
-        Echoes arriving after the next chirp starts would alias onto it;
-        with the paper's 5 ms interval this is well above the ~10 cm
-        requirement.
-        """
-        listen_time = self.interval - self.duration
-        return speed_of_sound * listen_time / 2.0
-
-    def range_resolution(self, speed_of_sound: float = SPEED_OF_SOUND) -> float:
-        """Two-point range resolution ``c / (2 B)`` of the chirp (m)."""
-        return speed_of_sound / (2.0 * self.bandwidth)
-
 
 def linear_chirp(design: ChirpDesign) -> np.ndarray:
     """Synthesise a single chirp pulse for ``design``.

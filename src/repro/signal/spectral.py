@@ -35,13 +35,6 @@ class Spectrum:
         mask = (self.frequencies >= low_hz) & (self.frequencies <= high_hz)
         return Spectrum(self.frequencies[mask], self.values[mask])
 
-    @property
-    def resolution(self) -> float:
-        """Frequency spacing between bins in Hz."""
-        if self.frequencies.size < 2:
-            return 0.0
-        return float(self.frequencies[1] - self.frequencies[0])
-
 
 def amplitude_spectrum(signal: np.ndarray, sample_rate: float, *, nfft: int | None = None) -> Spectrum:
     """One-sided amplitude spectrum ``|FFT(x)| / N`` (paper Eq. (5))."""

@@ -93,15 +93,6 @@ class StudyDataset:
         """Ground-truth state of each recording, in order."""
         return [r.state for r in self.recordings]
 
-    def by_participant(self, participant_id: str) -> list[Recording]:
-        """All recordings of one participant, in chronological order."""
-        subset = [r for r in self.recordings if r.participant_id == participant_id]
-        return sorted(subset, key=lambda r: r.day)
-
-    def by_state(self, state: MeeState) -> list[Recording]:
-        """All recordings with the given ground-truth state."""
-        return [r for r in self.recordings if r.state == state]
-
     def state_counts(self) -> dict[MeeState, int]:
         """Number of recordings per ground-truth state."""
         counts = {state: 0 for state in MeeState.ordered()}

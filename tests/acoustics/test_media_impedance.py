@@ -3,7 +3,6 @@
 import pytest
 
 from repro.acoustics.media import (
-    AIR,
     MUCOID_FLUID,
     PURULENT_FLUID,
     SEROUS_FLUID,
@@ -18,9 +17,6 @@ class TestMedium:
         m = Medium("test", density=1000.0, sound_speed=1500.0)
         assert m.impedance == pytest.approx(1.5e6)
 
-    def test_air_impedance_order_of_magnitude(self):
-        assert 300.0 < AIR.impedance < 500.0
-
     def test_water_impedance(self):
         assert WATER.impedance == pytest.approx(1.48e6, rel=0.01)
 
@@ -31,9 +27,6 @@ class TestMedium:
     def test_effusion_density_ordering(self):
         assert SEROUS_FLUID.density < MUCOID_FLUID.density < PURULENT_FLUID.density
 
-    def test_wavelength(self):
-        assert AIR.wavelength(350.0) == pytest.approx(1.0)
-
     def test_invalid_properties(self):
         with pytest.raises(ConfigurationError):
             Medium("bad", density=0.0, sound_speed=343.0)
@@ -41,7 +34,3 @@ class TestMedium:
             Medium("bad", density=1.2, sound_speed=-1.0)
         with pytest.raises(ConfigurationError):
             Medium("bad", density=1.2, sound_speed=343.0, viscosity=-0.1)
-
-    def test_invalid_wavelength_frequency(self):
-        with pytest.raises(ConfigurationError):
-            AIR.wavelength(0.0)

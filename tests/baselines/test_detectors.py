@@ -55,13 +55,6 @@ class TestChan2019Binary:
         truth = np.array([1 if r.state.is_effusion else 0 for r in test])
         assert np.mean(predicted == truth) > 0.8
 
-    def test_probabilities_bounded(self, study_split):
-        train, test = study_split
-        det = Chan2019Detector()
-        det.fit_binary(train, [r.state for r in train])
-        probs = det.predict_fluid_proba(test)
-        assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
-
     def test_unfitted_raises(self, study_split):
         _, test = study_split
         with pytest.raises(NotFittedError):

@@ -78,7 +78,8 @@ class TestScreener:
         screener = EarSonarScreener(
             EarSonarConfig(detector=DetectorConfig(clusters_per_state=2))
         )
-        return screener.fit_from_table(small_feature_table)
+        screener.detector.fit(small_feature_table.features, small_feature_table.states)
+        return screener
 
     def test_screen_returns_valid_result(self, fitted_screener, participant, rng):
         rec = record_session(participant, 0.5, SessionConfig(duration_s=0.25), rng)
@@ -92,12 +93,6 @@ class TestScreener:
         rec = record_session(participant, 19.5, SessionConfig(duration_s=0.25), rng)
         result = fitted_screener.screen(rec)
         assert result.has_effusion == result.state.is_effusion
-
-    def test_screen_course_lengths(self, fitted_screener, participant, rng):
-        cfg = SessionConfig(duration_s=0.25)
-        recs = [record_session(participant, d, cfg, rng) for d in (0.5, 10.5, 19.5)]
-        results = fitted_screener.screen_course(recs)
-        assert len(results) == 3
 
     def test_unfitted_screen_raises(self, participant, rng):
         rec = record_session(participant, 0.5, SessionConfig(duration_s=0.25), rng)

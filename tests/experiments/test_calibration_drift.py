@@ -55,7 +55,7 @@ class TestCalibrationDrift:
     def test_compensation_holds_where_naive_degrades(self, result):
         # Each arm is judged against its own clean baseline, so the
         # comparison isolates capture damage, not pipeline mismatch.
-        clean = result.clean_cell
+        clean = result.cell(0.0, 0.0)
         worst = result.cell(2.0, 2.0)
         comp_drop = clean.f1_compensated - worst.f1_compensated
         naive_drop = clean.f1_naive - worst.f1_naive
@@ -64,7 +64,7 @@ class TestCalibrationDrift:
 
     def test_cell_lookup(self, result):
         assert result.cell(2.0, 0.0).reverb_strength == 2.0
-        assert result.clean_cell.drift_scale == 0.0
+        assert result.cell(0.0, 0.0).drift_scale == 0.0
         with pytest.raises(KeyError):
             result.cell(9.0, 9.0)
 

@@ -81,7 +81,3 @@ class TestRobustnessCurves:
         assert "Robustness curves" in text
         assert "dropout" in text and "clipping" in text
         assert "artifacts:" in text
-
-    def test_monotone_burden_nonnegative(self, result):
-        for curve in result.curves:
-            assert curve.monotone_burden >= 0.0

@@ -13,10 +13,25 @@ import numpy as np
 import pytest
 
 from repro.core import EarSonarConfig, EarSonarPipeline
+from repro.obs import Span
 from repro.simulation import SessionConfig, StudyDesign, build_cohort, simulate_study
 
 #: Input positions replaced with silent waveforms (guaranteed failures).
 POISONED = (1, 5)
+
+
+def structure(span: Span) -> tuple:
+    """Deterministic projection of a span tree: names, attrs and shape.
+
+    Two runs of the same input produce equal structures regardless of
+    execution mode (serial vs pool) or machine speed; only the timings
+    differ, and they are left out.
+    """
+    return (
+        span.name,
+        tuple(sorted(span.attrs.items())),
+        tuple(structure(child) for child in span.children),
+    )
 
 
 @pytest.fixture(scope="package")

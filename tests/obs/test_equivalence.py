@@ -19,6 +19,8 @@ from repro.obs import Tracer, names, use_tracer
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import RuntimeMetrics
 
+from .conftest import structure
+
 
 @pytest.fixture(scope="module")
 def subset(obs_recordings):
@@ -78,10 +80,10 @@ class TestTreeEquivalence:
 
         key = lambda span: span.attrs["index"]  # noqa: E731
         serial_structures = [
-            s.structure() for s in sorted(serial_roots, key=key)
+            structure(s) for s in sorted(serial_roots, key=key)
         ]
         parallel_structures = [
-            s.structure() for s in sorted(parallel_roots, key=key)
+            structure(s) for s in sorted(parallel_roots, key=key)
         ]
         assert serial_structures == parallel_structures
 

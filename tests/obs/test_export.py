@@ -30,6 +30,7 @@ from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import RuntimeMetrics
 from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
+from .conftest import structure
 from .prometheus_format import validate_prometheus
 
 GOLDEN_CHROME = Path(__file__).parent / "golden_chrome_trace.json"
@@ -184,8 +185,8 @@ class TestRunRecord:
         )
 
         record = load_run_record(paths["record"])
-        assert [s.structure() for s in record.spans] == [
-            s.structure() for s in tracer.traces
+        assert [structure(s) for s in record.spans] == [
+            structure(s) for s in tracer.traces
         ]
         assert record.metrics["counters"]["recordings.ok"] == 2
         assert record.manifest == manifest

@@ -15,37 +15,20 @@ import pytest
 
 from repro.obs import names as obs_names
 from repro.obs.__main__ import main as obs_main
-from repro.obs.health import (
-    BurnRule,
-    HealthConfig,
-    HealthMonitor,
-    SeriesSpec,
-    SloConfig,
-)
+from repro.obs.health import HealthMonitor
 
 
 def write_trajectory(path, *, bad_fraction: float) -> None:
+    # 15 s per sample: 40 samples span 600 s, so the clean tail empties
+    # both the page's 60 s and the ticket's 300 s short windows before
+    # the last snapshot.
     monitor = HealthMonitor(
-        HealthConfig(
-            series=(
-                SeriesSpec(obs_names.HEALTH_REQUESTS, ("tenant", "outcome"), "counter"),
-                SeriesSpec(obs_names.HEALTH_REQUEST_MS, ("tenant",), "distribution"),
-            ),
-            slos=(
-                SloConfig(
-                    objective=obs_names.SLO_AVAILABILITY,
-                    target=0.9,
-                    rules=(
-                        BurnRule(long_s=60.0, short_s=10.0, factor=2.0, min_events=2),
-                    ),
-                ),
-            ),
-        ),
         now=lambda: 0.0,
+        series=(obs_names.HEALTH_REQUESTS, obs_names.HEALTH_REQUEST_MS),
     )
     lines = []
     for i in range(40):
-        at = 100.0 + i * 0.5
+        at = 100.0 + i * 15.0
         good = (i % 40) >= bad_fraction * 40
         monitor.increment(
             obs_names.HEALTH_REQUESTS,

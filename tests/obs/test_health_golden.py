@@ -22,7 +22,8 @@ import random
 from pathlib import Path
 
 from repro.obs import names as obs_names
-from repro.obs.health import OVERFLOW_VALUE, HealthConfig, HealthMonitor
+from repro.obs import health
+from repro.obs.health import OVERFLOW_VALUE, HealthMonitor
 
 GOLDEN_SNAPSHOT = Path(__file__).parent / "golden_health_snapshot.json"
 GOLDEN_PROM = Path(__file__).parent / "golden_health.prom"
@@ -36,7 +37,7 @@ REASONS = ("", "low_snr", "clipped", "echo_dominant")
 def seeded_renderings() -> tuple[str, str]:
     """(snapshot JSON, Prometheus text) of the seeded stream."""
     rng = random.Random(1303)
-    monitor = HealthMonitor(HealthConfig(), now=lambda: 0.0)
+    monitor = HealthMonitor(now=lambda: 0.0)
     at = 1000.0
     for i in range(480):
         at += rng.expovariate(1.0)
@@ -85,7 +86,7 @@ def seeded_renderings() -> tuple[str, str]:
 
 def test_snapshot_and_prometheus_match_the_goldens():
     snapshot, prom = seeded_renderings()
-    budget = HealthConfig().max_values_per_key
+    budget = health.MAX_VALUES_PER_KEY
     for name, rows in json.loads(snapshot)["series"].items():
         for key in rows[0]["labels"]:
             values = {row["labels"][key] for row in rows} - {OVERFLOW_VALUE}

@@ -26,12 +26,8 @@ from repro.acoustics.reverb import ReverbConfig
 from repro.core.config import CalibrationConfig, EarSonarConfig
 from repro.core.pipeline import EarSonarPipeline
 from repro.obs import names as obs_names
-from repro.obs.health import (
-    OVERFLOW_VALUE,
-    HealthConfig,
-    HealthMonitor,
-    use_health,
-)
+from repro.obs import health
+from repro.obs.health import OVERFLOW_VALUE, SERIES_LABELS, HealthMonitor, use_health
 from repro.runtime import BatchExecutor
 from repro.simulation import sample_participant
 from repro.simulation.calibration import CalibrationDriftConfig
@@ -43,16 +39,12 @@ from .conftest import POISONED
 #: Deterministic-by-construction series set: everything but the
 #: wall-clock ``health.recording_ms`` lane.
 STAGE_SERIES = tuple(
-    spec
-    for spec in HealthConfig().series
-    if spec.name != obs_names.HEALTH_RECORDING_MS
+    name for name in SERIES_LABELS if name != obs_names.HEALTH_RECORDING_MS
 )
 
 
-def make_monitor(**config) -> HealthMonitor:
-    return HealthMonitor(
-        HealthConfig(series=STAGE_SERIES, **config), now=lambda: 1000.0
-    )
+def make_monitor() -> HealthMonitor:
+    return HealthMonitor(now=lambda: 1000.0, series=STAGE_SERIES)
 
 
 def screening_rows(monitor: HealthMonitor) -> dict[tuple[str, str], int]:
@@ -241,9 +233,11 @@ class TestPoolMergesLikeSerial:
             assert a.features.tobytes() == b.features.tobytes()
         assert pool_monitor.snapshot() == serial_monitor.snapshot()
 
-    def test_pool_keeps_the_per_key_label_budget(self, fleet_recordings):
+    def test_pool_keeps_the_per_key_label_budget(self, fleet_recordings, monkeypatch):
+        monkeypatch.setattr(health, "MAX_VALUES_PER_KEY", 1)
+
         def run(**executor_options):
-            monitor = make_monitor(max_values_per_key=1)
+            monitor = make_monitor()
             with use_health(monitor):
                 result = BatchExecutor(
                     EarSonarPipeline(STAGE_PIPELINE), **executor_options

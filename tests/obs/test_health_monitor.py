@@ -1,58 +1,44 @@
-"""HealthMonitor semantics: config validation, SLO burn rates, rendering.
+"""HealthMonitor semantics: label discipline, SLO burn rates, rendering.
 
 Three contracts:
 
-1. **Configs refuse what they cannot evaluate.**  Window widths, burn
-   windows, burn factors and latency thresholds must be positive and
-   finite; anything else is a :class:`ConfigurationError` at
-   construction, not a bare ``ValueError`` (or a rule that can never
-   fire) later.
+1. **The monitor refuses what it cannot evaluate.**  The latency
+   threshold comes from outside the program, so one that is not
+   positive and finite is a :class:`ConfigurationError` at
+   construction.  Label keys come from the closed vocabulary, label
+   values stay within the per-key budget, and a series fed as the wrong
+   kind is a code bug.
 2. **Burn-rate alerting is the SRE recipe, deterministically.**  A rule
-   fires only when both its windows exceed the factor with enough
-   events, transitions carry the caller's clock, and replaying the same
-   observation log reproduces identical transition timestamps.
+   fires only while both its windows exceed the factor, transitions
+   carry the caller's clock, and replaying the same observation log
+   reproduces identical transition timestamps.  The timestamps are
+   spaced so the real page (300 s / 60 s) and ticket (1500 s / 300 s)
+   windows see the stream cross bucket boundaries.
 3. **Disabled is invisible.**  The null monitor returns empty
    renderings.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import health
 from repro.obs import names as obs_names
-from repro.obs.health import (
-    DEFAULT_SLOS,
-    NULL_HEALTH,
-    BurnRule,
-    HealthConfig,
-    HealthMonitor,
-    SeriesSpec,
-    SloConfig,
-)
-from repro.obs.health.window import WindowConfig
+from repro.obs.health import NULL_HEALTH, OVERFLOW_VALUE, SERIES_LABELS, HealthMonitor
 
 from .prometheus_format import validate_prometheus
 
-WINDOW = WindowConfig(bucket_s=5.0, num_buckets=360)
+SERIES = (obs_names.HEALTH_REQUESTS, obs_names.HEALTH_REQUEST_MS)
 
-CONFIG = HealthConfig(
-    window=WINDOW,
-    series=(
-        SeriesSpec(obs_names.HEALTH_REQUESTS, ("tenant", "outcome"), "counter"),
-        SeriesSpec(obs_names.HEALTH_REQUEST_MS, ("tenant",), "distribution"),
-    ),
-    slos=(
-        SloConfig(
-            objective=obs_names.SLO_AVAILABILITY,
-            target=0.9,
-            rules=(BurnRule(long_s=60.0, short_s=10.0, factor=2.0, min_events=5),),
-        ),
-    ),
-)
+PAGE = {"slo": obs_names.SLO_AVAILABILITY, "severity": "page", "rule": "300s/60s"}
+TICKET = {"slo": obs_names.SLO_AVAILABILITY, "severity": "ticket", "rule": "1500s/300s"}
+
+
+def make_monitor() -> HealthMonitor:
+    return HealthMonitor(now=lambda: 0.0, series=SERIES)
 
 
 def feed(monitor: HealthMonitor, samples) -> None:
@@ -74,168 +60,155 @@ def sample_stream(n: int = 60):
     ]
 
 
+def availability(monitor: HealthMonitor, verdicts, *, t0: float = 1000.0, dt: float = 1.0):
+    """Feed one availability sample per verdict, ``dt`` seconds apart."""
+    for i, good in enumerate(verdicts):
+        monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=good, now=t0 + i * dt)
+
+
+def rules_of(monitor: HealthMonitor, objective: str, now: float) -> dict[str, dict]:
+    [entry] = [e for e in monitor.evaluate(now) if e["objective"] == objective]
+    return {rule["severity"]: rule for rule in entry["rules"]}
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("bucket_s", [0.0, -5.0, math.nan, math.inf])
-    def test_window_bucket_must_be_positive_and_finite(self, bucket_s):
-        with pytest.raises(ConfigurationError, match="bucket_s"):
-            WindowConfig(bucket_s=bucket_s)
-
-    @pytest.mark.parametrize(
-        "long_s, short_s",
-        [
-            (0.0, 0.0),
-            (60.0, -1.0),
-            (math.nan, math.nan),
-            (math.nan, 10.0),
-            (60.0, math.nan),
-            (math.inf, 10.0),
-            (math.inf, math.inf),
-        ],
-    )
-    def test_burn_windows_must_be_positive_and_finite(self, long_s, short_s):
-        with pytest.raises(ConfigurationError, match="burn windows"):
-            BurnRule(long_s=long_s, short_s=short_s, factor=2.0)
-
-    @pytest.mark.parametrize("factor", [0.0, -2.0, math.nan, math.inf])
-    def test_burn_factor_must_be_positive_and_finite(self, factor):
-        with pytest.raises(ConfigurationError, match="factor"):
-            BurnRule(long_s=60.0, short_s=10.0, factor=factor)
-
     @pytest.mark.parametrize("threshold_ms", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_latency_threshold_must_be_positive_and_finite(self, threshold_ms):
-        with pytest.raises(ConfigurationError, match="threshold_ms"):
-            SloConfig(
-                objective=obs_names.SLO_LATENCY,
-                target=0.95,
-                threshold_ms=threshold_ms,
-            )
-        # The serve CLI's --slo-latency-ms override takes this path.
-        [latency] = [s for s in DEFAULT_SLOS if s.objective == obs_names.SLO_LATENCY]
-        with pytest.raises(ConfigurationError, match="threshold_ms"):
-            dataclasses.replace(latency, threshold_ms=threshold_ms)
+        # The serve CLI's --slo-latency-ms takes this path.
+        with pytest.raises(ConfigurationError, match="latency_slo_ms"):
+            HealthMonitor(latency_slo_ms=threshold_ms)
 
 
 class TestSeriesResolution:
+    def test_series_table_matches_the_name_registry(self):
+        assert set(SERIES_LABELS) == (
+            obs_names.HEALTH_COUNTER_SERIES | obs_names.HEALTH_DISTRIBUTION_SERIES
+        )
+        for name, keys in SERIES_LABELS.items():
+            assert set(keys) <= obs_names.HEALTH_LABEL_KEYS, name
+
     def test_unconfigured_series_is_a_no_op(self):
-        monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
+        monitor = make_monitor()
         monitor.increment(obs_names.HEALTH_RAKE_TAPS, 3, labels={"device_model": "x"})
         monitor.observe(obs_names.HEALTH_RECORDING_MS, 5.0)
         assert monitor.snapshot(0.0)["series"] == {}
 
     def test_wrong_kind_is_a_configuration_error(self):
-        monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
+        monitor = make_monitor()
         with pytest.raises(ConfigurationError, match="counter"):
             monitor.observe(obs_names.HEALTH_REQUESTS, 1.0)
 
-    def test_duplicate_series_rejected(self):
-        spec = SeriesSpec(obs_names.HEALTH_REQUESTS, ("tenant",), "counter")
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            HealthMonitor(HealthConfig(series=(spec, spec)))
+
+class TestRollups:
+    def test_undeclared_label_key_is_rejected_at_observation(self):
+        monitor = make_monitor()
+        with pytest.raises(ConfigurationError, match="undeclared key"):
+            monitor.increment(obs_names.HEALTH_REQUESTS, labels={"reason": "x"}, now=0.0)
+
+    def test_value_budget_folds_the_tail_into_overflow(self, monkeypatch):
+        monkeypatch.setattr(health, "MAX_VALUES_PER_KEY", 2)
+        monitor = make_monitor()
+        for tenant in ("a", "b", "c", "d", "c"):
+            monitor.observe(
+                obs_names.HEALTH_REQUEST_MS, 1.0, labels={"tenant": tenant}, now=50.0
+            )
+        rows = {
+            row["labels"]["tenant"]: row["count"]
+            for row in monitor.snapshot(50.0)["series"][obs_names.HEALTH_REQUEST_MS]
+        }
+        # Totals survive the fold even though the tail lost its rows.
+        assert rows == {"a": 1, "b": 1, OVERFLOW_VALUE: 3}
+
+    def test_buckets_expire_past_the_horizon(self):
+        monitor = make_monitor()
+        for at in (10.0, 12.0):
+            monitor.observe(obs_names.HEALTH_REQUEST_MS, 1.0, now=at)
+
+        def count(now: float) -> int:
+            rows = monitor.snapshot(now)["series"].get(obs_names.HEALTH_REQUEST_MS, [])
+            return sum(row["count"] for row in rows)
+
+        assert count(15.0) == 2
+        # Past the 30-minute horizon the old bucket drops out of the
+        # read even though its ring slot has not been recycled yet.
+        assert count(10.0 + health.HORIZON_S + health.BUCKET_S) == 0
 
 
 class TestBurnRateAlerting:
-    RULE = BurnRule(long_s=60.0, short_s=10.0, factor=2.0, min_events=5)
-
-    def monitor(self) -> HealthMonitor:
-        return HealthMonitor(CONFIG, now=lambda: 0.0)
-
     def test_burn_rate_is_error_ratio_over_budget(self):
-        monitor = self.monitor()
-        # 10 samples, the last 3 bad: error ratio 0.3, budget 0.1 ->
-        # burn 3.0 on the long window; the recent cluster also trips
-        # the 10 s short window, so both conditions hold.
-        for i in range(10):
-            monitor.slo_sample(
-                obs_names.SLO_AVAILABILITY, good=i < 7, now=100.0 + i
-            )
-        [entry] = monitor.evaluate(110.0)
-        [gauge] = entry["rules"]
-        assert gauge["burn_long"] == pytest.approx(3.0)
-        assert gauge["firing"] is True
+        monitor = make_monitor()
+        # 100 samples a second apart, the last 3 bad: error ratio 0.03
+        # on a 0.001 budget is burn 30 over the 300 s page window; the
+        # 60 s short window holds 55 of them, so it burns hotter.
+        availability(monitor, [i < 97 for i in range(100)])
+        page = rules_of(monitor, obs_names.SLO_AVAILABILITY, 1100.0)["page"]
+        assert page["events_long"] == 100
+        assert page["burn_long"] == pytest.approx(30.0)
+        assert page["burn_short"] == pytest.approx(3 / 55 / 0.001, rel=1e-6)
+        assert page["firing"] is True
 
     def test_slow_burn_does_not_fire_the_fast_rule(self):
-        monitor = self.monitor()
-        # 10% bad on a 10% budget: burn 1.0, well under factor 2.
+        monitor = make_monitor()
+        # 10% bad on the quality objective's 10% budget: burn 1.0,
+        # under both the page and the ticket factor.
         for i in range(50):
-            monitor.slo_sample(
-                obs_names.SLO_AVAILABILITY, good=i % 10 != 0, now=100.0 + i
-            )
-        [entry] = monitor.evaluate(150.0)
-        assert entry["rules"][0]["firing"] is False
+            monitor.slo_sample(obs_names.SLO_QUALITY, good=i % 10 != 0, now=1000.0 + i)
+        rules = rules_of(monitor, obs_names.SLO_QUALITY, 1050.0)
+        assert [rule["burn_long"] for rule in rules.values()] == [1.0, 1.0]
+        assert not any(rule["firing"] for rule in rules.values())
         assert monitor.active_alerts() == []
 
-    def test_min_events_holds_an_idle_fleet_quiet(self):
-        monitor = self.monitor()
+    def test_one_bad_request_in_an_idle_fleet_pages(self):
+        monitor = HealthMonitor(now=lambda: 0.0)
         monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=100.0)
-        [entry] = monitor.evaluate(101.0)
-        # Burn is enormous but 1 < min_events: no page for one bad
-        # request in an otherwise idle fleet.
-        assert entry["rules"][0]["firing"] is False
+        monitor.evaluate(101.0)
+        assert monitor.active_alerts() == [PAGE, TICKET]
 
     def test_short_window_recovery_resolves_the_alert(self):
-        monitor = self.monitor()
-        for i in range(10):
-            monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=100.0 + i)
-        monitor.evaluate(110.0)
-        assert monitor.active_alerts() != []
-        # 20 s of clean traffic empties the 10 s short window while
-        # the long window still remembers the damage.
-        for i in range(20):
-            monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=True, now=111.0 + i)
-        monitor.evaluate(131.0)
-        assert monitor.active_alerts() == []
-        assert [(t["state"], t["at_s"]) for t in monitor.transitions] == [
-            ("fired", 110.0),
-            ("resolved", 131.0),
+        monitor = make_monitor()
+        availability(monitor, [False] * 10)
+        monitor.evaluate(1010.0)
+        assert monitor.active_alerts() == [PAGE, TICKET]
+        # 70 s of clean traffic empties the page's 60 s short window,
+        # while the long windows and the ticket's 300 s short window
+        # still remember the damage.
+        availability(monitor, [True] * 70, t0=1011.0)
+        monitor.evaluate(1080.0)
+        assert monitor.active_alerts() == [TICKET]
+        assert [(t["state"], t["severity"], t["at_s"]) for t in monitor.transitions] == [
+            ("fired", "ticket", 1010.0),
+            ("fired", "page", 1010.0),
+            ("resolved", "page", 1080.0),
         ]
 
     def test_replayed_observation_log_reproduces_transitions_exactly(self):
-        observations = [(100.0 + i * 0.25, i % 4 == 0) for i in range(120)]
-        eval_points = [105.0, 112.0, 120.0, 131.0]
+        verdicts = [not 40 <= i < 80 for i in range(240)]
+        eval_points = [1050.0, 1120.0, 1200.0, 1400.0, 1600.0]
 
         def replay():
-            monitor = self.monitor()
-            for at, bad in observations:
-                monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=not bad, now=at)
+            monitor = make_monitor()
+            availability(monitor, verdicts, dt=2.5)
             for at in eval_points:
                 monitor.evaluate(at)
             return monitor.transitions
 
-        assert replay() == replay()
+        first = replay()
+        assert {t["state"] for t in first} == {"fired", "resolved"}
+        assert first == replay()
 
     def test_evaluate_is_idempotent_between_state_changes(self):
-        monitor = self.monitor()
-        for i in range(10):
-            monitor.slo_sample(obs_names.SLO_AVAILABILITY, good=False, now=100.0 + i)
-        monitor.evaluate(110.0)
-        monitor.evaluate(110.5)
-        assert len(monitor.transitions) == 1
-
-    def test_unknown_objective_is_ignored(self):
-        monitor = self.monitor()
-        monitor.slo_sample(obs_names.SLO_QUALITY, good=False, now=1.0)
-        assert monitor.transitions == []
-
-    def test_rule_longer_than_the_ring_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="retains"):
-            HealthMonitor(
-                HealthConfig(
-                    window=WindowConfig(bucket_s=1.0, num_buckets=10),
-                    series=(),
-                    slos=(
-                        SloConfig(
-                            objective=obs_names.SLO_AVAILABILITY,
-                            target=0.99,
-                            rules=(BurnRule(long_s=300.0, short_s=60.0, factor=2.0),),
-                        ),
-                    ),
-                )
-            )
+        monitor = make_monitor()
+        availability(monitor, [False] * 10)
+        monitor.evaluate(1010.0)
+        transitions = monitor.transitions
+        monitor.evaluate(1010.5)
+        assert monitor.transitions == transitions
+        assert len(transitions) == 2
 
 
 class TestRendering:
     def test_snapshot_shape_and_sequence(self):
-        monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
+        monitor = make_monitor()
         feed(monitor, sample_stream(12))
         snap = monitor.snapshot(110.0)
         assert snap["seq"] == 1
@@ -250,7 +223,7 @@ class TestRendering:
         assert monitor.snapshot(111.0)["seq"] == 2
 
     def test_prometheus_text_renders_counters_and_summaries(self):
-        monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
+        monitor = make_monitor()
         feed(monitor, sample_stream(12))
         text = monitor.prometheus(110.0)
         assert "# TYPE earsonar_health_requests_total counter" in text
@@ -262,7 +235,7 @@ class TestRendering:
         validate_prometheus(text)
 
     def test_prometheus_label_values_escape_backslash_quote_newline(self):
-        monitor = HealthMonitor(CONFIG, now=lambda: 0.0)
+        monitor = make_monitor()
         tenant = 'a\\b"c\nd'
         feed(monitor, [(100.0, tenant, 12.0), (101.0, "clinic", 3.0)])
         text = monitor.prometheus(110.0)

@@ -16,6 +16,8 @@ from repro.obs import (
     use_tracer,
 )
 
+from .conftest import structure
+
 
 class TestSpanTree:
     def test_nesting_builds_parent_child_shape(self):
@@ -97,7 +99,7 @@ class TestSerialization:
     def test_dict_round_trip_preserves_structure_and_timing(self):
         root = self._tree()
         clone = Span.from_dict(root.to_dict())
-        assert clone.structure() == root.structure()
+        assert structure(clone) == structure(root)
         assert clone.start_ms == root.start_ms
         assert clone.duration_ms == root.duration_ms
         assert clone.children[0].name == "stage.bandpass"
@@ -105,12 +107,12 @@ class TestSerialization:
     def test_structure_ignores_timing(self):
         a = self._tree()
         b = self._tree()
-        assert a.structure() == b.structure()
+        assert structure(a) == structure(b)
 
     def test_structure_sorts_attrs(self):
         x = Span("s", {"b": 1, "a": 2})
         y = Span("s", {"a": 2, "b": 1})
-        assert x.structure() == y.structure()
+        assert structure(x) == structure(y)
 
     def test_shift_translates_whole_tree(self):
         root = self._tree()

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs.health.sketch import GROWTH, MAX_INDEX
+from repro.obs.sketch import GROWTH, MAX_INDEX
 from repro.runtime.metrics import Histogram, RuntimeMetrics
 
 

@@ -188,16 +188,32 @@ class TestLoadgen:
 class TestServiceFlags:
     @pytest.mark.parametrize("command", ["loadgen", "serve"])
     @pytest.mark.parametrize(
-        "flag", ["--workers", "--max-batch-size", "--max-queue-depth"]
+        "flag, value, refusal",
+        [
+            pytest.param(flag, "0", flag, id=flag)
+            for flag in ("--workers", "--max-batch-size", "--max-queue-depth")
+        ]
+        + [
+            pytest.param(
+                "--health-interval-s", value, "--health-interval-s",
+                id=f"--health-interval-s-{value}",
+            )
+            for value in ("nan", "inf", "0", "-1")
+        ]
+        # The monitor itself refuses the threshold, before the file is made.
+        + [pytest.param("--slo-latency-ms", "nan", "latency_slo_ms", id="--slo-latency-ms-nan")],
     )
-    def test_bad_service_count_makes_no_directory(self, tmp_path, command, flag):
+    def test_bad_service_count_makes_no_directory(
+        self, tmp_path, command, flag, value, refusal
+    ):
         cache_dir = tmp_path / "X"
         health_out = tmp_path / "health" / "h.jsonl"
-        argv = [command, flag, "0", "--cache-dir", str(cache_dir),
-                "--health-interval-s", "1", "--health-out", str(health_out)]
+        argv = [command, "--cache-dir", str(cache_dir),
+                "--health-interval-s", "1", "--health-out", str(health_out),
+                flag, value]
         if command == "loadgen":
             argv += ["--requests", "2"]
-        with pytest.raises(ConfigurationError, match=flag):
+        with pytest.raises(ConfigurationError, match=refusal):
             main(argv)
         assert not cache_dir.exists()
         assert not health_out.parent.exists()

@@ -116,26 +116,3 @@ class TestVirtualClock:
                 await clock.advance_until(lambda: False, step=0.1, max_steps=5)
 
         run(scenario())
-
-    def test_pending_sleepers_counts_parked_tasks(self):
-        async def scenario():
-            clock = VirtualClock()
-            tasks = [asyncio.ensure_future(clock.sleep(1.0)) for _ in range(3)]
-            await clock.settle()
-            parked = clock.pending_sleepers
-            await clock.advance(2.0)
-            return parked, clock.pending_sleepers, all(t.done() for t in tasks)
-
-        assert run(scenario()) == (3, 0, True)
-
-    def test_cancelled_sleeper_is_not_counted(self):
-        async def scenario():
-            clock = VirtualClock()
-            task = asyncio.ensure_future(clock.sleep(1.0))
-            await clock.settle()
-            parked = clock.pending_sleepers
-            task.cancel()
-            await clock.settle()
-            return parked, clock.pending_sleepers
-
-        assert run(scenario()) == (1, 0)

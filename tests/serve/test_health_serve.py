@@ -15,47 +15,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import names as obs_names
-from repro.obs.health import (
-    BurnRule,
-    HealthConfig,
-    HealthMonitor,
-    SeriesSpec,
-    SloConfig,
-    use_health,
-)
+from repro.obs.health import HealthMonitor, use_health
 from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run, ticking_runner
 
-SERVE_SERIES = (
-    SeriesSpec(obs_names.HEALTH_REQUESTS, ("tenant", "outcome"), "counter"),
-    SeriesSpec(obs_names.HEALTH_REQUEST_MS, ("tenant",), "distribution"),
-)
-
-#: One fast rule so short scenarios can fire and resolve within
-#: seconds of virtual time.
-FAST_RULES = (BurnRule(long_s=60.0, short_s=10.0, factor=2.0, min_events=2),)
+SERVE_SERIES = (obs_names.HEALTH_REQUESTS, obs_names.HEALTH_REQUEST_MS)
 
 
 def make_monitor(clock: VirtualClock, *, latency_threshold_ms: float) -> HealthMonitor:
     return HealthMonitor(
-        HealthConfig(
-            series=SERVE_SERIES,
-            slos=(
-                SloConfig(
-                    objective=obs_names.SLO_AVAILABILITY,
-                    target=0.9,
-                    rules=FAST_RULES,
-                ),
-                SloConfig(
-                    objective=obs_names.SLO_LATENCY,
-                    target=0.9,
-                    threshold_ms=latency_threshold_ms,
-                    rules=FAST_RULES,
-                ),
-            ),
-        ),
-        now=clock.now,
+        now=clock.now, latency_slo_ms=latency_threshold_ms, series=SERVE_SERIES
     )
 
 
@@ -174,8 +144,8 @@ class TestAlertDeterminism:
         self, executor, serve_recordings
     ):
         # Every request takes >= one 20 ms batch tick of virtual time,
-        # so a 1 ms threshold marks all of them bad: burn 10/1 factor 2
-        # on both windows -> the page must fire.
+        # so a 1 ms threshold marks all of them bad: burn 1/0.05 = 20 on
+        # every window, past the page's 14.4 -> the page must fire.
         tight = soak(executor, serve_recordings, latency_threshold_ms=1.0)
         fired = [t for t in tight.transitions if t["state"] == "fired"]
         assert fired and all(t["slo"] == obs_names.SLO_LATENCY for t in fired)

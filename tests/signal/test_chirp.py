@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.kernels.chirp import matched_filter_planned
 from repro.signal.chirp import (
-    SPEED_OF_SOUND,
     ChirpDesign,
     cross_correlate,
     linear_chirp,
@@ -49,15 +48,6 @@ class TestChirpDesign:
     def test_invalid_scalars_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             ChirpDesign(**{field: value})
-
-    def test_max_unambiguous_range_exceeds_10cm(self):
-        # The paper's design captures all echoes within 10 cm.
-        assert ChirpDesign().max_unambiguous_range() > 0.10
-
-    def test_range_resolution(self):
-        assert ChirpDesign().range_resolution() == pytest.approx(
-            SPEED_OF_SOUND / 8_000.0
-        )
 
 
 class TestLinearChirp:

@@ -77,17 +77,6 @@ class TestStudy:
         counts = small_study.state_counts()
         assert all(counts[s] > 0 for s in MeeState.ordered())
 
-    def test_by_participant_chronological(self, small_study):
-        pid = small_study.participant_ids[0]
-        recs = small_study.by_participant(pid)
-        days = [r.day for r in recs]
-        assert days == sorted(days)
-        assert all(r.participant_id == pid for r in recs)
-
-    def test_by_state_filters(self, small_study):
-        clear = small_study.by_state(MeeState.CLEAR)
-        assert all(r.state is MeeState.CLEAR for r in clear)
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(SimulationError):
             StudyDataset([])

@@ -1,10 +1,12 @@
 """The public surface of ``src/repro`` holds only names something runs.
 
 A static census over the repository's AST: every public top-level name
-defined in a module under ``src/repro`` must be reached from a caller,
-or it is flagged.  Callers are the modules under ``src/``,
-``benchmarks/``, ``examples/`` and ``e2ebench/``; the tests are not
-callers, so a helper only the tests use is dead code with a test.
+defined in a module under ``src/repro``, and every public method,
+property, classmethod and staticmethod of a top-level class there, must
+be reached from a caller, or it is flagged.  Callers are the modules
+under ``src/``, ``benchmarks/``, ``examples/`` and ``e2ebench/``; the
+tests are not callers, so a helper only the tests use is dead code with
+a test.
 
 What counts as a reference, matched by bare name:
 
@@ -18,6 +20,9 @@ A reference only counts from live code.  Module-level statements that
 define nothing are live, and so is every definition in a caller outside
 ``src/``; a top-level definition in ``src/`` is live once a live
 reference names it, and only then do the references inside it count.
+A class member is a definition of its own, live once a live reference
+names it; a class's dunders (``__init__``, ``__post_init__``, ...) are
+part of the class and live with it.
 The pass repeats until no new name comes alive, so a helper called only
 by a dead helper is dead too, and a definition's references to itself
 never keep it alive.
@@ -32,7 +37,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import pytest
 
@@ -54,7 +59,8 @@ EXEMPT: Dict[str, str] = {
     ),
 }
 
-#: Serial oracles of batched kernels stay, whoever calls them.
+#: Serial oracles of batched kernels stay, whoever calls them (top-level
+#: functions only; a method is never an oracle).
 ORACLE_SUFFIX = "_reference"
 
 #: QA rules reach the engine through this decorator, not by name.
@@ -63,7 +69,7 @@ RULE_DECORATOR = "register"
 
 @dataclass
 class _Definition:
-    """One top-level definition and the references inside it."""
+    """One top-level definition or class member and the references inside it."""
 
     qualname: str
     name: str
@@ -120,10 +126,22 @@ def _is_all_target(stmt: ast.stmt) -> bool:
     )
 
 
-def _references(node: ast.AST, *, in_init: bool) -> Set[str]:
-    """Every bare name ``node`` refers to, per the module docstring."""
+_Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def _references(
+    node: ast.AST, *, in_init: bool, skip: Sequence[ast.AST] = ()
+) -> Set[str]:
+    """Every bare name ``node`` refers to, per the module docstring,
+    outside the subtrees in ``skip``."""
     refs: Set[str] = set()
-    for child in ast.walk(node):
+    skipped = {id(n) for n in skip}
+    stack = [node]
+    while stack:
+        child = stack.pop()
+        if id(child) in skipped:
+            continue
+        stack.extend(ast.iter_child_nodes(child))
         if isinstance(child, ast.Name):
             refs.add(child.id)
         elif isinstance(child, ast.Attribute):
@@ -148,6 +166,19 @@ def _defined_names(stmt: ast.stmt) -> List[str]:
     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
         return [stmt.target.id]
     return []
+
+
+def _members(stmt: ast.stmt) -> List[_Function]:
+    """A top-level class's methods, properties, classmethods and
+    staticmethods, dunders excepted; ``[]`` for anything else."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        node
+        for node in stmt.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
 
 
 def _decorated_by(stmt: ast.stmt, decorator: str) -> bool:
@@ -185,7 +216,8 @@ def census(
                 if _is_all_target(stmt):
                     continue
                 names = _defined_names(stmt)
-                refs = _references(stmt, in_init=in_init)
+                members = _members(stmt)
+                refs = _references(stmt, in_init=in_init, skip=members)
                 if not names:
                     result.roots |= refs
                     continue
@@ -204,6 +236,17 @@ def census(
                             refs=refs,
                         )
                     )
+                    for member in members:
+                        member_qualname = f"{qualname}.{member.name}"
+                        result.definitions.append(
+                            _Definition(
+                                qualname=member_qualname,
+                                name=member.name,
+                                public=not member.name.startswith("_"),
+                                exempt=member_qualname in exempt,
+                                refs=_references(member, in_init=in_init),
+                            )
+                        )
     return result
 
 
@@ -288,3 +331,39 @@ def test_census_flags_nothing_a_collision_keeps_alive(toy_repo):
     assert "pkg.mod.chained_dead" not in dead
     assert "pkg.mod.dead_leaf" not in dead
     assert "pkg.mod.kept" in dead
+
+
+def test_census_counts_class_members(tmp_path):
+    _write(tmp_path, "src/pkg/__init__.py", "from .shapes import Widget, Unused\n")
+    _write(
+        tmp_path,
+        "src/pkg/shapes.py",
+        "def built_in_init():\n    return 1\n\n"
+        "def only_a_dead_method_calls():\n    return 2\n\n"
+        "def only_a_dead_class_calls():\n    return 3\n\n"
+        "class Widget:\n"
+        "    def __init__(self):\n        self.n = built_in_init()\n\n"
+        "    def spin(self):\n        return self.n\n\n"
+        "    def dead_method(self):\n        return only_a_dead_method_calls()\n\n"
+        "    @property\n    def size(self):\n        return self.n\n\n"
+        "    @property\n    def dead_size(self):\n        return 0\n\n"
+        "    def _private(self):\n        return 4\n\n"
+        "    def method_reference(self):\n        return 5\n\n"
+        "class Unused:\n"
+        "    def __init__(self):\n        self.n = only_a_dead_class_calls()\n",
+    )
+    _write(
+        tmp_path,
+        "examples/demo.py",
+        "from pkg import Widget\nwidget = Widget()\nwidget.spin()\nprint(widget.size)\n",
+    )
+    result = census(tmp_path, caller_dirs=("src", "examples"), exempt={})
+    # A dunder lives with its class; the oracle suffix exempts no method.
+    assert result.dead() == [
+        "pkg.shapes.Unused",
+        "pkg.shapes.Widget.dead_method",
+        "pkg.shapes.Widget.dead_size",
+        "pkg.shapes.Widget.method_reference",
+        "pkg.shapes.only_a_dead_class_calls",
+        "pkg.shapes.only_a_dead_method_calls",
+    ]
