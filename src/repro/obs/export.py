@@ -201,21 +201,14 @@ def prometheus_text(metrics: Any) -> str:
     registry or an already-built ``report()`` dict.  Histograms are
     exported as ``summary`` families (pre-computed quantiles plus
     ``_count`` / ``_sum``), counters as ``counter`` families, and the
-    cache hit rate as a ``gauge``.  Per-tenant counters
-    (:func:`~repro.obs.names.tenant_counter`) fold into one family per
-    base with a ``tenant`` label, so no tenant id reaches a metric name.
+    cache hit rate as a ``gauge``.
     """
     report = metrics.report() if hasattr(metrics, "report") else dict(metrics)
     lines: list[str] = []
-    family = None
     for name in sorted(report.get("counters", {})):
-        # Sorting keeps each tenant family's samples contiguous.
-        base, tenant = names.split_tenant_counter(name) or (name, None)
-        if prom_name(base) != family:
-            family = prom_name(base)
-            lines.append(f"# TYPE {family} counter")
-        labels = {} if tenant is None else {"tenant": tenant}
-        lines.append(f"{family}{prom_labels(labels)} {int(report['counters'][name])}")
+        prom = prom_name(name)
+        lines.append(f"# TYPE {prom} counter")
+        lines.append(f"{prom} {int(report['counters'][name])}")
     for name in sorted(report.get("histograms", {})):
         prom = prom_name(name)
         digest = report["histograms"][name]

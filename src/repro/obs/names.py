@@ -21,9 +21,10 @@ suffix (``_ms``).
 
 The online service (:mod:`repro.serve`) has its own canonical sets
 (``SERVE_CANONICAL_COUNTERS`` / ``SERVE_CANONICAL_HISTOGRAMS``),
-asserted by the serving end-to-end emission suite, plus the
-:func:`tenant_counter` pattern for per-tenant counters whose tenant
-segment is dynamic by nature.
+asserted by the serving end-to-end emission suite.  No name carries
+caller data: per-tenant traffic is the ``tenant`` label of
+``health.requests`` and ``health.request_ms``, whose values the health
+tier budgets.
 """
 
 from __future__ import annotations
@@ -81,12 +82,6 @@ __all__ = [
     "HIST_SERVE_BATCH_MS",
     "SERVE_CANONICAL_COUNTERS",
     "SERVE_CANONICAL_HISTOGRAMS",
-    "SERVE_REJECTION_COUNTERS",
-    "METRIC_TENANT_SUBMITTED",
-    "METRIC_TENANT_COMPLETED",
-    "METRIC_TENANT_REJECTED",
-    "tenant_counter",
-    "split_tenant_counter",
     "SPAN_HEALTH_SNAPSHOT",
     "HEALTH_SCREENINGS",
     "HEALTH_REQUESTS",
@@ -135,9 +130,11 @@ SPAN_STAGE_RAKE = "stage.rake"
 #: ``EarSonarConfig.calibration`` is enabled.
 SPAN_STAGE_CALIBRATION = "stage.calibration"
 
-#: Admission decision for one service request (attrs: tenant, outcome).
+#: Pre-admission screening of one service request, around its
+#: ``quality.gate`` span (attr: tenant).  Opened only when the service
+#: has a ``fast_reject`` gate.
 SPAN_SERVE_ADMISSION = "serve.admission"
-#: One dispatched micro-batch (attrs: batch, size, tenants).
+#: One dispatched micro-batch (attrs: batch, size).
 SPAN_SERVE_BATCH = "serve.batch"
 #: Snapshot assembly inside :meth:`HealthMonitor.snapshot` (attrs:
 #: series, alerts).  Opened only when a real tracer is ambient.
@@ -288,14 +285,6 @@ HIST_SERVE_QUEUE_MS = "serve.queue_ms"
 #: Executor wall time per dispatched micro-batch.
 HIST_SERVE_BATCH_MS = "serve.batch_ms"
 
-#: Rejection counter for each refusal the service can emit: the one
-#: :class:`~repro.errors.AdmissionRejected` reason, ``queue_full``, and
-#: ``shutdown`` for a :class:`~repro.errors.ServiceStoppedError`.
-SERVE_REJECTION_COUNTERS = {
-    "queue_full": METRIC_SERVE_REJECTED_QUEUE_FULL,
-    "shutdown": METRIC_SERVE_REJECTED_SHUTDOWN,
-}
-
 #: Every counter the online service documents; the serving emission
 #: test asserts each one is produced by an end-to-end service scenario.
 SERVE_CANONICAL_COUNTERS = frozenset(
@@ -320,16 +309,6 @@ SERVE_CANONICAL_HISTOGRAMS = frozenset(
         HIST_SERVE_BATCH_MS,
     }
 )
-
-# -- per-tenant counter pattern ----------------------------------------
-
-#: Per-tenant requests submitted (see :func:`tenant_counter`).
-METRIC_TENANT_SUBMITTED = "serve.tenant.submitted"
-#: Per-tenant responses delivered.
-METRIC_TENANT_COMPLETED = "serve.tenant.completed"
-#: Per-tenant admission rejections.
-METRIC_TENANT_REJECTED = "serve.tenant.rejected"
-
 
 # -- fleet-health (repro.obs.health) names ------------------------------
 
@@ -402,29 +381,6 @@ HEALTH_LABEL_KEYS = frozenset(
 )
 
 
-def tenant_counter(base: str, tenant: str) -> str:
-    """Per-tenant counter name: ``<base>.<tenant>``.
-
-    Tenant ids are caller data, so per-tenant counters cannot be a
-    closed vocabulary; instead the *base* must be one of the
-    ``METRIC_TENANT_*`` constants and the tenant id is appended as the
-    final segment (e.g. ``serve.tenant.completed.clinic-a``).
-    """
-    return f"{base}.{tenant}"
-
-
-def split_tenant_counter(name: str) -> tuple[str, str] | None:
-    """Inverse of :func:`tenant_counter`: ``(base, tenant)`` or ``None``.
-
-    Matches on the ``METRIC_TENANT_*`` prefixes rather than the last
-    dot, so a dotted tenant id (``clinic.a``) comes back whole.
-    """
-    for base in (METRIC_TENANT_SUBMITTED, METRIC_TENANT_COMPLETED, METRIC_TENANT_REJECTED):
-        if name.startswith(base + "."):
-            return base, name[len(base) + 1 :]
-    return None
-
-
 def registry() -> dict[str, tuple[str, ...]]:
     """Machine-readable export of every name registry, sorted.
 
@@ -439,7 +395,6 @@ def registry() -> dict[str, tuple[str, ...]]:
         "CANONICAL_COUNTERS": tuple(sorted(CANONICAL_COUNTERS)),
         "CANONICAL_HISTOGRAMS": tuple(sorted(CANONICAL_HISTOGRAMS)),
         "ECHO_CONDITIONAL_COUNTERS": tuple(sorted(ECHO_CONDITIONAL_COUNTERS)),
-        "SERVE_REJECTION_COUNTERS": tuple(sorted(SERVE_REJECTION_COUNTERS.values())),
         "SERVE_CANONICAL_COUNTERS": tuple(sorted(SERVE_CANONICAL_COUNTERS)),
         "SERVE_CANONICAL_HISTOGRAMS": tuple(sorted(SERVE_CANONICAL_HISTOGRAMS)),
         "HEALTH_COUNTER_SERIES": tuple(sorted(HEALTH_COUNTER_SERIES)),

@@ -31,8 +31,8 @@ about:
 - **QA012 label cardinality** — health label keys come from the closed
   ``obs.names.HEALTH_LABEL_KEYS`` vocabulary.
 
-QA001, QA003–QA007 and QA012 check one module at a time, and QA002
-follows the config tree across modules; QA008–QA010 run on the
+QA001 and QA003–QA007 check one module at a time, and QA002 follows
+the config tree across modules; QA008–QA010 and QA012 run on the
 whole-program model built from per-function summaries
 (:mod:`repro.qa.graph`).
 

@@ -13,7 +13,7 @@ Exit codes: 0 clean, 1 findings (errors; with ``--strict`` any finding
 that no pragma covers), 2 usage error.
 
 A run is one serial pass: it reads the source root, runs every rule,
-builds the whole-program model (QA008–QA010) from the summaries of that
+builds the whole-program model (QA008–QA010, QA012) from the summaries of that
 run, and prints the report.  It keeps no state and writes no files.
 """
 

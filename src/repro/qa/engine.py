@@ -8,8 +8,8 @@ one or more of three hooks:
   :class:`~repro.qa.project.Project` (rules that need cross-module
   *name* resolution, like fingerprint completeness);
 - :meth:`Rule.check_program` — called once per run with the
-  :class:`~repro.qa.graph.ProgramModel` (import graph + per-function
-  summaries + call graph) for interprocedural rules (QA008–QA010).
+  :class:`~repro.qa.graph.ProgramModel` (per-function summaries + call
+  graph) for whole-program rules (QA008–QA010, QA012).
 
 Rules register themselves with the :func:`register` decorator; the
 engine instantiates every registered rule (or a requested subset) and

@@ -1,15 +1,14 @@
-"""Whole-program analysis: import graph, summaries, call graph.
+"""Whole-program analysis: summaries and the call graph.
 
 This subpackage turns ``repro.qa`` from a per-file linter into a
 whole-program analyzer.  The pipeline is::
 
     Project ──summarize_module──▶ ModuleSummary (one per module per run)
-            ──ImportGraph.build──▶ module dependency edges
     {ModuleSummary} ──CallGraph──▶ interprocedural resolution + BFS
 
 Rules that need the program view implement ``check_program`` (see
 :class:`repro.qa.engine.Rule`) and receive a :class:`ProgramModel`
-bundling all three artifacts.
+bundling the project, the summaries and the call graph.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 from ..project import Project
 from .callgraph import CallGraph
-from .imports import ImportGraph, ModuleBindings, resolve_relative_import
+from .imports import ModuleBindings
 from .summaries import (
     BlockingUse,
     CallSite,
@@ -38,14 +37,12 @@ __all__ = [
     "ClassSummary",
     "FunctionSummary",
     "GlobalRebind",
-    "ImportGraph",
     "LockAcquisition",
     "ModuleBindings",
     "ModuleSummary",
     "ProgramModel",
     "TelemetryUse",
     "build_program_model",
-    "resolve_relative_import",
     "summarize_module",
 ]
 
@@ -56,8 +53,14 @@ class ProgramModel:
 
     project: Project
     summaries: dict[str, ModuleSummary]
-    imports: ImportGraph
     callgraph: CallGraph
+
+    def names_module(self) -> ModuleSummary | None:
+        """Summary of the project's ``obs.names`` registry module, if any."""
+        for name in sorted(self.summaries):
+            if name.removeprefix("repro.") == "obs.names":
+                return self.summaries[name]
+        return None
 
 
 def build_program_model(project: Project) -> ProgramModel:
@@ -66,6 +69,5 @@ def build_program_model(project: Project) -> ProgramModel:
     return ProgramModel(
         project=project,
         summaries=table,
-        imports=ImportGraph.build(project),
         callgraph=CallGraph(table),
     )

@@ -1,17 +1,9 @@
-"""Project-wide import resolution: bindings and the module import graph.
+"""Project-wide import resolution: one binding table per module.
 
-The whole-program rules need two things the per-file :class:`ImportMap`
-cannot give them:
-
-- **relative imports resolved** — ``from ..obs import names as
-  obs_names`` inside ``repro.serve.service`` must canonicalize
-  ``obs_names.X`` to ``repro.obs.names.X``, or every cross-package edge
-  in the call graph is lost;
-- **a module-level dependency graph** — which project modules each
-  module imports, so incremental invalidation and rule scoping can
-  reason about the package topology without re-walking every AST.
-
-Both are computed from source only; nothing is imported or executed.
+Relative imports are resolved, so ``obs_names.X`` inside
+``repro.serve.service`` canonicalizes to ``repro.obs.names.X`` and the
+call graph keeps its cross-package edges.  Computed from source only;
+nothing is imported or executed.
 """
 
 from __future__ import annotations
@@ -19,30 +11,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..project import ModuleInfo, Project
+from ..project import ModuleInfo, resolve_relative_import
 
-__all__ = ["ModuleBindings", "ImportGraph", "resolve_relative_import"]
-
-
-def resolve_relative_import(module: ModuleInfo, node: ast.ImportFrom) -> str | None:
-    """Dotted name of the module an ``ImportFrom`` pulls from.
-
-    Absolute imports pass through; relative ones are resolved against
-    the importing module's package (``from ..quality import x`` inside
-    ``repro.serve.service`` → ``repro.quality``).  Returns ``None`` for
-    relative imports that climb above the source root.
-    """
-    if node.level == 0:
-        return node.module
-    base = module.package_parts()
-    hops = node.level - 1
-    if hops > len(base):
-        return None
-    if hops:
-        base = base[: len(base) - hops]
-    if node.module:
-        base = [*base, *node.module.split(".")]
-    return ".".join(base) if base else None
+__all__ = ["ModuleBindings"]
 
 
 @dataclass
@@ -89,42 +60,3 @@ class ModuleBindings:
 
     def __contains__(self, name: str) -> bool:
         return name in self.bindings
-
-
-class ImportGraph:
-    """Directed module-dependency graph over one project."""
-
-    def __init__(self, edges: dict[str, frozenset[str]]) -> None:
-        self.edges = edges
-
-    @classmethod
-    def build(cls, project: Project) -> "ImportGraph":
-        """Edges from each module to the project modules it imports.
-
-        Both forms contribute: ``import repro.signal.chirp`` and
-        ``from ..signal import chirp``.  A ``from pkg import name``
-        where ``pkg.name`` is itself a project module counts as an edge
-        to the submodule; otherwise the edge lands on ``pkg``.
-        """
-        edges: dict[str, frozenset[str]] = {}
-        for module in project:
-            targets: set[str] = set()
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if project.get(alias.name) is not None:
-                            targets.add(alias.name)
-                elif isinstance(node, ast.ImportFrom):
-                    base = resolve_relative_import(module, node)
-                    if base is None:
-                        continue
-                    for alias in node.names:
-                        sub = f"{base}.{alias.name}"
-                        if project.get(sub) is not None:
-                            targets.add(sub)
-                        elif project.get(base) is not None:
-                            targets.add(base)
-            targets.discard(module.name)
-            edges[module.name] = frozenset(targets)
-        return cls(edges)
-

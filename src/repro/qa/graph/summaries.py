@@ -19,8 +19,7 @@ Each :class:`FunctionSummary` records, per function or method:
   (``repro.runtime.metrics.Histogram._lock``) and the locks already
   held, for the QA009 ordering rule;
 - **telemetry uses** — span/counter/histogram names referenced
-  by registered constant, literal, rejection-table subscript, or the
-  ``tenant_counter`` pattern, for the QA010 registry diff;
+  by registered constant or literal, for the QA010 registry diff;
 - **global rebinds** and **pool-dispatch targets** — for the QA009
   worker-state check.
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..project import ModuleInfo
+from ..project import ModuleInfo, attribute_chain
 from .imports import ModuleBindings
 
 __all__ = [
@@ -122,11 +121,8 @@ class TelemetryUse:
     """One telemetry-name reference at an emission call site.
 
     ``form`` is ``"constant"`` (``ref`` is a canonical dotted constant,
-    e.g. ``repro.obs.names.METRIC_SERVE_ADMITTED``), ``"literal"``
-    (``ref`` is the raw string), ``"subscript"`` (``ref`` names a
-    registry mapping whose values are all considered used), or
-    ``"pattern"`` (``ref`` is the base constant of a dynamic-name
-    helper such as ``tenant_counter``).
+    e.g. ``repro.obs.names.METRIC_SERVE_ADMITTED``) or ``"literal"``
+    (``ref`` is the raw string).
     """
 
     kind: str  # "span" | "counter" | "histogram"
@@ -181,7 +177,6 @@ class ModuleSummary:
     module: str
     relpath: str
     is_package: bool
-    is_entry_point: bool
     bindings: dict[str, str] = field(default_factory=dict)
     functions: tuple[FunctionSummary, ...] = ()
     classes: tuple[ClassSummary, ...] = ()
@@ -192,17 +187,6 @@ class ModuleSummary:
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
-
-
-def _attribute_chain(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _annotation_dotted(node: ast.expr | None) -> str | None:
@@ -222,7 +206,7 @@ def _annotation_dotted(node: ast.expr | None) -> str | None:
         ):
             return node.value
         return None
-    return _attribute_chain(node)
+    return attribute_chain(node)
 
 
 def _is_lockish_name(dotted: str) -> bool:
@@ -272,7 +256,7 @@ class _ModuleExtractor:
         bases = tuple(
             canonical
             for base in node.bases
-            if (chain := _attribute_chain(base)) is not None
+            if (chain := attribute_chain(base)) is not None
             and (canonical := self.canonical(chain)) is not None
         )
         methods: list[str] = []
@@ -320,7 +304,7 @@ class _ModuleExtractor:
                 dotted = _annotation_dotted(annotation)
                 canonical = self.canonical(dotted) if dotted else None
             if canonical is None and isinstance(value, ast.Call):
-                chain = _attribute_chain(value.func)
+                chain = attribute_chain(value.func)
                 canonical = self.canonical(chain) if chain else None
             if canonical is not None and attr not in out:
                 out[attr] = canonical
@@ -386,18 +370,10 @@ class _ModuleExtractor:
                     out.append(constants[element.id][0])
                 elif element.id in sets:
                     out.extend(sets[element.id])
-            elif isinstance(element, ast.Starred):
-                inner = element.value
-                if isinstance(inner, ast.Name):
-                    out.extend(sets.get(inner.id, ()))
-                elif (
-                    isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Attribute)
-                    and inner.func.attr == "values"
-                    and isinstance(inner.func.value, ast.Name)
-                ):
-                    # ``*TABLE.values()`` over an earlier dict display.
-                    out.extend(sets.get(inner.func.value.id, ()))
+            elif isinstance(element, ast.Starred) and isinstance(
+                element.value, ast.Name
+            ):
+                out.extend(sets.get(element.value.id, ()))
         return tuple(out)
 
     # -- function bodies -------------------------------------------------
@@ -499,12 +475,12 @@ class _BodyWalker:
     def _lock_identity(self, node: ast.expr) -> str | None:
         """Stable identity for a lock-shaped context expression."""
         if isinstance(node, ast.Call):
-            chain = _attribute_chain(node.func)
+            chain = attribute_chain(node.func)
             canonical = self.x.canonical(chain) if chain else None
             if canonical is not None and _is_lock_constructor(canonical):
                 return canonical
             return None
-        chain = _attribute_chain(node)
+        chain = attribute_chain(node)
         if chain is None:
             return None
         parts = chain.split(".")
@@ -602,7 +578,7 @@ class _BodyWalker:
                         and len(targets) == 1
                         and isinstance(value, ast.Call)
                     ):
-                        chain = _attribute_chain(value.func)
+                        chain = attribute_chain(value.func)
                         canonical = self.x.canonical(chain) if chain else None
                         if canonical is not None:
                             self._env[target.id] = canonical
@@ -626,7 +602,7 @@ class _BodyWalker:
             )
             return
 
-        chain = _attribute_chain(func)
+        chain = attribute_chain(func)
         canonical = self.x.canonical(chain) if chain else None
 
         if canonical is not None:
@@ -657,7 +633,7 @@ class _BodyWalker:
     def _record_partial(self, node: ast.Call, held: tuple[str, ...]) -> None:
         """``functools.partial(f, ...)`` — edge to ``f`` (later called)."""
         target = node.args[0]
-        chain = _attribute_chain(target)
+        chain = attribute_chain(target)
         canonical = self.x.canonical(chain) if chain else None
         if canonical is not None:
             self.calls.append(
@@ -723,7 +699,7 @@ class _BodyWalker:
         if method == "submit" or (
             method in _MAP_METHODS
             and any(
-                p in (_attribute_chain(func.value) or "").lower() for p in _POOLISH
+                p in (attribute_chain(func.value) or "").lower() for p in _POOLISH
             )
         ):
             if node.args:
@@ -739,31 +715,7 @@ class _BodyWalker:
             self._record_telemetry(kind, arg.body, lineno)
             self._record_telemetry(kind, arg.orelse, lineno)
             return
-        if isinstance(arg, ast.Subscript):
-            chain = _attribute_chain(arg.value)
-            canonical = self.x.canonical(chain) if chain else None
-            if canonical is not None:
-                self.telemetry.append(
-                    TelemetryUse(
-                        kind=kind, ref=canonical, form="subscript", lineno=lineno
-                    )
-                )
-            return
-        if isinstance(arg, ast.Call):
-            chain = _attribute_chain(arg.func)
-            canonical = self.x.canonical(chain) if chain else None
-            if canonical is not None and canonical.split(".")[-1] == "tenant_counter":
-                if arg.args:
-                    base_chain = _attribute_chain(arg.args[0])
-                    base = self.x.canonical(base_chain) if base_chain else None
-                    if base is not None:
-                        self.telemetry.append(
-                            TelemetryUse(
-                                kind=kind, ref=base, form="pattern", lineno=lineno
-                            )
-                        )
-            return
-        chain = _attribute_chain(arg)
+        chain = attribute_chain(arg)
         canonical = self.x.canonical(chain) if chain else None
         if canonical is not None:
             self.telemetry.append(
@@ -774,13 +726,13 @@ class _BodyWalker:
         self, arg: ast.expr, lineno: int, held: tuple[str, ...]
     ) -> None:
         if isinstance(arg, ast.Call):
-            chain = _attribute_chain(arg.func)
+            chain = attribute_chain(arg.func)
             canonical = self.x.canonical(chain) if chain else None
             if canonical is not None and canonical.split(".")[-1] == "partial":
                 if arg.args:
                     self._record_pool_target(arg.args[0], lineno, held)
             return
-        chain = _attribute_chain(arg)
+        chain = attribute_chain(arg)
         canonical = self.x.canonical(chain) if chain else None
         if canonical is not None:
             self.pool_targets.append(
@@ -812,7 +764,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
         module=module.name,
         relpath=module.relpath,
         is_package=module.is_package,
-        is_entry_point=module.name.rsplit(".", 1)[-1] == "__main__",
         bindings=dict(extractor.bindings.bindings),
         functions=tuple(functions),
         classes=tuple(classes),

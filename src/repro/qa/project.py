@@ -11,6 +11,10 @@ directory whose children are importable top-level packages, i.e.
   ``__init__`` re-exports (required by the fingerprint-completeness
   rule, whose config tree spans five modules).
 
+It also holds the syntax helpers both the per-file rules and the
+whole-program graph layer use (:func:`attribute_chain`,
+:func:`resolve_relative_import`), so neither imports the other.
+
 Everything is computed from source text — nothing is imported — so the
 linter can analyse fixture trees containing deliberate violations
 without executing them.
@@ -23,7 +27,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["ModuleInfo", "Project"]
+__all__ = ["ModuleInfo", "Project", "attribute_chain", "resolve_relative_import"]
+
+
+def attribute_chain(node: ast.expr) -> str | None:
+    """Dotted text of a ``Name``/``Attribute`` chain, else ``None``.
+
+    ``np.random.rand`` → ``"np.random.rand"``; anything containing a
+    call or subscript in the chain yields ``None``.
+    """
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 @dataclass
@@ -71,10 +91,36 @@ class ModuleInfo:
             }
         return self._classes
 
+    @property
+    def is_entry_point(self) -> bool:
+        """True for ``__main__`` modules, which own the process streams."""
+        return self.name.rsplit(".", 1)[-1] == "__main__"
+
     def package_parts(self) -> list[str]:
         """Dotted parts of the package containing this module."""
         parts = self.name.split(".")
         return parts if self.is_package else parts[:-1]
+
+
+def resolve_relative_import(module: ModuleInfo, node: ast.ImportFrom) -> str | None:
+    """Dotted name of the module an ``ImportFrom`` pulls from.
+
+    Absolute imports pass through; relative ones are resolved against
+    the importing module's package (``from ..quality import x`` inside
+    ``repro.serve.service`` → ``repro.quality``).  Returns ``None`` for
+    relative imports that climb above the source root.
+    """
+    if node.level == 0:
+        return node.module
+    base = module.package_parts()
+    hops = node.level - 1
+    if hops > len(base):
+        return None
+    if hops:
+        base = base[: len(base) - hops]
+    if node.module:
+        base = [*base, *node.module.split(".")]
+    return ".".join(base) if base else None
 
 
 class Project:
@@ -128,25 +174,6 @@ class Project:
 
     # -- static name resolution ---------------------------------------
 
-    def resolve_import_target(
-        self, module: ModuleInfo, node: ast.ImportFrom
-    ) -> str | None:
-        """Dotted name of the module an ``ImportFrom`` pulls from.
-
-        Handles relative imports: ``from ..signal.chirp import X``
-        inside ``repro.core.config`` resolves to ``repro.signal.chirp``.
-        """
-        if node.level == 0:
-            return node.module
-        base = module.package_parts()
-        hops = node.level - 1
-        if hops > len(base):
-            return None
-        base = base[: len(base) - hops] if hops else base
-        if node.module:
-            base = [*base, *node.module.split(".")]
-        return ".".join(base) if base else None
-
     def resolve_class(
         self,
         module: ModuleInfo,
@@ -174,7 +201,7 @@ class Project:
                     bound = alias.asname or alias.name
                     if bound != class_name:
                         continue
-                    target = self.resolve_import_target(module, node)
+                    target = resolve_relative_import(module, node)
                     if target is None:
                         continue
                     target_module = self.get(target)

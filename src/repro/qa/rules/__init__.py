@@ -5,9 +5,10 @@ Importing this package registers every rule with the engine registry
 rule lives in its own module, named after its id, and documents the
 scientific invariant it protects in its module docstring.
 
-QA001–QA007 and QA012 are per-file (``check_module``) rules;
-QA008–QA010 are whole-program (``check_program``) rules built on the
-call-graph and summary machinery in :mod:`repro.qa.graph`.  QA011
+QA001 and QA003–QA007 are per-file (``check_module``) rules, and QA002
+a project (``check_project``) rule; QA008–QA010 and QA012 are
+whole-program (``check_program``) rules built on the summary and
+call-graph machinery in :mod:`repro.qa.graph`.  QA011
 (dtype discipline) was retired with the single-precision kernel lane;
 its id is not reused.
 """

@@ -12,25 +12,9 @@ from __future__ import annotations
 
 import ast
 
-from ..project import ModuleInfo
+from ..project import ModuleInfo, attribute_chain
 
-__all__ = ["ImportMap", "attribute_chain", "canonical_name", "module_subpackage"]
-
-
-def attribute_chain(node: ast.expr) -> str | None:
-    """Dotted text of a ``Name``/``Attribute`` chain, else ``None``.
-
-    ``np.random.rand`` → ``"np.random.rand"``; anything containing a
-    call or subscript in the chain yields ``None``.
-    """
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+__all__ = ["ImportMap", "canonical_name", "module_subpackage"]
 
 
 class ImportMap:

@@ -25,8 +25,8 @@ from typing import Iterable
 
 from ..engine import Rule, register
 from ..findings import Finding, Severity
-from ..project import ModuleInfo, Project
-from ._helpers import ImportMap, attribute_chain, canonical_name, module_subpackage
+from ..project import ModuleInfo, Project, attribute_chain
+from ._helpers import ImportMap, canonical_name, module_subpackage
 
 __all__ = ["DeterminismRule"]
 

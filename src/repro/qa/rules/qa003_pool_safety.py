@@ -28,8 +28,7 @@ from typing import Iterable
 
 from ..engine import Rule, register
 from ..findings import Finding, Severity
-from ..project import ModuleInfo, Project
-from ._helpers import attribute_chain
+from ..project import ModuleInfo, Project, attribute_chain
 
 __all__ = ["PoolSafetyRule"]
 

@@ -42,10 +42,6 @@ _STREAM_WRITES = frozenset(
 _NAMED_TELEMETRY_METHODS = frozenset({"span"})
 
 
-def _is_entry_point(module: ModuleInfo) -> bool:
-    return module.name.rsplit(".", 1)[-1] == "__main__"
-
-
 @register
 class TelemetryDisciplineRule(Rule):
     """No print/stream writes in library modules; span names from constants."""
@@ -61,7 +57,7 @@ class TelemetryDisciplineRule(Rule):
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
         imports = ImportMap(module.tree)
-        entry_point = _is_entry_point(module)
+        entry_point = module.is_entry_point
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -53,10 +53,6 @@ def _subpackage(module_name: str) -> str | None:
     return parts[1] if len(parts) >= 2 else None
 
 
-def _is_entry_point(module_name: str) -> bool:
-    return module_name.rsplit(".", 1)[-1] == "__main__"
-
-
 @register
 class AsyncBlockingRule(Rule):
     """No blocking primitive transitively reachable from serve coroutines."""
@@ -114,7 +110,7 @@ class AsyncBlockingRule(Rule):
         for name in sorted(program.summaries):
             if _subpackage(name) != "serve":
                 continue
-            if _is_boundary(name) or _is_entry_point(name):
+            if _is_boundary(name) or program.project.modules[name].is_entry_point:
                 continue
             summary = program.summaries[name]
             roots.extend(fn for fn in summary.functions if fn.is_async)

@@ -15,13 +15,10 @@ span names).  This rule polices the *content*, both directions:
 
 Emission sites come from the function summaries (every ``.span`` /
 ``.increment`` / ``.observe`` / ``.histogram`` first
-argument that is a string literal, a registered constant, a registry
-subscript like ``SERVE_REJECTION_COUNTERS[reason]``, or the
-``tenant_counter(BASE, ...)`` pattern).  Matching is **by value**, so a
-literal spelling of a registered name still counts as an emission — the
-registry is the source of truth for *names*, QA007 for *style*.
-Dynamic per-tenant names (``tenant_counter`` bases) are patterns, not
-fixed names, and sit outside the declared universe.
+argument that is a string literal or a registered constant).  Matching
+is **by value**, so a literal spelling of a registered name still
+counts as an emission — the registry is the source of truth for
+*names*, QA007 for *style*.
 
 The rule is inert in projects without an ``obs.names`` module, so
 unrelated fixture trees never trip it.
@@ -33,7 +30,7 @@ from typing import Iterable
 
 from ..engine import Rule, register
 from ..findings import Finding, Severity
-from ..graph import ModuleSummary, ProgramModel
+from ..graph import ProgramModel
 
 __all__ = ["TelemetryRegistryRule"]
 
@@ -43,7 +40,6 @@ KIND_REGISTRIES: dict[str, tuple[str, ...]] = {
     "counter": (
         "CANONICAL_COUNTERS",
         "SERVE_CANONICAL_COUNTERS",
-        "SERVE_REJECTION_COUNTERS",
         "ECHO_CONDITIONAL_COUNTERS",
         "HEALTH_COUNTER_SERIES",
     ),
@@ -53,14 +49,6 @@ KIND_REGISTRIES: dict[str, tuple[str, ...]] = {
         "HEALTH_DISTRIBUTION_SERIES",
     ),
 }
-
-
-def _find_names_module(program: ProgramModel) -> ModuleSummary | None:
-    for name in sorted(program.summaries):
-        normalized = name[len("repro."):] if name.startswith("repro.") else name
-        if normalized == "obs.names":
-            return program.summaries[name]
-    return None
 
 
 @register
@@ -76,7 +64,7 @@ class TelemetryRegistryRule(Rule):
     )
 
     def check_program(self, program: ProgramModel) -> Iterable[Finding]:
-        names = _find_names_module(program)
+        names = program.names_module()
         if names is None:
             return
         declared: dict[str, set[str]] = {
@@ -99,22 +87,11 @@ class TelemetryRegistryRule(Rule):
                 for use in fn.telemetry:
                     if use.kind not in declared:
                         continue
-                    if use.form == "literal":
-                        value = use.ref
-                    elif use.form == "constant":
-                        value = constants.get(use.ref)
-                        if value is None:
-                            continue  # constant from elsewhere: not a name
-                    elif use.form == "subscript":
-                        prefix = f"{names.module}."
-                        if use.ref.startswith(prefix):
-                            registry = use.ref[len(prefix):]
-                            emitted[use.kind].update(
-                                names.registry_sets.get(registry, ())
-                            )
-                        continue
-                    else:  # "pattern": dynamic names, outside the universe
-                        continue
+                    value = (
+                        use.ref if use.form == "literal" else constants.get(use.ref)
+                    )
+                    if value is None:
+                        continue  # constant from elsewhere: not a name
                     emitted[use.kind].add(value)
                     if value not in declared[use.kind]:
                         yield self.finding(

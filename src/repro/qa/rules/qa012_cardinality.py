@@ -15,9 +15,11 @@ Concretely: every ``labels={...}`` dict literal passed to a
 keys, each present in the ``HEALTH_LABEL_KEYS`` set declared by the
 project's own ``obs.names`` module.  Computed keys are flagged as
 well — a key built at runtime cannot be checked against the closed set
-by anyone.  Like QA010, the rule is inert in projects without an
-``obs.names`` module (or without the vocabulary), so unrelated fixture
-trees never trip it.
+by anyone.  The vocabulary is read once per run, from the names
+module's summary (the same static evaluation of the registry sets that
+QA010 diffs against), so this is a whole-program rule.  Like QA010, it
+is inert in projects without an ``obs.names`` module (or without the
+vocabulary), so unrelated fixture trees never trip it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Iterable
 
 from ..engine import Rule, register
 from ..findings import Finding, Severity
-from ..project import ModuleInfo, Project
+from ..graph import ProgramModel
+from ..project import ModuleInfo
 
 __all__ = ["LabelCardinalityRule"]
 
@@ -36,52 +39,6 @@ _LABELED_METHODS = frozenset({"increment", "observe"})
 
 #: Name of the closed key vocabulary in the project's obs.names module.
 _VOCABULARY = "HEALTH_LABEL_KEYS"
-
-
-def _names_module(project: Project) -> ModuleInfo | None:
-    for name in sorted(project.modules):
-        normalized = name[len("repro."):] if name.startswith("repro.") else name
-        if normalized == "obs.names":
-            return project.modules[name]
-    return None
-
-
-def _literal_strings(node: ast.expr) -> frozenset[str] | None:
-    """String elements of a ``{...}`` / ``frozenset({...})`` display."""
-    if isinstance(node, ast.Call) and node.args and not node.keywords:
-        return _literal_strings(node.args[0])
-    if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        values = []
-        for element in node.elts:
-            if not (
-                isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            ):
-                return None
-            values.append(element.value)
-        return frozenset(values)
-    return None
-
-
-def _resolve_vocabulary(project: Project) -> frozenset[str] | None:
-    """The project's declared label-key set: one walk of its names module."""
-    names = _names_module(project)
-    if names is None:
-        return None
-    for node in names.tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                targets = [node.target.id]
-            value = node.value
-        else:
-            continue
-        if _VOCABULARY in targets:
-            return _literal_strings(value)
-    return None
 
 
 @register
@@ -97,10 +54,18 @@ class LabelCardinalityRule(Rule):
         "cardinality risk no runtime budget can cap"
     )
 
-    def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
-        vocabulary = _resolve_vocabulary(project)
-        if vocabulary is None:
+    def check_program(self, program: ProgramModel) -> Iterable[Finding]:
+        names = program.names_module()
+        keys = None if names is None else names.registry_sets.get(_VOCABULARY)
+        if keys is None:
             return
+        vocabulary = frozenset(keys)
+        for module in program.project:
+            yield from self._check_module(module, vocabulary)
+
+    def _check_module(
+        self, module: ModuleInfo, vocabulary: frozenset[str]
+    ) -> Iterable[Finding]:
         for node in ast.walk(module.tree):
             if not (
                 isinstance(node, ast.Call)

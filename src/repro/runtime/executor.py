@@ -55,7 +55,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..obs import names as obs_names
-from ..obs.health import NULL_HEALTH, current_health, use_health
+from ..obs.health import NULL_HEALTH, AnyHealth, current_health, use_health
 from ..obs.tracer import (
     NULL_TRACER,
     Span,
@@ -212,6 +212,32 @@ def _process_chunk(
 # ---------------------------------------------------------------------------
 
 
+def _record_screening(health: AnyHealth, outcome: Outcome) -> None:
+    """One ``health.screenings`` row and one quality SLO sample.
+
+    Recorded for every answer, computed or a cache hit, so the fleet's
+    screening and quality figures count what callers received.
+    """
+    if not health.enabled:
+        return
+    if isinstance(outcome, FailedRecording):
+        health.increment(
+            obs_names.HEALTH_SCREENINGS,
+            labels={"verdict": "failed", "reason": outcome.error_type},
+        )
+        health.slo_sample(obs_names.SLO_QUALITY, good=False)
+        return
+    degraded = bool(outcome.quality_reasons)
+    health.increment(
+        obs_names.HEALTH_SCREENINGS,
+        labels={
+            "verdict": "degraded" if degraded else "accepted",
+            "reason": outcome.quality_reasons[0] if degraded else "",
+        },
+    )
+    health.slo_sample(obs_names.SLO_QUALITY, good=True)
+
+
 class BatchExecutor:
     """Run the EarSonar pipeline over many recordings, fast and safely.
 
@@ -351,6 +377,7 @@ class BatchExecutor:
             hit = self._cache_lookup(index, recording)
             if hit is not None:
                 outcomes[index] = hit
+                _record_screening(current_health(), hit)
             else:
                 misses.append((index, recording))
 
@@ -413,31 +440,16 @@ class BatchExecutor:
     ) -> None:
         outcomes[index] = outcome
         self.metrics.increment(obs_names.METRIC_PIPELINE_CALLS)
-        # Parent-side fleet-health rollups: one screening outcome per
-        # recording (verdict/reason dimensions), the quality SLO feed and
-        # the per-device-model rake taps and calibration offset.  Always
-        # in the parent so serial and pool runs record the same rows in
-        # the same order, whichever process ran the DSP.
+        # Parent-side fleet-health rollups: the screening row and quality
+        # sample every answer gets, then the DSP's own figures (recording
+        # time, per-device-model rake taps and calibration offset), which
+        # a cache hit does not repeat.  Always in the parent so serial
+        # and pool runs record the same rows in the same order, whichever
+        # process ran the DSP.
         health = current_health()
-        if isinstance(outcome, FailedRecording):
-            if health.enabled:
-                health.increment(
-                    obs_names.HEALTH_SCREENINGS,
-                    labels={"verdict": "failed", "reason": outcome.error_type},
-                )
-                health.slo_sample(obs_names.SLO_QUALITY, good=False)
-            return
+        _record_screening(health, outcome)
         if isinstance(outcome, ProcessedRecording):
             if health.enabled:
-                degraded = bool(outcome.quality_reasons)
-                health.increment(
-                    obs_names.HEALTH_SCREENINGS,
-                    labels={
-                        "verdict": "degraded" if degraded else "accepted",
-                        "reason": outcome.quality_reasons[0] if degraded else "",
-                    },
-                )
-                health.slo_sample(obs_names.SLO_QUALITY, good=True)
                 if latencies is not None:
                     health.observe(
                         obs_names.HEALTH_RECORDING_MS,

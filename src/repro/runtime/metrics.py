@@ -27,9 +27,6 @@ least ``MIN_VALUE`` (1e-3).
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 from ..obs.sketch import QuantileSketch
 
@@ -156,15 +153,6 @@ class RuntimeMetrics:
             if hist is None:
                 hist = self._histograms[name] = Histogram()
             return hist
-
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        """Context manager recording the block's wall time in ms."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, (time.perf_counter() - start) * 1e3)
 
     # -- derived views -------------------------------------------------
 

@@ -316,13 +316,8 @@ class ScreeningService:
             with a retry-after).
         """
         self.metrics.increment(obs_names.METRIC_SERVE_SUBMITTED)
-        self.metrics.increment(
-            obs_names.tenant_counter(obs_names.METRIC_TENANT_SUBMITTED, request.tenant)
-        )
         if not self._running:
-            self.metrics.increment(
-                obs_names.SERVE_REJECTION_COUNTERS["shutdown"]
-            )
+            self.metrics.increment(obs_names.METRIC_SERVE_REJECTED_SHUTDOWN)
             raise ServiceStoppedError(
                 "service is not accepting requests (not started or stopping)"
             )
@@ -330,11 +325,6 @@ class ScreeningService:
         fast = self._fast_reject_response(request)
         if fast is not None:
             self.metrics.increment(obs_names.METRIC_SERVE_FAST_REJECTED)
-            self.metrics.increment(
-                obs_names.tenant_counter(
-                    obs_names.METRIC_TENANT_COMPLETED, request.tenant
-                )
-            )
             health = current_health()
             if health.enabled:
                 # A fast-reject is an answered request — the service was
@@ -380,9 +370,6 @@ class ScreeningService:
             health.slo_sample(obs_names.SLO_AVAILABILITY, good=True, now=now)
             health.slo_sample(obs_names.SLO_LATENCY, value_ms=request_ms, now=now)
         self.metrics.increment(obs_names.METRIC_SERVE_COMPLETED)
-        self.metrics.increment(
-            obs_names.tenant_counter(obs_names.METRIC_TENANT_COMPLETED, request.tenant)
-        )
         return response
 
     def _fast_reject_response(
@@ -450,10 +437,7 @@ class ScreeningService:
             reason="queue_full",
             retry_after_s=max(RETRY_AFTER_FLOOR_S, self._estimated_wait_ms() / 1e3),
         )
-        self.metrics.increment(obs_names.SERVE_REJECTION_COUNTERS[rejection.reason])
-        self.metrics.increment(
-            obs_names.tenant_counter(obs_names.METRIC_TENANT_REJECTED, request.tenant)
-        )
+        self.metrics.increment(obs_names.METRIC_SERVE_REJECTED_QUEUE_FULL)
         health = current_health()
         if health.enabled:
             now = self.clock.now()

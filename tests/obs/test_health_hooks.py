@@ -5,7 +5,8 @@ Contracts under test:
 - **Disabled is invisible.**  With no ambient monitor the batch outputs
   are byte-identical to a run that predates the health tier.
 - **Parent-side screening rollups.**  Verdict/reason counts balance the
-  batch exactly, and the quality SLO sees one sample per recording.
+  batch exactly, and the quality SLO sees one sample per recording,
+  whether it was computed or answered from the cache.
 - **Stage rollups from the outcome.**  Rake-tap and calibration-offset
   series are keyed by device model, and the offset distribution
   reflects the drift the simulator injected into the device fleet, on
@@ -29,6 +30,7 @@ from repro.obs import names as obs_names
 from repro.obs import health
 from repro.obs.health import OVERFLOW_VALUE, SERIES_LABELS, HealthMonitor, use_health
 from repro.runtime import BatchExecutor
+from repro.runtime.cache import FeatureCache
 from repro.simulation import sample_participant
 from repro.simulation.calibration import CalibrationDriftConfig
 from repro.simulation.earphone import COMMERCIAL_EARPHONES
@@ -106,6 +108,25 @@ class TestScreeningRollups:
             if entry["objective"] == obs_names.SLO_QUALITY
         ]
         assert quality["rules"][0]["events_long"] == len(obs_recordings)
+
+    def test_cache_hits_are_screenings_and_quality_samples(
+        self, obs_pipeline, obs_recordings
+    ):
+        # One capture answered once, then resubmitted in five more
+        # batches: the cache answers those, and each is still an answer.
+        monitor = make_monitor()
+        executor = BatchExecutor(obs_pipeline, cache=FeatureCache())
+        with use_health(monitor):
+            for _ in range(6):
+                executor.run([obs_recordings[0]])
+        assert executor.metrics.counter(obs_names.METRIC_CACHE_HITS) == 5
+        assert screening_rows(monitor) == {("accepted", ""): 6}
+        [quality] = [
+            entry
+            for entry in monitor.evaluate(1000.0)
+            if entry["objective"] == obs_names.SLO_QUALITY
+        ]
+        assert quality["rules"][0]["events_long"] == 6
 
 
 DRIFT = CalibrationDriftConfig(

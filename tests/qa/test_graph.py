@@ -6,7 +6,6 @@ import pytest
 
 from repro.qa.graph import (
     CallGraph,
-    ImportGraph,
     ModuleBindings,
     build_program_model,
     summarize_module,
@@ -38,21 +37,6 @@ def test_relative_import_canonicalized(make_project):
     assert bindings.canonicalize("clock.Clock") == "repro.serve.clock.Clock"
     assert bindings.canonicalize("Clock") == "repro.serve.clock.Clock"
     assert bindings.canonicalize("functools.partial") == "functools.partial"
-
-
-def test_import_graph_edges(make_project):
-    project = make_project(
-        {
-            "repro/a.py": "from . import b\n",
-            "repro/b.py": "from . import c\n",
-            "repro/c.py": "X = 1\n",
-            "repro/d.py": "Y = 2\n",
-        }
-    )
-    graph = ImportGraph.build(project)
-    assert graph.edges["repro.a"] == frozenset({"repro.b"})
-    assert graph.edges["repro.b"] == frozenset({"repro.c"})
-    assert graph.edges["repro.c"] == graph.edges["repro.d"] == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ NAMES_MODULE = """
 METRIC_OK = "work.ok"
 METRIC_DEAD = "work.dead"
 SPAN_STEP = "step"
-REJECTIONS = {"full": "work.rejected.full"}
 
-CANONICAL_COUNTERS = frozenset({METRIC_OK, METRIC_DEAD, *REJECTIONS.values()})
+CANONICAL_COUNTERS = frozenset({METRIC_OK, METRIC_DEAD})
 SPAN_NAMES = frozenset({SPAN_STEP})
 CANONICAL_HISTOGRAMS = frozenset()
 """
@@ -63,12 +62,11 @@ def test_declared_but_never_emitted_flagged_in_names_module(findings_of):
             },
         )
     )
-    # METRIC_DEAD and the rejection-table value are declared, unemitted.
+    # METRIC_DEAD is declared, unemitted.
     dead = [f for f in findings if "work.dead" in f.message]
     assert len(dead) == 1
     assert dead[0].path == "repro/obs/names.py"
     assert dead[0].line == 2  # anchored at the constant's definition
-    assert any("work.rejected.full" in f.message for f in findings)
 
 
 def test_registry_subscript_marks_all_values_emitted(findings_of):
@@ -80,10 +78,9 @@ def test_registry_subscript_marks_all_values_emitted(findings_of):
                 "repro/app/work.py": """
                     from ..obs import names as obs_names
 
-                    def run(metrics, tracer, signal, reason):
+                    def run(metrics, tracer, signal):
                         metrics.increment(obs_names.METRIC_OK)
                         metrics.increment(obs_names.METRIC_DEAD)
-                        metrics.increment(obs_names.REJECTIONS[reason])
                         signal.emit("not.a.telemetry.name")
                         with tracer.span(obs_names.SPAN_STEP):
                             return 1
@@ -104,10 +101,9 @@ def test_literal_spelling_of_registered_name_counts_as_emission(findings_of):
                 "repro/app/work.py": """
                     from ..obs import names as obs_names
 
-                    def run(metrics, tracer, reason):
+                    def run(metrics, tracer):
                         metrics.increment("work.ok")
                         metrics.increment("work.dead")
-                        metrics.increment(obs_names.REJECTIONS[reason])
                         with tracer.span("step"):
                             return 1
                     """,

@@ -96,11 +96,11 @@ def test_seeded_unregistered_metric_caught_by_qa010(mutable_src):
 
 
 def test_static_registry_view_matches_runtime_registry(repo_src_root):
-    # QA010 reads the registry sets *statically* (frozenset displays,
-    # starred names, dict .values()); names.registry() evaluates them at
-    # runtime. If a registry refactor outgrows the static evaluator the
-    # two views diverge and this test fails loudly, instead of the lint
-    # silently under-counting declared names.
+    # QA010 and QA012 read the registry sets *statically* (frozenset
+    # displays, constants, starred names); names.registry() evaluates
+    # them at runtime. If a registry refactor outgrows the static
+    # evaluator the two views diverge and this test fails loudly,
+    # instead of the lint silently under-counting declared names.
     project = Project.scan(repo_src_root)
     summary = summarize_module(project.get("repro.obs.names"))
     runtime = obs_names.registry()

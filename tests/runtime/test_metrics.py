@@ -135,14 +135,6 @@ class TestRuntimeMetrics:
         m.observe("recording_ms", 20.0)
         assert m.histogram("recording_ms").count == 2
 
-    def test_time_context_manager_records_ms(self):
-        m = RuntimeMetrics()
-        with m.time("block_ms"):
-            pass
-        hist = m.histogram("block_ms")
-        assert hist.count == 1
-        assert 0.0 <= hist.total < 1000.0
-
     def test_cache_hit_rate(self):
         m = RuntimeMetrics()
         assert m.cache_hit_rate == 0.0

@@ -7,7 +7,8 @@ path, fast-reject and its resubmission, every rejection reason, crashed
 batches, and shutdown — then the registry
 is checked against ``SERVE_CANONICAL_COUNTERS`` /
 ``SERVE_CANONICAL_HISTOGRAMS`` so the documented vocabulary cannot
-drift from what the service actually emits.
+drift from what the service actually emits.  The vocabulary is closed:
+every counter is registered, and new tenants add no names.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ from repro.quality import QualityConfig
 from repro.serve import ScreeningRequest, ScreeningService, VirtualClock
 
 from .conftest import run, ticking_runner
+
+#: Every counter name a runtime registry may hold: the executor's, the
+#: echo-conditional ones and the service's.
+REGISTERED_COUNTERS = (
+    names.CANONICAL_COUNTERS
+    | names.ECHO_CONDITIONAL_COUNTERS
+    | names.SERVE_CANONICAL_COUNTERS
+)
 
 
 @pytest.fixture(scope="module")
@@ -146,36 +155,46 @@ class TestCanonicalEmission:
 
     def test_no_undocumented_serve_counters_leak(self, exercised):
         metrics, _ = exercised
-        report = metrics.report()
-        serve_counters = {
-            name
-            for name in report["counters"]
-            if name.startswith("serve.")
-            and not name.startswith("serve.tenant.")
-        }
-        unknown = serve_counters - names.SERVE_CANONICAL_COUNTERS
-        assert not unknown, f"undocumented serve counters: {sorted(unknown)}"
+        unknown = set(metrics.report()["counters"]) - REGISTERED_COUNTERS
+        assert not unknown, f"undocumented counters: {sorted(unknown)}"
 
-    def test_tenant_counters_follow_the_documented_pattern(self, exercised):
-        metrics, _ = exercised
-        report = metrics.report()
-        bases = {
-            names.METRIC_TENANT_SUBMITTED,
-            names.METRIC_TENANT_COMPLETED,
-            names.METRIC_TENANT_REJECTED,
-        }
-        tenant_counters = {
-            name
-            for name in report["counters"]
-            if name.startswith("serve.tenant.")
-        }
-        assert tenant_counters, "no per-tenant counters emitted"
-        for name in tenant_counters:
-            split = names.split_tenant_counter(name)
-            assert split is not None, f"undocumented tenant counter: {name}"
-            base, tenant = split
-            assert base in bases, f"undocumented tenant counter: {name}"
-            assert tenant, f"tenant-less tenant counter: {name}"
+    def test_new_tenants_add_no_metric_names(self, serve_recordings):
+        # Tenant ids are caller data: serving twenty more tenants must
+        # leave the registry's names exactly as one tenant left them.
+        from repro.core.pipeline import EarSonarPipeline
+        from repro.runtime.executor import BatchExecutor
+
+        executor = BatchExecutor(EarSonarPipeline())
+        seen = []
+
+        async def scenario():
+            clock = VirtualClock()
+            service = ScreeningService(executor, clock=clock)
+            await service.start()
+            for tenants in (["t-0"], [f"t-{i}" for i in range(1, 21)]):
+                tasks = [
+                    asyncio.ensure_future(
+                        service.submit(
+                            ScreeningRequest(tenant, tenant, serve_recordings[0])
+                        )
+                    )
+                    for tenant in tenants
+                ]
+                await clock.advance_until(
+                    lambda: all(task.done() for task in tasks), step=0.05
+                )
+                report = executor.metrics.report()
+                seen.append((set(report["counters"]), set(report["histograms"])))
+            await service.stop()
+
+        run(scenario())
+        (counters_1, histograms_1), (counters_21, histograms_21) = seen
+        assert counters_21 == counters_1
+        assert histograms_21 == histograms_1
+        assert counters_1 <= REGISTERED_COUNTERS
+        assert histograms_1 <= (
+            names.CANONICAL_HISTOGRAMS | names.SERVE_CANONICAL_HISTOGRAMS
+        )
 
     def test_emitted_spans_are_registered(self, exercised):
         _, tracer = exercised

@@ -99,12 +99,6 @@ class TestHappyPath:
         assert metrics.counter(obs_names.METRIC_SERVE_SUBMITTED) == 3
         assert metrics.counter(obs_names.METRIC_SERVE_ADMITTED) == 3
         assert metrics.counter(obs_names.METRIC_SERVE_COMPLETED) == 3
-        assert (
-            metrics.counter(obs_names.tenant_counter(
-                obs_names.METRIC_TENANT_SUBMITTED, "clinic"
-            ))
-            == 3
-        )
         assert metrics.histogram(obs_names.HIST_SERVE_REQUEST_MS).count == 3
         assert metrics.histogram(obs_names.HIST_SERVE_BATCH_MS).count >= 1
 
